@@ -36,8 +36,8 @@ def scenario_gaps(theta, space, blocks, grid, S0, r, tree_config):
     gaps = np.full((MATURITIES.size, STRIKES.size), np.nan)
     for i, T in enumerate(MATURITIES):
         for j, K in enumerate(STRIKES):
-            p_am = price_at(am, S0, K, p.nu0, T, snap=False)
-            p_eu = price_at(eu, S0, K, p.nu0, T, snap=False)
+            p_am = price_at(am, S0, K, p.nu0, T)
+            p_eu = price_at(eu, S0, K, p.nu0, T)
             pq = deamericanize_quote(T, K, p_am, S0, r, tree_config)
             if pq.invertible:
                 gaps[i, j] = abs(pq.pseudo_price - p_eu)

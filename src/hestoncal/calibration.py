@@ -47,7 +47,6 @@ class PdeBackend:
     space: FemSpace
     blocks: AssemblyBlocks
     grid: TimeGrid
-    snap: bool = True
 
     @property
     def style(self) -> str:
@@ -58,9 +57,7 @@ class PdeBackend:
         mu = p.to_model(r)
         solver = solve_american if self.style == "american" else solve_european
         surf = solver(mu, self.space, self.blocks, self.grid, K=1.0)
-        return np.array(
-            [price_at(surf, S0, q.strike, p.nu0, q.maturity, snap=self.snap) for q in quotes]
-        )
+        return np.array([price_at(surf, S0, q.strike, p.nu0, q.maturity) for q in quotes])
 
 
 @dataclass
@@ -69,15 +66,12 @@ class ReducedBackend:
 
     variant: str  # ReducedAm | ReducedEu | DasReduced
     model: ReducedModel
-    snap: bool = True
 
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
         mu = p.to_model(r)
         traj = solve_reduced(self.model, mu)
-        return np.array(
-            [traj.price(S0, q.strike, p.nu0, q.maturity, snap=self.snap) for q in quotes]
-        )
+        return np.array([traj.price(S0, q.strike, p.nu0, q.maturity) for q in quotes])
 
 
 @dataclass

@@ -21,11 +21,10 @@ import numpy as np
 
 from . import calibration as cal
 from . import quotes as qio
-from .closed_form import IntegrationConfig, heston_put_cf
 from .mesh import Domain2D, assemble_blocks, build_mesh
-from .params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, CalibParams, ParamBox
+from .params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX
 from .rbm import GreedyConfig, load_reduced_model, make_training_grid, pod_greedy, save_reduced_model
-from .solvers import TimeGrid, price_at, solve_american, solve_european
+from .solvers import TimeGrid
 from .trees import TreeConfig, deamericanize_set
 
 log = logging.getLogger(__name__)
@@ -190,24 +189,11 @@ def cmd_price(args) -> int:
         command="price", n_nu=args.n_nu, n_x=args.n_x, horizon=args.horizon,
         steps=args.steps, backend=args.backend, S0=args.spot, r=args.rate,
     )
-    theta = CalibParams.from_array(args.theta)
-    if args.backend == "DasClosedForm":
-        price = heston_put_cf(
-            args.spot, args.strike, args.maturity, theta.to_model(args.rate), theta.nu0,
-            IntegrationConfig(),
-        )
-    elif args.backend in ("ReducedAm", "ReducedEu"):
-        backend = _make_backend(cfg, basis_path=args.basis)
-        quote = qio.Quote(maturity=args.maturity, strike=args.strike,
-                          style="american" if args.backend == "ReducedAm" else "european",
-                          price=float("nan"))
-        price = float(backend.price_vector(theta.as_array(), [quote], args.spot, args.rate)[0])
-    else:
-        space, blocks = _fem(cfg)
-        grid = _grid(cfg)
-        solver = solve_american if args.backend == "DetailedAm" else solve_european
-        surf = solver(theta.to_model(args.rate), space, blocks, grid, K=1.0)
-        price = price_at(surf, args.spot, args.strike, theta.nu0, args.maturity, snap=True)
+    quote = qio.Quote(maturity=args.maturity, strike=args.strike,
+                      style="american" if args.backend.endswith("Am") else "european",
+                      price=float("nan"))
+    backend = _make_backend(cfg, basis_path=args.basis)
+    price = float(backend.price_vector(np.asarray(args.theta), [quote], args.spot, args.rate)[0])
     print(f"{price:.10f}")
     return 0
 

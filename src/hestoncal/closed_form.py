@@ -78,7 +78,9 @@ def _probability(j: int, S0, K, T, mu, nu0, config) -> float:
     lnK = np.log(K)
 
     if j == 1:
-        denom = heston_cf(np.array([-1j]), T, mu, nu0, S0)[0].real  # S0 e^{rT}
+        # f(-i) = E[S_T] = S0 e^{rT}; heston_cf itself is 0/0 there when
+        # kappa < rho xi, because beta + d vanishes
+        denom = S0 * np.exp(mu.r * T)
 
         def fj(u):
             return heston_cf(u - 1j, T, mu, nu0, S0) / denom

@@ -127,10 +127,6 @@ class BoundaryData:
     def lift(self, t: float) -> np.ndarray:
         return self.scale(t) * self.shape
 
-    def scale_rate_at0(self) -> float:
-        """d/dt of scale at any t is -r*scale for European, 0 for American."""
-        return -self.r if self.style == "european" else 0.0
-
 
 def boundary_data(space: FemSpace, style: str, K: float, r: float) -> BoundaryData:
     shape = np.zeros(space.n_nodes)

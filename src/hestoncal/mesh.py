@@ -9,6 +9,7 @@ the diagonal pairing entries int(phi_p).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -244,17 +245,13 @@ class AssemblyBlocks:
     def restrict_rows(self, mat: sp.csr_matrix) -> sp.csr_matrix:
         return mat[self.space.free].tocsr()
 
-    @property
+    @cached_property
     def mass_free(self) -> sp.csr_matrix:
-        if not hasattr(self, "_mass_free"):
-            self._mass_free = self.restrict(self.mass)
-        return self._mass_free
+        return self.restrict(self.mass)
 
-    @property
+    @cached_property
     def v_gram_free(self) -> sp.csr_matrix:
-        if not hasattr(self, "_v_gram_free"):
-            self._v_gram_free = self.restrict(self.v_gram)
-        return self._v_gram_free
+        return self.restrict(self.v_gram)
 
     @property
     def d_b_free(self) -> np.ndarray:

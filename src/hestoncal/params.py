@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -146,26 +146,3 @@ DEFAULT_CALIB_BOX = ParamBox(
 def clamp_to_box(theta, box: ParamBox) -> np.ndarray:
     """Componentwise projection of theta onto the box."""
     return np.clip(np.asarray(theta, dtype=float), box.lo, box.hi)
-
-
-@dataclass(frozen=True)
-class OptionSpec:
-    """A single put option contract."""
-
-    spot: float
-    strike: float
-    maturity: float
-    style: str = "european"  # "european" | "american"
-
-    def __post_init__(self):
-        if self.spot <= 0 or self.strike <= 0 or self.maturity <= 0:
-            raise ValueError("spot, strike and maturity must be positive")
-        if self.style not in ("european", "american"):
-            raise ValueError(f"unknown exercise style {self.style!r}")
-
-    def with_strike(self, strike: float) -> "OptionSpec":
-        return replace(self, strike=strike)
-
-    @property
-    def log_moneyness(self) -> float:
-        return float(np.log(self.spot / self.strike))

@@ -4,7 +4,10 @@ online solves with a cone-constrained multiplier.
 
 The primal basis is orthonormal in the H1 semi-norm Gram inner product; the
 dual cone is spanned by normalized nonnegative multiplier snapshots and kept
-inf-sup stable through supremizer enrichment of the primal space.
+inf-sup stable through supremizer enrichment of the primal space.  Each
+online American step is solved by the active-set kernel shared with the
+detailed solver (solvers.solve_complementarity) through a dense
+Schur-complement callback.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg as spla
 
-from .heston_operator import N_AFFINE, boundary_data, obstacle_vector
+from .heston_operator import N_AFFINE, affine_coefficients, boundary_data, obstacle_vector
 from .mesh import AssemblyBlocks, Domain2D, FemSpace, assemble_blocks, build_mesh, evaluation_row
 from .params import ModelParams
 from .solvers import (
@@ -24,16 +27,13 @@ from .solvers import (
     _initial_condition,
     interpolate_in_time,
     solve_american,
+    solve_complementarity,
     solve_european,
 )
 
 log = logging.getLogger(__name__)
 
 ORTHO_TOL = 1e-10
-NEWTON_MAX_ITER = 100
-#: Relative KKT tolerance and pivot cap of the dual-LCP pivoting fallback.
-LCP_TOL = 1e-12
-MAX_PIVOTS = 10_000
 
 
 @dataclass(frozen=True)
@@ -266,18 +266,6 @@ def _project_offline(
 # online solves
 
 
-def _affine_theta(mu: ModelParams) -> np.ndarray:
-    from .heston_operator import affine_coefficients
-
-    return affine_coefficients(mu)
-
-
-def _lift_scales(style: str, r: float, times: np.ndarray) -> np.ndarray:
-    if style == "european":
-        return np.exp(-r * times)
-    return np.ones_like(times)
-
-
 @dataclass
 class ReducedTrajectory:
     model: ReducedModel
@@ -285,7 +273,7 @@ class ReducedTrajectory:
     coeffs: np.ndarray = field(repr=False)  # (I+1, N)
     multipliers: np.ndarray | None = field(default=None, repr=False)
 
-    def price(self, S0: float, K_i: float, nu0: float, T_i: float, snap: bool = False) -> float:
+    def price(self, S0: float, K_i: float, nu0: float, T_i: float) -> float:
         """Point-evaluate the reduced surface, scaled by strike homogeneity.
 
         Off-grid maturities are handled as in solvers.price_at.
@@ -308,14 +296,14 @@ class ReducedTrajectory:
                 value += float(row @ self.coeffs[k])
             return value
 
-        return interpolate_in_time(model.grid, T_i, level_value, snap) * K_i / model.K
+        return interpolate_in_time(model.grid, T_i, level_value) * K_i / model.K
 
 
 def solve_reduced(model: ReducedModel, mu: ModelParams) -> ReducedTrajectory:
     """Dense online theta-scheme solve; American adds the cone multiplier."""
     grid = model.grid
     dt, th = grid.dt, grid.theta
-    theta_q = _affine_theta(mu)
+    theta_q = affine_coefficients(mu)
     A = np.tensordot(theta_q, model.a_red, axes=1)
     alift = theta_q @ model.alift_red
     S = model.m_red / dt + th * A
@@ -324,7 +312,8 @@ def solve_reduced(model: ReducedModel, mu: ModelParams) -> ReducedTrajectory:
     coeffs = np.empty((grid.I + 1, N))
     coeffs[0] = model.u0_red
     if model.style == "european":
-        s = _lift_scales(model.style, mu.r, grid.times())
+        bnd = model.boundary(mu.r)
+        s = [bnd.scale(t) for t in grid.times()]
         lu = np.linalg.inv(S)
         for k in range(grid.I):
             f = -(s[k + 1] - s[k]) / dt * model.mlift_red - (
@@ -346,128 +335,39 @@ def solve_reduced(model: ReducedModel, mu: ModelParams) -> ReducedTrajectory:
     active = np.zeros(n_w, dtype=bool)
     for k in range(grid.I):
         rhs = R @ coeffs[k] + f_static
-        a_k, beta, active = _reduced_ncp(s_inv, bs, schur, B, g, rhs, active)
-        coeffs[k + 1] = a_k
-        mult[k + 1] = beta
+        coeffs[k + 1], mult[k + 1], active = solve_complementarity(
+            _schur_step(s_inv, bs, schur, B, g, rhs), g, active
+        )
     return ReducedTrajectory(model=model, mu=mu, coeffs=coeffs, multipliers=mult)
 
 
-def _reduced_ncp(s_inv, bs, schur, B, g, rhs, active0):
-    """Active-set (semismooth Newton) solve of the reduced complementarity.
+def _schur_step(s_inv, bs, schur, B, g, rhs):
+    """solve_complementarity callback of one reduced step.
 
-    S a - B^T beta = rhs, beta >= 0, B a - g >= 0, beta . (B a - g) = 0,
-    in dual cone coordinates beta; S is pre-inverted and the active-set
-    system is the Schur complement restricted to the active rows.  If the
-    Newton iteration cycles, the dual LCP is solved by principal pivoting.
+    S a - B^T beta = rhs with beta = 0 off the active set and B a = g on it,
+    in dual cone coordinates beta, so c = B a.  S is pre-inverted, and
+    beta on the active set solves the Schur complement (B S^-1 B^T)_AA.
     """
-    n_w = B.shape[0]
+    n_w = g.size
     a_free = s_inv @ rhs
     ba_free = bs @ rhs  # = B a with beta = 0
-    active = active0.copy()
-    seen: set[bytes] = set()
-    merged = False
-    for _ in range(NEWTON_MAX_ITER):
+
+    def solve(active):
         idx = np.flatnonzero(active)
+        beta = np.zeros(n_w)
         if idx.size == 0:
-            a = a_free
-            beta = np.zeros(n_w)
-            b_a = ba_free
-        else:
-            rhs_small = g[idx] - ba_free[idx]
-            small = schur[np.ix_(idx, idx)]
-            try:
-                beta_act = np.linalg.solve(small, rhs_small)
-            except np.linalg.LinAlgError:
-                beta_act = np.linalg.lstsq(small, rhs_small, rcond=None)[0]
-            beta = np.zeros(n_w)
-            beta[idx] = beta_act
-            a = a_free + s_inv @ (B.T[:, idx] @ beta_act)
-            b_a = ba_free + schur[:, idx] @ beta_act
-        new_active = (beta + (g - b_a)) > 0
-        if np.array_equal(new_active, active):
-            return a, beta, active
-        key = new_active.tobytes()
-        if key in seen:
-            # round-off tie flicker: accept the KKT-feasible iterate
-            scale = max(1.0, np.abs(b_a).max(), np.abs(g).max())
-            if (g - b_a).max() <= 1e-10 * scale and beta.min() >= -1e-10 * scale:
-                return a, np.maximum(beta, 0.0), active
-            if not merged:
-                # anti-cycling: merge the competing active sets once
-                new_active = new_active | active
-                merged = True
-            else:
-                break
-        seen.add(key)
-        active = new_active
-    # fallback: principal pivoting on the dual LCP, started from the set
-    # the Newton iteration cycled on:
-    # beta >= 0, schur beta + (ba_free - g) >= 0, complementary
-    beta, active = _pivot_lcp(schur, ba_free - g, active)
-    a = a_free + s_inv @ (B.T @ beta)
-    return a, beta, active
+            return a_free, beta, ba_free
+        rhs_small = g[idx] - ba_free[idx]
+        small = schur[np.ix_(idx, idx)]
+        try:
+            beta_act = np.linalg.solve(small, rhs_small)
+        except np.linalg.LinAlgError:
+            beta_act = np.linalg.lstsq(small, rhs_small, rcond=None)[0]
+        beta[idx] = beta_act
+        a = a_free + s_inv @ (B.T[:, idx] @ beta_act)
+        return a, beta, ba_free + schur[:, idx] @ beta_act
 
-
-class DualLCPError(RuntimeError):
-    """The reduced dual LCP has no solution reachable by principal pivoting."""
-
-    def __init__(self, n_w: int, pivots: int, residual: float, reason: str):
-        super().__init__(
-            f"dual LCP with N_W={n_w} not solved after {pivots} pivots "
-            f"({reason}); KKT residual {residual:.3e}"
-        )
-        self.n_w = n_w
-        self.pivots = pivots
-        self.residual = residual
-
-
-def _lcp_residual(M, q, beta) -> float:
-    """KKT residual |min(beta, M beta + q)|_inf of the LCP."""
-    return float(np.abs(np.minimum(beta, M @ beta + q)).max(initial=0.0))
-
-
-def _pivot_lcp(M, q, active0):
-    """Murty's least-index principal pivoting for 0 <= beta  perp  M beta + q >= 0.
-
-    The basis is an active set A: beta_A solves M_AA beta_A = -q_A, beta = 0
-    off A.  Each pivot flips the least index whose basic variable (beta_i on
-    A, w_i = (M beta + q)_i off A) is negative.  From any start this ends at
-    the unique solution when M is a P-matrix (Murty 1974), which holds for
-    the Schur complement B S^-1 B^T whenever its symmetric part is positive
-    definite.  The solution is accepted by its KKT residual relative to
-    max(1, |q|, |M| |beta|); a singular principal block, a revisited set or
-    the pivot cap raise DualLCPError.  Returns (beta, A).
-    """
-    n = q.size
-    active = np.array(active0, dtype=bool)
-    seen: set[bytes] = set()
-    for pivots in range(MAX_PIVOTS + 1):
-        idx = np.flatnonzero(active)
-        beta = np.zeros(n)
-        if idx.size:
-            try:
-                beta[idx] = np.linalg.solve(M[np.ix_(idx, idx)], -q[idx])
-            except np.linalg.LinAlgError:
-                raise DualLCPError(
-                    n, pivots, _lcp_residual(M, q, beta), "singular principal block"
-                ) from None
-        w = M @ beta + q
-        scale = max(1.0, np.abs(q).max(), np.abs(M).max() * np.abs(beta).max())
-        negative = np.flatnonzero(np.where(active, beta, w) < -LCP_TOL * scale)
-        if negative.size == 0:
-            beta = np.maximum(beta, 0.0)
-            residual = _lcp_residual(M, q, beta)
-            if residual <= LCP_TOL * scale:
-                return beta, active
-            raise DualLCPError(n, pivots, residual, "KKT residual above tolerance")
-        seen.add(active.tobytes())
-        active[negative[0]] = not active[negative[0]]
-        if active.tobytes() in seen:
-            raise DualLCPError(
-                n, pivots + 1, _lcp_residual(M, q, np.maximum(beta, 0.0)),
-                "revisited an active set, so M is not a P-matrix",
-            )
-    raise DualLCPError(n, MAX_PIVOTS, _lcp_residual(M, q, np.maximum(beta, 0.0)), "pivot cap")
+    return solve
 
 
 # ---------------------------------------------------------------------------

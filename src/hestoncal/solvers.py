@@ -1,9 +1,21 @@
-"""Full-order time stepping for European and American put surfaces.
+"""Full-order time stepping for European and American put surfaces, and the
+active-set kernel shared with the reduced model.
 
-The European problem is a theta-scheme linear solve per step; the American
+The European problem is a theta-scheme linear solve per step.  The American
 problem couples it with the componentwise obstacle through a diagonal
-biorthogonal pairing and is solved per step by a primal-dual active set
-iteration (semismooth Newton on the complementarity system).
+biorthogonal pairing, so every step is the complementarity problem
+
+    c >= g,  lam >= 0,  lam . (c - g) = 0,
+
+with c = u here and c = B a in the reduced model (rbm.solve_reduced).
+solve_complementarity solves it by a primal-dual active set iteration
+(semismooth Newton on the complementarity system, Hintermueller, Ito and
+Kunisch 2002), with least-index principal pivoting as its only fallback.
+It sees the problem only through a callback solve(active) -> (x, lam, c);
+fem_step builds the FEM one.
+
+Off-grid maturities are priced by linear interpolation in time between the
+adjacent levels (interpolate_in_time); they are never snapped to a level.
 """
 
 from __future__ import annotations
@@ -25,12 +37,13 @@ from .heston_operator import (
 from .mesh import AssemblyBlocks, FemSpace, evaluate_p1
 from .params import ModelParams, put_payoff_log
 
-ACTIVE_SET_MAX_ITER = 50
-
-#: Relative tolerance for accepting a KKT-satisfying iterate whose active
-#: set still flickers on round-off ties.
+#: Cap on the Newton iterations, and separately on the pivots, of one
+#: complementarity solve.
+MAX_ITER = 500
+#: Relative KKT tolerance, scaled by max(1, |c|, |g|): Newton accepts an
+#: iterate within it whose active set still flickers on round-off ties, and
+#: pivoting accepts its final iterate by it.
 KKT_TOL = 1e-11
-SOLVER_TOL = 1e-10
 #: Relative tolerance within which a maturity counts as a time level.
 STEP_TOL = 1e-9
 
@@ -56,16 +69,11 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.I + 1)
 
-    def step_of(self, maturity: float, tol: float = STEP_TOL, snap: bool = False) -> int:
-        """Grid index of a maturity.
-
-        Maturities must land on grid points unless snap is set, in which case
-        the nearest step is used (observed and model prices must then share
-        the same grid for the snapping to be consistent).
-        """
+    def step_of(self, maturity: float) -> int:
+        """Grid index of a maturity that lies on the grid within STEP_TOL."""
         k = maturity / self.dt
         k_round = int(round(k))
-        if not snap and abs(k - k_round) > tol * max(1.0, abs(k)):
+        if abs(k - k_round) > STEP_TOL * max(1.0, abs(k)):
             raise ValueError(
                 f"maturity {maturity} is not an integer multiple of dt={self.dt}"
             )
@@ -153,58 +161,99 @@ def solve_european(
     return PriceSurface(space=space, grid=grid, mu=mu, K=K, style="european", U=U, boundary=bnd)
 
 
-def _pdas_step(lhs, rhs, g, d, u0, active0):
-    """One backward-Euler-in-k complementarity solve by primal-dual active set.
+class LCPError(RuntimeError):
+    """A complementarity solve that neither Newton nor pivoting finished."""
 
-    Solves lhs @ u - diag(d) lam = rhs, u >= g, lam >= 0, lam.(u - g) = 0.
-    Returns (u, lam, active, n_iter); raises on non-convergence.
+    def __init__(self, n: int, pivots: int, residual: float, reason: str):
+        super().__init__(
+            f"complementarity problem with n={n} not solved after {pivots} pivots "
+            f"({reason}); KKT residual {residual:.3e}"
+        )
+        self.n = n
+        self.pivots = pivots
+        self.residual = residual
+
+
+def solve_complementarity(solve, g, active):
+    """Primal-dual active set solve of c >= g, lam >= 0, lam . (c - g) = 0.
+
+    solve(active) returns (x, lam, c): the primal solution x of the system
+    with c = g on the active rows, the multiplier lam (zero off them) and the
+    constrained quantity c.  Each Newton step moves to the set
+    {lam + g - c > 0}.  An iterate within KKT_TOL is accepted even while its
+    set still flickers on round-off ties.  The first repeated set is merged
+    with the current one; a second repeat, or MAX_ITER iterations, hands the
+    last set to principal_pivoting.  Returns (x, lam, active).
     """
-    n = rhs.size
-    active = active0.copy()
-    lhs_csr = lhs.tocsr()
     seen: set[bytes] = set()
     merged = False
-    for it in range(ACTIVE_SET_MAX_ITER):
-        # replace active rows by identity equations u_p = g_p
-        inact_d = sp.diags((~active).astype(float))
-        act_d = sp.diags(active.astype(float))
-        mod = (inact_d @ lhs_csr + act_d).tocsc()
-        rhs_mod = np.where(active, g, rhs)
-        u = spla.splu(mod).solve(rhs_mod)
-        lam = np.zeros(n)
-        if active.any():
-            resid = (lhs_csr @ u - rhs)[active]
-            lam[active] = resid / d[active]
-        new_active = (lam + (g - u)) > 0
+    for _ in range(MAX_ITER):
+        x, lam, c = solve(active)
+        new_active = (lam + (g - c)) > 0
         if np.array_equal(new_active, active):
-            return u, lam, active, it + 1
-        # ties at round-off level flip indefinitely; accept once the KKT
-        # conditions hold to tolerance even if the set itself still flickers
-        scale = max(1.0, np.abs(u).max(), np.abs(g).max())
-        if (g - u).max() <= KKT_TOL * scale and lam.min() >= -KKT_TOL * scale:
-            return u, np.maximum(lam, 0.0), active, it + 1
+            return x, lam, active
+        scale = max(1.0, np.abs(c).max(), np.abs(g).max())
+        if (g - c).max() <= KKT_TOL * scale and lam.min() >= -KKT_TOL * scale:
+            return x, np.maximum(lam, 0.0), active
         key = new_active.tobytes()
         if key in seen:
-            if not merged:
-                # break short cycles by restarting from the union of the
-                # two competing active sets
-                new_active = new_active | active
-                merged = True
-                seen.clear()
-            else:
-                return _psor_fallback(lhs_csr, rhs, g, d, u)
+            if merged:
+                break
+            new_active |= active
+            merged = True
+            seen.clear()
         seen.add(key)
         active = new_active
-    raise RuntimeError("active-set iteration did not converge")
+    return principal_pivoting(solve, g, active)
 
 
-def _psor_fallback(lhs_csr, rhs, g, d, u_start):
-    """Resolve a cycling active-set step with projected SOR."""
-    u = psor_step(lhs_csr, rhs, g, u0=np.maximum(u_start, g))
-    lam = np.maximum(lhs_csr @ u - rhs, 0.0) / d
-    active = (u - g) <= 1e-12 * (1.0 + np.abs(g))
-    lam[~active] = 0.0
-    return u, lam, active, -1
+def principal_pivoting(solve, g, active):
+    """Murty's least-index principal pivoting through the same callback.
+
+    The basic variable of row i is lam_i on the active set and the slack
+    c_i - g_i off it; each pivot flips the least index whose basic variable
+    is negative.  From any start this ends at the unique solution when the
+    problem's matrix is a P-matrix (Murty 1974), which holds for the
+    theta-step FEM matrix and for the reduced Schur complement whenever
+    their symmetric parts are positive definite.  The final iterate is
+    accepted by its KKT residual |min(lam, c - g)|_inf; a residual above
+    KKT_TOL or MAX_ITER pivots raise LCPError.  Returns (x, lam, active).
+    """
+    for pivots in range(MAX_ITER):
+        x, lam, c = solve(active)
+        slack = c - g
+        tol = KKT_TOL * max(1.0, np.abs(c).max(), np.abs(g).max())
+        residual = float(np.abs(np.minimum(lam, slack)).max())
+        negative = np.flatnonzero(np.where(active, lam, slack) < -tol)
+        if negative.size == 0:
+            if residual <= tol:
+                return x, np.maximum(lam, 0.0), active
+            raise LCPError(g.size, pivots, residual, "KKT residual above tolerance")
+        active = active.copy()
+        active[negative[0]] = not active[negative[0]]
+    raise LCPError(g.size, MAX_ITER, residual, "pivot cap")
+
+
+def fem_step(lhs, rhs, g, d):
+    """solve_complementarity callback of one FEM theta-step.
+
+    The step is lhs @ u - diag(d) lam = rhs with c = u.  Active rows are
+    replaced by the identity equations u_p = g_p, and their multiplier is
+    the residual of the original row divided by the pairing weight d_p.
+    """
+    n = rhs.size
+
+    def solve(active):
+        inact_d = sp.diags((~active).astype(float))
+        act_d = sp.diags(active.astype(float))
+        mod = (inact_d @ lhs + act_d).tocsc()
+        u = spla.splu(mod).solve(np.where(active, g, rhs))
+        lam = np.zeros(n)
+        if active.any():
+            lam[active] = (lhs @ u - rhs)[active] / d[active]
+        return u, lam, u
+
+    return solve
 
 
 def solve_american(
@@ -235,10 +284,7 @@ def solve_american(
     active = np.zeros(n, dtype=bool)
     for k in range(grid.I):
         rhs = rhs_op @ U[k] + f
-        try:
-            u, lam, active, _ = _pdas_step(lhs, rhs, g, d, U[k], active)
-        except RuntimeError as exc:
-            raise RuntimeError(f"active-set non-convergence at step {k + 1}") from exc
+        u, lam, active = solve_complementarity(fem_step(lhs, rhs, g, d), g, active)
         if not np.all(np.isfinite(u)):
             raise FloatingPointError(f"non-finite American solution at step {k + 1}")
         U[k + 1] = u
@@ -251,7 +297,7 @@ def solve_american(
 def psor_step(lhs, rhs, g, omega: float = 1.5, tol: float = 1e-10, max_iter: int = 20000, u0=None):
     """Projected SOR solve of lhs u >= rhs-complementarity with obstacle g.
 
-    Fallback and coarse-scale cross-check for the active set solver; dense
+    Reference that the tests check the active-set kernel against; dense
     iteration, use on small systems only.
     """
     A = lhs.toarray()
@@ -267,17 +313,17 @@ def psor_step(lhs, rhs, g, omega: float = 1.5, tol: float = 1e-10, max_iter: int
     return u
 
 
-def interpolate_in_time(grid: TimeGrid, maturity: float, level_value, snap: bool = False) -> float:
+def interpolate_in_time(grid: TimeGrid, maturity: float, level_value) -> float:
     """Value at a maturity from a function of the time level.
 
-    A maturity on the grid (within step_of's tolerance) returns exactly
-    level_value(k); snap returns the nearest level.  Otherwise the value is
-    linear in time between the two adjacent levels, which is second order in
-    dt like Crank-Nicolson.  Maturities beyond the horizon raise ValueError.
+    A maturity on the grid (within STEP_TOL) returns exactly level_value(k).
+    Otherwise the value is linear in time between the two adjacent levels,
+    which is second order in dt like Crank-Nicolson.  Maturities beyond the
+    horizon raise ValueError.
     """
     k = maturity / grid.dt
-    if snap or abs(k - round(k)) <= STEP_TOL * max(1.0, abs(k)):
-        return level_value(grid.step_of(maturity, snap=snap))
+    if abs(k - round(k)) <= STEP_TOL * max(1.0, abs(k)):
+        return level_value(grid.step_of(maturity))
     if not 0.0 < k < grid.I:
         raise ValueError(f"maturity {maturity} outside the grid horizon")
     k0 = int(k)
@@ -285,15 +331,13 @@ def interpolate_in_time(grid: TimeGrid, maturity: float, level_value, snap: bool
     return (1.0 - w) * level_value(k0) + w * level_value(k0 + 1)
 
 
-def price_at(
-    surface: PriceSurface, S0: float, K_i: float, nu0: float, T_i: float, snap: bool = False
-) -> float:
+def price_at(surface: PriceSurface, S0: float, K_i: float, nu0: float, T_i: float) -> float:
     """Price one quote by point evaluation and strike homogeneity.
 
     Evaluates the stored unit-strike surface at (nu0, log(S0/K_i)) and at
     T_i, scaled by K_i / K_solve.  An on-grid T_i uses its time level; an
-    off-grid one is interpolated linearly between the adjacent levels, or
-    snapped to the nearest level if snap is set (see interpolate_in_time).
+    off-grid one is interpolated linearly between the adjacent levels (see
+    interpolate_in_time).
     """
     x = float(np.log(S0 / K_i))
     if T_i == 0.0:
@@ -302,5 +346,5 @@ def price_at(
     def level_value(k: int) -> float:
         return evaluate_p1(surface.space, surface.full_values(k), (nu0, x))
 
-    value = interpolate_in_time(surface.grid, T_i, level_value, snap)
+    value = interpolate_in_time(surface.grid, T_i, level_value)
     return value * K_i / surface.K

@@ -152,8 +152,8 @@ def test_criterion_4_deamericanization_fidelity():
         gaps = np.full((DAS_MATURITIES.size, DAS_STRIKES.size), np.nan)
         for i, T in enumerate(DAS_MATURITIES):
             for j, K in enumerate(DAS_STRIKES):
-                p_am = price_at(am, 1.0, K, p.nu0, T, snap=False)
-                p_eu = price_at(eu, 1.0, K, p.nu0, T, snap=False)
+                p_am = price_at(am, 1.0, K, p.nu0, T)
+                p_eu = price_at(eu, 1.0, K, p.nu0, T)
                 pq = deamericanize_quote(T, K, p_am, 1.0, RATE, cfg)
                 if pq.invertible:
                     gaps[i, j] = abs(pq.pseudo_price - p_eu)
@@ -208,7 +208,7 @@ def test_criterion_6_cross_backend_consistency():
         surf = solve_european(mu, space, blocks, grid, K=1.0)
         worst = 0.0
         for K, T in probes:
-            fem = price_at(surf, 1.0, K, p.nu0, T, snap=False)
+            fem = price_at(surf, 1.0, K, p.nu0, T)
             cf = heston_put_cf(1.0, K, T, mu, p.nu0)
             worst = max(worst, abs(fem - cf))
         return worst

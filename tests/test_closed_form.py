@@ -99,3 +99,21 @@ def test_deterministic():
     a = heston_put_cf(100.0, 90.0, 2.0, MU, NU0)
     b = heston_put_cf(100.0, 90.0, 2.0, MU, NU0)
     assert a == b
+
+
+@pytest.mark.parametrize("gamma, nu0", [(0.25, 0.1), (0.5, 1.0)])
+def test_put_finite_where_kappa_below_rho_xi(gamma, nu0):
+    """At the calibration-box corner xi=0.9, rho=0.3, kappa=0.1, beta + d
+    vanishes at u = -i, where the P1 normalizer used to be evaluated.
+
+    Near-zero variance (gamma and nu0 at their lower bounds) is left out:
+    there the fixed Fourier truncation prices short puts slightly below
+    zero anywhere in the box, a quadrature error this test does not cover.
+    """
+    mu = ModelParams(xi=0.9, rho=0.3, gamma=gamma, kappa=0.1, r=0.05)
+    for T in (0.1, 1.0):
+        for K in (0.8, 1.0, 1.2):
+            p = heston_put_cf(1.0, K, T, mu, nu0)
+            disc_K = K * math.exp(-mu.r * T)
+            assert math.isfinite(p)
+            assert max(disc_K - 1.0, 0.0) - 1e-9 <= p <= disc_K

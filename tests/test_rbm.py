@@ -7,9 +7,7 @@ from hestoncal.calibration import PdeBackend, ReducedBackend
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, ParamBox
 from hestoncal.rbm import (
-    DualLCPError,
     GreedyConfig,
-    _pivot_lcp,
     angle_to_space,
     gram_orthonormalize,
     load_reduced_model,
@@ -21,7 +19,16 @@ from hestoncal.rbm import (
     solve_reduced,
     supremizer,
 )
-from hestoncal.solvers import TimeGrid, price_at, solve_american, solve_european
+from hestoncal import solvers
+from hestoncal.solvers import (
+    LCPError,
+    TimeGrid,
+    price_at,
+    principal_pivoting,
+    solve_american,
+    solve_complementarity,
+    solve_european,
+)
 
 
 @pytest.fixture(scope="module")
@@ -136,8 +143,8 @@ def test_reduced_american_matches_detailed_at_selected_mu(toy, toy_american):
     surf = solve_american(mu, space, blocks, grid, K=1.0)
     traj = solve_reduced(m, mu)
     for T in (0.5, 1.0):
-        p_det = price_at(surf, 1.0, 1.0, 0.2, T, snap=True)
-        p_red = traj.price(1.0, 1.0, 0.2, T, snap=True)
+        p_det = price_at(surf, 1.0, 1.0, 0.2, T)
+        p_red = traj.price(1.0, 1.0, 0.2, T)
         assert p_red == pytest.approx(p_det, abs=5e-3)
 
 
@@ -223,9 +230,23 @@ def test_reduced_price_off_grid_matches_detailed(toy):
         for K in (0.9, 1.0, 1.1):
             p_det = price_at(surf, 1.0, K, 0.15, T)
             assert traj.price(1.0, K, 0.15, T) == pytest.approx(p_det, abs=1e-6)
-    assert traj.price(1.0, 1.0, 0.15, 0.5) == traj.price(1.0, 1.0, 0.15, 0.5, snap=True)
     with pytest.raises(ValueError, match="horizon"):
         traj.price(1.0, 1.0, 0.15, 1.2)
+
+
+def _lcp(M, q):
+    """Kernel callback of the LCP 0 <= beta  perp  M beta + q >= 0.
+
+    With c = M beta and g = -q the slack c - g is M beta + q.
+    """
+
+    def solve(active):
+        idx = np.flatnonzero(active)
+        beta = np.zeros(q.size)
+        beta[idx] = np.linalg.solve(M[np.ix_(idx, idx)], -q[idx])
+        return beta, beta, M @ beta
+
+    return solve, -q
 
 
 def _assert_lcp_solution(M, q, beta):
@@ -242,26 +263,59 @@ def test_pivot_lcp_ill_conditioned_spd():
     Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     M = Q @ np.diag(np.logspace(0, -6, 6)) @ Q.T
     q = rng.normal(size=6)
-    beta, active = _pivot_lcp(M, q, np.zeros(6, dtype=bool))
+    _, beta, active = principal_pivoting(*_lcp(M, q), np.zeros(6, dtype=bool))
     _assert_lcp_solution(M, q, beta)
     assert np.all(beta[~active] == 0.0)
+
+
+P_MATRIX = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 2.0], [2.0, 0.0, 1.0]])
 
 
 @pytest.mark.parametrize("start", range(8))
 def test_pivot_lcp_p_matrix_from_every_warm_start(start):
     """A non-symmetric P-matrix on which flip-all Newton cycles from 6 of 8 starts."""
-    M = np.array([[1.0, 2.0, 0.0], [0.0, 1.0, 2.0], [2.0, 0.0, 1.0]])
     q = -np.ones(3)
     active0 = np.array([(start >> i) & 1 for i in range(3)], dtype=bool)
-    beta, _ = _pivot_lcp(M, q, active0)
-    _assert_lcp_solution(M, q, beta)
+    _, beta, _ = principal_pivoting(*_lcp(P_MATRIX, q), active0)
+    _assert_lcp_solution(P_MATRIX, q, beta)
     assert beta == pytest.approx(np.full(3, 1.0 / 3.0), rel=1e-14)
 
 
+#: (M, q, solution, starts from which Newton and the merge still cycle)
+KERNEL_CASES = {
+    "merge": (P_MATRIX, -np.ones(3), np.full(3, 1.0 / 3.0), ()),
+    "pivot": (
+        np.array([[1.0, 1.0, 0.0], [-3.0, 1.0, 3.0], [3.0, 0.0, 1.0]]),
+        np.array([1.0, 2.0, 1.0]),
+        np.zeros(3),
+        (1, 2, 3, 4, 5, 6),
+    ),
+}
+
+
+@pytest.mark.parametrize("start", range(8))
+@pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+def test_kernel_p_matrix_from_every_warm_start(case, start, monkeypatch):
+    """The whole kernel: Newton, then the merge, then pivoting where it cycles."""
+    M, q, solution, cycling = KERNEL_CASES[case]
+    pivoted = []
+
+    def counted(*args):
+        pivoted.append(start)
+        return principal_pivoting(*args)
+
+    monkeypatch.setattr(solvers, "principal_pivoting", counted)
+    active0 = np.array([(start >> i) & 1 for i in range(3)], dtype=bool)
+    _, beta, _ = solve_complementarity(*_lcp(M, q), active0)
+    _assert_lcp_solution(M, q, beta)
+    assert beta == pytest.approx(solution, rel=1e-14, abs=0.0)
+    assert bool(pivoted) == (start in cycling)
+
+
 def test_pivot_lcp_without_solution_raises_typed_error():
-    with pytest.raises(DualLCPError) as info:
-        _pivot_lcp(np.array([[-1.0]]), np.array([-1.0]), np.zeros(1, dtype=bool))
+    with pytest.raises(LCPError) as info:
+        principal_pivoting(*_lcp(np.array([[-1.0]]), np.array([-1.0])), np.zeros(1, dtype=bool))
     err = info.value
     assert isinstance(err, RuntimeError)
-    assert err.n_w == 1 and err.pivots >= 1 and err.residual > 0.0
-    assert "N_W=1" in str(err)
+    assert err.n == 1 and err.pivots >= 1 and err.residual > 0.0
+    assert "n=1" in str(err)

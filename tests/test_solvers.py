@@ -7,12 +7,14 @@ from hestoncal.heston_operator import (
     lift_and_rhs,
     obstacle_vector,
 )
-from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
+from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluate_p1
 from hestoncal.params import ModelParams
 from hestoncal.solvers import (
     TimeGrid,
+    fem_step,
     interpolate_in_time,
     price_at,
+    principal_pivoting,
     psor_step,
     solve_american,
     solve_european,
@@ -39,7 +41,6 @@ def test_time_grid():
     assert g.step_of(0.5) == 2
     with pytest.raises(ValueError):
         g.step_of(0.3)
-    assert g.step_of(0.3, snap=True) == 1
     with pytest.raises(ValueError):
         g.step_of(3.0)
 
@@ -52,7 +53,6 @@ def test_interpolate_in_time_is_linear_between_levels():
 
     assert interpolate_in_time(g, 0.5, level) == 7.0
     assert interpolate_in_time(g, 0.3, level) == pytest.approx(3.0 * 1.2 + 1.0, rel=1e-14)
-    assert interpolate_in_time(g, 0.3, level, snap=True) == 4.0
     with pytest.raises(ValueError):
         interpolate_in_time(g, 2.1, level)
     with pytest.raises(ValueError):
@@ -62,9 +62,10 @@ def test_interpolate_in_time_is_linear_between_levels():
 def test_price_at_on_grid_maturity_is_its_level(fem, grid):
     space, blocks = fem
     am = solve_american(MU, space, blocks, grid, 1.0)
-    for T in (0.04, 0.48, 1.0):
+    for k in (1, 12, 25):
         for K in (0.9, 1.1):
-            assert price_at(am, 1.0, K, 0.3, T) == price_at(am, 1.0, K, 0.3, T, snap=True)
+            level = evaluate_p1(space, am.full_values(k), (0.3, np.log(1.0 / K)))
+            assert price_at(am, 1.0, K, 0.3, k * grid.dt) == level * K
 
 
 def test_price_at_off_grid_maturity_blends_adjacent_levels(fem, grid):
@@ -86,9 +87,8 @@ def test_price_at_off_grid_maturity_blends_adjacent_levels(fem, grid):
 def test_price_at_beyond_horizon_raises(fem, grid):
     space, blocks = fem
     eu = solve_european(MU, space, blocks, grid, 1.0)
-    for snap in (False, True):
-        with pytest.raises(ValueError, match="horizon"):
-            price_at(eu, 1.0, 1.0, 0.3, 1.5, snap=snap)
+    with pytest.raises(ValueError, match="horizon"):
+        price_at(eu, 1.0, 1.0, 0.3, 1.5)
 
 
 def test_american_dominates_european(fem, grid):
@@ -182,8 +182,8 @@ def test_temporal_convergence():
     assert rate > 1.5, f"observed temporal rate {rate:.2f}"
 
 
-def test_psor_cross_check():
-    """The active-set solution solves the same complementarity as PSOR."""
+def _psor_cross_check_step():
+    """First step of a 10 x 10 American solve: (lhs, rhs, g, d, am)."""
     space = build_mesh(Domain2D(), 10, 10)
     blocks = assemble_blocks(space)
     grid = TimeGrid(T=0.5, I=5)
@@ -197,8 +197,27 @@ def test_psor_cross_check():
 
     am = solve_american(MU, space, blocks, grid, K)
     rhs = rhs_op @ am.U[0] + f
+    return lhs, rhs, g, blocks.d_b_free, am
+
+
+def test_psor_cross_check():
+    """The active-set solution solves the same complementarity as PSOR."""
+    lhs, rhs, g, _, am = _psor_cross_check_step()
     u_psor = psor_step(lhs, rhs, g, tol=1e-12)
     assert np.max(np.abs(u_psor - am.U[1])) < 1e-7
+
+
+def test_fem_pivoting_from_empty_set_matches_psor():
+    """The kernel's fallback alone, started from no active node."""
+    lhs, rhs, g, d, am = _psor_cross_check_step()
+    u, lam, active = principal_pivoting(fem_step(lhs, rhs, g, d), g, np.zeros(g.size, dtype=bool))
+    u_psor = psor_step(lhs, rhs, g, tol=1e-12)
+    assert active.any()
+    assert np.max(np.abs(u - u_psor)) < 1e-7
+    # same solution as the Newton path; degenerate nodes (lam = 0, u = g)
+    # may sit on either side of the active set
+    assert np.max(np.abs(u - am.U[1])) <= 1e-12
+    assert np.max(np.abs(lam - am.lam[1])) <= 1e-12 * np.abs(am.lam[1]).max()
 
 
 def test_european_boundary_consistency(fem, grid):
