@@ -29,6 +29,9 @@ MAX_ITER = 200
 TOL_DJ = 1e-12
 TOL_STEP = 1e-5
 FD_SCALE = 1e-6
+#: Numerical failures of a backend (non-finite solution, unsolved
+#: complementarity problem, singular factorization) that reject an LM trial.
+TRIAL_ERRORS = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
 
 PDE_VARIANTS = ("DetailedAm", "DetailedEu", "ReducedAm", "ReducedEu")
 DAS_VARIANTS = ("DasPde", "DasReduced", "DasClosedForm")
@@ -226,7 +229,8 @@ def optimize(resid_fun, x0, box: ParamBox, options: OptimizerOptions | None = No
     Returns (theta, J, iterations, n_evals, status).  resid_fun(theta) must
     return the raw residual vector; the positive-variance penalty is appended
     internally when enabled, with a weight that grows until the iterate is
-    feasible.
+    feasible.  A trial step whose evaluation raises one of TRIAL_ERRORS is
+    rejected like one that raises the cost; it still counts in n_evals.
     """
     opt = options or OptimizerOptions()
     theta = clamp_to_box(np.asarray(x0, dtype=float), box)
@@ -272,15 +276,21 @@ def optimize(resid_fun, x0, box: ParamBox, options: OptimizerOptions | None = No
             theta_new = clamp_to_box(theta + delta, box)
             step = theta_new - theta
             step_norm = float(np.linalg.norm(step))
-            r_new = full_resid(theta_new, pen_weight)
             n_evals += 1
-            J_new = cost(r_new)
-            if J_new <= J:
-                # gain ratio: actual vs predicted decrease of the local model
-                pred = -(2.0 * (jtr @ step) + step @ (jtj @ step)) / r.size
-                gain = (J - J_new) / pred if pred > 0 else 0.0
-                accepted = True
-                break
+            try:
+                r_new = full_resid(theta_new, pen_weight)
+            except TRIAL_ERRORS as exc:
+                # a trial the backend cannot price is rejected like one
+                # that raises the cost
+                log.info("LM trial at %s rejected: %r", theta_new, exc)
+            else:
+                J_new = cost(r_new)
+                if J_new <= J:
+                    # gain ratio: actual vs predicted decrease of the local model
+                    pred = -(2.0 * (jtr @ step) + step @ (jtj @ step)) / r.size
+                    gain = (J - J_new) / pred if pred > 0 else 0.0
+                    accepted = True
+                    break
             lam *= nu
             nu *= 2.0
         if not accepted:

@@ -12,7 +12,8 @@ solve_complementarity solves it by a primal-dual active set iteration
 (semismooth Newton on the complementarity system, Hintermueller, Ito and
 Kunisch 2002), with least-index principal pivoting as its only fallback.
 It sees the problem only through a callback solve(active) -> (x, lam, c);
-fem_step builds the FEM one.
+fem_step builds the FEM one, which factorizes each distinct active set once
+and reuses that LU across Newton iterations and across theta-steps.
 
 Off-grid maturities are priced by linear interpolation in time between the
 adjacent levels (interpolate_in_time); they are never snapped to a level.
@@ -143,17 +144,23 @@ def solve_european(
     """
     _check_time_step(mu, grid)
     bnd = boundary if boundary is not None else boundary_data(space, "european", K, mu.r)
-    a_free = blocks.restrict(assemble_operator(mu, blocks))
+    a_full = assemble_operator(mu, blocks)
+    a_free = blocks.restrict(a_full)
     m_free = blocks.mass_free
     dt, th = grid.dt, grid.theta
     lhs = (m_free / dt + th * a_free).tocsc()
     rhs_op = (m_free / dt - (1.0 - th) * a_free).tocsr()
     lu = spla.splu(lhs)
+    # the lift is scale(t) * shape, so f^{k+theta} (lift_and_rhs) combines
+    # two fixed load vectors with scalar weights
+    mlift = (blocks.mass @ bnd.shape)[space.free]
+    alift = (a_full @ bnd.shape)[space.free]
 
     U = np.empty((grid.I + 1, space.n_free))
     U[0] = _initial_condition(space, bnd, K)
     for k in range(grid.I):
-        f = lift_and_rhs(mu, blocks, bnd, dt, k * dt, th)
+        s0, s1 = bnd.scale(k * dt), bnd.scale(k * dt + dt)
+        f = -(s1 - s0) / dt * mlift - (th * s1 + (1.0 - th) * s0) * alift
         u_next = lu.solve(rhs_op @ U[k] + f)
         if not np.all(np.isfinite(u_next)):
             raise FloatingPointError(f"non-finite European solution at step {k + 1}")
@@ -234,26 +241,53 @@ def principal_pivoting(solve, g, active):
     raise LCPError(g.size, MAX_ITER, residual, "pivot cap")
 
 
-def fem_step(lhs, rhs, g, d):
-    """solve_complementarity callback of one FEM theta-step.
+def fem_step(lhs, g, d):
+    """solve_complementarity callbacks of the theta-steps of one FEM solve.
 
-    The step is lhs @ u - diag(d) lam = rhs with c = u.  Active rows are
-    replaced by the identity equations u_p = g_p, and their multiplier is
-    the residual of the original row divided by the pairing weight d_p.
+    fem_step(lhs, g, d)(rhs) is the callback of the step
+    lhs @ u - diag(d) lam = rhs with c = u.  Active rows are replaced by the
+    identity equations u_p = g_p, and their multiplier is the residual of the
+    original row divided by the pairing weight d_p.
+
+    The callbacks of one fem_step share a single LU slot keyed by the active
+    set, so each distinct set is factorized once and its LU is reused until
+    another set evicts it: the first Newton iterate of step k starts from
+    step k-1's final set, whose LU the slot still holds.  The modified matrix
+    masks the rows of lhs held in CSC with a unit diagonal on the active rows;
+    it equals (diag(~A) lhs + diag(A)).tocsc() entry for entry, explicit zeros
+    dropped, so a reused LU is the one a fresh build would give.
     """
-    n = rhs.size
+    n = g.size
+    csc = lhs.tocsc()
+    rows = csc.indices
+    diag = np.flatnonzero(rows == np.repeat(np.arange(n), np.diff(csc.indptr)))
+    if diag.size != n:
+        raise ValueError("fem_step needs every diagonal entry of lhs stored")
+    key, lu = None, None
 
-    def solve(active):
-        inact_d = sp.diags((~active).astype(float))
-        act_d = sp.diags(active.astype(float))
-        mod = (inact_d @ lhs + act_d).tocsc()
-        u = spla.splu(mod).solve(np.where(active, g, rhs))
-        lam = np.zeros(n)
-        if active.any():
-            lam[active] = (lhs @ u - rhs)[active] / d[active]
-        return u, lam, u
+    def factor(active):
+        data = np.where(active[rows], 0.0, csc.data)
+        data[diag[active]] = 1.0
+        keep = data != 0.0
+        indptr = np.concatenate(([0], np.cumsum(keep)))[csc.indptr]
+        return spla.splu(sp.csc_matrix((data[keep], rows[keep], indptr), shape=csc.shape))
 
-    return solve
+    def step(rhs):
+        def solve(active):
+            nonlocal key, lu
+            if active.tobytes() != key:
+                # drop the evicted LU first: two alive at once raise peak memory
+                lu = None
+                key, lu = active.tobytes(), factor(active)
+            u = lu.solve(np.where(active, g, rhs))
+            lam = np.zeros(n)
+            if active.any():
+                lam[active] = (lhs @ u - rhs)[active] / d[active]
+            return u, lam, u
+
+        return solve
+
+    return step
 
 
 def solve_american(
@@ -281,10 +315,10 @@ def solve_american(
     U = np.empty((grid.I + 1, n))
     lam_arr = np.zeros((grid.I + 1, n))
     U[0] = _initial_condition(space, bnd, K)
+    step = fem_step(lhs, g, d)
     active = np.zeros(n, dtype=bool)
     for k in range(grid.I):
-        rhs = rhs_op @ U[k] + f
-        u, lam, active = solve_complementarity(fem_step(lhs, rhs, g, d), g, active)
+        u, lam, active = solve_complementarity(step(rhs_op @ U[k] + f), g, active)
         if not np.all(np.isfinite(u)):
             raise FloatingPointError(f"non-finite American solution at step {k + 1}")
         U[k + 1] = u

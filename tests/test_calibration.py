@@ -163,6 +163,42 @@ def test_optimize_fixed_kappa():
     assert np.allclose(np.delete(theta, 3), np.delete(target, 3), atol=1e-6)
 
 
+class _RaisingBackend:
+    """exp(theta) prices; the xi axis above `ceiling` cannot be priced."""
+
+    variant = "Toy"
+
+    def __init__(self, ceiling):
+        self.ceiling = ceiling
+        self.calls = self.raised = 0
+
+    def price_vector(self, theta, quotes, S0, r):
+        self.calls += 1
+        if theta[0] > self.ceiling:
+            self.raised += 1
+            raise FloatingPointError("non-finite solution")
+        return np.exp(theta)
+
+
+def test_calibrate_rejects_trial_steps_that_raise():
+    # the convex exp makes the first Gauss-Newton step overshoot xi = 0.6 to
+    # about 0.69, inside the region the backend cannot price; the trial must
+    # count as rejected, raise the damping and let the run go on
+    target = np.array([0.6, -0.5, 0.2, 1.0, 0.3])
+    quotes = tuple(
+        Quote(maturity=1.0, strike=100.0, style="european", price=float(p)) for p in np.exp(target)
+    )
+    qs = QuoteSet(quotes=quotes, S0=100.0, r=0.02)
+    backend = _RaisingBackend(ceiling=0.62)
+    x0 = np.array([0.2, -0.5, 0.2, 1.0, 0.3])
+    report = calibrate(qs, backend, DEFAULT_CALIB_BOX, x0=x0)
+    assert backend.raised >= 1
+    assert report.status in ("converged_dj", "converged_step")
+    assert np.allclose(report.theta_star, target, atol=1e-5)
+    # every trial, the raised ones included, is an evaluation
+    assert report.n_evals + 1 == backend.calls
+
+
 def test_calibrate_report_fields_consistent():
     theta_ex = np.array([0.25, -0.5, 0.10, 0.4, 0.10])
     backend = ClosedFormBackend()

@@ -1,5 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from hestoncal.heston_operator import (
     assemble_operator,
@@ -17,11 +21,14 @@ from hestoncal.solvers import (
     principal_pivoting,
     psor_step,
     solve_american,
+    solve_complementarity,
     solve_european,
 )
 
 MU = ModelParams(0.7, -0.8, 0.3, 1.4, 0.05)
 MU_R0 = ModelParams(0.7, -0.8, 0.3, 1.4, 0.0)
+#: The benchmark ladder's solve: 33 x 33 mesh, I = 125 steps over T = 2.
+LADDER_GRID = TimeGrid(T=2.0, I=125)
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +217,7 @@ def test_psor_cross_check():
 def test_fem_pivoting_from_empty_set_matches_psor():
     """The kernel's fallback alone, started from no active node."""
     lhs, rhs, g, d, am = _psor_cross_check_step()
-    u, lam, active = principal_pivoting(fem_step(lhs, rhs, g, d), g, np.zeros(g.size, dtype=bool))
+    u, lam, active = principal_pivoting(fem_step(lhs, g, d)(rhs), g, np.zeros(g.size, dtype=bool))
     u_psor = psor_step(lhs, rhs, g, tol=1e-12)
     assert active.any()
     assert np.max(np.abs(u - u_psor)) < 1e-7
@@ -227,3 +234,114 @@ def test_european_boundary_consistency(fem, grid):
     w = eu.full_values(grid.I)
     on_wall = w[space.dirichlet_x_min]
     assert np.allclose(on_wall, np.exp(-MU.r * grid.T), rtol=1e-12)
+
+
+def _fresh_step(lhs, rhs, g, d):
+    """Reference FEM step callback: builds (diag(~A) lhs + diag(A)).tocsc()
+    from new sparse objects and factorizes it on every call."""
+    n = rhs.size
+
+    def solve(active):
+        mod = (sp.diags((~active).astype(float)) @ lhs + sp.diags(active.astype(float))).tocsc()
+        u = spla.splu(mod).solve(np.where(active, g, rhs))
+        lam = np.zeros(n)
+        if active.any():
+            lam[active] = (lhs @ u - rhs)[active] / d[active]
+        return u, lam, u
+
+    return solve
+
+
+def _american_system(space, blocks, grid, mu=MU, K=1.0):
+    """(lhs, rhs_op, f, g, d) of solve_american's theta-steps."""
+    bnd = boundary_data(space, "american", K, mu.r)
+    a_free = blocks.restrict(assemble_operator(mu, blocks))
+    lhs = (blocks.mass_free / grid.dt + grid.theta * a_free).tocsr()
+    rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
+    f = lift_and_rhs(mu, blocks, bnd, grid.dt, 0.0, grid.theta)
+    return lhs, rhs_op, f, obstacle_vector(space, bnd, K), blocks.d_b_free
+
+
+@pytest.fixture(scope="module")
+def ladder_fem():
+    space = build_mesh(Domain2D(), 33, 33)
+    return space, assemble_blocks(space)
+
+
+def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
+    """Masked build and LU slot give the fresh reference bit for bit."""
+    space, blocks = fem
+    lhs, rhs_op, f, g, d = _american_system(space, blocks, grid)
+    rng = np.random.default_rng(5)
+    rhs = rhs_op @ rng.uniform(0.0, 0.5, g.size) + f
+    factored = []
+
+    def recording_splu(A, *args, **kwargs):
+        factored.append(A)
+        return splu(A, *args, **kwargs)
+
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    solve = fem_step(lhs, g, d)(rhs)
+    sets = [rng.uniform(size=g.size) < p for p in (0.0, 0.1, 0.4, 0.4, 0.9)]
+    sets.append(sets[2].copy())  # seen before but evicted since: a new LU
+    sets.append(sets[-1].copy())  # the set the slot holds: no new LU
+    for active in sets:
+        n_before = len(factored)
+        u, lam, c = solve(active)
+        u_ref, lam_ref, _ = _fresh_step(lhs, rhs, g, d)(active)
+        assert np.array_equal(u, u_ref) and np.array_equal(lam, lam_ref)
+        assert c is u
+        mine, ref = factored[n_before], factored[-1]
+        for attr in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(mine, attr), getattr(ref, attr))
+    # every set but the repeat was factorized twice (step and reference)
+    assert len(factored) == 2 * len(sets) - 1
+
+
+def test_solve_american_matches_fresh_factorization(ladder_fem):
+    """The whole solve equals a loop that builds every matrix fresh."""
+    space, blocks = ladder_fem
+    am = solve_american(MU, space, blocks, LADDER_GRID, 1.0)
+    lhs, rhs_op, f, g, d = _american_system(space, blocks, LADDER_GRID)
+    u = am.U[0]
+    active = np.zeros(g.size, dtype=bool)
+    for k in range(LADDER_GRID.I):
+        u, lam, active = solve_complementarity(_fresh_step(lhs, rhs_op @ u + f, g, d), g, active)
+        assert np.array_equal(u, am.U[k + 1]) and np.array_equal(lam, am.lam[k + 1])
+
+
+def test_solve_american_factorizes_at_most_1_2_lus_per_step(ladder_fem, monkeypatch):
+    """Each distinct active set is factorized once; steps reuse the last LU."""
+    space, blocks = ladder_fem
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    solve_american(MU, space, blocks, LADDER_GRID, 1.0)
+    assert len(calls) <= 1.2 * LADDER_GRID.I
+
+
+def test_european_load_matches_per_step_lift_and_rhs(fem, grid):
+    """Precomputed lift loads price like lift_and_rhs assembled every step."""
+    space, blocks = fem
+    eu = solve_european(MU, space, blocks, grid, 1.0)
+    bnd = boundary_data(space, "european", 1.0, MU.r)
+    a_free = blocks.restrict(assemble_operator(MU, blocks))
+    lu = spla.splu((blocks.mass_free / grid.dt + grid.theta * a_free).tocsc())
+    rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
+    U = np.empty_like(eu.U)
+    U[0] = eu.U[0]
+    for k in range(grid.I):
+        f = lift_and_rhs(MU, blocks, bnd, grid.dt, k * grid.dt, grid.theta)
+        U[k + 1] = lu.solve(rhs_op @ U[k] + f)
+    ref = replace(eu, U=U)
+    for nu0 in (0.05, 0.3, 0.8):
+        for K in (0.8, 1.0, 1.2):
+            for T in (0.2, 0.5, 0.73, 1.0):
+                p = price_at(eu, 1.0, K, nu0, T)
+                assert p == pytest.approx(price_at(ref, 1.0, K, nu0, T), rel=1e-12)
