@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closed_form import IntegrationConfig, heston_put_cf
+from .closed_form import heston_put_cf
 from .mesh import AssemblyBlocks, FemSpace, evaluation_row
 from .params import FELLER_EPS, CalibParams, ModelParams, ParamBox, clamp_to_box, feller_margin
 from .rbm import ReducedModel, solve_reduced
@@ -79,20 +79,21 @@ class ReducedBackend:
 
 @dataclass
 class ClosedFormBackend:
-    """Semi-closed-form European put pricer (per-quote Fourier integrals)."""
+    """Semi-closed-form European put pricer; one heston_put_cf call prices
+    every quote of a maturity."""
 
     variant: str = "DasClosedForm"
-    config: IntegrationConfig = field(default_factory=IntegrationConfig)
 
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
         mu = p.to_model(r)
-        return np.array(
-            [
-                heston_put_cf(S0, q.strike, q.maturity, mu, p.nu0, self.config)
-                for q in quotes
-            ]
-        )
+        maturities = np.array([q.maturity for q in quotes])
+        strikes = np.array([q.strike for q in quotes])
+        prices = np.empty(len(quotes))
+        for T in np.unique(maturities):
+            at_T = maturities == T
+            prices[at_T] = heston_put_cf(S0, strikes[at_T], T, mu, p.nu0)
+        return prices
 
 
 # ---------------------------------------------------------------------------
@@ -123,27 +124,6 @@ def _fd_steps(theta, box: ParamBox | None):
         at_upper = theta + h > box.hi
         h[at_upper] = -h[at_upper]
     return h
-
-
-def fd_gradient(fun, theta, box: ParamBox | None = None) -> np.ndarray:
-    """Forward-difference gradient of a scalar function of theta.
-
-    A probe failure is retried once with a ten times smaller step.
-    """
-    theta = np.asarray(theta, dtype=float)
-    f0 = fun(theta)
-    h = _fd_steps(theta, box)
-    grad = np.empty_like(theta)
-    for i in range(theta.size):
-        e = np.zeros_like(theta)
-        e[i] = h[i]
-        try:
-            fi = fun(theta + e)
-        except Exception:
-            e[i] = h[i] / 10.0
-            fi = fun(theta + e)
-        grad[i] = (fi - f0) / e[i]
-    return grad
 
 
 def fd_jacobian(resid_fun, theta, r0, box: ParamBox | None = None, mask=None):

@@ -141,7 +141,7 @@ def boundary_data(space: FemSpace, style: str, K: float, r: float) -> BoundaryDa
 
 
 def lift_and_rhs(
-    mu: ModelParams,
+    a_full: sp.csr_matrix,
     blocks: AssemblyBlocks,
     boundary: BoundaryData,
     dt: float,
@@ -151,13 +151,12 @@ def lift_and_rhs(
     """Load vector of f^{k+theta} on the free DOFs.
 
     f^{k+theta}(v) = -(1/dt) (u_L^{k+1} - u_L^k, v) - a(theta u_L^{k+1}
-    + (1-theta) u_L^k, v; mu).
+    + (1-theta) u_L^k, v; mu), with a_full = assemble_operator(mu, blocks).
     """
     space = blocks.space
     lk = boundary.lift(t_k)
     lk1 = boundary.lift(t_k + dt)
     lmix = theta * lk1 + (1.0 - theta) * lk
-    a_full = assemble_operator(mu, blocks)
     rhs_full = -(blocks.mass @ (lk1 - lk)) / dt - a_full @ lmix
     return rhs_full[space.free]
 

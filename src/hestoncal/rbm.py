@@ -520,10 +520,6 @@ def pod_greedy(
     )
 
 
-def pod_greedy_european(train, space, blocks, grid, config=GreedyConfig(), K=1.0, **kw):
-    return pod_greedy("european", train, space, blocks, grid, config, K, **kw)
-
-
 def pod_angle_greedy_american(train, space, blocks, grid, config=GreedyConfig(), K=1.0, **kw):
     return pod_greedy("american", train, space, blocks, grid, config, K, **kw)
 

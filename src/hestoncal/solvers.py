@@ -300,16 +300,19 @@ def solve_american(
     """Per-step primal-dual active set solve of the American put system."""
     _check_time_step(mu, grid)
     bnd = boundary_data(space, "american", K, mu.r)
-    a_free = blocks.restrict(assemble_operator(mu, blocks))
-    m_free = blocks.mass_free
+    a_full = assemble_operator(mu, blocks)
     dt, th = grid.dt, grid.theta
+    # American lift is static, so f^{k+theta} is time independent
+    f = lift_and_rhs(a_full, blocks, bnd, dt, 0.0, th)
+    a_free = blocks.restrict(a_full)
+    # freed before the time loop: held across it, the heap tends to return
+    # and re-fault the LU pages, about twice the page faults per solve
+    del a_full
+    m_free = blocks.mass_free
     lhs = (m_free / dt + th * a_free).tocsr()
     rhs_op = (m_free / dt - (1.0 - th) * a_free).tocsr()
     g = obstacle_vector(space, bnd, K)
     d = blocks.d_b_free
-
-    # American lift is static, so f^{k+theta} is time independent
-    f = lift_and_rhs(mu, blocks, bnd, dt, 0.0, th)
 
     n = space.n_free
     U = np.empty((grid.I + 1, n))

@@ -66,16 +66,14 @@ def crr_price(
             f"risk-neutral probability {p:.4g} outside (0,1); "
             "increase sigma or the number of steps"
         )
-    # terminal asset prices S0 * u^j * d^(n-j), j = 0..n
-    j = np.arange(steps + 1)
-    s = S0 * u ** (2.0 * j - steps)
-    values = np.maximum(K - s, 0.0)
+    # every node price S0 u^m, m = -steps..steps; level n holds m = -n, -n+2, ..., n
+    s = S0 * u ** np.arange(-steps, steps + 1.0)
+    values = np.maximum(K - s[::2], 0.0)
     american = style == "american"
     for n in range(steps - 1, -1, -1):
         values = disc * (p * values[1 : n + 2] + (1.0 - p) * values[: n + 1])
         if american:
-            s = S0 * u ** (2.0 * np.arange(n + 1) - n)
-            np.maximum(values, K - s, out=values)
+            np.maximum(values, K - s[steps - n : steps + n + 1 : 2], out=values)
     return float(values[0])
 
 

@@ -233,7 +233,7 @@ PROPERTY_TESTS = [
     "tests/test_quotes.py::test_preprocess_consecutive_zero_bid_truncation",
     "tests/test_quotes.py::test_preprocess_is_per_maturity",
     "tests/test_quotes.py::test_ladder_has_65_nested_quotes",
-    "tests/test_closed_form.py::test_put_call_parity",
+    "tests/test_closed_form.py::test_fixed_grid_converges",
     "tests/test_params.py::test_clamp_idempotent_and_inside",
 ]
 

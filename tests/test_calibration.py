@@ -7,7 +7,6 @@ from hestoncal.calibration import (
     ClosedFormBackend,
     OptimizerOptions,
     calibrate,
-    fd_gradient,
     fd_jacobian,
     objective,
     optimize,
@@ -61,28 +60,29 @@ def test_objective_is_mean_square_of_residuals():
     assert J == pytest.approx(float(r @ r) / r.size)
 
 
-def test_fd_gradient_quadratic_oracle():
+def test_fd_jacobian_quadratic_oracle():
     A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     b = np.array([0.3, -0.2, 0.1, 0.0, -0.4])
-    fun = lambda th: 0.5 * th @ A @ th + b @ th
+    resid = lambda th: np.array([0.5 * th @ A @ th + b @ th])
     theta = np.array([0.4, -0.3, 0.25, 1.1, 0.2])
-    grad = fd_gradient(fun, theta)
+    jac, _ = fd_jacobian(resid, theta, resid(theta))
     exact = A @ theta + b
-    assert np.allclose(grad, exact, atol=1e-4)
+    assert np.allclose(jac[0], exact, atol=1e-4)
 
 
-def test_fd_gradient_flips_at_upper_bound():
+def test_fd_jacobian_flips_at_upper_bound():
     box = ParamBox(lower=(0.0,) * 5, upper=(1.0, 1.0, 1.0, 1.0, 1.0))
-    calls = []
+    probes = []
 
-    def fun(th):
-        calls.append(th.copy())
-        assert np.all(th <= 1.0 + 1e-15), "probe left the box"
-        return float(np.sum(th**2))
+    def resid(th):
+        probes.append(th.copy())
+        return th**2
 
     theta = np.ones(5)  # every coordinate at the upper bound
-    grad = fd_gradient(fun, theta, box)
-    assert np.allclose(grad, 2.0 * theta, atol=1e-4)
+    jac, n = fd_jacobian(resid, theta, resid(theta), box)
+    assert n == 5
+    assert all(np.all(th <= 1.0) for th in probes), "probe left the box"
+    assert np.allclose(jac, np.diag(2.0 * theta), atol=1e-4)
 
 
 def test_fd_jacobian_matches_central_difference():

@@ -5,13 +5,11 @@ import math
 import numpy as np
 import pytest
 
-from hestoncal.closed_form import (
-    IntegrationConfig,
-    heston_call_cf,
-    heston_cf,
-    heston_put_cf,
-)
-from hestoncal.params import ModelParams
+from hestoncal import closed_form
+from hestoncal.calibration import ClosedFormBackend
+from hestoncal.closed_form import heston_cf, heston_put_cf
+from hestoncal.params import DEFAULT_CALIB_BOX, CalibParams, ModelParams
+from hestoncal.quotes import GOOGLE_S0, Quote, load_google_quotes
 
 
 MU = ModelParams(xi=0.25, rho=-0.5, gamma=0.10, kappa=0.4, r=0.05)
@@ -55,14 +53,6 @@ def test_black_scholes_limit():
     assert ref == pytest.approx(9.832, abs=2e-3)
 
 
-def test_put_call_parity():
-    for K in (80.0, 100.0, 120.0):
-        call = heston_call_cf(100.0, K, 1.0, MU, NU0)
-        put = heston_put_cf(100.0, K, 1.0, MU, NU0)
-        parity = call - put - (100.0 - K * math.exp(-MU.r))
-        assert parity == pytest.approx(0.0, abs=1e-8)
-
-
 def test_arbitrage_bounds():
     for K in (70.0, 100.0, 140.0):
         for T in (0.1, 1.0, 3.0):
@@ -80,19 +70,43 @@ def test_monotone_and_convex_in_strike():
     assert np.all(d2 > -1e-10)  # convex in strike
 
 
-def test_truncation_invariance():
-    p_default = heston_put_cf(100.0, 95.0, 0.5, MU, NU0)
-    p_wide = heston_put_cf(
-        100.0, 95.0, 0.5, MU, NU0, IntegrationConfig(bound=400.0, nodes=96)
-    )
-    assert p_default == pytest.approx(p_wide, abs=1e-8)
+def test_fixed_grid_converges():
+    """The module's 8-panel grid agrees with a 16-panel grid of the same
+    [0, 200] to 1e-12 max(S0, K) over seeded whole-box parameters."""
+    u16, w16 = closed_form._grid(16)
+    google_T = sorted({q.maturity for q in load_google_quotes().quotes})
+    maturities = [0.1, 1.0 / 6.0, 0.5, 2.0] + google_T
+    cases = [(1.0, np.linspace(0.5, 1.5, 11)), (GOOGLE_S0, np.linspace(250.0, 880.0, 10))]
+    box = DEFAULT_CALIB_BOX
+    rng = np.random.default_rng(20150202)
+    for theta in box.lo + rng.random((40, 5)) * (box.hi - box.lo):
+        p = CalibParams.from_array(theta)
+        mu = p.to_model(0.05)
+        for T in maturities:
+            for S0, K in cases:
+                got = heston_put_cf(S0, K, T, mu, p.nu0)
+                ref = closed_form._put(S0, K, T, mu, p.nu0, u16, w16)
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (theta, T, S0)
 
 
-def test_invalid_config_rejected():
-    with pytest.raises(ValueError):
-        IntegrationConfig(bound=-1.0)
-    with pytest.raises(ValueError):
-        IntegrationConfig(nodes=8)
+def test_array_strikes_match_scalar_calls():
+    ks = np.linspace(60.0, 150.0, 19)
+    for T in (0.1, 1.0, 3.0):
+        many = heston_put_cf(100.0, ks, T, MU, NU0)
+        one = np.array([heston_put_cf(100.0, k, T, MU, NU0) for k in ks])
+        assert many.shape == ks.shape
+        np.testing.assert_allclose(many, one, rtol=1e-14, atol=0.0)
+
+
+def test_backend_prices_interleaved_maturities_in_quote_order():
+    theta = np.array([0.25, -0.5, 0.10, 0.4, 0.10])
+    layout = [(1.0, 90.0), (0.25, 100.0), (2.0, 80.0), (0.25, 120.0), (1.0, 110.0), (2.0, 100.0)]
+    quotes = [Quote(maturity=T, strike=K, style="european", price=np.nan) for T, K in layout]
+    got = ClosedFormBackend().price_vector(theta, quotes, 100.0, 0.05)
+    p = CalibParams.from_array(theta)
+    mu = p.to_model(0.05)
+    want = [heston_put_cf(100.0, K, T, mu, p.nu0) for T, K in layout]
+    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 def test_deterministic():

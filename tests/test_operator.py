@@ -101,7 +101,7 @@ def test_lift_rhs_zero_for_zero_lift(fem):
     mu = ModelParams(0.5, -0.5, 0.2, 1.0, 0.0)
     bnd = boundary_data(space, "european", 1.0, 0.0)
     # r=0 European lift is static; rhs reduces to -A L0 restricted
-    f = lift_and_rhs(mu, blocks, bnd, 0.1, 0.0, 0.5)
     a = assemble_operator(mu, blocks)
+    f = lift_and_rhs(a, blocks, bnd, 0.1, 0.0, 0.5)
     want = -(a @ bnd.shape)[space.free]
     np.testing.assert_allclose(f, want, atol=1e-14)

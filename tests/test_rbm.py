@@ -13,8 +13,8 @@ from hestoncal.rbm import (
     load_reduced_model,
     make_training_grid,
     pod1,
+    pod_greedy,
     pod_angle_greedy_american,
-    pod_greedy_european,
     save_reduced_model,
     solve_reduced,
     supremizer,
@@ -162,7 +162,7 @@ def test_reduced_feasibility(toy, toy_american):
 def test_european_greedy_reproduces_single_trajectory(toy):
     space, blocks, grid = toy
     mu = ModelParams(0.3, -0.5, 0.1, 1.0, 0.03)
-    m = pod_greedy_european([mu], space, blocks, grid, GreedyConfig(n_max=12, tol=1e-14))
+    m = pod_greedy("european", [mu], space, blocks, grid, GreedyConfig(n_max=12, tol=1e-14))
     errs = np.asarray(m.errors)
     assert np.all(np.diff(errs) <= 1e-12)  # monotone decrease on its own snapshot
     assert errs[-1] <= 1e-4
@@ -171,7 +171,7 @@ def test_european_greedy_reproduces_single_trajectory(toy):
 def test_backend_agreement_european(toy):
     space, blocks, grid = toy
     mu = ModelParams(0.3, -0.5, 0.1, 1.0, 0.03)
-    m = pod_greedy_european([mu], space, blocks, grid, GreedyConfig(n_max=16, tol=1e-14))
+    m = pod_greedy("european", [mu], space, blocks, grid, GreedyConfig(n_max=16, tol=1e-14))
     theta = np.array([mu.xi, mu.rho, mu.gamma, mu.kappa, 0.15])
 
     class Q:
@@ -223,7 +223,7 @@ def test_reduced_price_off_grid_matches_detailed(toy):
     """Reduced and FEM pricers interpolate off-grid maturities alike."""
     space, blocks, grid = toy
     mu = ModelParams(0.3, -0.5, 0.1, 1.0, 0.03)
-    m = pod_greedy_european([mu], space, blocks, grid, GreedyConfig(n_max=16, tol=1e-14))
+    m = pod_greedy("european", [mu], space, blocks, grid, GreedyConfig(n_max=16, tol=1e-14))
     surf = solve_european(mu, space, blocks, grid, K=1.0)
     traj = solve_reduced(m, mu)
     for T in (0.27, 0.5, 0.93):  # off the dt = 0.05 grid, except 0.5

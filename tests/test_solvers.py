@@ -196,11 +196,12 @@ def _psor_cross_check_step():
     grid = TimeGrid(T=0.5, I=5)
     K = 1.0
     bnd = boundary_data(space, "american", K, MU.r)
-    a_free = blocks.restrict(assemble_operator(MU, blocks))
+    a_full = assemble_operator(MU, blocks)
+    a_free = blocks.restrict(a_full)
     lhs = (blocks.mass_free / grid.dt + grid.theta * a_free).tocsr()
     rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
     g = obstacle_vector(space, bnd, K)
-    f = lift_and_rhs(MU, blocks, bnd, grid.dt, 0.0, grid.theta)
+    f = lift_and_rhs(a_full, blocks, bnd, grid.dt, 0.0, grid.theta)
 
     am = solve_american(MU, space, blocks, grid, K)
     rhs = rhs_op @ am.U[0] + f
@@ -255,10 +256,11 @@ def _fresh_step(lhs, rhs, g, d):
 def _american_system(space, blocks, grid, mu=MU, K=1.0):
     """(lhs, rhs_op, f, g, d) of solve_american's theta-steps."""
     bnd = boundary_data(space, "american", K, mu.r)
-    a_free = blocks.restrict(assemble_operator(mu, blocks))
+    a_full = assemble_operator(mu, blocks)
+    a_free = blocks.restrict(a_full)
     lhs = (blocks.mass_free / grid.dt + grid.theta * a_free).tocsr()
     rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
-    f = lift_and_rhs(mu, blocks, bnd, grid.dt, 0.0, grid.theta)
+    f = lift_and_rhs(a_full, blocks, bnd, grid.dt, 0.0, grid.theta)
     return lhs, rhs_op, f, obstacle_vector(space, bnd, K), blocks.d_b_free
 
 
@@ -331,13 +333,14 @@ def test_european_load_matches_per_step_lift_and_rhs(fem, grid):
     space, blocks = fem
     eu = solve_european(MU, space, blocks, grid, 1.0)
     bnd = boundary_data(space, "european", 1.0, MU.r)
-    a_free = blocks.restrict(assemble_operator(MU, blocks))
+    a_full = assemble_operator(MU, blocks)
+    a_free = blocks.restrict(a_full)
     lu = spla.splu((blocks.mass_free / grid.dt + grid.theta * a_free).tocsc())
     rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
     U = np.empty_like(eu.U)
     U[0] = eu.U[0]
     for k in range(grid.I):
-        f = lift_and_rhs(MU, blocks, bnd, grid.dt, k * grid.dt, grid.theta)
+        f = lift_and_rhs(a_full, blocks, bnd, grid.dt, k * grid.dt, grid.theta)
         U[k + 1] = lu.solve(rhs_op @ U[k] + f)
     ref = replace(eu, U=U)
     for nu0 in (0.05, 0.3, 0.8):
