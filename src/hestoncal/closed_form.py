@@ -89,7 +89,7 @@ def _put(S0, K, T, mu, nu0, u, w):
     return S0 * p1 - disc_K * p2 - S0 + disc_K
 
 
-def heston_put_cf(S0: float, K, T: float, mu: ModelParams, nu0: float):
+def heston_put_cf(S0: float, K: float | np.ndarray, T: float, mu: ModelParams, nu0: float):
     """European put price at one strike (a float) or an array of strikes
     (an array of the same shape), all of maturity T."""
     put = _put(S0, K, T, mu, nu0, *_grid(8))
