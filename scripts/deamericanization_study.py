@@ -3,7 +3,8 @@
 
 For each parameter scenario, prices American and European puts on a
 9-strike x 8-maturity grid with the FEM solver, converts the American
-prices to pseudo-European prices through per-quote CRR trees, and
+prices to pseudo-European prices with one deamericanize_set call per
+scenario (batched CRR trees, lockstep volatility inversion), and
 reports the maximum absolute gap |pseudo-European - PDE-European| per
 scenario and per longest maturity.
 """
@@ -14,8 +15,9 @@ import numpy as np
 
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import CalibParams
+from hestoncal.quotes import Quote
 from hestoncal.solvers import TimeGrid, price_at, solve_american, solve_european
-from hestoncal.trees import TreeConfig, deamericanize_quote
+from hestoncal.trees import TreeConfig, deamericanize_set
 
 SCENARIOS = {
     "p1": (0.10, -0.20, 0.07, 0.1, 0.07),
@@ -33,14 +35,18 @@ def scenario_gaps(theta, space, blocks, grid, S0, r, tree_config):
     mu = p.to_model(r)
     am = solve_american(mu, space, blocks, grid, K=1.0)
     eu = solve_european(mu, space, blocks, grid, K=1.0)
+    grid_quotes = [
+        Quote(T, K, "american", price=price_at(am, S0, K, p.nu0, T))
+        for T in MATURITIES for K in STRIKES
+    ]
+    # non-invertible quotes are dropped (and logged); their gaps stay NaN
+    pseudo = {(pq.maturity, pq.strike): pq.pseudo_price
+              for pq in deamericanize_set(grid_quotes, S0, r, tree_config)}
     gaps = np.full((MATURITIES.size, STRIKES.size), np.nan)
     for i, T in enumerate(MATURITIES):
         for j, K in enumerate(STRIKES):
-            p_am = price_at(am, S0, K, p.nu0, T)
-            p_eu = price_at(eu, S0, K, p.nu0, T)
-            pq = deamericanize_quote(T, K, p_am, S0, r, tree_config)
-            if pq.invertible:
-                gaps[i, j] = abs(pq.pseudo_price - p_eu)
+            if (T, K) in pseudo:
+                gaps[i, j] = abs(pseudo[T, K] - price_at(eu, S0, K, p.nu0, T))
     return gaps
 
 

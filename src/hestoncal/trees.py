@@ -1,18 +1,25 @@
-"""De-Americanization: per-quote CRR binomial trees.
+"""De-Americanization: CRR binomial trees, a quote set at a time.
 
-Each observed American put price is matched by a flat-volatility CRR tree
-(bisection on sigma); the calibrated tree then prices the pseudo-European
-put with the same strike and maturity.
+Each observed American put price is matched by a flat-volatility CRR tree;
+the calibrated tree then prices the pseudo-European put with the same
+strike and maturity.  A tree is array-valued: one backward induction prices
+every row (own strike, maturity and volatility) of a quote set.  The
+volatility inversions of all rows advance in lockstep, one batched tree per
+step of a bracketed Illinois regula falsi (Dowell & Jarratt, BIT 1971).
+Rows never interact, so a quote's result does not depend on its batch.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 log = logging.getLogger(__name__)
+
+# root-finder steps after which a row still unmatched is non-invertible
+_MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -41,83 +48,134 @@ class PseudoQuote:
     invertible: bool = True
 
 
+def _rows(*args):
+    """(is_scalar, equal-length float rows) of scalar or array arguments."""
+    scalar = all(np.ndim(a) == 0 for a in args)
+    return scalar, np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
+
+
 def crr_price(
     S0: float,
-    K: float,
-    T: float,
+    K,
+    T,
     r: float,
-    sigma: float,
+    sigma,
     steps: int,
     style: str = "european",
-) -> float:
-    """CRR lattice put price with u = exp(sigma sqrt(dt)), d = 1/u.
+):
+    """CRR lattice put prices with u = exp(sigma sqrt(dt)), d = 1/u.
 
-    American style applies the intrinsic-value maximum at every node.
+    K, T and sigma are scalars or equal-length arrays, one row per option,
+    and each row has its own dt, u, p and discount.  Returns a float when all
+    three are scalars, else an array.  American style applies the
+    intrinsic-value maximum at every node.
     """
-    if min(S0, K, T, sigma) <= 0:
+    scalar, (K, T, sigma) = _rows(K, T, sigma)
+    if not (S0 > 0 and np.all(K > 0) and np.all(T > 0) and np.all(sigma > 0)):
         raise ValueError("S0, K, T and sigma must be positive")
-    dt = T / steps
-    u = np.exp(sigma * np.sqrt(dt))
+    dt = (T / steps)[:, None]
+    u = np.exp(sigma[:, None] * np.sqrt(dt))
     d = 1.0 / u
-    disc = np.exp(-r * dt)
     p = (np.exp(r * dt) - d) / (u - d)
-    if not 0.0 < p < 1.0:
+    bad = ~((0.0 < p) & (p < 1.0))
+    if bad.any():
         raise ValueError(
-            f"risk-neutral probability {p:.4g} outside (0,1); "
+            f"risk-neutral probability {p[bad][0]:.4g} outside (0,1); "
             "increase sigma or the number of steps"
         )
-    # every node price S0 u^m, m = -steps..steps; level n holds m = -n, -n+2, ..., n
-    s = S0 * u ** np.arange(-steps, steps + 1.0)
-    values = np.maximum(K - s[::2], 0.0)
+    disc = np.exp(-r * dt)
+    up, down = disc * p, disc * (1.0 - p)
+    # exercise values at every node price S0 u^m, m = -steps..steps; level n
+    # holds m = -n, -n+2, ..., n, a contiguous run of one parity class of m
+    exercise = K[:, None] - S0 * u ** np.arange(-steps, steps + 1.0)
+    by_parity = (exercise[:, 0::2].copy(), exercise[:, 1::2].copy())
+    values = np.maximum(by_parity[0], 0.0)
+    scratch = np.empty_like(values)
     american = style == "american"
     for n in range(steps - 1, -1, -1):
-        values = disc * (p * values[1 : n + 2] + (1.0 - p) * values[: n + 1])
+        np.multiply(values[:, 1 : n + 2], up, out=scratch[:, : n + 1])
+        values = values[:, : n + 1]
+        values *= down
+        values += scratch[:, : n + 1]
         if american:
-            np.maximum(values, K - s[steps - n : steps + n + 1 : 2], out=values)
-    return float(values[0])
+            j = steps - n  # position of m = -n among all node prices
+            np.maximum(values, by_parity[j % 2][:, j // 2 : j // 2 + n + 1], out=values)
+    return float(values[0, 0]) if scalar else values[:, 0].copy()
 
 
 def invert_volatility(
-    observed_price: float,
+    observed_price,
     S0: float,
-    K: float,
-    T: float,
+    K,
+    T,
     r: float,
     config: TreeConfig = TreeConfig(),
-) -> tuple[float, bool]:
-    """Bisection for the flat volatility whose American tree price matches.
+):
+    """Flat volatilities whose American tree prices match, found in lockstep.
 
-    Returns (sigma_star, invertible).  Prices at or below the intrinsic
-    floor, above the strike, or outside the bracket's attainable range are
-    flagged non-invertible (the deep-ITM zero-time-value case degenerates to
-    sigma_lo).
+    observed_price, K and T are scalars or equal-length arrays.  Each row's
+    root is bracketed by [max(sigma_lo, r sqrt(dt)), sigma_hi] and found by
+    Illinois regula falsi; every step prices all unfinished rows in one
+    batched tree, and a row finishes once its price is within price_tol or
+    its bracket is narrower than 1e-14.
+
+    Returns (sigma_star, invertible), floats for scalar input.  Prices at or
+    below the intrinsic floor, above the strike, above the sigma_hi tree, or
+    still unmatched after _MAX_ITER steps are flagged non-invertible (the
+    deep-ITM zero-time-value case degenerates to the lower bracket edge).
     """
-    intrinsic = max(K - S0, 0.0)
-    if observed_price > K or observed_price < intrinsic:
-        return np.nan, False
+    scalar, (obs, K, T) = _rows(observed_price, K, T)
+    sigma = np.full(obs.shape, np.nan)
+    ok = np.zeros(obs.shape, dtype=bool)
     # the CRR probability needs sigma > r sqrt(dt); lift the bracket edge
-    sigma_floor = 1.000001 * r * np.sqrt(T / config.steps)
-    lo, hi = max(config.sigma_lo, sigma_floor), config.sigma_hi
-    p_lo = crr_price(S0, K, T, r, lo, config.steps, "american")
-    p_hi = crr_price(S0, K, T, r, hi, config.steps, "american")
-    if observed_price <= p_lo:
-        # zero time value; degenerate but representable at the bracket edge
-        return lo, abs(observed_price - p_lo) <= max(config.price_tol, 1e-6 * K)
-    if observed_price > p_hi:
-        return np.nan, False
-    # American tree price is monotone increasing in sigma
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        p_mid = crr_price(S0, K, T, r, mid, config.steps, "american")
-        if abs(p_mid - observed_price) < config.price_tol:
-            return mid, True
-        if p_mid < observed_price:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-14:
+    lo = np.maximum(config.sigma_lo, 1.000001 * r * np.sqrt(T / config.steps))
+    rows = np.flatnonzero((obs <= K) & (obs >= np.maximum(K - S0, 0.0)))
+    a, b = lo[rows], np.full(rows.size, config.sigma_hi)
+    fa = crr_price(S0, K[rows], T[rows], r, a, config.steps, "american") - obs[rows]
+    fb = crr_price(S0, K[rows], T[rows], r, b, config.steps, "american") - obs[rows]
+    # zero time value; degenerate but representable at the bracket edge
+    edge = fa >= 0
+    sigma[rows[edge]] = a[edge]
+    ok[rows[edge]] = np.abs(fa[edge]) <= np.maximum(config.price_tol, 1e-6 * K[rows[edge]])
+    # the American tree price increases with sigma: fa < 0 <= fb brackets a root
+    keep = ~edge & (fb >= 0)
+    rows, a, b, fa, fb = rows[keep], a[keep], b[keep], fa[keep], fb[keep]
+    side = np.zeros(rows.size)  # which end moved last: -1 lower, +1 upper
+    for _ in range(_MAX_ITER):
+        if not rows.size:
             break
-    return 0.5 * (lo + hi), True
+        c = b - fb * (b - a) / (fb - fa)
+        fc = crr_price(S0, K[rows], T[rows], r, c, config.steps, "american") - obs[rows]
+        hit = np.abs(fc) < config.price_tol
+        low = fc < 0
+        # Illinois: an end kept twice in a row has its value halved
+        fb[low & (side < 0)] *= 0.5
+        fa[~low & (side > 0)] *= 0.5
+        a[low], fa[low] = c[low], fc[low]
+        b[~low], fb[~low] = c[~low], fc[~low]
+        side = np.where(low, -1.0, 1.0)
+        narrow = ~hit & (b - a < 1e-14)
+        sigma[rows[hit]] = c[hit]
+        sigma[rows[narrow]] = 0.5 * (a[narrow] + b[narrow])
+        ok[rows[hit | narrow]] = True
+        keep = ~(hit | narrow)
+        rows, a, b, fa, fb, side = rows[keep], a[keep], b[keep], fa[keep], fb[keep], side[keep]
+    if scalar:
+        return float(sigma[0]), bool(ok[0])
+    return sigma, ok
+
+
+def _pseudo_quotes(maturity, strike, observed_price, S0, r, config):
+    """One PseudoQuote per row, from one inversion and one European tree."""
+    _, (T, K, obs) = _rows(maturity, strike, observed_price)
+    sigma, ok = invert_volatility(obs, S0, K, T, r, config)
+    sigma[~ok] = np.nan
+    pseudo = np.full(obs.shape, np.nan)
+    pseudo[ok] = crr_price(S0, K[ok], T[ok], r, sigma[ok], config.steps, "european")
+    return [
+        PseudoQuote(float(t), float(k), float(o), float(s), float(v), bool(good))
+        for t, k, o, s, v, good in zip(T, K, obs, sigma, pseudo, ok)
+    ]
 
 
 def deamericanize_quote(
@@ -128,22 +186,23 @@ def deamericanize_quote(
     r: float,
     config: TreeConfig = TreeConfig(),
 ) -> PseudoQuote:
-    sigma, ok = invert_volatility(observed_price, S0, strike, maturity, r, config)
-    if not ok:
-        return PseudoQuote(maturity, strike, observed_price, np.nan, np.nan, False)
-    pseudo = crr_price(S0, strike, maturity, r, sigma, config.steps, "european")
-    return PseudoQuote(maturity, strike, observed_price, sigma, pseudo, True)
+    return _pseudo_quotes(maturity, strike, observed_price, S0, r, config)[0]
 
 
 def deamericanize_set(quotes, S0: float, r: float, config: TreeConfig = TreeConfig()):
     """Transform a list of (maturity, strike, price) American observations.
 
-    Non-invertible quotes are dropped with a log entry; raises if nothing
-    survives.  Output order follows the input order.
+    All quotes are inverted together.  Non-invertible quotes are dropped
+    with a log entry; raises if nothing survives.  Output order follows the
+    input order.
     """
+    quotes = list(quotes)
+    pseudo = _pseudo_quotes(
+        [q.maturity for q in quotes], [q.strike for q in quotes], [q.price for q in quotes],
+        S0, r, config,
+    )
     out = []
-    for q in quotes:
-        pq = deamericanize_quote(q.maturity, q.strike, q.price, S0, r, config)
+    for q, pq in zip(quotes, pseudo):
         if pq.invertible:
             out.append(pq)
         else:

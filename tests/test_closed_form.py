@@ -70,6 +70,29 @@ def test_monotone_and_convex_in_strike():
     assert np.all(d2 > -1e-10)  # convex in strike
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the Fourier integrals stop at u = 200: here 42 of 8,400 short-maturity "
+    "puts leave the bounds, worst by 1.2e-6; carried to u = 800 none do",
+)
+def test_put_bounds_over_whole_calib_box():
+    """Seeded DEFAULT_CALIB_BOX sweep of the no-arbitrage put bounds
+    max(K e^{-rT} - S0, 0) <= P <= K e^{-rT} at short maturities."""
+    r, strikes = 0.05, np.linspace(0.5, 1.5, 7)
+    box = DEFAULT_CALIB_BOX
+    rng = np.random.default_rng(1)
+    excess = []
+    for _ in range(400):
+        p = CalibParams.from_array(box.lo + rng.random(5) * (box.hi - box.lo))
+        mu = p.to_model(r)
+        for T in (0.05, 0.1, 1.0 / 6.0):
+            put = heston_put_cf(1.0, strikes, T, mu, p.nu0)
+            disc = strikes * math.exp(-r * T)
+            excess.append(np.maximum(np.maximum(disc - 1.0, 0.0) - put, put - disc))
+    excess = np.concatenate(excess)
+    assert np.all(excess <= 1e-12), f"{np.sum(excess > 1e-12)} of {excess.size}, worst {excess.max():.2e}"
+
+
 def test_fixed_grid_converges():
     """The module's 8-panel grid agrees with a 16-panel grid of the same
     [0, 200] to 1e-12 max(S0, K) over seeded whole-box parameters."""

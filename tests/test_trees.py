@@ -1,10 +1,12 @@
 """CRR tree pricing and the de-Americanization transform."""
 
+import logging
 import math
 
 import numpy as np
 import pytest
 
+from hestoncal import trees
 from hestoncal.quotes import Quote
 from hestoncal.trees import (
     PseudoQuote,
@@ -14,6 +16,61 @@ from hestoncal.trees import (
     deamericanize_set,
     invert_volatility,
 )
+
+
+def _crr_reference(S0, K, T, r, sigma, steps, style):
+    """The scalar CRR level loop, one tree per option, discounting each level."""
+    dt = T / steps
+    u = np.exp(sigma * np.sqrt(dt))
+    d = 1.0 / u
+    disc = np.exp(-r * dt)
+    p = (np.exp(r * dt) - d) / (u - d)
+    s = S0 * u ** np.arange(-steps, steps + 1.0)
+    values = np.maximum(K - s[::2], 0.0)
+    for n in range(steps - 1, -1, -1):
+        values = disc * (p * values[1 : n + 2] + (1.0 - p) * values[: n + 1])
+        if style == "american":
+            np.maximum(values, K - s[steps - n : steps + n + 1 : 2], out=values)
+    return float(values[0])
+
+
+def _invert_bisection(observed_price, S0, K, T, r, config):
+    """Per-quote bisection on the scalar reference tree: (sigma, invertible)."""
+    price = lambda sigma: _crr_reference(S0, K, T, r, sigma, config.steps, "american")
+    if observed_price > K or observed_price < max(K - S0, 0.0):
+        return np.nan, False
+    lo = max(config.sigma_lo, 1.000001 * r * np.sqrt(T / config.steps))
+    hi = config.sigma_hi
+    p_lo = price(lo)
+    if observed_price <= p_lo:
+        return lo, abs(observed_price - p_lo) <= max(config.price_tol, 1e-6 * K)
+    if observed_price > price(hi):
+        return np.nan, False
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        p_mid = price(mid)
+        if abs(p_mid - observed_price) < config.price_tol:
+            return mid, True
+        lo, hi = (mid, hi) if p_mid < observed_price else (lo, mid)
+        if hi - lo < 1e-14:
+            return 0.5 * (lo + hi), True
+    raise AssertionError("bisection did not stop")
+
+
+def _random_quotes(seed, n, S0, r, config):
+    """Seeded (T, K, price) rows: American tree prices at random volatilities,
+    rounded to cents, plus one row of each non-invertible kind and a deep-ITM
+    zero-time-value row."""
+    rng = np.random.default_rng(seed)
+    T = rng.uniform(0.05, 2.0, n)
+    K = rng.uniform(0.6 * S0, 1.5 * S0, n)
+    sigma = rng.uniform(0.05, 1.0, n)
+    price = np.round(crr_price(S0, K, T, r, sigma, config.steps, "american"), 2)
+    T = np.append(T, [0.5, 0.5, 2.0, 1.0])
+    K = np.append(K, [1.2 * S0, S0, S0, 1.8 * S0])
+    # below intrinsic, above the strike, above the sigma_hi tree, intrinsic
+    price = np.append(price, [0.1 * S0, 1.01 * S0, 0.9999 * S0, 0.8 * S0])
+    return T, K, price
 
 
 def _bs_put(S0, K, T, r, sigma):
@@ -130,3 +187,75 @@ def test_zero_time_value_degenerates_to_bracket_edge():
     p_lo = crr_price(100.0, 180.0, 1.0, r, lo, cfg.steps, "american")
     sigma, ok = invert_volatility(p_lo, 100.0, 180.0, 1.0, r, cfg)
     assert ok and sigma == pytest.approx(lo)
+
+
+def test_array_tree_matches_scalar_reference():
+    # folding the discount into the branch probabilities reorders roundings
+    rng = np.random.default_rng(7)
+    K = rng.uniform(60.0, 150.0, 24)
+    T = rng.uniform(0.02, 3.0, 24)
+    sigma = rng.uniform(0.02, 1.5, 24)
+    for r in (0.0, 0.05):
+        for style in ("european", "american"):
+            for steps in (1, 2, 7, 500):
+                got = crr_price(100.0, K, T, r, sigma, steps, style)
+                ref = [_crr_reference(100.0, k, t, r, v, steps, style)
+                       for k, t, v in zip(K, T, sigma)]
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
+    assert isinstance(crr_price(100.0, 90.0, 1.0, 0.05, 0.3, 50, "american"), float)
+    assert crr_price(100.0, K[:3], 1.0, 0.05, 0.3, 50).shape == (3,)
+
+
+def test_set_equals_quote_by_quote_bit_for_bit():
+    # a batched tree must not couple its rows: each quote of a mixed set gets
+    # exactly what it gets alone, whatever it is batched with
+    S0, r, cfg = 100.0, 0.0015, TreeConfig()
+    lo = max(cfg.sigma_lo, 1.000001 * r * np.sqrt(1.0 / cfg.steps))
+    edge_price = crr_price(S0, 180.0, 1.0, r, lo, cfg.steps, "american")
+    quotes = [
+        Quote(maturity=0.25, strike=95.0, price=2.31, style="american"),
+        Quote(maturity=1.0, strike=180.0, price=edge_price, style="american"),
+        Quote(maturity=0.5, strike=120.0, price=1.0, style="american"),  # < intrinsic
+        Quote(maturity=2.0, strike=80.0, price=3.9, style="american"),
+        Quote(maturity=0.5, strike=100.0, price=7.0, style="american"),
+        Quote(maturity=1.0, strike=110.0, price=14.2, style="american"),
+    ]
+    alone = [deamericanize_quote(q.maturity, q.strike, q.price, S0, r, cfg) for q in quotes]
+    assert [pq.invertible for pq in alone] == [True, True, False, True, True, True]
+    assert alone[1].sigma_star == lo
+    expected = [pq for pq in alone if pq.invertible]
+    assert deamericanize_set(quotes, S0, r, cfg) == expected
+    assert deamericanize_set(quotes[::-1], S0, r, cfg) == expected[::-1]
+    assert deamericanize_set(quotes[3:], S0, r, cfg) == expected[2:]
+
+
+@pytest.mark.parametrize("r", [0.0, 0.05])
+def test_inversion_residual_and_flags_against_bisection(r):
+    S0, cfg = 100.0, TreeConfig(steps=200)
+    T, K, price = _random_quotes(11, 30, S0, r, cfg)
+    sigma, ok = invert_volatility(price, S0, K, T, r, cfg)
+    reference = [_invert_bisection(p, S0, k, t, r, cfg)[1] for p, k, t in zip(price, K, T)]
+    # flags equal per-quote bisection's, with every kind of row present
+    assert ok.tolist() == reference
+    assert 0 < ok.sum() < ok.size
+    lo = np.maximum(cfg.sigma_lo, 1.000001 * r * np.sqrt(T / cfg.steps))
+    edge = ok & (sigma == lo)
+    assert edge.any()
+    residual = np.abs(crr_price(S0, K[ok], T[ok], r, sigma[ok], cfg.steps, "american") - price[ok])
+    assert np.all((residual < cfg.price_tol) | edge[ok])
+
+
+def test_iteration_cap_flags_non_invertible(monkeypatch, caplog):
+    S0, r = 100.0, 0.02
+    quotes = [
+        Quote(maturity=0.5, strike=100.0, price=7.0, style="american"),
+        Quote(maturity=1.0, strike=180.0, price=80.0, style="american"),  # zero time value
+    ]
+    assert invert_volatility(7.0, S0, 100.0, 0.5, r)[1]
+    monkeypatch.setattr(trees, "_MAX_ITER", 2)
+    sigma, ok = invert_volatility(7.0, S0, 100.0, 0.5, r)
+    assert not ok and math.isnan(sigma)
+    with caplog.at_level(logging.WARNING, logger="hestoncal.trees"):
+        out = deamericanize_set(quotes, S0, r)
+    assert [pq.strike for pq in out] == [180.0]
+    assert "dropping non-invertible quote T=0.5 K=100" in caplog.text
