@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 
-from hestoncal.calibration import ClosedFormBackend, OptimizerOptions, calibrate
+from hestoncal.calibration import OptimizerOptions, calibrate, make_backend
 from hestoncal.params import DEFAULT_CALIB_BOX
 from hestoncal.quotes import Quote, QuoteSet, load_google_quotes, preprocess_quotes
 from hestoncal.trees import TreeConfig, deamericanize_set
@@ -33,7 +33,7 @@ def main() -> None:
         [Quote(p.maturity, p.strike, "european", price=p.pseudo_price)
          for p in pseudo], pre.S0, pre.r,
     )
-    report = calibrate(quotes, ClosedFormBackend(), DEFAULT_CALIB_BOX,
+    report = calibrate(quotes, make_backend("DasClosedForm"), DEFAULT_CALIB_BOX,
                        options=OptimizerOptions(feller=args.feller),
                        time_preprocess=t_pre)
     names = ["xi", "rho", "gamma", "kappa", "nu0"]

@@ -2,9 +2,9 @@
 """De-Americanization fidelity study.
 
 For each parameter scenario, prices American and European puts on a
-9-strike x 8-maturity grid with the FEM solver, converts the American
-prices to pseudo-European prices with one deamericanize_set call per
-scenario (batched CRR trees, lockstep volatility inversion), and
+9-strike x 8-maturity grid with the DetailedAm and DetailedEu backends,
+converts the American prices to pseudo-European prices with one
+deamericanize_set call per scenario (batched CRR trees, lockstep volatility inversion), and
 reports the maximum absolute gap |pseudo-European - PDE-European| per
 scenario and per longest maturity.
 """
@@ -13,10 +13,10 @@ import time
 
 import numpy as np
 
+from hestoncal.calibration import make_backend
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
-from hestoncal.params import CalibParams
 from hestoncal.quotes import Quote
-from hestoncal.solvers import TimeGrid, price_at, solve_american, solve_european
+from hestoncal.solvers import TimeGrid
 from hestoncal.trees import TreeConfig, deamericanize_set
 
 SCENARIOS = {
@@ -28,17 +28,13 @@ SCENARIOS = {
 }
 STRIKES = np.array([0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10, 1.15, 1.20])
 MATURITIES = np.array([1, 2, 3, 4, 6, 9, 12, 24]) / 12.0
+LAYOUT = [Quote(T, K, "american", price=np.nan) for T in MATURITIES for K in STRIKES]
 
 
-def scenario_gaps(theta, space, blocks, grid, S0, r, tree_config):
-    p = CalibParams.from_array(np.asarray(theta, dtype=float))
-    mu = p.to_model(r)
-    am = solve_american(mu, space, blocks, grid, K=1.0)
-    eu = solve_european(mu, space, blocks, grid, K=1.0)
-    grid_quotes = [
-        Quote(T, K, "american", price=price_at(am, S0, K, p.nu0, T))
-        for T in MATURITIES for K in STRIKES
-    ]
+def scenario_gaps(theta, american, european, S0, r, tree_config):
+    am = american.price_vector(theta, LAYOUT, S0, r)
+    eu = european.price_vector(theta, LAYOUT, S0, r).reshape(MATURITIES.size, STRIKES.size)
+    grid_quotes = [Quote(q.maturity, q.strike, "american", price=p) for q, p in zip(LAYOUT, am)]
     # non-invertible quotes are dropped (and logged); their gaps stay NaN
     pseudo = {(pq.maturity, pq.strike): pq.pseudo_price
               for pq in deamericanize_set(grid_quotes, S0, r, tree_config)}
@@ -46,7 +42,7 @@ def scenario_gaps(theta, space, blocks, grid, S0, r, tree_config):
     for i, T in enumerate(MATURITIES):
         for j, K in enumerate(STRIKES):
             if (T, K) in pseudo:
-                gaps[i, j] = abs(pseudo[T, K] - price_at(eu, S0, K, p.nu0, T))
+                gaps[i, j] = abs(pseudo[T, K] - eu[i, j])
     return gaps
 
 
@@ -60,12 +56,13 @@ def main() -> None:
     args = ap.parse_args()
 
     space = build_mesh(Domain2D(), args.n, args.n)
-    blocks = assemble_blocks(space)
-    grid = TimeGrid(2.0, args.steps)
+    fem = (space, assemble_blocks(space), TimeGrid(2.0, args.steps))
+    american = make_backend("DetailedAm", fem=lambda: fem)
+    european = make_backend("DetailedEu", fem=lambda: fem)
     cfg = TreeConfig(steps=args.tree_steps)
     for name, theta in SCENARIOS.items():
         t0 = time.perf_counter()
-        gaps = scenario_gaps(theta, space, blocks, grid, 1.0, args.rate, cfg)
+        gaps = scenario_gaps(theta, american, european, 1.0, args.rate, cfg)
         i, j = np.unravel_index(np.nanargmax(gaps), gaps.shape)
         print(f"{name}: max gap {np.nanmax(gaps):.3e} "
               f"(T={MATURITIES[i]:.3f}, K={STRIKES[j]:.2f}); "

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 
-from hestoncal.calibration import OptimizerOptions, PdeBackend, calibrate
+from hestoncal.calibration import OptimizerOptions, calibrate, make_backend
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_CALIB_BOX
 from hestoncal.quotes import generate_synthetic
@@ -31,7 +31,7 @@ def main() -> None:
     space = build_mesh(Domain2D(), args.n, args.n)
     blocks = assemble_blocks(space)
     grid = TimeGrid(2.0, args.steps)
-    backend = PdeBackend("DetailedAm", space, blocks, grid)
+    backend = make_backend("DetailedAm", fem=lambda: (space, blocks, grid))
     quotes = generate_synthetic(
         theta_ex, args.rate, "american",
         lambda th, qs, S0, r: backend.price_vector(th, qs, S0, r),

@@ -13,11 +13,7 @@ from pathlib import Path
 
 import numpy as np
 
-from hestoncal.calibration import (
-    OptimizerOptions,
-    PdeBackend,
-    calibrate_reduced_refined,
-)
+from hestoncal.calibration import OptimizerOptions, calibrate_reduced_refined, make_backend
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX
 from hestoncal.quotes import generate_synthetic
@@ -48,7 +44,7 @@ def main() -> None:
     space = build_mesh(Domain2D(), args.n, args.n)
     blocks = assemble_blocks(space)
     grid = TimeGrid(2.0, args.steps)
-    detailed = PdeBackend("DetailedAm", space, blocks, grid)
+    detailed = make_backend("DetailedAm", fem=lambda: (space, blocks, grid))
     quotes = generate_synthetic(
         theta_ex, args.rate, "american",
         lambda th, qs, S0, r: detailed.price_vector(th, qs, S0, r),

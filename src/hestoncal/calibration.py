@@ -4,9 +4,10 @@
 One objective, many pricing backends: detailed finite-element (American or
 European), reduced-basis surrogate, and — after de-Americanizing the quotes —
 European finite-element, reduced European, or the semi-closed-form pricer.
-The optimizer is a box-constrained projected Levenberg-Marquardt with
-finite-difference Jacobians and an optional quadratic penalty enforcing the
-positive-variance (Feller) inequality.
+VARIANTS names these routes, and make_backend builds them.  The optimizer is
+a box-constrained projected Levenberg-Marquardt with finite-difference
+Jacobians and an optional quadratic penalty enforcing the positive-variance
+(Feller) inequality.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .closed_form import heston_put_cf
-from .mesh import AssemblyBlocks, FemSpace, evaluation_row
-from .params import FELLER_EPS, CalibParams, ModelParams, ParamBox, clamp_to_box, feller_margin
+from .mesh import AssemblyBlocks, FemSpace
+from .params import FELLER_EPS, CalibParams, ParamBox, clamp_to_box, feller_margin
 from .rbm import ReducedModel, solve_reduced
 from .solvers import TimeGrid, price_at, solve_american, solve_european
 
@@ -29,13 +30,16 @@ MAX_ITER = 200
 TOL_DJ = 1e-12
 TOL_STEP = 1e-5
 FD_SCALE = 1e-6
+LM_LAMBDA0 = 1e-3
+#: Initial weight of the Feller penalty, and its growth factor after each
+#: accepted iterate that still violates the inequality.
+FELLER_WEIGHT0 = 1.0
+FELLER_GROWTH = 10.0
+#: Per-round shrink factor of calibrate_reduced_refined's half-widths.
+REFINE_SHRINK = 0.5
 #: Numerical failures of a backend (non-finite solution, unsolved
 #: complementarity problem, singular factorization) that reject an LM trial.
 TRIAL_ERRORS = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
-
-PDE_VARIANTS = ("DetailedAm", "DetailedEu", "ReducedAm", "ReducedEu")
-DAS_VARIANTS = ("DasPde", "DasReduced", "DasClosedForm")
-ALL_VARIANTS = PDE_VARIANTS + DAS_VARIANTS
 
 
 # ---------------------------------------------------------------------------
@@ -51,14 +55,10 @@ class PdeBackend:
     blocks: AssemblyBlocks
     grid: TimeGrid
 
-    @property
-    def style(self) -> str:
-        return "american" if self.variant == "DetailedAm" else "european"
-
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
         mu = p.to_model(r)
-        solver = solve_american if self.style == "american" else solve_european
+        solver = solve_american if VARIANTS[self.variant].style == "american" else solve_european
         surf = solver(mu, self.space, self.blocks, self.grid, K=1.0)
         return np.array([price_at(surf, S0, q.strike, p.nu0, q.maturity) for q in quotes])
 
@@ -70,19 +70,25 @@ class ReducedBackend:
     variant: str  # ReducedAm | ReducedEu | DasReduced
     model: ReducedModel
 
+    def __post_init__(self):
+        style = VARIANTS[self.variant].style
+        if self.model.style != style:
+            raise ValueError(
+                f"backend {self.variant} prices {style} puts; the basis is {self.model.style}"
+            )
+
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
         mu = p.to_model(r)
         traj = solve_reduced(self.model, mu)
-        return np.array([traj.price(S0, q.strike, p.nu0, q.maturity) for q in quotes])
+        return np.array([price_at(traj, S0, q.strike, p.nu0, q.maturity) for q in quotes])
 
 
-@dataclass
 class ClosedFormBackend:
     """Semi-closed-form European put pricer; one heston_put_cf call prices
     every quote of a maturity."""
 
-    variant: str = "DasClosedForm"
+    variant = "DasClosedForm"
 
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
@@ -96,24 +102,58 @@ class ClosedFormBackend:
         return prices
 
 
+@dataclass(frozen=True)
+class Variant:
+    """One calibration route: the backend class that prices it, the option
+    style that backend solves for, and whether American quotes are
+    de-Americanized before calibration."""
+
+    backend: type
+    style: str
+    deamericanize: bool
+
+
+#: Every calibration route by name; the CLI's --backend choices.
+VARIANTS = {
+    "DetailedAm": Variant(PdeBackend, "american", False),
+    "DetailedEu": Variant(PdeBackend, "european", False),
+    "ReducedAm": Variant(ReducedBackend, "american", False),
+    "ReducedEu": Variant(ReducedBackend, "european", False),
+    "DasPde": Variant(PdeBackend, "european", True),
+    "DasReduced": Variant(ReducedBackend, "european", True),
+    "DasClosedForm": Variant(ClosedFormBackend, "european", True),
+}
+
+
+def make_backend(variant: str, fem=None, model: ReducedModel | None = None):
+    """The backend of VARIANTS[variant].
+
+    fem() returns (space, blocks, grid) and is called only by the
+    finite-element variants; model is the reduced variants' basis.
+    """
+    cls = VARIANTS[variant].backend
+    if cls is PdeBackend:
+        return PdeBackend(variant, *fem())
+    if cls is ReducedBackend:
+        if model is None:
+            raise ValueError(f"backend {variant} requires a reduced basis (--basis)")
+        return ReducedBackend(variant, model)
+    return ClosedFormBackend()
+
+
 # ---------------------------------------------------------------------------
 # objective and finite differences
 
 
-def objective(theta, quote_set, backend, weights=None):
+def objective(theta, quote_set, backend):
     """Mean squared pricing error and the raw residual vector.
 
-    J = (1/M) sum w_i (P_i_obs - P_i_model)^2 with uniform unit weights by
-    default.
+    J = (1/M) sum (P_i_obs - P_i_model)^2.
     """
     observed = quote_set.prices()
     model = backend.price_vector(theta, quote_set.quotes, quote_set.S0, quote_set.r)
     residuals = observed - model
-    if weights is None:
-        J = float(residuals @ residuals) / residuals.size
-    else:
-        w = np.asarray(weights, dtype=float)
-        J = float(w @ (residuals * residuals)) / residuals.size
+    J = float(residuals @ residuals) / residuals.size
     return J, residuals
 
 
@@ -130,7 +170,9 @@ def fd_jacobian(resid_fun, theta, r0, box: ParamBox | None = None, mask=None):
     """Forward-difference Jacobian of the residual vector at theta.
 
     mask marks the coordinates actually varied (frozen coordinates get a zero
-    column, keeping indexing stable).
+    column, keeping indexing stable).  A probe that raises one of
+    TRIAL_ERRORS is retried once at a tenth of the step; both calls count in
+    the returned number of evaluations.
     """
     theta = np.asarray(theta, dtype=float)
     h = _fd_steps(theta, box)
@@ -143,7 +185,8 @@ def fd_jacobian(resid_fun, theta, r0, box: ParamBox | None = None, mask=None):
         e[i] = h[i]
         try:
             ri = resid_fun(theta + e)
-        except Exception:
+        except TRIAL_ERRORS:
+            n_evals += 1
             e[i] = h[i] / 10.0
             ri = resid_fun(theta + e)
         n_evals += 1
@@ -158,16 +201,9 @@ def fd_jacobian(resid_fun, theta, r0, box: ParamBox | None = None, mask=None):
 @dataclass
 class OptimizerOptions:
     max_iter: int = MAX_ITER
-    tol_dj: float = TOL_DJ
     tol_step: float = TOL_STEP
-    lm_lambda0: float = 1e-3
-    lm_increase: float = 10.0
-    lm_decrease: float = 0.1
     feller: bool = False
-    feller_weight0: float = 1.0
-    feller_growth: float = 10.0
     fix_kappa: bool = False
-    weights: np.ndarray | None = None
 
 
 @dataclass
@@ -217,12 +253,10 @@ def optimize(resid_fun, x0, box: ParamBox, options: OptimizerOptions | None = No
     mask = np.ones(theta.size, dtype=bool)
     if opt.fix_kappa:
         mask[3] = False
-    pen_weight = opt.feller_weight0
+    pen_weight = FELLER_WEIGHT0
 
     def full_resid(th, w):
         r = np.asarray(resid_fun(th), dtype=float)
-        if opt.weights is not None:
-            r = np.sqrt(np.asarray(opt.weights, dtype=float)) * r
         if opt.feller:
             r = np.append(r, _feller_residual(th, w))
         return r
@@ -233,7 +267,7 @@ def optimize(resid_fun, x0, box: ParamBox, options: OptimizerOptions | None = No
     r = full_resid(theta, pen_weight)
     n_evals = 1
     J = cost(r)
-    lam = opt.lm_lambda0
+    lam = LM_LAMBDA0
     nu = 2.0
     status = "max_iterations"
     it = 0
@@ -282,11 +316,11 @@ def optimize(resid_fun, x0, box: ParamBox, options: OptimizerOptions | None = No
         lam = max(lam * max(1.0 / 3.0, 1.0 - (2.0 * gain - 1.0) ** 3), 1e-14)
         nu = 2.0
         if opt.feller and feller_margin(theta[0], theta[2], theta[3]) < FELLER_EPS:
-            pen_weight *= opt.feller_growth
+            pen_weight *= FELLER_GROWTH
             r = full_resid(theta, pen_weight)
             J = cost(r)
             continue  # objective changed; convergence checks are meaningless here
-        if dj <= opt.tol_dj:
+        if dj <= TOL_DJ:
             status = "converged_dj"
             break
         if step_norm <= opt.tol_step:
@@ -325,7 +359,6 @@ def calibrate_reduced_refined(
     x0=None,
     options=None,
     n_refine: int = 2,
-    shrink: float = 0.5,
 ):
     """Reduced-basis calibration with iterative training-box refinement.
 
@@ -334,9 +367,11 @@ def calibrate_reduced_refined(
     parameter box displaces the surrogate's minimizer a long way along that
     valley. A pilot calibration against the global surrogate locates the
     valley; each refinement round then rebuilds the basis on a training grid
-    localized around the current optimum — half-widths shrinking by `shrink`
-    per round, which shrinks the surrogate bias below the identifiable
-    scale — and re-calibrates inside the localized box, warm-started.
+    localized around the current optimum — half-widths shrinking by
+    REFINE_SHRINK per round, which shrinks the surrogate bias below the
+    identifiable scale — and re-calibrates inside the localized box,
+    warm-started.  Every round prices with ReducedAm, so pilot_model must be
+    an American basis.
 
     Returns (report, refined_model, pilot_report) for the last round;
     report.time_preprocess accumulates the offline basis-construction time
@@ -347,7 +382,7 @@ def calibrate_reduced_refined(
 
     if n_refine < 1:
         raise ValueError("n_refine must be at least 1")
-    pilot_backend = _reduced_backend_for(pilot_model)
+    pilot_backend = make_backend("ReducedAm", model=pilot_model)
     # The pilot only needs to locate the valley to within the localization
     # half-widths, so stop it early instead of polishing a biased optimum.
     opt = options or OptimizerOptions()
@@ -367,7 +402,7 @@ def calibrate_reduced_refined(
         )
         t_offline += time.perf_counter() - t0
 
-        backend = _reduced_backend_for(refined)
+        backend = make_backend("ReducedAm", model=refined)
         report = calibrate(
             quote_set,
             backend,
@@ -377,13 +412,8 @@ def calibrate_reduced_refined(
             time_preprocess=t_offline,
         )
         theta = report.theta_star
-        hw = shrink * hw
+        hw = REFINE_SHRINK * hw
     return report, refined, pilot_report
-
-
-def _reduced_backend_for(model: ReducedModel) -> "ReducedBackend":
-    variant = "ReducedAm" if model.style == "american" else "ReducedEu"
-    return ReducedBackend(variant, model)
 
 
 def calibrate(quote_set, backend, box: ParamBox, x0=None, options=None, time_preprocess=0.0):
@@ -406,7 +436,7 @@ def calibrate(quote_set, backend, box: ParamBox, x0=None, options=None, time_pre
     theta, _, iters, n_evals, status = optimize(resid_fun, x0, box, opt)
     t_calib = time.perf_counter() - t0
 
-    J_star, residuals = objective(theta, quote_set, backend, weights=opt.weights)
+    J_star, residuals = objective(theta, quote_set, backend)
     observed = quote_set.prices()
     model = observed - residuals
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -101,17 +101,11 @@ def _pseudo_to_quoteset(pseudo, S0, r) -> qio.QuoteSet:
     return qio.QuoteSet(quotes=tuple(quotes), S0=S0, r=r)
 
 
-def _make_backend(cfg: RunConfig, basis_path=None):
-    if cfg.backend in ("DetailedAm", "DetailedEu", "DasPde"):
-        space, blocks = _fem(cfg)
-        return cal.PdeBackend(cfg.backend, space, blocks, _grid(cfg))
-    if cfg.backend in ("ReducedAm", "ReducedEu", "DasReduced"):
-        if basis_path is None:
-            raise ValueError(f"backend {cfg.backend} requires --basis")
-        return cal.ReducedBackend(cfg.backend, load_reduced_model(basis_path))
-    if cfg.backend == "DasClosedForm":
-        return cal.ClosedFormBackend()
-    raise ValueError(f"unknown backend {cfg.backend!r}")
+def _backend(cfg: RunConfig, basis_path):
+    """The --backend variant's pricer; the mesh of cfg is built only if the
+    variant prices with it."""
+    model = None if basis_path is None else load_reduced_model(basis_path)
+    return cal.make_backend(cfg.backend, fem=lambda: (*_fem(cfg), _grid(cfg)), model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +184,8 @@ def cmd_price(args) -> int:
         steps=args.steps, backend=args.backend, S0=args.spot, r=args.rate,
     )
     quote = qio.Quote(maturity=args.maturity, strike=args.strike,
-                      style="american" if args.backend.endswith("Am") else "european",
-                      price=float("nan"))
-    backend = _make_backend(cfg, basis_path=args.basis)
+                      style=cal.VARIANTS[cfg.backend].style, price=float("nan"))
+    backend = _backend(cfg, args.basis)
     price = float(backend.price_vector(np.asarray(args.theta), [quote], args.spot, args.rate)[0])
     print(f"{price:.10f}")
     return 0
@@ -250,13 +243,15 @@ def cmd_synth(args) -> int:
         command="synth", n_nu=args.n_nu, n_x=args.n_x, horizon=args.horizon,
         steps=args.steps, backend=args.backend, r=args.rate, x0=None,
     )
-    backend = _make_backend(cfg, basis_path=args.basis)
-    style = "american" if cfg.backend in ("DetailedAm", "ReducedAm") else "european"
+    backend = _backend(cfg, args.basis)
+    style = cal.VARIANTS[cfg.backend].style
     qs = qio.generate_synthetic(np.asarray(args.theta), args.rate, style, backend.price_vector)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / args.output
     qio.write_quotes_csv(qs, out)
     cfg.paths = {"output": str(out)}
+    if args.basis is not None:
+        cfg.paths["basis"] = str(args.basis)
     cfg.dump(args.out_dir / f"{out.stem}_runconfig.json")
     print(f"wrote {len(qs)} synthetic quotes -> {out}")
     return 0
@@ -266,15 +261,16 @@ def cmd_calibrate(args) -> int:
     cfg = RunConfig(
         command="calibrate", n_nu=args.n_nu, n_x=args.n_x, horizon=args.horizon,
         steps=args.steps, backend=args.backend, S0=args.spot, r=args.rate,
-        tree_steps=args.tree_steps, max_iter=args.max_iter,
+        tree_steps=args.tree_steps, max_iter=args.max_iter, n_max=args.n_max,
         fix_kappa=args.fix_kappa, feller=args.feller,
         x0=tuple(args.x0) if args.x0 else None,
+        paths={} if args.basis is None else {"basis": str(args.basis)},
     )
     raw = qio.read_quotes_csv(args.quotes, S0=args.spot, r=args.rate)
     pre = qio.preprocess_quotes(raw)
     t_pre = 0.0
     american = [q for q in pre.quotes if q.style == "american"]
-    if cfg.backend in cal.DAS_VARIANTS and american:
+    if cal.VARIANTS[cfg.backend].deamericanize and american:
         if len(american) != len(pre.quotes):
             raise ValueError("mixed-style quote sets are not supported by the DAS backends")
         t0 = time.perf_counter()
@@ -294,15 +290,15 @@ def cmd_calibrate(args) -> int:
         report, refined, _pilot = cal.calibrate_reduced_refined(
             pre, load_reduced_model(args.basis), space, blocks, _grid(cfg),
             box, DEFAULT_PARAM_BOX,
-            greedy_config=GreedyConfig(n_max=args.n_max),
+            greedy_config=GreedyConfig(n_max=cfg.n_max),
             x0=cfg.x0, options=options,
         )
         args.out_dir.mkdir(parents=True, exist_ok=True)
         refined_path = args.out_dir / f"{args.stem}_refined_basis.npz"
         save_reduced_model(refined, refined_path)
-        cfg.paths = {"refined_basis": str(refined_path)}
+        cfg.paths["refined_basis"] = str(refined_path)
     else:
-        backend = _make_backend(cfg, basis_path=args.basis)
+        backend = _backend(cfg, args.basis)
         report = cal.calibrate(pre, backend, box, x0=cfg.x0, options=options,
                                time_preprocess=t_pre)
     paths = emit_report(report, args.out_dir, stem=args.stem)
@@ -347,8 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("price", help="price one put option")
     _add_common(sp)
-    sp.add_argument("--backend", default="DetailedAm",
-                    choices=["DetailedAm", "DetailedEu", "ReducedAm", "ReducedEu", "DasClosedForm"])
+    sp.add_argument("--backend", default="DetailedAm", choices=list(cal.VARIANTS))
     sp.add_argument("--theta", type=_theta_arg, required=True, help="xi,rho,gamma,kappa,nu0")
     sp.add_argument("--strike", type=float, required=True)
     sp.add_argument("--maturity", type=float, required=True)
@@ -373,8 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("synth", help="generate the synthetic 65-quote ladder")
     _add_common(sp)
-    sp.add_argument("--backend", default="DetailedAm",
-                    choices=list(cal.PDE_VARIANTS) + ["DasClosedForm"])
+    sp.add_argument("--backend", default="DetailedAm", choices=list(cal.VARIANTS))
     sp.add_argument("--theta", type=_theta_arg, required=True)
     sp.add_argument("--basis", type=Path, default=None)
     sp.add_argument("--output", default="synthetic_quotes.csv")
@@ -382,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("calibrate", help="calibrate parameters to a quote CSV")
     _add_common(sp)
-    sp.add_argument("--backend", default="DetailedAm", choices=list(cal.ALL_VARIANTS))
+    sp.add_argument("--backend", default="DetailedAm", choices=list(cal.VARIANTS))
     sp.add_argument("--quotes", type=Path, required=True)
     sp.add_argument("--basis", type=Path, default=None)
     sp.add_argument("--tree-steps", type=int, default=500)

@@ -12,26 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import AssemblyBlocks, FemSpace, _triangle_geometry, _QP, _QW
+from .mesh import AssemblyBlocks, FemSpace
 from .params import ModelParams, put_payoff_log
 
 N_AFFINE = 8
-
-
-def diffusion_matrix(mu: ModelParams, nu: float) -> np.ndarray:
-    """Diffusion matrix (nu/2) [[xi^2, rho xi], [rho xi, 1]]."""
-    xi, rho = mu.xi, mu.rho
-    return 0.5 * nu * np.array([[xi * xi, rho * xi], [rho * xi, 1.0]])
-
-
-def velocity_vector(mu: ModelParams, nu: float) -> np.ndarray:
-    """Velocity vector [-kappa (gamma - nu) + xi^2/2, -r + nu/2 + xi rho / 2]."""
-    return np.array(
-        [
-            -mu.kappa * (mu.gamma - nu) + 0.5 * mu.xi * mu.xi,
-            -mu.r + 0.5 * nu + 0.5 * mu.xi * mu.rho,
-        ]
-    )
 
 
 def affine_coefficients(mu: ModelParams) -> np.ndarray:
@@ -58,50 +42,6 @@ def assemble_operator(mu: ModelParams, blocks: AssemblyBlocks) -> sp.csr_matrix:
     for q in range(1, N_AFFINE):
         mat = mat + theta[q] * blocks.a_blocks[q]
     return mat.tocsr()
-
-
-def assemble_operator_direct(mu: ModelParams, space: FemSpace) -> sp.csr_matrix:
-    """Direct quadrature assembly with the full coefficients A(mu), b(mu), r.
-
-    Independent of the affine split; kept as the reference route for testing
-    the decomposition.
-    """
-    p, area, grads = _triangle_geometry(space)
-    J = space.triangles.shape[0]
-    nq = _QP.shape[0]
-    lam = np.column_stack([1.0 - _QP[:, 0] - _QP[:, 1], _QP[:, 0], _QP[:, 1]])
-    qnu = np.einsum("qk,jk->jq", lam, p[:, :, 0])  # (J, nq)
-
-    xi, rho, r = mu.xi, mu.rho, mu.r
-    A11 = 0.5 * qnu * xi * xi
-    A12 = 0.5 * qnu * rho * xi
-    A22 = 0.5 * qnu
-    b1 = -mu.kappa * (mu.gamma - qnu) + 0.5 * xi * xi
-    b2 = -r + 0.5 * qnu + 0.5 * xi * rho
-
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        gi = grads[:, i]  # (J, 2)
-        li = lam[:, i]  # (nq,)
-        for j in range(3):
-            gj = grads[:, j]
-            # diffusion: grad-phi_j . A . grad-phi_i at each quad point
-            diff = (
-                A11 * (gj[:, 0] * gi[:, 0])[:, None]
-                + A12 * (gj[:, 0] * gi[:, 1] + gj[:, 1] * gi[:, 0])[:, None]
-                + A22 * (gj[:, 1] * gi[:, 1])[:, None]
-            )
-            conv = (b1 * gj[:, 0][:, None] + b2 * gj[:, 1][:, None]) * li[None, :]
-            reac = r * np.outer(lam[:, j] * li, np.ones(J)).T
-            contrib = 2.0 * area * ((diff + conv + reac) @ _QW)
-            rows.append(space.triangles[:, i])
-            cols.append(space.triangles[:, j])
-            vals.append(contrib)
-    n = space.n_nodes
-    return sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    ).tocsr()
 
 
 @dataclass(frozen=True)

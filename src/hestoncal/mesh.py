@@ -75,7 +75,6 @@ class FemSpace:
     dirichlet: np.ndarray = field(repr=False)  # bool mask, x-walls
     dirichlet_x_min: np.ndarray = field(repr=False)
     dirichlet_x_max: np.ndarray = field(repr=False)
-    neumann: np.ndarray = field(repr=False)  # bool mask, nu-walls minus corners
     free: np.ndarray = field(repr=False)  # indices of non-Dirichlet nodes
     free_index: np.ndarray = field(repr=False)  # full -> free position or -1
 
@@ -123,11 +122,9 @@ def build_mesh(domain: Domain2D, n_nu: int, n_x: int) -> FemSpace:
     )
 
     i_x = np.tile(np.arange(stride), n_nu + 1)
-    i_nu = np.repeat(np.arange(n_nu + 1), stride)
     dir_lo = i_x == 0
     dir_hi = i_x == n_x
     dirichlet = dir_lo | dir_hi
-    neumann = ((i_nu == 0) | (i_nu == n_nu)) & ~dirichlet
 
     free = np.flatnonzero(~dirichlet)
     free_index = np.full(coords.shape[0], -1, dtype=np.int64)
@@ -142,7 +139,6 @@ def build_mesh(domain: Domain2D, n_nu: int, n_x: int) -> FemSpace:
         dirichlet=dirichlet,
         dirichlet_x_min=dir_lo,
         dirichlet_x_max=dir_hi,
-        neumann=neumann,
         free=free,
         free_index=free_index,
     )
@@ -205,20 +201,6 @@ def assemble_matrix(space: FemSpace, weight: str, d_trial: str | None, d_test: s
     return mat.tocsr()
 
 
-def assemble_load(space: FemSpace, func) -> np.ndarray:
-    """Assemble the load vector int f(nu, x) phi_p for a callable f."""
-    p, area, _ = _triangle_geometry(space)
-    lam = np.column_stack([1.0 - _QP[:, 0] - _QP[:, 1], _QP[:, 0], _QP[:, 1]])
-    qnu = np.einsum("qk,jk->jq", lam, p[:, :, 0])
-    qx = np.einsum("qk,jk->jq", lam, p[:, :, 1])
-    fvals = func(qnu, qx)  # (J, nq)
-    out = np.zeros(space.n_nodes)
-    for k in range(3):
-        contrib = 2.0 * area * np.einsum("q,jq->j", _QW * lam[:, k], fvals)
-        np.add.at(out, space.triangles[:, k], contrib)
-    return out
-
-
 @dataclass
 class AssemblyBlocks:
     """Parameter-independent matrices of one FemSpace.
@@ -228,8 +210,8 @@ class AssemblyBlocks:
     a_blocks: the eight matrices of the affine operator split (see
     heston_operator.AFFINE_BLOCKS for the corresponding coefficients).
     d_b: diagonal of the biorthogonal pairing, (D_B)_pp = int phi_p.
-    All matrices are on the full node set; use restrict()/restrict_rows()
-    for the free-DOF versions.
+    All matrices are on the full node set; use restrict() for the free-DOF
+    versions.
     """
 
     space: FemSpace
@@ -241,9 +223,6 @@ class AssemblyBlocks:
     def restrict(self, mat: sp.csr_matrix) -> sp.csr_matrix:
         f = self.space.free
         return mat[f][:, f].tocsr()
-
-    def restrict_rows(self, mat: sp.csr_matrix) -> sp.csr_matrix:
-        return mat[self.space.free].tocsr()
 
     @cached_property
     def mass_free(self) -> sp.csr_matrix:

@@ -77,12 +77,6 @@ class CalibParams:
         """Drop nu0 and attach the (externally fixed) interest rate."""
         return ModelParams(self.xi, self.rho, self.gamma, self.kappa, r)
 
-    def feller_margin(self) -> float:
-        return feller_margin(self.xi, self.gamma, self.kappa)
-
-    def satisfies_feller(self, eps: float = FELLER_EPS) -> bool:
-        return self.feller_margin() >= eps
-
     @staticmethod
     def from_array(theta) -> "CalibParams":
         xi, rho, gamma, kappa, nu0 = (float(v) for v in theta)

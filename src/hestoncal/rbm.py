@@ -25,7 +25,6 @@ from .params import ModelParams
 from .solvers import (
     TimeGrid,
     _initial_condition,
-    interpolate_in_time,
     solve_american,
     solve_complementarity,
     solve_european,
@@ -273,30 +272,33 @@ class ReducedTrajectory:
     coeffs: np.ndarray = field(repr=False)  # (I+1, N)
     multipliers: np.ndarray | None = field(default=None, repr=False)
 
-    def price(self, S0: float, K_i: float, nu0: float, T_i: float) -> float:
-        """Point-evaluate the reduced surface, scaled by strike homogeneity.
+    @property
+    def grid(self) -> TimeGrid:
+        return self.model.grid
 
-        Off-grid maturities are handled as in solvers.price_at.
-        """
+    @property
+    def K(self) -> float:
+        return self.model.K
+
+    def level_value(self, point):
+        """The reduced surface at point = (nu, x) as a function of the time
+        level k; solvers.price_at turns it into a quote price."""
         model = self.model
-        if T_i == 0.0:
-            return float(max(K_i - S0, 0.0))
-        x = float(np.log(S0 / K_i))
         space = model.space()
-        tri, lam = evaluation_row(space, (nu0, x))
+        tri, lam = evaluation_row(space, point)
         bnd = model.boundary(self.mu.r)
         lift_shape = float(bnd.shape[tri] @ lam)
         fi = space.free_index[tri]
         mask = fi >= 0
         row = lam[mask] @ model.psi[fi[mask]] if mask.any() else None
 
-        def level_value(k: int) -> float:
+        def at_level(k: int) -> float:
             value = bnd.scale(k * model.grid.dt) * lift_shape
             if row is not None:
                 value += float(row @ self.coeffs[k])
             return value
 
-        return interpolate_in_time(model.grid, T_i, level_value) * K_i / model.K
+        return at_level
 
 
 def solve_reduced(model: ReducedModel, mu: ModelParams) -> ReducedTrajectory:

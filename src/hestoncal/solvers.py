@@ -93,9 +93,7 @@ class PriceSurface:
 
     space: FemSpace
     grid: TimeGrid
-    mu: ModelParams
     K: float
-    style: str
     U: np.ndarray = field(repr=False)  # (I+1, n_free)
     lam: np.ndarray | None = field(default=None, repr=False)
     boundary: object = None
@@ -105,8 +103,9 @@ class PriceSurface:
         w[self.space.free] += self.U[k]
         return w
 
-    def price(self, S0: float, K_i: float, nu0: float, T_i: float) -> float:
-        return price_at(self, S0, K_i, nu0, T_i)
+    def level_value(self, point):
+        """The surface at point = (nu, x) as a function of the time level k."""
+        return lambda k: evaluate_p1(self.space, self.full_values(k), point)
 
 
 def _check_time_step(mu: ModelParams, grid: TimeGrid) -> None:
@@ -165,7 +164,7 @@ def solve_european(
         if not np.all(np.isfinite(u_next)):
             raise FloatingPointError(f"non-finite European solution at step {k + 1}")
         U[k + 1] = u_next
-    return PriceSurface(space=space, grid=grid, mu=mu, K=K, style="european", U=U, boundary=bnd)
+    return PriceSurface(space=space, grid=grid, K=K, U=U, boundary=bnd)
 
 
 class LCPError(RuntimeError):
@@ -326,9 +325,7 @@ def solve_american(
             raise FloatingPointError(f"non-finite American solution at step {k + 1}")
         U[k + 1] = u
         lam_arr[k + 1] = lam
-    return PriceSurface(
-        space=space, grid=grid, mu=mu, K=K, style="american", U=U, lam=lam_arr, boundary=bnd
-    )
+    return PriceSurface(space=space, grid=grid, K=K, U=U, lam=lam_arr, boundary=bnd)
 
 
 def psor_step(lhs, rhs, g, omega: float = 1.5, tol: float = 1e-10, max_iter: int = 20000, u0=None):
@@ -368,20 +365,18 @@ def interpolate_in_time(grid: TimeGrid, maturity: float, level_value) -> float:
     return (1.0 - w) * level_value(k0) + w * level_value(k0 + 1)
 
 
-def price_at(surface: PriceSurface, S0: float, K_i: float, nu0: float, T_i: float) -> float:
+def price_at(surface, S0: float, K_i: float, nu0: float, T_i: float) -> float:
     """Price one quote by point evaluation and strike homogeneity.
 
-    Evaluates the stored unit-strike surface at (nu0, log(S0/K_i)) and at
-    T_i, scaled by K_i / K_solve.  An on-grid T_i uses its time level; an
-    off-grid one is interpolated linearly between the adjacent levels (see
+    surface is a PriceSurface or an rbm.ReducedTrajectory; it supplies grid,
+    K and level_value(point).  A zero maturity is the intrinsic value.
+    Otherwise the surface is evaluated at (nu0, log(S0/K_i)) and at T_i,
+    scaled by K_i / K_solve.  An on-grid T_i uses its time level; an off-grid
+    one is interpolated linearly between the adjacent levels (see
     interpolate_in_time).
     """
-    x = float(np.log(S0 / K_i))
     if T_i == 0.0:
         return float(max(K_i - S0, 0.0))
-
-    def level_value(k: int) -> float:
-        return evaluate_p1(surface.space, surface.full_values(k), (nu0, x))
-
-    value = interpolate_in_time(surface.grid, T_i, level_value)
+    x = float(np.log(S0 / K_i))
+    value = interpolate_in_time(surface.grid, T_i, surface.level_value((nu0, x)))
     return value * K_i / surface.K

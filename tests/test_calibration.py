@@ -4,15 +4,23 @@ import numpy as np
 import pytest
 
 from hestoncal.calibration import (
+    VARIANTS,
     ClosedFormBackend,
     OptimizerOptions,
+    PdeBackend,
+    ReducedBackend,
     calibrate,
     fd_jacobian,
+    make_backend,
     objective,
     optimize,
 )
-from hestoncal.params import DEFAULT_CALIB_BOX, ParamBox, feller_margin
+from hestoncal.closed_form import heston_put_cf
+from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluate_p1, evaluation_row
+from hestoncal.params import DEFAULT_CALIB_BOX, CalibParams, ModelParams, ParamBox, feller_margin
 from hestoncal.quotes import Quote, QuoteSet
+from hestoncal.rbm import GreedyConfig, pod_greedy, solve_reduced
+from hestoncal.solvers import TimeGrid, interpolate_in_time, solve_american, solve_european
 
 
 class _ArrayBackend:
@@ -199,6 +207,34 @@ def test_calibrate_rejects_trial_steps_that_raise():
     assert report.n_evals + 1 == backend.calls
 
 
+def test_calibrate_counts_both_calls_of_a_retried_probe():
+    # the forward probe of xi (h = 1e-6) crosses the ceiling, raises and is
+    # retried at h/10; both calls are evaluations
+    target = np.array([0.6, -0.5, 0.2, 1.0, 0.3])
+    quotes = tuple(
+        Quote(maturity=1.0, strike=100.0, style="european", price=float(p)) for p in np.exp(target)
+    )
+    qs = QuoteSet(quotes=quotes, S0=100.0, r=0.02)
+    x0 = np.array([0.2, -0.5, 0.2, 1.0, 0.3])
+    backend = _RaisingBackend(ceiling=x0[0] + 5e-7)
+    report = calibrate(qs, backend, DEFAULT_CALIB_BOX, x0=x0, options=OptimizerOptions(max_iter=1))
+    assert backend.raised >= 1
+    assert report.n_evals + 1 == backend.calls
+
+
+def test_fd_jacobian_lets_programming_errors_through():
+    calls = []
+
+    def resid(th):
+        calls.append(th)
+        if len(calls) == 1:
+            raise TypeError("not a pricing failure")
+        return th
+
+    with pytest.raises(TypeError):
+        fd_jacobian(resid, np.ones(5), np.ones(5))
+
+
 def test_calibrate_report_fields_consistent():
     theta_ex = np.array([0.25, -0.5, 0.10, 0.4, 0.10])
     backend = ClosedFormBackend()
@@ -233,3 +269,87 @@ def test_calibrate_rejects_x0_outside_box():
     backend = _ArrayBackend([1.0])
     with pytest.raises(ValueError):
         calibrate(qs, backend, DEFAULT_CALIB_BOX, x0=np.array([5.0, 0.0, 0.2, 1.0, 0.3]))
+
+
+# ---------------------------------------------------------------------------
+# the backend registry
+
+REGISTRY_R = 0.03
+REGISTRY_THETA = np.array([0.3, -0.5, 0.1, 1.0, 0.15])
+# one maturity on the dt = 0.1 grid, one between two levels
+REGISTRY_QUOTES = [
+    Quote(maturity=0.5, strike=0.9, style="european", price=np.nan),
+    Quote(maturity=0.35, strike=1.1, style="european", price=np.nan),
+]
+
+
+@pytest.fixture(scope="module")
+def registry_inputs():
+    space = build_mesh(Domain2D(), 8, 8)
+    fem = (space, assemble_blocks(space), TimeGrid(1.0, 10))
+    train = [ModelParams(0.3, -0.5, 0.1, 1.0, REGISTRY_R), ModelParams(0.5, -0.3, 0.2, 2.0, REGISTRY_R)]
+    bases = {
+        style: pod_greedy(style, train, *fem, GreedyConfig(n_max=6)) for style in ("american", "european")
+    }
+    return fem, bases
+
+
+def _fem_quote_price(surf, S0, K_i, nu0, T_i):
+    """Per-quote lookup on a full-order surface, written out as the oracle."""
+    x = float(np.log(S0 / K_i))
+
+    def level_value(k):
+        return evaluate_p1(surf.space, surf.full_values(k), (nu0, x))
+
+    return interpolate_in_time(surf.grid, T_i, level_value) * K_i / surf.K
+
+
+def _reduced_quote_price(traj, S0, K_i, nu0, T_i):
+    """Per-quote lookup on a reduced trajectory, written out as the oracle."""
+    model = traj.model
+    x = float(np.log(S0 / K_i))
+    space = model.space()
+    tri, lam = evaluation_row(space, (nu0, x))
+    bnd = model.boundary(traj.mu.r)
+    lift_shape = float(bnd.shape[tri] @ lam)
+    fi = space.free_index[tri]
+    row = lam[fi >= 0] @ model.psi[fi[fi >= 0]]
+
+    def level_value(k):
+        return bnd.scale(k * model.grid.dt) * lift_shape + float(row @ traj.coeffs[k])
+
+    return interpolate_in_time(model.grid, T_i, level_value) * K_i / model.K
+
+
+@pytest.mark.parametrize("variant", list(VARIANTS))
+def test_every_variant_prices_through_make_backend(variant, registry_inputs):
+    fem, bases = registry_inputs
+    spec = VARIANTS[variant]
+    backend = make_backend(variant, fem=lambda: fem, model=bases[spec.style])
+    assert type(backend) is spec.backend and backend.variant == variant
+    prices = backend.price_vector(REGISTRY_THETA, REGISTRY_QUOTES, 1.0, REGISTRY_R)
+
+    p = CalibParams.from_array(REGISTRY_THETA)
+    mu = p.to_model(REGISTRY_R)
+    if spec.backend is PdeBackend:
+        solver = solve_american if spec.style == "american" else solve_european
+        surf = solver(mu, *fem, K=1.0)
+        want = [_fem_quote_price(surf, 1.0, q.strike, p.nu0, q.maturity) for q in REGISTRY_QUOTES]
+    elif spec.backend is ReducedBackend:
+        traj = solve_reduced(bases[spec.style], mu)
+        want = [_reduced_quote_price(traj, 1.0, q.strike, p.nu0, q.maturity) for q in REGISTRY_QUOTES]
+    else:
+        want = [heston_put_cf(1.0, np.array([q.strike]), q.maturity, mu, p.nu0)[0] for q in REGISTRY_QUOTES]
+    assert prices.tolist() == want
+
+
+def test_make_backend_rejects_missing_or_mismatched_bases(registry_inputs):
+    fem, bases = registry_inputs
+    with pytest.raises(ValueError, match="reduced basis"):
+        make_backend("ReducedAm", fem=lambda: fem)
+    # a basis of the other style is never used silently
+    for variant in ("ReducedEu", "DasReduced"):
+        with pytest.raises(ValueError, match="basis is american"):
+            make_backend(variant, model=bases["american"])
+    with pytest.raises(ValueError, match="basis is european"):
+        ReducedBackend("ReducedAm", bases["european"])

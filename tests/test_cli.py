@@ -233,6 +233,28 @@ def test_build_basis_and_reduced_price(tmp_path, capsys):
     )
     price = float(capsys.readouterr().out.strip().split()[-1])
     assert 0.0 < price < 1.0
+    # the European variants refuse the American basis
+    for backend in ("ReducedEu", "DasReduced"):
+        with pytest.raises(ValueError, match="basis is american"):
+            main(["price", "--backend", backend, "--basis", str(model), "--theta", THETA,
+                  "--strike", "1.0", "--maturity", "0.5"] + common)
+
+
+def test_runconfig_records_basis_and_n_max(tmp_path):
+    common = ["--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", "2.0", "--out-dir", str(tmp_path)]
+    _run(["build-basis", "--n-max", "6", "--train-counts", "2", "1", "1", "1", "1",
+          "--output", "model.npz"] + common)
+    basis = str(tmp_path / "model.npz")
+    _run(["synth", "--backend", "ReducedAm", "--basis", basis, "--theta", THETA,
+          "--output", "ladder.csv"] + common)
+    cfg = json.loads((tmp_path / "ladder_runconfig.json").read_text())
+    assert cfg["paths"]["basis"] == basis
+    _run(["calibrate", "--backend", "ReducedAm", "--basis", basis,
+          "--quotes", str(tmp_path / "ladder.csv"), "--x0", THETA, "--n-max", "7",
+          "--max-iter", "1", "--stem", "rb"] + common)
+    cfg = json.loads((tmp_path / "rb_runconfig.json").read_text())
+    assert cfg["n_max"] == 7
+    assert cfg["paths"]["basis"] == basis
 
 
 def test_report_subcommand(tmp_path, capsys):

@@ -3,15 +3,31 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from hestoncal.mesh import (
+    _QP,
+    _QW,
     Domain2D,
+    _triangle_geometry,
     assemble_blocks,
-    assemble_load,
     assemble_matrix,
     build_mesh,
     evaluate_p1,
     evaluation_row,
     locate_triangle,
 )
+
+
+def assemble_load(space, func) -> np.ndarray:
+    """Assemble the load vector int f(nu, x) phi_p for a callable f."""
+    p, area, _ = _triangle_geometry(space)
+    lam = np.column_stack([1.0 - _QP[:, 0] - _QP[:, 1], _QP[:, 0], _QP[:, 1]])
+    qnu = np.einsum("qk,jk->jq", lam, p[:, :, 0])
+    qx = np.einsum("qk,jk->jq", lam, p[:, :, 1])
+    fvals = func(qnu, qx)  # (J, nq)
+    out = np.zeros(space.n_nodes)
+    for k in range(3):
+        contrib = 2.0 * area * np.einsum("q,jq->j", _QW * lam[:, k], fvals)
+        np.add.at(out, space.triangles[:, k], contrib)
+    return out
 
 
 @pytest.fixture(scope="module")

@@ -1,19 +1,17 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hestoncal.heston_operator import (
     N_AFFINE,
     affine_coefficients,
     assemble_operator,
-    assemble_operator_direct,
     boundary_data,
-    diffusion_matrix,
     garding_shift_estimate,
     lift_and_rhs,
     obstacle_vector,
-    velocity_vector,
 )
-from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
+from hestoncal.mesh import _QP, _QW, Domain2D, _triangle_geometry, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, put_payoff_log
 
 
@@ -21,6 +19,49 @@ from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, put_payoff_log
 def fem():
     space = build_mesh(Domain2D(), 10, 10)
     return space, assemble_blocks(space)
+
+
+def assemble_operator_direct(mu: ModelParams, space) -> sp.csr_matrix:
+    """Direct quadrature assembly with the full coefficients A(mu), b(mu), r.
+
+    Independent of the affine split; the reference route for testing the
+    decomposition.
+    """
+    p, area, grads = _triangle_geometry(space)
+    J = space.triangles.shape[0]
+    lam = np.column_stack([1.0 - _QP[:, 0] - _QP[:, 1], _QP[:, 0], _QP[:, 1]])
+    qnu = np.einsum("qk,jk->jq", lam, p[:, :, 0])  # (J, nq)
+
+    xi, rho, r = mu.xi, mu.rho, mu.r
+    A11 = 0.5 * qnu * xi * xi
+    A12 = 0.5 * qnu * rho * xi
+    A22 = 0.5 * qnu
+    b1 = -mu.kappa * (mu.gamma - qnu) + 0.5 * xi * xi
+    b2 = -r + 0.5 * qnu + 0.5 * xi * rho
+
+    rows, cols, vals = [], [], []
+    for i in range(3):
+        gi = grads[:, i]  # (J, 2)
+        li = lam[:, i]  # (nq,)
+        for j in range(3):
+            gj = grads[:, j]
+            # diffusion: grad-phi_j . A . grad-phi_i at each quad point
+            diff = (
+                A11 * (gj[:, 0] * gi[:, 0])[:, None]
+                + A12 * (gj[:, 0] * gi[:, 1] + gj[:, 1] * gi[:, 0])[:, None]
+                + A22 * (gj[:, 1] * gi[:, 1])[:, None]
+            )
+            conv = (b1 * gj[:, 0][:, None] + b2 * gj[:, 1][:, None]) * li[None, :]
+            reac = r * np.outer(lam[:, j] * li, np.ones(J)).T
+            contrib = 2.0 * area * ((diff + conv + reac) @ _QW)
+            rows.append(space.triangles[:, i])
+            cols.append(space.triangles[:, j])
+            vals.append(contrib)
+    n = space.n_nodes
+    return sp.coo_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n, n),
+    ).tocsr()
 
 
 def _random_params(rng):
@@ -48,17 +89,19 @@ def test_affine_coefficient_count(fem):
 
 
 def test_diffusion_positive_definite():
-    mu = ModelParams(0.5, -0.9, 0.2, 1.0, 0.05)
+    """The diffusion nu [[t0, t1], [t1, t2]] of the affine split."""
+    t = affine_coefficients(ModelParams(0.5, -0.9, 0.2, 1.0, 0.05))
     for nu in (1e-5, 0.5, 3.0):
-        w = np.linalg.eigvalsh(diffusion_matrix(mu, nu))
+        w = np.linalg.eigvalsh(nu * np.array([[t[0], t[1]], [t[1], t[2]]]))
         assert np.all(w > 0)
 
 
 def test_velocity_components():
-    mu = ModelParams(0.5, -0.5, 0.2, 1.0, 0.05)
-    b = velocity_vector(mu, 0.3)
-    assert b[0] == pytest.approx(-1.0 * (0.2 - 0.3) + 0.125)
-    assert b[1] == pytest.approx(-0.05 + 0.15 - 0.125)
+    """The velocity [t3 + t4 nu, t5 + t6 nu] of the affine split."""
+    t = affine_coefficients(ModelParams(0.5, -0.5, 0.2, 1.0, 0.05))
+    nu = 0.3
+    assert t[3] + t[4] * nu == pytest.approx(-1.0 * (0.2 - 0.3) + 0.125)
+    assert t[5] + t[6] * nu == pytest.approx(-0.05 + 0.15 - 0.125)
 
 
 def test_garding_shift_bounded_on_corners():

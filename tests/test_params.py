@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from hestoncal.params import (
     DEFAULT_CALIB_BOX,
     DEFAULT_PARAM_BOX,
+    FELLER_EPS,
     RHO_CAP,
     CalibParams,
     ModelParams,
@@ -35,9 +36,9 @@ def test_calib_roundtrip():
 
 def test_feller():
     assert feller_margin(0.1, 0.07, 0.1) == pytest.approx(2 * 0.1 * 0.07 - 0.01)
-    assert CalibParams(0.1, -0.2, 0.07, 0.1, 0.07).satisfies_feller()
-    assert CalibParams(0.7, -0.8, 0.3, 1.4, 0.3).satisfies_feller()  # 0.84 > 0.49
-    assert not CalibParams(0.9, -0.8, 0.05, 1.0, 0.3).satisfies_feller()  # 0.1 < 0.81
+    assert feller_margin(0.1, 0.07, 0.1) >= FELLER_EPS
+    assert feller_margin(0.7, 0.3, 1.4) >= FELLER_EPS  # 0.84 > 0.49
+    assert feller_margin(0.9, 0.05, 1.0) < FELLER_EPS  # 0.1 < 0.81
 
 
 def test_put_payoff_log():

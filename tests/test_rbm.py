@@ -144,7 +144,7 @@ def test_reduced_american_matches_detailed_at_selected_mu(toy, toy_american):
     traj = solve_reduced(m, mu)
     for T in (0.5, 1.0):
         p_det = price_at(surf, 1.0, 1.0, 0.2, T)
-        p_red = traj.price(1.0, 1.0, 0.2, T)
+        p_red = price_at(traj, 1.0, 1.0, 0.2, T)
         assert p_red == pytest.approx(p_det, abs=5e-3)
 
 
@@ -229,9 +229,9 @@ def test_reduced_price_off_grid_matches_detailed(toy):
     for T in (0.27, 0.5, 0.93):  # off the dt = 0.05 grid, except 0.5
         for K in (0.9, 1.0, 1.1):
             p_det = price_at(surf, 1.0, K, 0.15, T)
-            assert traj.price(1.0, K, 0.15, T) == pytest.approx(p_det, abs=1e-6)
+            assert price_at(traj, 1.0, K, 0.15, T) == pytest.approx(p_det, abs=1e-6)
     with pytest.raises(ValueError, match="horizon"):
-        traj.price(1.0, 1.0, 0.15, 1.2)
+        price_at(traj, 1.0, 1.0, 0.15, 1.2)
 
 
 def _lcp(M, q):
