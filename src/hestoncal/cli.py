@@ -278,6 +278,12 @@ def cmd_calibrate(args) -> int:
                                    TreeConfig(steps=args.tree_steps))
         pre = _pseudo_to_quoteset(pseudo, args.spot, args.rate)
         t_pre = time.perf_counter() - t0
+    style = cal.VARIANTS[cfg.backend].style
+    wrong = sorted({q.style for q in pre.quotes} - {style})
+    if wrong:
+        raise ValueError(
+            f"backend {cfg.backend} fits {style} quotes; {args.quotes} holds {wrong[0]} ones"
+        )
     box = DEFAULT_CALIB_BOX
     options = cal.OptimizerOptions(max_iter=cfg.max_iter, feller=cfg.feller,
                                    fix_kappa=cfg.fix_kappa)

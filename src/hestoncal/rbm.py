@@ -12,11 +12,13 @@ Schur-complement callback.
 
 from __future__ import annotations
 
+import itertools
 import json
 import logging
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .heston_operator import N_AFFINE, affine_coefficients, boundary_data, obstacle_vector
@@ -33,38 +35,29 @@ from .solvers import (
 log = logging.getLogger(__name__)
 
 ORTHO_TOL = 1e-10
+# consecutive re-picks of the worst training point without an error decrease
+# after which the greedy stops as stagnated
+STALL_PATIENCE = 3
 
 
 @dataclass(frozen=True)
 class GreedyConfig:
-    """Offline settings: basis size cap, training tolerance, snapshot stride."""
+    """Offline settings: basis size cap and training tolerance."""
 
     n_max: int = 60
     tol: float = 1e-5
-    snapshot_stride: int = 1  # time subsampling of POD trajectories
-    stall_patience: int = 3  # consecutive repeated picks without decrease
 
 
 def make_training_grid(box, counts, r: float) -> list[ModelParams]:
     """Uniform tensor grid over the 5-dimensional parameter box.
 
     The grid spans (xi, rho, gamma, kappa, nu0), but the PDE solution does
-    not depend on the initial-variance coordinate, so the tensor grid is
-    collapsed to the distinct (xi, rho, gamma, kappa) combinations with the
-    externally fixed rate r attached.
+    not depend on the initial-variance coordinate, so only the product of
+    the four PDE axes is kept, in the row-major order of the 5-d grid, with
+    the externally fixed rate r attached.
     """
-    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(box.lo, box.hi, counts)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.column_stack([m.ravel() for m in mesh])
-    train = []
-    seen = set()
-    for row in pts:
-        key = (row[0], row[1], row[2], row[3])
-        if key in seen:
-            continue
-        seen.add(key)
-        train.append(ModelParams(row[0], row[1], row[2], row[3], r))
-    return train
+    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(box.lo, box.hi, counts)][:4]
+    return [ModelParams(*pde, r) for pde in itertools.product(*axes)]
 
 
 # ---------------------------------------------------------------------------
@@ -97,15 +90,16 @@ def pod1(trajectory: np.ndarray, gram) -> np.ndarray:
     return z
 
 
-def gram_orthonormalize(vectors, gram, basis=None, tol: float = ORTHO_TOL):
+def gram_orthonormalize(vectors, gram, basis=(), tol: float = ORTHO_TOL):
     """Modified Gram-Schmidt in the gram inner product, applied twice.
 
-    Orthogonalizes each vector against the existing basis columns and the
-    previously accepted vectors; vectors whose norm collapses below tol
-    (relative to their input norm) are dropped.
+    Orthogonalizes each vector against the orthonormal basis vectors (a
+    sequence, such as psi.T for the columns of psi) and the previously
+    accepted vectors; vectors whose norm collapses below tol (relative to
+    their input norm) are dropped.
     """
     accepted = []
-    cols = [] if basis is None else [basis[:, i] for i in range(basis.shape[1])]
+    cols = list(basis)
     for v in vectors:
         v = np.asarray(v, dtype=float).copy()
         n0 = np.sqrt(v @ (gram @ v))
@@ -121,31 +115,18 @@ def gram_orthonormalize(vectors, gram, basis=None, tol: float = ORTHO_TOL):
     return accepted
 
 
-def angle_to_space(eta: np.ndarray, basis: np.ndarray, w_diag: np.ndarray) -> float:
-    """Angle arccos(|Pi_Y eta|_W / |eta|_W) between eta and span(basis).
+def angle_to_space(eta: np.ndarray, ortho, w_diag: np.ndarray) -> float:
+    """Angle arccos(|Pi_Y eta|_W / |eta|_W) between eta and Y = span(ortho).
 
-    The W inner product is diagonal (dual pairing weights); the basis is
-    W-orthonormalized internally.
+    The W inner product is diagonal (dual pairing weights), and ortho is a
+    W-orthonormal sequence of vectors; an empty one gives a right angle.
     """
     norm_eta = np.sqrt(eta @ (w_diag * eta))
     if norm_eta == 0.0:
         raise ValueError("cannot measure the angle of a zero vector")
-    if basis is None or basis.size == 0:
-        return 0.5 * np.pi
-    ortho = gram_orthonormalize([basis[:, j] for j in range(basis.shape[1])], _DiagGram(w_diag))
     proj_sq = sum(float(b @ (w_diag * eta)) ** 2 for b in ortho)
     ratio = np.sqrt(max(proj_sq, 0.0)) / norm_eta
     return float(np.arccos(np.clip(ratio, 0.0, 1.0)))
-
-
-class _DiagGram:
-    """Diagonal matrix wrapper so vector weights fit the gram @ v idiom."""
-
-    def __init__(self, diag):
-        self.diag = np.asarray(diag, dtype=float)
-
-    def __matmul__(self, v):
-        return self.diag * v
 
 
 def supremizer(xi_vec: np.ndarray, blocks: AssemblyBlocks) -> np.ndarray:
@@ -214,11 +195,10 @@ def _project_offline(
     psi: np.ndarray,
     xi: np.ndarray | None,
     K: float,
-    selected,
-    errors,
-    stagnated: bool,
-    domain: Domain2D,
+    **history,
 ) -> ReducedModel:
+    """Project the affine blocks onto psi (and xi); history holds the greedy
+    record (selected_mu, errors, stagnated) of a finished build."""
     free = space.free
     bnd = boundary_data(space, style, K, r=1.0)  # shape is r independent
     L0 = bnd.shape
@@ -240,7 +220,7 @@ def _project_offline(
         g_red = (xi * d[:, None]).T @ g_free
     return ReducedModel(
         style=style,
-        domain=domain,
+        domain=space.domain,
         n_nu=space.n_nu,
         n_x=space.n_x,
         grid=grid,
@@ -254,10 +234,8 @@ def _project_offline(
         xi=xi,
         b_red=b_red,
         g_red=g_red,
-        selected_mu=list(selected),
-        errors=list(errors),
-        stagnated=stagnated,
         _space=space,
+        **history,
     )
 
 
@@ -413,7 +391,7 @@ def pod_greedy(
     style = style.lower()
     gram = blocks.v_gram_free
     w_diag = blocks.d_b_free
-    stride = max(1, config.snapshot_stride)
+    w_gram = sp.diags(w_diag)
 
     # detailed sweep: final-time snapshots for the error measure
     finals = np.empty((len(train), space.n_free))
@@ -426,39 +404,30 @@ def pod_greedy(
         if progress:
             log.info("detailed training solve %d/%d", i + 1, len(train))
 
-    domain = space.domain
-    selected = []
-    errors = []
-
     # initialization: first training point, k' = final step
-    mu0 = train[0]
     surf0 = traj_cache[0]
-    k_prime = grid.I
+    init_vectors = [surf0.U[-1]]
     xi = None
-    init_vectors = [surf0.U[k_prime]]
+    xi_ortho = []  # W-orthonormal basis of span(xi), extended with xi
     if style == "american":
-        lam0 = surf0.lam[k_prime]
+        lam0 = surf0.lam[-1]
         norm0 = np.sqrt(lam0 @ (w_diag * lam0))
         if norm0 == 0.0:
             raise ValueError("initial multiplier snapshot vanishes")
         xi0 = lam0 / norm0
         xi = xi0[:, None]
+        xi_ortho = gram_orthonormalize([xi0], w_gram)
         init_vectors.append(supremizer(xi0, blocks))
-    psi_cols = gram_orthonormalize(init_vectors, gram)
-    psi = np.column_stack(psi_cols)
-    selected.append(mu0)
-
-    def current_model():
-        return _project_offline(
-            style, space, blocks, grid, psi, xi, K, selected, errors, False, domain
-        )
+    psi = np.column_stack(gram_orthonormalize(init_vectors, gram))
+    selected = [train[0]]
+    errors = []
 
     stagnated = False
     prev_pick = None
     prev_err = np.inf
     stall = 0
     while psi.shape[1] < config.n_max:
-        model = current_model()
+        model = _project_offline(style, space, blocks, grid, psi, xi, K)
         errs = np.array([_final_error(model, mu, finals[i], gram) for i, mu in enumerate(train)])
         i_worst = int(np.argmax(errs))
         eps_train = float(errs[i_worst])
@@ -466,11 +435,11 @@ def pod_greedy(
         if eps_train < config.tol:
             break
         # stagnation: the same worst parameter is re-picked without any error
-        # decrease for `stall_patience` consecutive rounds (transient
+        # decrease for STALL_PATIENCE consecutive rounds (transient
         # non-decrease is normal for greedy worst-case errors)
         if prev_pick == i_worst and eps_train >= prev_err * (1.0 - 1e-12):
             stall += 1
-            if stall >= config.stall_patience:
+            if stall >= STALL_PATIENCE:
                 log.warning("greedy stagnation at training index %d", i_worst)
                 stagnated = True
                 break
@@ -479,20 +448,16 @@ def pod_greedy(
         prev_pick, prev_err = i_worst, eps_train
         mu_n = train[i_worst]
         selected.append(mu_n)
-        if i_worst in traj_cache:
-            surf = traj_cache[i_worst]
-        else:
-            surf = _detailed_solve(style, mu_n, space, blocks, grid, K)
-            traj_cache[i_worst] = surf
+        if i_worst not in traj_cache:
+            traj_cache[i_worst] = _detailed_solve(style, mu_n, space, blocks, grid, K)
+        surf = traj_cache[i_worst]
         if progress:
             log.info("greedy pick %s err %.3e dim %d", mu_n, eps_train, psi.shape[1])
 
         new_primal = []
         if style == "american":
-            lams = surf.lam[1::stride]
-            angles = [
-                angle_to_space(l, xi, w_diag) if np.any(l) else 0.0 for l in lams
-            ]
+            lams = surf.lam[1:]
+            angles = [angle_to_space(l, xi_ortho, w_diag) if np.any(l) else 0.0 for l in lams]
             k_best = int(np.argmax(angles))
             if angles[k_best] < 1e-10:
                 log.info("duplicate dual direction at %s; skipping dual enrichment", mu_n)
@@ -500,9 +465,10 @@ def pod_greedy(
                 lam_new = lams[k_best]
                 xi_new = lam_new / np.sqrt(lam_new @ (w_diag * lam_new))
                 xi = np.column_stack([xi, xi_new])
+                xi_ortho += gram_orthonormalize([xi_new], w_gram, basis=xi_ortho)
                 new_primal.append(supremizer(xi_new, blocks))
 
-        snaps = surf.U[::stride].T  # columns
+        snaps = surf.U.T  # columns
         proj = psi @ (psi.T @ (gram @ snaps))
         resid = snaps - proj
         try:
@@ -510,7 +476,7 @@ def pod_greedy(
             new_primal.insert(0, psi_new)
         except ValueError:
             log.info("projection residual vanished for %s", mu_n)
-        added = gram_orthonormalize(new_primal, gram, basis=psi)
+        added = gram_orthonormalize(new_primal, gram, basis=psi.T)
         if not added:
             log.warning("no primal enrichment possible; stopping greedy loop")
             stagnated = True
@@ -518,7 +484,8 @@ def pod_greedy(
         psi = np.column_stack([psi] + added)
 
     return _project_offline(
-        style, space, blocks, grid, psi, xi, K, selected, errors, stagnated, domain
+        style, space, blocks, grid, psi, xi, K,
+        selected_mu=selected, errors=errors, stagnated=stagnated,
     )
 
 
@@ -530,6 +497,10 @@ def pod_angle_greedy_american(train, space, blocks, grid, config=GreedyConfig(),
 # serialization
 
 FORMAT_VERSION = 1
+# the container's array fields; a European model has no xi, b_red or g_red
+_ARRAY_FIELDS = (
+    "psi", "a_red", "m_red", "mlift_red", "alift_red", "u0_red", "xi", "b_red", "g_red",
+)
 
 
 def save_reduced_model(model: ReducedModel, path) -> None:
@@ -546,18 +517,9 @@ def save_reduced_model(model: ReducedModel, path) -> None:
         "errors": model.errors,
         "stagnated": model.stagnated,
     }
-    arrays = {
-        "psi": model.psi,
-        "a_red": model.a_red,
-        "m_red": model.m_red,
-        "mlift_red": model.mlift_red,
-        "alift_red": model.alift_red,
-        "u0_red": model.u0_red,
-        "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-    }
-    if model.style == "american":
-        arrays.update(xi=model.xi, b_red=model.b_red, g_red=model.g_red)
-    np.savez(path, **arrays)
+    arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
+    arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **{name: a for name, a in arrays.items() if a is not None})
 
 
 def load_reduced_model(path) -> ReducedModel:
@@ -565,26 +527,16 @@ def load_reduced_model(path) -> ReducedModel:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported container version {meta['format_version']}")
-        domain = Domain2D(*meta["domain"])
-        grid = TimeGrid(T=meta["grid"][0], I=int(meta["grid"][1]), theta=meta["grid"][2])
-        style = meta["style"]
+        T, I, theta = meta["grid"]
         return ReducedModel(
-            style=style,
-            domain=domain,
+            style=meta["style"],
+            domain=Domain2D(*meta["domain"]),
             n_nu=int(meta["n_nu"]),
             n_x=int(meta["n_x"]),
-            grid=grid,
+            grid=TimeGrid(T=T, I=int(I), theta=theta),
             K=meta["K"],
-            psi=data["psi"],
-            a_red=data["a_red"],
-            m_red=data["m_red"],
-            mlift_red=data["mlift_red"],
-            alift_red=data["alift_red"],
-            u0_red=data["u0_red"],
-            xi=data["xi"] if style == "american" else None,
-            b_red=data["b_red"] if style == "american" else None,
-            g_red=data["g_red"] if style == "american" else None,
             selected_mu=[ModelParams(*row) for row in meta["selected_mu"]],
             errors=list(meta["errors"]),
             stagnated=bool(meta["stagnated"]),
+            **{name: data[name] for name in _ARRAY_FIELDS if name in data.files},
         )

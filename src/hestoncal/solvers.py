@@ -134,15 +134,10 @@ def solve_european(
     blocks: AssemblyBlocks,
     grid: TimeGrid,
     K: float = 1.0,
-    boundary=None,
 ) -> PriceSurface:
-    """theta-scheme solve of the European put on the free DOFs.
-
-    boundary overrides the default Dirichlet data (used to study the wall
-    truncation convention; production callers leave it at None).
-    """
+    """theta-scheme solve of the European put on the free DOFs."""
     _check_time_step(mu, grid)
-    bnd = boundary if boundary is not None else boundary_data(space, "european", K, mu.r)
+    bnd = boundary_data(space, "european", K, mu.r)
     a_full = assemble_operator(mu, blocks)
     a_free = blocks.restrict(a_full)
     m_free = blocks.mass_free

@@ -20,20 +20,19 @@ log = logging.getLogger(__name__)
 
 # root-finder steps after which a row still unmatched is non-invertible
 _MAX_ITER = 200
+# volatility bracket of the inversion and its price tolerance
+SIGMA_LO = 1e-4
+SIGMA_HI = 5.0
+PRICE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
 class TreeConfig:
     steps: int = 500
-    sigma_lo: float = 1e-4
-    sigma_hi: float = 5.0
-    price_tol: float = 1e-8
 
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("need at least one tree step")
-        if not 0 < self.sigma_lo < self.sigma_hi:
-            raise ValueError("volatility bracket must be nonempty and positive")
 
 
 @dataclass(frozen=True)
@@ -114,13 +113,13 @@ def invert_volatility(
     """Flat volatilities whose American tree prices match, found in lockstep.
 
     observed_price, K and T are scalars or equal-length arrays.  Each row's
-    root is bracketed by [max(sigma_lo, r sqrt(dt)), sigma_hi] and found by
+    root is bracketed by [max(SIGMA_LO, r sqrt(dt)), SIGMA_HI] and found by
     Illinois regula falsi; every step prices all unfinished rows in one
-    batched tree, and a row finishes once its price is within price_tol or
+    batched tree, and a row finishes once its price is within PRICE_TOL or
     its bracket is narrower than 1e-14.
 
     Returns (sigma_star, invertible), floats for scalar input.  Prices at or
-    below the intrinsic floor, above the strike, above the sigma_hi tree, or
+    below the intrinsic floor, above the strike, above the SIGMA_HI tree, or
     still unmatched after _MAX_ITER steps are flagged non-invertible (the
     deep-ITM zero-time-value case degenerates to the lower bracket edge).
     """
@@ -128,15 +127,15 @@ def invert_volatility(
     sigma = np.full(obs.shape, np.nan)
     ok = np.zeros(obs.shape, dtype=bool)
     # the CRR probability needs sigma > r sqrt(dt); lift the bracket edge
-    lo = np.maximum(config.sigma_lo, 1.000001 * r * np.sqrt(T / config.steps))
+    lo = np.maximum(SIGMA_LO, 1.000001 * r * np.sqrt(T / config.steps))
     rows = np.flatnonzero((obs <= K) & (obs >= np.maximum(K - S0, 0.0)))
-    a, b = lo[rows], np.full(rows.size, config.sigma_hi)
+    a, b = lo[rows], np.full(rows.size, SIGMA_HI)
     fa = crr_price(S0, K[rows], T[rows], r, a, config.steps, "american") - obs[rows]
     fb = crr_price(S0, K[rows], T[rows], r, b, config.steps, "american") - obs[rows]
     # zero time value; degenerate but representable at the bracket edge
     edge = fa >= 0
     sigma[rows[edge]] = a[edge]
-    ok[rows[edge]] = np.abs(fa[edge]) <= np.maximum(config.price_tol, 1e-6 * K[rows[edge]])
+    ok[rows[edge]] = np.abs(fa[edge]) <= np.maximum(PRICE_TOL, 1e-6 * K[rows[edge]])
     # the American tree price increases with sigma: fa < 0 <= fb brackets a root
     keep = ~edge & (fb >= 0)
     rows, a, b, fa, fb = rows[keep], a[keep], b[keep], fa[keep], fb[keep]
@@ -146,7 +145,7 @@ def invert_volatility(
             break
         c = b - fb * (b - a) / (fb - fa)
         fc = crr_price(S0, K[rows], T[rows], r, c, config.steps, "american") - obs[rows]
-        hit = np.abs(fc) < config.price_tol
+        hit = np.abs(fc) < PRICE_TOL
         low = fc < 0
         # Illinois: an end kept twice in a row has its value halved
         fb[low & (side < 0)] *= 0.5

@@ -257,6 +257,17 @@ def test_runconfig_records_basis_and_n_max(tmp_path):
     assert cfg["paths"]["basis"] == basis
 
 
+def test_calibrate_refuses_quotes_of_the_other_style(tmp_path):
+    common = ["--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", "2.0", "--out-dir", str(tmp_path)]
+    for style, backend, other in (("european", "DetailedEu", "DetailedAm"),
+                                  ("american", "DetailedAm", "DetailedEu")):
+        _run(["synth", "--backend", backend, "--theta", THETA, "--output", f"{style}.csv"] + common)
+        with pytest.raises(ValueError, match=f"holds {style} ones"):
+            main(["calibrate", "--backend", other, "--quotes", str(tmp_path / f"{style}.csv"),
+                  "--x0", THETA, "--max-iter", "1", "--stem", other] + common)
+        assert not (tmp_path / f"{other}_summary.txt").exists()
+
+
 def test_report_subcommand(tmp_path, capsys):
     res = tmp_path / "r.csv"
     res.write_text(

@@ -1,7 +1,10 @@
 """Reduced-basis offline construction and online solves (toy scale)."""
 
+import json
+
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from hestoncal.calibration import PdeBackend, ReducedBackend
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
@@ -53,11 +56,29 @@ def toy_american(toy, toy_train):
     )
 
 
+@pytest.fixture(scope="module")
+def toy_european(toy):
+    space, blocks, grid = toy
+    mu = ModelParams(0.3, -0.5, 0.1, 1.0, 0.03)
+    return pod_greedy("european", [mu], space, blocks, grid, GreedyConfig(n_max=6, tol=1e-14))
+
+
 def test_training_grid_collapses_nu0_axis():
     train = make_training_grid(DEFAULT_PARAM_BOX, (3, 3, 3, 3, 3), 0.05)
     assert len(train) == 81  # 3^4: the PDE does not depend on nu0
     assert len({(m.xi, m.rho, m.gamma, m.kappa) for m in train}) == 81
     assert all(m.r == 0.05 for m in train)
+
+
+@pytest.mark.parametrize("counts", [(3, 3, 3, 3, 3), (2, 3, 1, 4, 2), (1, 1, 2, 1, 5)])
+def test_training_grid_keeps_first_occurrence_order_of_5d_grid(counts):
+    # train[0] seeds the greedy, so the order fixes the basis
+    box = DEFAULT_PARAM_BOX
+    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(box.lo, box.hi, counts)]
+    rows = np.column_stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")])
+    first = list(dict.fromkeys(tuple(row[:4]) for row in rows))
+    train = make_training_grid(box, counts, 0.05)
+    assert [(m.xi, m.rho, m.gamma, m.kappa) for m in train] == first
 
 
 def test_pod1_matches_dense_oracle(toy):
@@ -100,12 +121,31 @@ def test_angle_properties(toy):
     rng = np.random.default_rng(11)
     b = rng.normal(size=space.n_free)
     b /= np.sqrt(b @ (w * b))
-    basis = b[:, None]
-    assert angle_to_space(b, basis, w) <= 1e-7  # in-space vector: zero angle
+    assert angle_to_space(b, [b], w) <= 1e-7  # in-space vector: zero angle
     # orthogonal complement vector: right angle
     v = rng.normal(size=space.n_free)
     v -= (b @ (w * v)) * b
-    assert angle_to_space(v, basis, w) == pytest.approx(np.pi / 2, abs=1e-7)
+    assert angle_to_space(v, [b], w) == pytest.approx(np.pi / 2, abs=1e-7)
+    assert angle_to_space(v, [], w) == 0.5 * np.pi
+
+
+def test_angle_matches_least_squares_projection(toy):
+    # a non-orthogonal, nonnegative dual basis, W-orthonormalized as the
+    # greedy keeps it, against the dense least-squares W-projection
+    space, blocks, _ = toy
+    w = blocks.d_b_free
+    rng = np.random.default_rng(17)
+    xi = np.abs(rng.normal(size=(space.n_free, 3)))
+    xi[:, 2] += 0.8 * xi[:, 0]
+    ortho = gram_orthonormalize(list(xi.T), sp.diags(w))
+    assert len(ortho) == 3
+    sqrt_w = np.sqrt(w)
+    for eta in (rng.normal(size=space.n_free), np.abs(rng.normal(size=space.n_free)),
+                xi @ [0.3, -1.0, 2.0] + 0.1 * rng.normal(size=space.n_free)):
+        coef = np.linalg.lstsq(sqrt_w[:, None] * xi, sqrt_w * eta, rcond=None)[0]
+        proj = xi @ coef
+        ratio = np.sqrt(proj @ (w * proj) / (eta @ (w * eta)))
+        assert angle_to_space(eta, ortho, w) == pytest.approx(np.arccos(ratio), abs=1e-12)
 
 
 def test_supremizer_properties(toy):
@@ -184,21 +224,65 @@ def test_backend_agreement_european(toy):
     assert np.allclose(det, red, atol=1e-6)
 
 
-def test_serialization_round_trip(tmp_path, toy_american):
-    m = toy_american
-    path = tmp_path / "model.npz"
-    save_reduced_model(m, path)
-    back = load_reduced_model(path)
-    assert back.style == m.style and back.dim == m.dim and back.n_dual == m.n_dual
-    assert np.array_equal(back.psi, m.psi)
-    assert np.array_equal(back.a_red, m.a_red)
-    assert np.array_equal(back.b_red, m.b_red)
-    assert np.array_equal(back.g_red, m.g_red)
+ARRAY_FIELDS = ("psi", "a_red", "m_red", "mlift_red", "alift_red", "u0_red", "xi", "b_red", "g_red")
+
+
+def _assert_same_model(back, m):
+    assert (back.style, back.domain, back.n_nu, back.n_x, back.grid, back.K) == (
+        m.style, m.domain, m.n_nu, m.n_x, m.grid, m.K
+    )
+    assert back.selected_mu == m.selected_mu
+    assert back.errors == m.errors and back.stagnated == m.stagnated
+    for name in ARRAY_FIELDS:
+        a, b = getattr(back, name), getattr(m, name)
+        assert (a is None) == (b is None), name
+        if b is not None:
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
     # online solves are bit-identical through the round trip
-    mu = m.selected_mu[0]
-    t1 = solve_reduced(m, mu)
-    t2 = solve_reduced(back, mu)
-    assert np.array_equal(t1.coeffs, t2.coeffs)
+    for mu in m.selected_mu:
+        t1, t2 = solve_reduced(m, mu), solve_reduced(back, mu)
+        assert t1.coeffs.tobytes() == t2.coeffs.tobytes()
+        if m.style == "american":
+            assert t1.multipliers.tobytes() == t2.multipliers.tobytes()
+
+
+def test_serialization_round_trip(tmp_path, toy_american, toy_european):
+    for m in (toy_american, toy_european):
+        path = tmp_path / f"{m.style}.npz"
+        save_reduced_model(m, path)
+        with np.load(path) as data:
+            dual = {"xi", "b_red", "g_red"} if m.style == "american" else set()
+            assert set(data.files) == {"meta", *ARRAY_FIELDS[:6], *dual}
+        _assert_same_model(load_reduced_model(path), m)
+    assert toy_european.xi is None and toy_european.b_red is None and toy_european.g_red is None
+
+
+@pytest.mark.parametrize("style", ["american", "european"])
+def test_loads_container_in_version_1_key_layout(tmp_path, style, toy_american, toy_european):
+    # the key layout and member order of version-1 files written so far
+    m = toy_american if style == "american" else toy_european
+    meta = {
+        "format_version": 1,
+        "style": m.style,
+        "domain": [m.domain.nu_min, m.domain.nu_max, m.domain.x_min, m.domain.x_max],
+        "n_nu": m.n_nu,
+        "n_x": m.n_x,
+        "grid": [m.grid.T, m.grid.I, m.grid.theta],
+        "K": m.K,
+        "selected_mu": [list(p.as_array()) for p in m.selected_mu],
+        "errors": m.errors,
+        "stagnated": m.stagnated,
+    }
+    arrays = {
+        "psi": m.psi, "a_red": m.a_red, "m_red": m.m_red, "mlift_red": m.mlift_red,
+        "alift_red": m.alift_red, "u0_red": m.u0_red,
+        "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
+    }
+    if style == "american":
+        arrays.update(xi=m.xi, b_red=m.b_red, g_red=m.g_red)
+    path = tmp_path / "v1.npz"
+    np.savez(path, **arrays)
+    _assert_same_model(load_reduced_model(path), m)
 
 
 def test_error_decays_with_basis_size(toy, toy_train):

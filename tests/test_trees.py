@@ -9,6 +9,9 @@ import pytest
 from hestoncal import trees
 from hestoncal.quotes import Quote
 from hestoncal.trees import (
+    PRICE_TOL,
+    SIGMA_HI,
+    SIGMA_LO,
     PseudoQuote,
     TreeConfig,
     crr_price,
@@ -39,17 +42,17 @@ def _invert_bisection(observed_price, S0, K, T, r, config):
     price = lambda sigma: _crr_reference(S0, K, T, r, sigma, config.steps, "american")
     if observed_price > K or observed_price < max(K - S0, 0.0):
         return np.nan, False
-    lo = max(config.sigma_lo, 1.000001 * r * np.sqrt(T / config.steps))
-    hi = config.sigma_hi
+    lo = max(SIGMA_LO, 1.000001 * r * np.sqrt(T / config.steps))
+    hi = SIGMA_HI
     p_lo = price(lo)
     if observed_price <= p_lo:
-        return lo, abs(observed_price - p_lo) <= max(config.price_tol, 1e-6 * K)
+        return lo, abs(observed_price - p_lo) <= max(PRICE_TOL, 1e-6 * K)
     if observed_price > price(hi):
         return np.nan, False
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         p_mid = price(mid)
-        if abs(p_mid - observed_price) < config.price_tol:
+        if abs(p_mid - observed_price) < PRICE_TOL:
             return mid, True
         lo, hi = (mid, hi) if p_mid < observed_price else (lo, mid)
         if hi - lo < 1e-14:
@@ -68,7 +71,7 @@ def _random_quotes(seed, n, S0, r, config):
     price = np.round(crr_price(S0, K, T, r, sigma, config.steps, "american"), 2)
     T = np.append(T, [0.5, 0.5, 2.0, 1.0])
     K = np.append(K, [1.2 * S0, S0, S0, 1.8 * S0])
-    # below intrinsic, above the strike, above the sigma_hi tree, intrinsic
+    # below intrinsic, above the strike, above the SIGMA_HI tree, intrinsic
     price = np.append(price, [0.1 * S0, 1.01 * S0, 0.9999 * S0, 0.8 * S0])
     return T, K, price
 
@@ -134,8 +137,6 @@ def test_invalid_inputs_raise():
         crr_price(-1.0, 100.0, 1.0, 0.05, 0.2, steps=10)
     with pytest.raises(ValueError):
         TreeConfig(steps=0)
-    with pytest.raises(ValueError):
-        TreeConfig(sigma_lo=0.5, sigma_hi=0.1)
 
 
 def test_sigma_round_trip():
@@ -180,10 +181,10 @@ def test_determinism():
 
 
 def test_zero_time_value_degenerates_to_bracket_edge():
-    # deep ITM with price equal to the sigma_lo tree price
+    # deep ITM with price equal to the SIGMA_LO tree price
     cfg = TreeConfig()
     r = 0.0015
-    lo = max(cfg.sigma_lo, 1.000001 * r * np.sqrt(1.0 / cfg.steps))
+    lo = max(SIGMA_LO, 1.000001 * r * np.sqrt(1.0 / cfg.steps))
     p_lo = crr_price(100.0, 180.0, 1.0, r, lo, cfg.steps, "american")
     sigma, ok = invert_volatility(p_lo, 100.0, 180.0, 1.0, r, cfg)
     assert ok and sigma == pytest.approx(lo)
@@ -210,7 +211,7 @@ def test_set_equals_quote_by_quote_bit_for_bit():
     # a batched tree must not couple its rows: each quote of a mixed set gets
     # exactly what it gets alone, whatever it is batched with
     S0, r, cfg = 100.0, 0.0015, TreeConfig()
-    lo = max(cfg.sigma_lo, 1.000001 * r * np.sqrt(1.0 / cfg.steps))
+    lo = max(SIGMA_LO, 1.000001 * r * np.sqrt(1.0 / cfg.steps))
     edge_price = crr_price(S0, 180.0, 1.0, r, lo, cfg.steps, "american")
     quotes = [
         Quote(maturity=0.25, strike=95.0, price=2.31, style="american"),
@@ -238,11 +239,11 @@ def test_inversion_residual_and_flags_against_bisection(r):
     # flags equal per-quote bisection's, with every kind of row present
     assert ok.tolist() == reference
     assert 0 < ok.sum() < ok.size
-    lo = np.maximum(cfg.sigma_lo, 1.000001 * r * np.sqrt(T / cfg.steps))
+    lo = np.maximum(SIGMA_LO, 1.000001 * r * np.sqrt(T / cfg.steps))
     edge = ok & (sigma == lo)
     assert edge.any()
     residual = np.abs(crr_price(S0, K[ok], T[ok], r, sigma[ok], cfg.steps, "american") - price[ok])
-    assert np.all((residual < cfg.price_tol) | edge[ok])
+    assert np.all((residual < PRICE_TOL) | edge[ok])
 
 
 def test_iteration_cap_flags_non_invertible(monkeypatch, caplog):
