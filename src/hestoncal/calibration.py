@@ -354,7 +354,7 @@ def calibrate_reduced_refined(
     calib_box: ParamBox,
     pde_box: ParamBox,
     half_widths=(0.25, 0.15, 0.10, 1.0),
-    train_counts=(3, 3, 3, 3, 3),
+    train_counts=(3, 3, 3, 3),
     greedy_config=None,
     x0=None,
     options=None,

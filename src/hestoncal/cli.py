@@ -46,7 +46,7 @@ class RunConfig:
     calib_box_upper: tuple = DEFAULT_CALIB_BOX.upper
     train_box_lower: tuple = DEFAULT_PARAM_BOX.lower
     train_box_upper: tuple = DEFAULT_PARAM_BOX.upper
-    train_counts: tuple = (3, 3, 3, 3, 3)
+    train_counts: tuple = (3, 3, 3, 3)
     n_max: int = 60
     rb_tol: float = 1e-5
     tree_steps: int = 500
@@ -76,14 +76,23 @@ def _fem(cfg: RunConfig):
     return space, assemble_blocks(space)
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n-nu", type=int, default=33, help="mesh intervals in variance")
-    p.add_argument("--n-x", type=int, default=33, help="mesh intervals in log-moneyness")
-    p.add_argument("--horizon", type=float, default=2.0, help="time-grid horizon in years")
-    p.add_argument("--steps", type=int, default=120, help="number of time steps")
-    p.add_argument("--rate", type=float, default=0.05, help="risk-free rate")
-    p.add_argument("--spot", type=float, default=1.0, help="spot price S0")
-    p.add_argument("--out-dir", type=Path, default=Path("."), help="output directory")
+#: Options shared by several subcommands; each subcommand takes only those it reads.
+_OPTIONS = {
+    "--n-nu": dict(type=int, default=33, help="mesh intervals in variance"),
+    "--n-x": dict(type=int, default=33, help="mesh intervals in log-moneyness"),
+    "--horizon": dict(type=float, default=2.0, help="time-grid horizon in years"),
+    "--steps": dict(type=int, default=120, help="number of time steps"),
+    "--rate": dict(type=float, default=0.05, help="risk-free rate"),
+    "--spot": dict(type=float, default=1.0, help="spot price S0"),
+    "--out-dir": dict(type=Path, default=Path("."), help="output directory"),
+}
+#: The options of the mesh and the time grid.
+_FEM = ("--n-nu", "--n-x", "--horizon", "--steps")
+
+
+def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
+    for name in names:
+        p.add_argument(name, **_OPTIONS[name])
 
 
 def _theta_arg(text: str) -> tuple:
@@ -343,12 +352,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     sp = sub.add_parser("mesh-info", help="print mesh statistics")
-    sp.add_argument("--n-nu", type=int, default=33)
-    sp.add_argument("--n-x", type=int, default=33)
+    _add_options(sp, "--n-nu", "--n-x")
     sp.set_defaults(func=cmd_mesh_info)
 
     sp = sub.add_parser("price", help="price one put option")
-    _add_common(sp)
+    _add_options(sp, *_FEM, "--rate", "--spot")
     sp.add_argument("--backend", default="DetailedAm", choices=list(cal.VARIANTS))
     sp.add_argument("--theta", type=_theta_arg, required=True, help="xi,rho,gamma,kappa,nu0")
     sp.add_argument("--strike", type=float, required=True)
@@ -357,23 +365,24 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_price)
 
     sp = sub.add_parser("build-basis", help="offline greedy reduced-basis construction")
-    _add_common(sp)
+    _add_options(sp, *_FEM, "--rate", "--out-dir")
     sp.add_argument("--style", choices=["american", "european"], default="american")
     sp.add_argument("--n-max", type=int, default=60)
     sp.add_argument("--tol", type=float, default=1e-5)
-    sp.add_argument("--train-counts", type=int, nargs=5, default=[3, 3, 3, 3, 3])
+    sp.add_argument("--train-counts", type=int, nargs=4, default=[3, 3, 3, 3],
+                    help="training-grid points along xi, rho, gamma and kappa")
     sp.add_argument("--output", default="reduced_model.npz")
     sp.set_defaults(func=cmd_build_basis)
 
     sp = sub.add_parser("deamericanize", help="transform American quotes to pseudo-European")
-    _add_common(sp)
+    _add_options(sp, "--rate", "--spot", "--out-dir")
     sp.add_argument("--quotes", type=Path, required=True)
     sp.add_argument("--tree-steps", type=int, default=500)
     sp.add_argument("--output", default="pseudo_quotes.csv")
     sp.set_defaults(func=cmd_deamericanize)
 
     sp = sub.add_parser("synth", help="generate the synthetic 65-quote ladder")
-    _add_common(sp)
+    _add_options(sp, *_FEM, "--rate", "--out-dir")
     sp.add_argument("--backend", default="DetailedAm", choices=list(cal.VARIANTS))
     sp.add_argument("--theta", type=_theta_arg, required=True)
     sp.add_argument("--basis", type=Path, default=None)
@@ -381,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("calibrate", help="calibrate parameters to a quote CSV")
-    _add_common(sp)
+    _add_options(sp, *_OPTIONS)
     sp.add_argument("--backend", default="DetailedAm", choices=list(cal.VARIANTS))
     sp.add_argument("--quotes", type=Path, required=True)
     sp.add_argument("--basis", type=Path, default=None)

@@ -2,7 +2,9 @@
 
 The bilinear form a(u, v; mu) = int A(mu) grad u . grad v + int (b(mu) . grad u) v
 + int r u v decomposes into eight parameter-independent matrices with the
-coefficients returned by affine_coefficients().
+coefficients returned by affine_coefficients().  The Dirichlet lift of the
+put (BoundaryData) enters every theta-step through one load formula,
+lift_and_rhs, which the detailed and the reduced solves share.
 """
 
 from __future__ import annotations
@@ -80,25 +82,25 @@ def boundary_data(space: FemSpace, style: str, K: float, r: float) -> BoundaryDa
     return BoundaryData(style=style, K=K, r=r, shape=shape)
 
 
-def lift_and_rhs(
-    a_full: sp.csr_matrix,
-    blocks: AssemblyBlocks,
-    boundary: BoundaryData,
-    dt: float,
-    t_k: float,
-    theta: float,
-) -> np.ndarray:
-    """Load vector of f^{k+theta} on the free DOFs.
+def lift_and_rhs(mlift, alift, boundary: BoundaryData, dt: float, theta: float):
+    """Load of the theta-step k, f^{k+theta}, as a function of k.
 
     f^{k+theta}(v) = -(1/dt) (u_L^{k+1} - u_L^k, v) - a(theta u_L^{k+1}
-    + (1-theta) u_L^k, v; mu), with a_full = assemble_operator(mu, blocks).
+    + (1-theta) u_L^k, v; mu).  The lift is scale(t) * shape, so the load
+    combines the two fixed lift loads mlift = (shape, v) and
+    alift = a(shape, v; mu) with scalar weights.  The FEM passes them on the
+    free DOFs, the reduced model projected onto its basis.  The static
+    American lift gives the constant load -alift.
     """
-    space = blocks.space
-    lk = boundary.lift(t_k)
-    lk1 = boundary.lift(t_k + dt)
-    lmix = theta * lk1 + (1.0 - theta) * lk
-    rhs_full = -(blocks.mass @ (lk1 - lk)) / dt - a_full @ lmix
-    return rhs_full[space.free]
+    if boundary.style == "american":
+        f = -alift
+        return lambda k: f
+
+    def load(k: int) -> np.ndarray:
+        s0, s1 = boundary.scale(k * dt), boundary.scale(k * dt + dt)
+        return -(s1 - s0) / dt * mlift - (theta * s1 + (1.0 - theta) * s0) * alift
+
+    return load
 
 
 def obstacle_vector(space: FemSpace, boundary: BoundaryData, K: float) -> np.ndarray:

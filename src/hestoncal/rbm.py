@@ -4,9 +4,10 @@ online solves with a cone-constrained multiplier.
 
 The primal basis is orthonormal in the H1 semi-norm Gram inner product; the
 dual cone is spanned by normalized nonnegative multiplier snapshots and kept
-inf-sup stable through supremizer enrichment of the primal space.  Each
-online American step is solved by the active-set kernel shared with the
-detailed solver (solvers.solve_complementarity) through a dense
+inf-sup stable through supremizer enrichment of the primal space.  The
+online solve is the Galerkin projection of the detailed one: it runs the
+same time loop (solvers.march) with the same load formula, and each
+American step is solved by the shared active-set kernel through a dense
 Schur-complement callback.
 """
 
@@ -21,16 +22,16 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .heston_operator import N_AFFINE, affine_coefficients, boundary_data, obstacle_vector
+from .heston_operator import (
+    N_AFFINE,
+    affine_coefficients,
+    boundary_data,
+    lift_and_rhs,
+    obstacle_vector,
+)
 from .mesh import AssemblyBlocks, Domain2D, FemSpace, assemble_blocks, build_mesh, evaluation_row
 from .params import ModelParams
-from .solvers import (
-    TimeGrid,
-    _initial_condition,
-    solve_american,
-    solve_complementarity,
-    solve_european,
-)
+from .solvers import TimeGrid, _initial_condition, march, solve_american, solve_european
 
 log = logging.getLogger(__name__)
 
@@ -49,14 +50,15 @@ class GreedyConfig:
 
 
 def make_training_grid(box, counts, r: float) -> list[ModelParams]:
-    """Uniform tensor grid over the 5-dimensional parameter box.
+    """Uniform tensor grid over the four PDE axes of the parameter box.
 
-    The grid spans (xi, rho, gamma, kappa, nu0), but the PDE solution does
-    not depend on the initial-variance coordinate, so only the product of
-    the four PDE axes is kept, in the row-major order of the 5-d grid, with
-    the externally fixed rate r attached.
+    counts gives the points along (xi, rho, gamma, kappa).  The PDE solution
+    does not depend on the initial variance nu0, so the box's nu0 axis is
+    not sampled, and a trailing fifth (nu0) count is accepted and ignored.
+    The points come in row-major order with the externally fixed rate r
+    attached.
     """
-    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(box.lo, box.hi, counts)][:4]
+    axes = [np.linspace(lo, hi, c) for lo, hi, c in zip(box.lo[:4], box.hi[:4], counts)]
     return [ModelParams(*pde, r) for pde in itertools.product(*axes)]
 
 
@@ -285,69 +287,53 @@ def solve_reduced(model: ReducedModel, mu: ModelParams) -> ReducedTrajectory:
     dt, th = grid.dt, grid.theta
     theta_q = affine_coefficients(mu)
     A = np.tensordot(theta_q, model.a_red, axes=1)
-    alift = theta_q @ model.alift_red
     S = model.m_red / dt + th * A
     R = model.m_red / dt - (1.0 - th) * A
-    N = model.dim
-    coeffs = np.empty((grid.I + 1, N))
-    coeffs[0] = model.u0_red
-    if model.style == "european":
-        bnd = model.boundary(mu.r)
-        s = [bnd.scale(t) for t in grid.times()]
-        lu = np.linalg.inv(S)
-        for k in range(grid.I):
-            f = -(s[k + 1] - s[k]) / dt * model.mlift_red - (
-                th * s[k + 1] + (1.0 - th) * s[k]
-            ) * alift
-            coeffs[k + 1] = lu @ (R @ coeffs[k] + f)
-        return ReducedTrajectory(model=model, mu=mu, coeffs=coeffs)
-
-    B = model.b_red
-    g = model.g_red
-    n_w = B.shape[0]
-    mult = np.zeros((grid.I + 1, n_w))
-    f_static = -alift  # American lift is time-independent: scale == 1
-    # block elimination: a = S^{-1}(rhs + B_A^T beta); the active-set system
-    # reduces to the small Schur complement (B S^{-1} B^T)_AA
+    load = lift_and_rhs(model.mlift_red, theta_q @ model.alift_red, model.boundary(mu.r), dt, th)
     s_inv = np.linalg.inv(S)
-    bs = B @ s_inv  # (n_w, N)
-    schur = bs @ B.T  # (n_w, n_w)
-    active = np.zeros(n_w, dtype=bool)
-    for k in range(grid.I):
-        rhs = R @ coeffs[k] + f_static
-        coeffs[k + 1], mult[k + 1], active = solve_complementarity(
-            _schur_step(s_inv, bs, schur, B, g, rhs), g, active
-        )
+    if model.style == "european":
+        coeffs, _ = march(model.u0_red, R, load, grid.I, lambda rhs: s_inv @ rhs)
+        return ReducedTrajectory(model=model, mu=mu, coeffs=coeffs)
+    g = model.g_red
+    coeffs, mult = march(model.u0_red, R, load, grid.I, _schur_step(s_inv, model.b_red, g), g)
     return ReducedTrajectory(model=model, mu=mu, coeffs=coeffs, multipliers=mult)
 
 
-def _schur_step(s_inv, bs, schur, B, g, rhs):
-    """solve_complementarity callback of one reduced step.
+def _schur_step(s_inv, B, g):
+    """solve_complementarity callbacks of the steps of one reduced solve.
 
+    _schur_step(s_inv, B, g)(rhs) is the callback of the step
     S a - B^T beta = rhs with beta = 0 off the active set and B a = g on it,
-    in dual cone coordinates beta, so c = B a.  S is pre-inverted, and
-    beta on the active set solves the Schur complement (B S^-1 B^T)_AA.
+    in dual cone coordinates beta, so c = B a.  S is pre-inverted; block
+    elimination gives a = S^-1 (rhs + B_A^T beta), and beta on the active
+    set solves the small Schur complement (B S^-1 B^T)_AA.
     """
     n_w = g.size
-    a_free = s_inv @ rhs
-    ba_free = bs @ rhs  # = B a with beta = 0
+    bs = B @ s_inv  # (n_w, N)
+    schur = bs @ B.T  # (n_w, n_w)
 
-    def solve(active):
-        idx = np.flatnonzero(active)
-        beta = np.zeros(n_w)
-        if idx.size == 0:
-            return a_free, beta, ba_free
-        rhs_small = g[idx] - ba_free[idx]
-        small = schur[np.ix_(idx, idx)]
-        try:
-            beta_act = np.linalg.solve(small, rhs_small)
-        except np.linalg.LinAlgError:
-            beta_act = np.linalg.lstsq(small, rhs_small, rcond=None)[0]
-        beta[idx] = beta_act
-        a = a_free + s_inv @ (B.T[:, idx] @ beta_act)
-        return a, beta, ba_free + schur[:, idx] @ beta_act
+    def step(rhs):
+        a_free = s_inv @ rhs
+        ba_free = bs @ rhs  # = B a with beta = 0
 
-    return solve
+        def solve(active):
+            idx = np.flatnonzero(active)
+            beta = np.zeros(n_w)
+            if idx.size == 0:
+                return a_free, beta, ba_free
+            rhs_small = g[idx] - ba_free[idx]
+            small = schur[np.ix_(idx, idx)]
+            try:
+                beta_act = np.linalg.solve(small, rhs_small)
+            except np.linalg.LinAlgError:
+                beta_act = np.linalg.lstsq(small, rhs_small, rcond=None)[0]
+            beta[idx] = beta_act
+            a = a_free + s_inv @ (B.T[:, idx] @ beta_act)
+            return a, beta, ba_free + schur[:, idx] @ beta_act
+
+        return solve
+
+    return step
 
 
 # ---------------------------------------------------------------------------

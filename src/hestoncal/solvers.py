@@ -1,13 +1,16 @@
 """Full-order time stepping for European and American put surfaces, and the
-active-set kernel shared with the reduced model.
+time loop and active-set kernel shared with the reduced model.
 
-The European problem is a theta-scheme linear solve per step.  The American
-problem couples it with the componentwise obstacle through a diagonal
-biorthogonal pairing, so every step is the complementarity problem
+Every solve, detailed or reduced (rbm.solve_reduced), is one theta-scheme
+loop, march: step k solves with the right-hand side rhs_op @ U[k] + load(k),
+where load is the lift load of heston_operator.lift_and_rhs.  The European
+problem is a linear solve per step.  The American problem couples it with
+the componentwise obstacle through a diagonal biorthogonal pairing, so every
+step is the complementarity problem
 
     c >= g,  lam >= 0,  lam . (c - g) = 0,
 
-with c = u here and c = B a in the reduced model (rbm.solve_reduced).
+with c = u here and c = B a in the reduced model.
 solve_complementarity solves it by a primal-dual active set iteration
 (semismooth Newton on the complementarity system, Hintermueller, Ito and
 Kunisch 2002), with least-index principal pivoting as its only fallback.
@@ -70,18 +73,6 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         return np.linspace(0.0, self.T, self.I + 1)
 
-    def step_of(self, maturity: float) -> int:
-        """Grid index of a maturity that lies on the grid within STEP_TOL."""
-        k = maturity / self.dt
-        k_round = int(round(k))
-        if abs(k - k_round) > STEP_TOL * max(1.0, abs(k)):
-            raise ValueError(
-                f"maturity {maturity} is not an integer multiple of dt={self.dt}"
-            )
-        if not 0 <= k_round <= self.I:
-            raise ValueError(f"maturity {maturity} outside the grid horizon")
-        return k_round
-
 
 @dataclass
 class PriceSurface:
@@ -114,7 +105,7 @@ def _check_time_step(mu: ModelParams, grid: TimeGrid) -> None:
         warnings.warn(
             f"time step dt={grid.dt:g} may violate the stability bound "
             f"1/(theta*lambda_a)={1.0 / (grid.theta * lam_a):g}",
-            stacklevel=3,
+            stacklevel=4,
         )
 
 
@@ -126,40 +117,6 @@ def _initial_condition(space: FemSpace, boundary, K: float) -> np.ndarray:
     """
     payoff = put_payoff_log(K, space.coords[:, 1])
     return (payoff - boundary.lift(0.0))[space.free]
-
-
-def solve_european(
-    mu: ModelParams,
-    space: FemSpace,
-    blocks: AssemblyBlocks,
-    grid: TimeGrid,
-    K: float = 1.0,
-) -> PriceSurface:
-    """theta-scheme solve of the European put on the free DOFs."""
-    _check_time_step(mu, grid)
-    bnd = boundary_data(space, "european", K, mu.r)
-    a_full = assemble_operator(mu, blocks)
-    a_free = blocks.restrict(a_full)
-    m_free = blocks.mass_free
-    dt, th = grid.dt, grid.theta
-    lhs = (m_free / dt + th * a_free).tocsc()
-    rhs_op = (m_free / dt - (1.0 - th) * a_free).tocsr()
-    lu = spla.splu(lhs)
-    # the lift is scale(t) * shape, so f^{k+theta} (lift_and_rhs) combines
-    # two fixed load vectors with scalar weights
-    mlift = (blocks.mass @ bnd.shape)[space.free]
-    alift = (a_full @ bnd.shape)[space.free]
-
-    U = np.empty((grid.I + 1, space.n_free))
-    U[0] = _initial_condition(space, bnd, K)
-    for k in range(grid.I):
-        s0, s1 = bnd.scale(k * dt), bnd.scale(k * dt + dt)
-        f = -(s1 - s0) / dt * mlift - (th * s1 + (1.0 - th) * s0) * alift
-        u_next = lu.solve(rhs_op @ U[k] + f)
-        if not np.all(np.isfinite(u_next)):
-            raise FloatingPointError(f"non-finite European solution at step {k + 1}")
-        U[k + 1] = u_next
-    return PriceSurface(space=space, grid=grid, K=K, U=U, boundary=bnd)
 
 
 class LCPError(RuntimeError):
@@ -284,43 +241,71 @@ def fem_step(lhs, g, d):
     return step
 
 
-def solve_american(
-    mu: ModelParams,
-    space: FemSpace,
-    blocks: AssemblyBlocks,
-    grid: TimeGrid,
-    K: float = 1.0,
-) -> PriceSurface:
-    """Per-step primal-dual active set solve of the American put system."""
+def march(u0, rhs_op, load, I: int, solve, g=None):
+    """The theta-scheme time loop of every detailed and reduced solve.
+
+    Step k solves with the right-hand side rhs_op @ U[k] + load(k).  Without
+    an obstacle g, solve(rhs) returns U[k+1].  With one, solve(rhs) is the
+    step's solve_complementarity callback, started from the previous step's
+    active set.  Returns (U, lam), lam None without an obstacle and
+    lam[0] = 0 with one.  The trajectory is checked once after the loop: a
+    non-finite U raises FloatingPointError naming its first step.
+    """
+    U = np.empty((I + 1, u0.size))
+    U[0] = u0
+    lam = None
+    if g is None:
+        for k in range(I):
+            U[k + 1] = solve(rhs_op @ U[k] + load(k))
+    else:
+        lam = np.zeros((I + 1, g.size))
+        active = np.zeros(g.size, dtype=bool)
+        for k in range(I):
+            U[k + 1], lam[k + 1], active = solve_complementarity(
+                solve(rhs_op @ U[k] + load(k)), g, active
+            )
+    if not np.isfinite(U).all():
+        k = int(np.argmin(np.isfinite(U).all(axis=1)))
+        raise FloatingPointError(f"non-finite solution at step {k}")
+    return U, lam
+
+
+def _solve_detailed(style, mu, space, blocks, grid, K):
+    """The FEM solve of one style behind solve_european and solve_american."""
     _check_time_step(mu, grid)
-    bnd = boundary_data(space, "american", K, mu.r)
+    bnd = boundary_data(space, style, K, mu.r)
     a_full = assemble_operator(mu, blocks)
-    dt, th = grid.dt, grid.theta
-    # American lift is static, so f^{k+theta} is time independent
-    f = lift_and_rhs(a_full, blocks, bnd, dt, 0.0, th)
     a_free = blocks.restrict(a_full)
+    free = space.free
+    dt, th = grid.dt, grid.theta
+    load = lift_and_rhs((blocks.mass @ bnd.shape)[free], (a_full @ bnd.shape)[free], bnd, dt, th)
     # freed before the time loop: held across it, the heap tends to return
     # and re-fault the LU pages, about twice the page faults per solve
     del a_full
     m_free = blocks.mass_free
     lhs = (m_free / dt + th * a_free).tocsr()
     rhs_op = (m_free / dt - (1.0 - th) * a_free).tocsr()
-    g = obstacle_vector(space, bnd, K)
-    d = blocks.d_b_free
+    u0 = _initial_condition(space, bnd, K)
+    if style == "european":
+        U, lam = march(u0, rhs_op, load, grid.I, spla.splu(lhs.tocsc()).solve)
+    else:
+        g = obstacle_vector(space, bnd, K)
+        U, lam = march(u0, rhs_op, load, grid.I, fem_step(lhs, g, blocks.d_b_free), g)
+    return PriceSurface(space=space, grid=grid, K=K, U=U, lam=lam, boundary=bnd)
 
-    n = space.n_free
-    U = np.empty((grid.I + 1, n))
-    lam_arr = np.zeros((grid.I + 1, n))
-    U[0] = _initial_condition(space, bnd, K)
-    step = fem_step(lhs, g, d)
-    active = np.zeros(n, dtype=bool)
-    for k in range(grid.I):
-        u, lam, active = solve_complementarity(step(rhs_op @ U[k] + f), g, active)
-        if not np.all(np.isfinite(u)):
-            raise FloatingPointError(f"non-finite American solution at step {k + 1}")
-        U[k + 1] = u
-        lam_arr[k + 1] = lam
-    return PriceSurface(space=space, grid=grid, K=K, U=U, lam=lam_arr, boundary=bnd)
+
+def solve_european(
+    mu: ModelParams, space: FemSpace, blocks: AssemblyBlocks, grid: TimeGrid, K: float = 1.0
+) -> PriceSurface:
+    """theta-scheme solve of the European put on the free DOFs."""
+    return _solve_detailed("european", mu, space, blocks, grid, K)
+
+
+def solve_american(
+    mu: ModelParams, space: FemSpace, blocks: AssemblyBlocks, grid: TimeGrid, K: float = 1.0
+) -> PriceSurface:
+    """Per-step primal-dual active set solve of the American put system."""
+    return _solve_detailed("american", mu, space, blocks, grid, K)
 
 
 def psor_step(lhs, rhs, g, omega: float = 1.5, tol: float = 1e-10, max_iter: int = 20000, u0=None):
@@ -352,10 +337,12 @@ def interpolate_in_time(grid: TimeGrid, maturity: float, level_value) -> float:
     """
     k = maturity / grid.dt
     if abs(k - round(k)) <= STEP_TOL * max(1.0, abs(k)):
-        return level_value(grid.step_of(maturity))
-    if not 0.0 < k < grid.I:
+        k = round(k)
+    if not 0 <= k <= grid.I:
         raise ValueError(f"maturity {maturity} outside the grid horizon")
     k0 = int(k)
+    if k0 == k:
+        return level_value(k0)
     w = k - k0
     return (1.0 - w) * level_value(k0) + w * level_value(k0 + 1)
 

@@ -263,7 +263,7 @@ def test_criterion_8_determinism(tmp_path):
         assert cli_main(["synth", "--backend", "DasClosedForm", "--theta", theta,
                          "--output", "ladder.csv", "--out-dir", str(d)]) == 0
         assert cli_main(["build-basis", "--style", "european", "--n-max", "4",
-                         "--train-counts", "2", "1", "1", "2", "1",
+                         "--train-counts", "2", "1", "1", "2",
                          "--output", "basis.npz", "--out-dir", str(d),
                          *small]) == 0
         assert cli_main(["calibrate", "--backend", "DasClosedForm",

@@ -23,7 +23,7 @@ def test_mesh_info(capsys):
     assert "nodes" in out and "triangles" in out
 
 
-def test_price_detailed_american(tmp_path, capsys):
+def test_price_detailed_american(capsys):
     _run(
         [
             "price",
@@ -43,8 +43,6 @@ def test_price_detailed_american(tmp_path, capsys):
             "24",
             "--horizon",
             "1.0",
-            "--out-dir",
-            str(tmp_path),
         ]
     )
     out = capsys.readouterr().out
@@ -52,7 +50,7 @@ def test_price_detailed_american(tmp_path, capsys):
     assert 0.0 < price < 1.0
 
 
-def test_price_closed_form(tmp_path, capsys):
+def test_price_closed_form(capsys):
     _run(
         [
             "price",
@@ -64,8 +62,6 @@ def test_price_closed_form(tmp_path, capsys):
             "1.0",
             "--maturity",
             "0.5",
-            "--out-dir",
-            str(tmp_path),
         ]
     )
     price = float(capsys.readouterr().out.strip().split()[-1])
@@ -192,8 +188,6 @@ def test_build_basis_and_reduced_price(tmp_path, capsys):
         "10",
         "--horizon",
         "1.0",
-        "--out-dir",
-        str(tmp_path),
     ]
     _run(
         [
@@ -207,9 +201,10 @@ def test_build_basis_and_reduced_price(tmp_path, capsys):
             "1",
             "1",
             "2",
-            "1",
             "--output",
             "model.npz",
+            "--out-dir",
+            str(tmp_path),
         ]
         + common
     )
@@ -242,7 +237,7 @@ def test_build_basis_and_reduced_price(tmp_path, capsys):
 
 def test_runconfig_records_basis_and_n_max(tmp_path):
     common = ["--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", "2.0", "--out-dir", str(tmp_path)]
-    _run(["build-basis", "--n-max", "6", "--train-counts", "2", "1", "1", "1", "1",
+    _run(["build-basis", "--n-max", "6", "--train-counts", "2", "1", "1", "1",
           "--output", "model.npz"] + common)
     basis = str(tmp_path / "model.npz")
     _run(["synth", "--backend", "ReducedAm", "--basis", basis, "--theta", THETA,
@@ -317,6 +312,22 @@ def test_determinism_bit_identical_outputs(tmp_path):
     assert filecmp.cmp(a / "ladder.csv", b / "ladder.csv", shallow=False)
     assert filecmp.cmp(a / "cf_residuals.csv", b / "cf_residuals.csv", shallow=False)
     assert filecmp.cmp(a / "cf_error_surface.csv", b / "cf_error_surface.csv", shallow=False)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["deamericanize", "--quotes", "x.csv", "--n-nu", "5"],
+        ["synth", "--theta", THETA, "--spot", "2"],
+        ["build-basis", "--spot", "2"],
+        ["build-basis", "--train-counts", "2", "1", "1", "2", "1"],
+        ["price", "--theta", THETA, "--strike", "1.0", "--maturity", "0.5", "--out-dir", "."],
+    ],
+)
+def test_parser_rejects_options_the_subcommand_does_not_read(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_unknown_backend_rejected():

@@ -1,6 +1,7 @@
 """Reduced-basis offline construction and online solves (toy scale)."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, ParamBox
 from hestoncal.rbm import (
     GreedyConfig,
+    _project_offline,
     angle_to_space,
     gram_orthonormalize,
     load_reduced_model,
@@ -68,6 +70,8 @@ def test_training_grid_collapses_nu0_axis():
     assert len(train) == 81  # 3^4: the PDE does not depend on nu0
     assert len({(m.xi, m.rho, m.gamma, m.kappa) for m in train}) == 81
     assert all(m.r == 0.05 for m in train)
+    # the counts are the PDE axes; a trailing nu0 count changes nothing
+    assert make_training_grid(DEFAULT_PARAM_BOX, (3, 3, 3, 3), 0.05) == train
 
 
 @pytest.mark.parametrize("counts", [(3, 3, 3, 3, 3), (2, 3, 1, 4, 2), (1, 1, 2, 1, 5)])
@@ -186,6 +190,41 @@ def test_reduced_american_matches_detailed_at_selected_mu(toy, toy_american):
         p_det = price_at(surf, 1.0, 1.0, 0.2, T)
         p_red = price_at(traj, 1.0, 1.0, 0.2, T)
         assert p_red == pytest.approx(p_det, abs=5e-3)
+
+
+@pytest.mark.parametrize("theta", [0.5, 1.0])
+@pytest.mark.parametrize("style", ["european", "american"])
+def test_full_basis_reduced_solve_is_the_detailed_solve(style, theta):
+    """The online solve is the Galerkin projection of the detailed theta-scheme.
+
+    With a V-orthonormal basis of the whole free space, psi = L^-T for
+    V = L L^T, and for American the dual vectors xi_p = e_p / sqrt(d_p),
+    the projection is exact: psi @ coeffs is the detailed U and the cone
+    coordinates beta_p / sqrt(d_p) are the detailed multiplier.
+    """
+    space = build_mesh(Domain2D(), 8, 8)
+    blocks = assemble_blocks(space)
+    grid = TimeGrid(1.0, 24, theta)
+    mu = ModelParams(0.7, -0.8, 0.3, 1.4, 0.05)
+    psi = np.linalg.inv(np.linalg.cholesky(blocks.v_gram_free.toarray())).T
+    sqrt_d = np.sqrt(blocks.d_b_free)
+    xi = np.diag(1.0 / sqrt_d) if style == "american" else None
+    traj = solve_reduced(_project_offline(style, space, blocks, grid, psi, xi, 1.0), mu)
+    solver = solve_american if style == "american" else solve_european
+    surf = solver(mu, space, blocks, grid, 1.0)
+    U = traj.coeffs @ psi.T
+    assert np.abs(U - surf.U).max() <= 1e-10 * np.abs(surf.U).max()
+    if style == "american":
+        lam = traj.multipliers / sqrt_d
+        assert np.abs(lam - surf.lam).max() <= 1e-10 * np.abs(surf.lam).max()
+
+
+@pytest.mark.parametrize("name", ["toy_european", "toy_american"])
+def test_non_finite_reduced_solve_raises(name, request):
+    model = request.getfixturevalue(name)
+    broken = replace(model, u0_red=np.full(model.dim, np.nan))
+    with pytest.raises(FloatingPointError, match="at step 0"):
+        solve_reduced(broken, model.selected_mu[0])
 
 
 def test_reduced_feasibility(toy, toy_american):

@@ -6,12 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hestoncal import solvers
-from hestoncal.heston_operator import (
-    assemble_operator,
-    boundary_data,
-    lift_and_rhs,
-    obstacle_vector,
-)
+from hestoncal.heston_operator import assemble_operator, boundary_data, obstacle_vector
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluate_p1
 from hestoncal.params import ModelParams
 from hestoncal.solvers import (
@@ -46,11 +41,11 @@ def grid():
 def test_time_grid():
     g = TimeGrid(T=2.0, I=8)
     assert g.dt == 0.25
-    assert g.step_of(0.5) == 2
+    assert g.times()[-1] == 2.0
     with pytest.raises(ValueError):
-        g.step_of(0.3)
+        TimeGrid(T=0.0, I=8)
     with pytest.raises(ValueError):
-        g.step_of(3.0)
+        TimeGrid(T=2.0, I=8, theta=1.5)
 
 
 def test_interpolate_in_time_is_linear_between_levels():
@@ -60,6 +55,8 @@ def test_interpolate_in_time_is_linear_between_levels():
         return 3.0 * k + 1.0
 
     assert interpolate_in_time(g, 0.5, level) == 7.0
+    assert interpolate_in_time(g, 0.5 * (1.0 + 1e-12), level) == 7.0
+    assert interpolate_in_time(g, 2.0, level) == 25.0
     assert interpolate_in_time(g, 0.3, level) == pytest.approx(3.0 * 1.2 + 1.0, rel=1e-14)
     with pytest.raises(ValueError):
         interpolate_in_time(g, 2.1, level)
@@ -205,7 +202,7 @@ def _psor_cross_check_step():
     lhs = (blocks.mass_free / grid.dt + grid.theta * a_free).tocsr()
     rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
     g = obstacle_vector(space, bnd, K)
-    f = lift_and_rhs(a_full, blocks, bnd, grid.dt, 0.0, grid.theta)
+    f = -(a_full @ bnd.shape)[space.free]  # the static American lift load
 
     am = solve_american(MU, space, blocks, grid, K)
     rhs = rhs_op @ am.U[0] + f
@@ -264,7 +261,7 @@ def _american_system(space, blocks, grid, mu=MU, K=1.0):
     a_free = blocks.restrict(a_full)
     lhs = (blocks.mass_free / grid.dt + grid.theta * a_free).tocsr()
     rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
-    f = lift_and_rhs(a_full, blocks, bnd, grid.dt, 0.0, grid.theta)
+    f = -(a_full @ bnd.shape)[space.free]  # the static American lift load
     return lhs, rhs_op, f, obstacle_vector(space, bnd, K), blocks.d_b_free
 
 
@@ -333,18 +330,23 @@ def test_solve_american_factorizes_at_most_1_2_lus_per_step(ladder_fem, monkeypa
 
 
 def test_european_load_matches_per_step_lift_and_rhs(fem, grid):
-    """Precomputed lift loads price like lift_and_rhs assembled every step."""
+    """The two fixed lift loads price like the lift load assembled from the
+    full-node lift vectors at every step."""
     space, blocks = fem
     eu = solve_european(MU, space, blocks, grid, 1.0)
     bnd = boundary_data(space, "european", 1.0, MU.r)
     a_full = assemble_operator(MU, blocks)
     a_free = blocks.restrict(a_full)
-    lu = spla.splu((blocks.mass_free / grid.dt + grid.theta * a_free).tocsc())
-    rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
+    dt, th = grid.dt, grid.theta
+    lu = spla.splu((blocks.mass_free / dt + th * a_free).tocsc())
+    rhs_op = (blocks.mass_free / dt - (1 - th) * a_free).tocsr()
     U = np.empty_like(eu.U)
     U[0] = eu.U[0]
     for k in range(grid.I):
-        f = lift_and_rhs(a_full, blocks, bnd, grid.dt, k * grid.dt, grid.theta)
+        # f^{k+theta} = -(1/dt) M (L^{k+1} - L^k) - A (theta L^{k+1} + (1-theta) L^k)
+        lk, lk1 = bnd.lift(k * dt), bnd.lift(k * dt + dt)
+        f_full = -(blocks.mass @ (lk1 - lk)) / dt - a_full @ (th * lk1 + (1.0 - th) * lk)
+        f = f_full[space.free]
         U[k + 1] = lu.solve(rhs_op @ U[k] + f)
     ref = replace(eu, U=U)
     for nu0 in (0.05, 0.3, 0.8):
@@ -352,3 +354,10 @@ def test_european_load_matches_per_step_lift_and_rhs(fem, grid):
             for T in (0.2, 0.5, 0.73, 1.0):
                 p = price_at(eu, 1.0, K, nu0, T)
                 assert p == pytest.approx(price_at(ref, 1.0, K, nu0, T), rel=1e-12)
+
+
+def test_march_names_the_first_non_finite_step():
+    """A non-finite trajectory raises, naming its first non-finite step."""
+    grow = np.array([[1e200]])  # U[1] = 1e200, U[2] overflows
+    with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="at step 2"):
+        solvers.march(np.array([1.0]), grow, lambda k: np.zeros(1), 3, lambda rhs: rhs)
