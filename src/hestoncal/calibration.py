@@ -60,7 +60,8 @@ class PdeBackend:
         mu = p.to_model(r)
         solver = solve_american if VARIANTS[self.variant].style == "american" else solve_european
         surf = solver(mu, self.space, self.blocks, self.grid, K=1.0)
-        return np.array([price_at(surf, S0, q.strike, p.nu0, q.maturity) for q in quotes])
+        strikes, maturities = np.array([(q.strike, q.maturity) for q in quotes]).T
+        return price_at(surf, S0, strikes, p.nu0, maturities)
 
 
 @dataclass
@@ -80,8 +81,8 @@ class ReducedBackend:
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
         mu = p.to_model(r)
-        traj = solve_reduced(self.model, mu)
-        return np.array([price_at(traj, S0, q.strike, p.nu0, q.maturity) for q in quotes])
+        strikes, maturities = np.array([(q.strike, q.maturity) for q in quotes]).T
+        return price_at(solve_reduced(self.model, mu), S0, strikes, p.nu0, maturities)
 
 
 class ClosedFormBackend:
@@ -93,8 +94,7 @@ class ClosedFormBackend:
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
         mu = p.to_model(r)
-        maturities = np.array([q.maturity for q in quotes])
-        strikes = np.array([q.strike for q in quotes])
+        strikes, maturities = np.array([(q.strike, q.maturity) for q in quotes]).T
         prices = np.empty(len(quotes))
         for T in np.unique(maturities):
             at_T = maturities == T

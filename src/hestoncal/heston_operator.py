@@ -61,9 +61,10 @@ class BoundaryData:
     r: float
     shape: np.ndarray  # full nodal vector
 
-    def scale(self, t: float) -> float:
+    def scale(self, t):
+        """The lift's factor at time t; t may be an array."""
         if self.style == "european":
-            return float(np.exp(-self.r * t))
+            return np.exp(-self.r * t)
         return 1.0
 
     def lift(self, t: float) -> np.ndarray:

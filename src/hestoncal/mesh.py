@@ -3,7 +3,10 @@
 The computational domain (nu_min, nu_max) x (x_min, x_max) is tiled by a
 structured triangulation.  Assembly of all parameter-independent matrices is
 vectorized over triangles; the biorthogonal dual basis enters only through
-the diagonal pairing entries int(phi_p).
+the diagonal pairing entries int(phi_p).  Point location and P1
+interpolation are vectorized over points: evaluation_row turns a batch of
+points into one sparse matrix of interpolation rows, which evaluate_p1
+applies to nodal values.
 """
 
 from __future__ import annotations
@@ -273,41 +276,47 @@ def assemble_blocks(space: FemSpace) -> AssemblyBlocks:
     return AssemblyBlocks(space=space, mass=mass, v_gram=v_gram, a_blocks=a_blocks, d_b=d_b)
 
 
-def locate_triangle(space: FemSpace, nu: float, x: float) -> int:
-    """Index of the triangle containing (nu, x); raises outside the closure."""
+def locate_triangle(space: FemSpace, nu, x) -> np.ndarray:
+    """Indices of the triangles containing the points (nu, x).
+
+    nu and x broadcast against each other; the result has their shape.  A
+    point outside the closed domain raises ValueError.
+    """
+    nu, x = np.broadcast_arrays(nu, x)
     d = space.domain
     tol = 1e-12 * max(d.nu_max - d.nu_min, d.x_max - d.x_min)
-    if not (d.nu_min - tol <= nu <= d.nu_max + tol and d.x_min - tol <= x <= d.x_max + tol):
-        raise ValueError(f"point ({nu}, {x}) lies outside the domain")
-    a = min(int((nu - d.nu_min) / space.h_nu), space.n_nu - 1)
-    b = min(int((x - d.x_min) / space.h_x), space.n_x - 1)
-    a = max(a, 0)
-    b = max(b, 0)
+    inside = (d.nu_min - tol <= nu) & (nu <= d.nu_max + tol)
+    inside &= (d.x_min - tol <= x) & (x <= d.x_max + tol)
+    if not inside.all():
+        i = np.argmin(inside)
+        raise ValueError(f"point ({nu.flat[i]}, {x.flat[i]}) lies outside the domain")
+    a = np.clip(((nu - d.nu_min) / space.h_nu).astype(np.int64), 0, space.n_nu - 1)
+    b = np.clip(((x - d.x_min) / space.h_x).astype(np.int64), 0, space.n_x - 1)
     # local coordinates in the cell decide which side of the diagonal we are on
     s = (nu - (d.nu_min + a * space.h_nu)) / space.h_nu
     t = (x - (d.x_min + b * space.h_x)) / space.h_x
     cell = a * space.n_x + b
-    lower = space.triangles.shape[0] // 2
-    return cell if s >= t else cell + lower
+    return np.where(s >= t, cell, cell + space.triangles.shape[0] // 2)
 
 
-def evaluation_row(space: FemSpace, point):
-    """Node indices and barycentric weights interpolating at (nu, x)."""
-    nu, x = point
+def evaluation_row(space: FemSpace, nu, x) -> sp.csr_matrix:
+    """Rows of P1 interpolation at the points (nu, x), one per point.
+
+    Row i holds the barycentric weights of point i at the three nodes of its
+    triangle, so rows @ values interpolates full nodal values at every point
+    (evaluate_p1).  nu and x broadcast; the rows follow their flattened
+    order.
+    """
+    nu, x = (c.ravel() for c in np.broadcast_arrays(nu, x))
     tri = space.triangles[locate_triangle(space, nu, x)]
-    p = space.coords[tri]
-    T = np.array(
-        [
-            [p[1, 0] - p[0, 0], p[2, 0] - p[0, 0]],
-            [p[1, 1] - p[0, 1], p[2, 1] - p[0, 1]],
-        ]
-    )
-    st = np.linalg.solve(T, np.array([nu - p[0, 0], x - p[0, 1]]))
-    lam = np.array([1.0 - st[0] - st[1], st[0], st[1]])
-    return tri, lam
+    p = space.coords[tri]  # (n, 3, 2)
+    edges = np.swapaxes(p[:, 1:] - p[:, :1], 1, 2)
+    st = np.linalg.solve(edges, (np.column_stack([nu, x]) - p[:, 0])[..., None])[..., 0]
+    lam = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
+    indptr = np.arange(0, lam.size + 1, 3)
+    return sp.csr_matrix((lam.ravel(), tri.ravel(), indptr), shape=(nu.size, space.n_nodes))
 
 
-def evaluate_p1(space: FemSpace, coefficients: np.ndarray, point) -> float:
-    """Barycentric P1 interpolation of full nodal coefficients at (nu, x)."""
-    tri, lam = evaluation_row(space, point)
-    return float(coefficients[tri] @ lam)
+def evaluate_p1(rows: sp.csr_matrix, coefficients: np.ndarray) -> np.ndarray:
+    """P1 interpolant of full nodal coefficients at the points of evaluation_row rows."""
+    return rows @ coefficients

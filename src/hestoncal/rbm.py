@@ -8,7 +8,10 @@ inf-sup stable through supremizer enrichment of the primal space.  The
 online solve is the Galerkin projection of the detailed one: it runs the
 same time loop (solvers.march) with the same load formula, and each
 American step is solved by the shared active-set kernel through a dense
-Schur-complement callback.
+Schur-complement callback.  It returns the detailed solve's surface type,
+solvers.PriceSurface with basis psi; solvers.price_at projects each quote's
+interpolation row onto psi once, so its products with the coefficients cost
+O(N) per quote and time level, independent of the finite-element dimension.
 """
 
 from __future__ import annotations
@@ -29,9 +32,9 @@ from .heston_operator import (
     lift_and_rhs,
     obstacle_vector,
 )
-from .mesh import AssemblyBlocks, Domain2D, FemSpace, assemble_blocks, build_mesh, evaluation_row
+from .mesh import AssemblyBlocks, Domain2D, FemSpace, assemble_blocks, build_mesh
 from .params import ModelParams
-from .solvers import TimeGrid, _initial_condition, march, solve_american, solve_european
+from .solvers import PriceSurface, TimeGrid, _initial_condition, march, solve_american, solve_european
 
 log = logging.getLogger(__name__)
 
@@ -245,58 +248,29 @@ def _project_offline(
 # online solves
 
 
-@dataclass
-class ReducedTrajectory:
-    model: ReducedModel
-    mu: ModelParams
-    coeffs: np.ndarray = field(repr=False)  # (I+1, N)
-    multipliers: np.ndarray | None = field(default=None, repr=False)
+def solve_reduced(model: ReducedModel, mu: ModelParams) -> PriceSurface:
+    """Dense online theta-scheme solve; American adds the cone multiplier.
 
-    @property
-    def grid(self) -> TimeGrid:
-        return self.model.grid
-
-    @property
-    def K(self) -> float:
-        return self.model.K
-
-    def level_value(self, point):
-        """The reduced surface at point = (nu, x) as a function of the time
-        level k; solvers.price_at turns it into a quote price."""
-        model = self.model
-        space = model.space()
-        tri, lam = evaluation_row(space, point)
-        bnd = model.boundary(self.mu.r)
-        lift_shape = float(bnd.shape[tri] @ lam)
-        fi = space.free_index[tri]
-        mask = fi >= 0
-        row = lam[mask] @ model.psi[fi[mask]] if mask.any() else None
-
-        def at_level(k: int) -> float:
-            value = bnd.scale(k * model.grid.dt) * lift_shape
-            if row is not None:
-                value += float(row @ self.coeffs[k])
-            return value
-
-        return at_level
-
-
-def solve_reduced(model: ReducedModel, mu: ModelParams) -> ReducedTrajectory:
-    """Dense online theta-scheme solve; American adds the cone multiplier."""
+    The result is the surface of basis = psi: U holds the reduced
+    coefficients and lam the multipliers in dual cone coordinates.
+    """
     grid = model.grid
     dt, th = grid.dt, grid.theta
     theta_q = affine_coefficients(mu)
     A = np.tensordot(theta_q, model.a_red, axes=1)
     S = model.m_red / dt + th * A
     R = model.m_red / dt - (1.0 - th) * A
-    load = lift_and_rhs(model.mlift_red, theta_q @ model.alift_red, model.boundary(mu.r), dt, th)
+    bnd = model.boundary(mu.r)
+    load = lift_and_rhs(model.mlift_red, theta_q @ model.alift_red, bnd, dt, th)
     s_inv = np.linalg.inv(S)
     if model.style == "european":
-        coeffs, _ = march(model.u0_red, R, load, grid.I, lambda rhs: s_inv @ rhs)
-        return ReducedTrajectory(model=model, mu=mu, coeffs=coeffs)
-    g = model.g_red
-    coeffs, mult = march(model.u0_red, R, load, grid.I, _schur_step(s_inv, model.b_red, g), g)
-    return ReducedTrajectory(model=model, mu=mu, coeffs=coeffs, multipliers=mult)
+        U, lam = march(model.u0_red, R, load, grid.I, lambda rhs: s_inv @ rhs)
+    else:
+        g = model.g_red
+        U, lam = march(model.u0_red, R, load, grid.I, _schur_step(s_inv, model.b_red, g), g)
+    return PriceSurface(
+        space=model.space(), grid=grid, K=model.K, boundary=bnd, basis=model.psi, U=U, lam=lam
+    )
 
 
 def _schur_step(s_inv, B, g):
@@ -342,8 +316,7 @@ def _schur_step(s_inv, B, g):
 
 def _final_error(model_like, mu, u_final_det, gram):
     """V-norm error between detailed and reduced final-time coefficients."""
-    traj = solve_reduced(model_like, mu)
-    diff = model_like.psi @ traj.coeffs[-1] - u_final_det
+    diff = model_like.psi @ solve_reduced(model_like, mu).U[-1] - u_final_det
     return float(np.sqrt(diff @ (gram @ diff)))
 
 

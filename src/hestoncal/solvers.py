@@ -18,8 +18,12 @@ It sees the problem only through a callback solve(active) -> (x, lam, c);
 fem_step builds the FEM one, which factorizes each distinct active set once
 and reuses that LU across Newton iterations and across theta-steps.
 
-Off-grid maturities are priced by linear interpolation in time between the
-adjacent levels (interpolate_in_time); they are never snapped to a level.
+Every solve returns the one surface type, PriceSurface: a coefficient
+trajectory U in a basis of the free DOFs (psi for a reduced solve, the
+identity for a FEM solve) plus the Dirichlet lift.  price_at is the one quote
+lookup: it prices a whole quote vector in one array pass, and off-grid
+maturities are priced by linear interpolation in time between the adjacent
+levels (interpolate_in_time); they are never snapped to a level.
 """
 
 from __future__ import annotations
@@ -32,13 +36,14 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .heston_operator import (
+    BoundaryData,
     assemble_operator,
     boundary_data,
     garding_shift_estimate,
     lift_and_rhs,
     obstacle_vector,
 )
-from .mesh import AssemblyBlocks, FemSpace, evaluate_p1
+from .mesh import AssemblyBlocks, FemSpace, evaluate_p1, evaluation_row
 from .params import ModelParams, put_payoff_log
 
 #: Cap on the Newton iterations, and separately on the pivots, of one
@@ -70,33 +75,25 @@ class TimeGrid:
     def dt(self) -> float:
         return self.T / self.I
 
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.I + 1)
-
 
 @dataclass
 class PriceSurface:
-    """Coefficient trajectories of one unit-strike solve.
+    """One unit-strike solve, detailed or reduced, as coefficient trajectories.
 
-    U[k] holds the free-DOF coefficients at time t_k; lam[k] the multiplier
-    (American only, lam[0] = 0).  Full nodal values add the Dirichlet lift.
+    The free-DOF values at time level k are basis @ U[k]: basis is psi
+    (n_free, N) for a reduced solve and None, the identity, for a FEM solve.
+    The full nodal values add the Dirichlet lift
+    boundary.scale(k * dt) * boundary.shape.  lam[k] holds the multipliers
+    (American only, lam[0] = 0), in dual cone coordinates for a reduced solve.
     """
 
     space: FemSpace
     grid: TimeGrid
     K: float
-    U: np.ndarray = field(repr=False)  # (I+1, n_free)
+    boundary: BoundaryData
+    basis: np.ndarray | None = field(repr=False)
+    U: np.ndarray = field(repr=False)  # (I+1, n_free) or (I+1, N)
     lam: np.ndarray | None = field(default=None, repr=False)
-    boundary: object = None
-
-    def full_values(self, k: int) -> np.ndarray:
-        w = self.boundary.lift(self.grid.times()[k])
-        w[self.space.free] += self.U[k]
-        return w
-
-    def level_value(self, point):
-        """The surface at point = (nu, x) as a function of the time level k."""
-        return lambda k: evaluate_p1(self.space, self.full_values(k), point)
 
 
 def _check_time_step(mu: ModelParams, grid: TimeGrid) -> None:
@@ -291,7 +288,7 @@ def _solve_detailed(style, mu, space, blocks, grid, K):
     else:
         g = obstacle_vector(space, bnd, K)
         U, lam = march(u0, rhs_op, load, grid.I, fem_step(lhs, g, blocks.d_b_free), g)
-    return PriceSurface(space=space, grid=grid, K=K, U=U, lam=lam, boundary=bnd)
+    return PriceSurface(space=space, grid=grid, K=K, boundary=bnd, basis=None, U=U, lam=lam)
 
 
 def solve_european(
@@ -327,38 +324,52 @@ def psor_step(lhs, rhs, g, omega: float = 1.5, tol: float = 1e-10, max_iter: int
     return u
 
 
-def interpolate_in_time(grid: TimeGrid, maturity: float, level_value) -> float:
-    """Value at a maturity from a function of the time level.
+def interpolate_in_time(grid: TimeGrid, maturities):
+    """Adjacent time levels and blend weights of an array of maturities.
 
-    A maturity on the grid (within STEP_TOL) returns exactly level_value(k).
-    Otherwise the value is linear in time between the two adjacent levels,
-    which is second order in dt like Crank-Nicolson.  Maturities beyond the
-    horizon raise ValueError.
+    Returns (k0, k1, w): the value at maturity i is
+    (1 - w_i) v[k0_i] + w_i v[k1_i] for values v per time level.  A maturity
+    on the grid (within STEP_TOL) has w = 0 and k1 = k0, so it gets exactly
+    its level's value.  Otherwise the value is linear in time between the two
+    adjacent levels, which is second order in dt like Crank-Nicolson.
+    Maturities beyond the horizon raise ValueError.
     """
-    k = maturity / grid.dt
-    if abs(k - round(k)) <= STEP_TOL * max(1.0, abs(k)):
-        k = round(k)
-    if not 0 <= k <= grid.I:
-        raise ValueError(f"maturity {maturity} outside the grid horizon")
-    k0 = int(k)
-    if k0 == k:
-        return level_value(k0)
+    T = np.asarray(maturities, dtype=float)
+    k = T / grid.dt
+    k = np.where(np.abs(k - np.round(k)) <= STEP_TOL * np.maximum(1.0, np.abs(k)), np.round(k), k)
+    outside = ~((0 <= k) & (k <= grid.I))
+    if outside.any():
+        raise ValueError(f"maturity {T[outside].flat[0]} outside the grid horizon")
+    k0 = k.astype(np.int64)
     w = k - k0
-    return (1.0 - w) * level_value(k0) + w * level_value(k0 + 1)
+    return k0, np.where(w > 0, k0 + 1, k0), w
 
 
-def price_at(surface, S0: float, K_i: float, nu0: float, T_i: float) -> float:
-    """Price one quote by point evaluation and strike homogeneity.
+def price_at(surface: PriceSurface, S0: float, strikes, nu0: float, maturities):
+    """Put prices of quotes (K_i, T_i) from one unit-strike surface.
 
-    surface is a PriceSurface or an rbm.ReducedTrajectory; it supplies grid,
-    K and level_value(point).  A zero maturity is the intrinsic value.
-    Otherwise the surface is evaluated at (nu0, log(S0/K_i)) and at T_i,
-    scaled by K_i / K_solve.  An on-grid T_i uses its time level; an off-grid
-    one is interpolated linearly between the adjacent levels (see
-    interpolate_in_time).
+    strikes and maturities broadcast; scalars give a scalar.  Quote i is the
+    surface at the point (nu0, log(S0/K_i)) and maturity T_i, scaled by
+    K_i / K_solve.  One pass serves every quote: evaluation_row locates all
+    points, their free part is projected onto the basis once, one product
+    gives their values at every time level, and off-grid maturities blend
+    the adjacent levels (interpolate_in_time).  A point
+    outside the domain or a maturity beyond the horizon raises ValueError.
     """
-    if T_i == 0.0:
-        return float(max(K_i - S0, 0.0))
-    x = float(np.log(S0 / K_i))
-    value = interpolate_in_time(surface.grid, T_i, surface.level_value((nu0, x)))
-    return value * K_i / surface.K
+    strikes, maturities = np.broadcast_arrays(strikes, maturities)
+    shape = strikes.shape
+    strikes, maturities = strikes.ravel(), maturities.ravel()
+    space, grid, bnd = surface.space, surface.grid, surface.boundary
+    rows = evaluation_row(space, nu0, np.log(S0 / strikes))
+    free = rows[:, space.free]
+    if surface.basis is not None:
+        free = free @ surface.basis
+    at_levels = free @ surface.U.T  # (quote, time level)
+    lift = evaluate_p1(rows, bnd.shape)
+    quote = np.arange(strikes.size)
+
+    def at(k):
+        return at_levels[quote, k] + lift * bnd.scale(k * grid.dt)
+
+    k0, k1, w = interpolate_in_time(grid, maturities)
+    return (((1.0 - w) * at(k0) + w * at(k1)) * strikes / surface.K).reshape(shape)[()]

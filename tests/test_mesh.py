@@ -70,30 +70,63 @@ def test_stiffness_kernel_is_constants(small_space):
 def test_interpolation_exact_on_affine(small_space):
     s = small_space
     coeff = 2.0 + 3.0 * s.coords[:, 0] - 0.5 * s.coords[:, 1]
-    for point in [(0.5, 0.3), (1e-5, -5.0), (3.0, 5.0), (2.2, -1.7)]:
-        want = 2.0 + 3.0 * point[0] - 0.5 * point[1]
-        assert evaluate_p1(s, coeff, point) == pytest.approx(want, abs=1e-12)
+    nu, x = np.array([(0.5, 0.3), (1e-5, -5.0), (3.0, 5.0), (2.2, -1.7)]).T
+    got = evaluate_p1(evaluation_row(s, nu, x), coeff)
+    assert np.allclose(got, 2.0 + 3.0 * nu - 0.5 * x, rtol=0.0, atol=1e-12)
 
 
 def test_evaluation_row_weights(small_space):
-    tri, lam = evaluation_row(small_space, (0.7, 0.2))
-    assert lam.shape == (3,)
-    assert np.isclose(lam.sum(), 1.0)
-    assert np.all(lam >= -1e-14)
+    rows = evaluation_row(small_space, 0.7, 0.2)
+    assert rows.shape == (1, small_space.n_nodes) and rows.nnz == 3
+    assert np.isclose(rows.sum(), 1.0)
+    assert np.all(rows.data >= -1e-14)
+
+
+def _barycentric(space, j, nu, x):
+    """Barycentric coordinates of (nu, x) in triangle j by a 2 x 2 solve."""
+    p = space.coords[space.triangles[j]]
+    st = np.linalg.solve((p[1:] - p[0]).T, np.array([nu, x]) - p[0])
+    return np.array([1.0 - st.sum(), *st])
 
 
 def test_locate_triangle_covers_all(small_space):
+    """Every point of the closed domain is located in a triangle containing
+    it, and its evaluation row holds that triangle's barycentric weights."""
     s = small_space
+    d = s.domain
     rng = np.random.default_rng(42)
-    for _ in range(200):
-        nu = rng.uniform(s.domain.nu_min, s.domain.nu_max)
-        x = rng.uniform(s.domain.x_min, s.domain.x_max)
-        j = locate_triangle(s, nu, x)
-        tri, lam = evaluation_row(s, (nu, x))
+    nu_nodes = np.linspace(d.nu_min, d.nu_max, s.n_nu + 1)
+    x_nodes = np.linspace(d.x_min, d.x_max, s.n_x + 1)
+    u = rng.uniform(size=60)
+    points = [
+        rng.uniform((d.nu_min, d.x_min), (d.nu_max, d.x_max), (200, 2)),  # seeded
+        s.coords,  # mesh nodes
+        np.column_stack([rng.choice(nu_nodes, 60), d.x_min + u * (d.x_max - d.x_min)]),  # nu lines
+        np.column_stack([d.nu_min + u * (d.nu_max - d.nu_min), rng.choice(x_nodes, 60)]),  # x lines
+        # cell diagonals, from (low nu, low x) to (high nu, high x)
+        np.column_stack([nu_nodes[:-1][rng.integers(0, s.n_nu, 60)] + u * s.h_nu,
+                         x_nodes[:-1][rng.integers(0, s.n_x, 60)] + u * s.h_x]),
+        np.array([[d.nu_min, d.x_min], [d.nu_min, d.x_max], [d.nu_max, d.x_min], [d.nu_max, d.x_max]]),
+    ]
+    nu, x = np.vstack(points).T
+    tris = locate_triangle(s, nu, x)
+    assert tris.shape == nu.shape
+    assert np.all((0 <= tris) & (tris < s.triangles.shape[0]))
+    rows = evaluation_row(s, nu, x).toarray()
+    for i, j in enumerate(tris):
+        lam = _barycentric(s, j, nu[i], x[i])
         assert np.all(lam >= -1e-12) and np.isclose(lam.sum(), 1.0)
-        assert 0 <= j < s.triangles.shape[0]
-    with pytest.raises(ValueError):
-        locate_triangle(s, -1.0, 0.0)
+        want = np.zeros(s.n_nodes)
+        want[s.triangles[j]] = lam
+        assert np.allclose(rows[i], want, rtol=0.0, atol=1e-14)
+    # scalars broadcast against arrays
+    assert np.array_equal(locate_triangle(s, nu[0], x[:5]), locate_triangle(s, np.full(5, nu[0]), x[:5]))
+    # one point outside, by either coordinate, fails the whole batch
+    for bad in ((-1.0, 0.0), (1.0, d.x_max + 0.1), (d.nu_max * 2, 0.0), (1.0, d.x_min - 1e-6)):
+        with pytest.raises(ValueError, match="outside the domain"):
+            locate_triangle(s, np.append(nu[:10], bad[0]), np.append(x[:10], bad[1]))
+        with pytest.raises(ValueError, match="outside the domain"):
+            evaluation_row(s, np.append(nu[:10], bad[0]), np.append(x[:10], bad[1]))
 
 
 def test_matrix_symmetry(small_space):

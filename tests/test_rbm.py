@@ -199,7 +199,7 @@ def test_full_basis_reduced_solve_is_the_detailed_solve(style, theta):
 
     With a V-orthonormal basis of the whole free space, psi = L^-T for
     V = L L^T, and for American the dual vectors xi_p = e_p / sqrt(d_p),
-    the projection is exact: psi @ coeffs is the detailed U and the cone
+    the projection is exact: psi @ U_N is the detailed U and the cone
     coordinates beta_p / sqrt(d_p) are the detailed multiplier.
     """
     space = build_mesh(Domain2D(), 8, 8)
@@ -212,10 +212,10 @@ def test_full_basis_reduced_solve_is_the_detailed_solve(style, theta):
     traj = solve_reduced(_project_offline(style, space, blocks, grid, psi, xi, 1.0), mu)
     solver = solve_american if style == "american" else solve_european
     surf = solver(mu, space, blocks, grid, 1.0)
-    U = traj.coeffs @ psi.T
+    U = traj.U @ psi.T
     assert np.abs(U - surf.U).max() <= 1e-10 * np.abs(surf.U).max()
     if style == "american":
-        lam = traj.multipliers / sqrt_d
+        lam = traj.lam / sqrt_d
         assert np.abs(lam - surf.lam).max() <= 1e-10 * np.abs(surf.lam).max()
 
 
@@ -233,9 +233,9 @@ def test_reduced_feasibility(toy, toy_american):
     traj = solve_reduced(m, mu)
     # B_N u_N >= g_N - 1e-8 and multipliers in the cone
     for k in (1, m.grid.I // 2, m.grid.I):
-        slack = m.b_red @ traj.coeffs[k] - m.g_red
+        slack = m.b_red @ traj.U[k] - m.g_red
         assert slack.min() >= -1e-8
-        assert traj.multipliers[k].min() >= -1e-12
+        assert traj.lam[k].min() >= -1e-12
 
 
 def test_european_greedy_reproduces_single_trajectory(toy):
@@ -280,9 +280,9 @@ def _assert_same_model(back, m):
     # online solves are bit-identical through the round trip
     for mu in m.selected_mu:
         t1, t2 = solve_reduced(m, mu), solve_reduced(back, mu)
-        assert t1.coeffs.tobytes() == t2.coeffs.tobytes()
+        assert t1.U.tobytes() == t2.U.tobytes()
         if m.style == "american":
-            assert t1.multipliers.tobytes() == t2.multipliers.tobytes()
+            assert t1.lam.tobytes() == t2.lam.tobytes()
 
 
 def test_serialization_round_trip(tmp_path, toy_american, toy_european):
@@ -336,7 +336,7 @@ def test_error_decays_with_basis_size(toy, toy_train):
             toy_train, space, blocks, grid, GreedyConfig(n_max=n, tol=1e-12)
         )
         traj = solve_reduced(m, mu_test)
-        u_red = m.psi @ traj.coeffs[-1]
+        u_red = m.psi @ traj.U[-1]
         d = u_ref - u_red
         errs.append(float(np.sqrt(d @ (G @ d))))
     assert errs[-1] <= errs[0]

@@ -7,7 +7,7 @@ import scipy.sparse.linalg as spla
 
 from hestoncal import solvers
 from hestoncal.heston_operator import assemble_operator, boundary_data, obstacle_vector
-from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluate_p1
+from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluation_row
 from hestoncal.params import ModelParams
 from hestoncal.solvers import (
     TimeGrid,
@@ -41,7 +41,7 @@ def grid():
 def test_time_grid():
     g = TimeGrid(T=2.0, I=8)
     assert g.dt == 0.25
-    assert g.times()[-1] == 2.0
+    assert g.I * g.dt == 2.0
     with pytest.raises(ValueError):
         TimeGrid(T=0.0, I=8)
     with pytest.raises(ValueError):
@@ -50,27 +50,52 @@ def test_time_grid():
 
 def test_interpolate_in_time_is_linear_between_levels():
     g = TimeGrid(T=2.0, I=8)
+    level = 3.0 * np.arange(g.I + 1) + 1.0
+    k0, k1, w = interpolate_in_time(g, [0.5, 0.5 * (1.0 + 1e-12), 2.0, 0.0, 0.3])
+    assert k0.tolist() == [2, 2, 8, 0, 1] and k1.tolist() == [2, 2, 8, 0, 2]
+    assert w[:4].tolist() == [0.0] * 4
+    value = (1.0 - w) * level[k0] + w * level[k1]
+    assert value[:4].tolist() == [7.0, 7.0, 25.0, 1.0]
+    assert value[4] == pytest.approx(3.0 * 1.2 + 1.0, rel=1e-14)
+    for beyond in (2.1, -0.1, [0.5, 2.1]):
+        with pytest.raises(ValueError, match="horizon"):
+            interpolate_in_time(g, beyond)
 
-    def level(k):
-        return 3.0 * k + 1.0
 
-    assert interpolate_in_time(g, 0.5, level) == 7.0
-    assert interpolate_in_time(g, 0.5 * (1.0 + 1e-12), level) == 7.0
-    assert interpolate_in_time(g, 2.0, level) == 25.0
-    assert interpolate_in_time(g, 0.3, level) == pytest.approx(3.0 * 1.2 + 1.0, rel=1e-14)
-    with pytest.raises(ValueError):
-        interpolate_in_time(g, 2.1, level)
-    with pytest.raises(ValueError):
-        interpolate_in_time(g, -0.1, level)
+def _full_values(surf, k):
+    """Full nodal values of a FEM surface at time level k: lift plus U[k]."""
+    w = surf.boundary.lift(k * surf.grid.dt)
+    w[surf.space.free] += surf.U[k]
+    return w
 
 
 def test_price_at_on_grid_maturity_is_its_level(fem, grid):
     space, blocks = fem
-    am = solve_american(MU, space, blocks, grid, 1.0)
-    for k in (1, 12, 25):
-        for K in (0.9, 1.1):
-            level = evaluate_p1(space, am.full_values(k), (0.3, np.log(1.0 / K)))
-            assert price_at(am, 1.0, K, 0.3, k * grid.dt) == level * K
+    # the last strike's point lies in a cell at the x_min wall, where the lift is nonzero
+    strikes = np.array([0.9, 1.1, np.exp(4.8)])
+    rows = evaluation_row(space, 0.3, np.log(1.0 / strikes))
+    for solver in (solve_european, solve_american):
+        surf = solver(MU, space, blocks, grid, 1.0)
+        for k in (1, 12, 25):
+            level = rows @ _full_values(surf, k)
+            got = price_at(surf, 1.0, strikes, 0.3, k * grid.dt)
+            assert np.allclose(got, level * strikes, rtol=1e-14, atol=0.0)
+
+
+def test_price_at_vector_matches_scalar_calls_and_broadcasts(fem, grid):
+    """One array call prices like one call per quote, in the input's shape."""
+    space, blocks = fem
+    for solver in (solve_european, solve_american):
+        surf = solver(MU, space, blocks, grid, 1.0)
+        strikes = np.array([[0.8, 1.0, 1.2], [1.1, 0.9, 1.0]])
+        maturities = np.array([[0.2, 0.73, 1.0], [0.5, 0.5, 0.99]])
+        got = price_at(surf, 1.0, strikes, 0.3, maturities)
+        assert got.shape == (2, 3)
+        for K, T, p in zip(strikes.ravel(), maturities.ravel(), got.ravel()):
+            assert p == pytest.approx(price_at(surf, 1.0, K, 0.3, T), rel=1e-14)
+        assert np.ndim(price_at(surf, 1.0, 1.0, 0.3, 0.5)) == 0
+        at_one = price_at(surf, 1.0, strikes[0], 0.3, 1.0)
+        assert np.array_equal(at_one, price_at(surf, 1.0, strikes[0], 0.3, np.ones(3)))
 
 
 def test_price_at_off_grid_maturity_blends_adjacent_levels(fem, grid):
@@ -94,6 +119,11 @@ def test_price_at_beyond_horizon_raises(fem, grid):
     eu = solve_european(MU, space, blocks, grid, 1.0)
     with pytest.raises(ValueError, match="horizon"):
         price_at(eu, 1.0, 1.0, 0.3, 1.5)
+    with pytest.raises(ValueError, match="horizon"):
+        price_at(eu, 1.0, [1.0, 1.1], 0.3, [0.5, 1.5])
+    # log(S0/K) beyond x_max = 5
+    with pytest.raises(ValueError, match="outside the domain"):
+        price_at(eu, 1.0, [1.0, 1e-3], 0.3, 0.5)
 
 
 def test_american_dominates_european(fem, grid):
@@ -156,13 +186,6 @@ def test_price_monotone_in_strike(fem, grid):
     am = solve_american(MU, space, blocks, grid, 1.0)
     prices = [price_at(am, 1.0, K, 0.3, 1.0) for K in np.linspace(0.7, 1.3, 13)]
     assert np.all(np.diff(prices) > 0)
-
-
-def test_zero_maturity_is_intrinsic(fem, grid):
-    space, blocks = fem
-    eu = solve_european(MU, space, blocks, grid, 1.0)
-    assert price_at(eu, 1.0, 1.2, 0.3, 0.0) == pytest.approx(0.2)
-    assert price_at(eu, 1.0, 0.8, 0.3, 0.0) == 0.0
 
 
 def test_strike_homogeneity(fem, grid):
@@ -233,7 +256,7 @@ def test_european_boundary_consistency(fem, grid):
     """Deep-ITM European value approaches the discounted strike."""
     space, blocks = fem
     eu = solve_european(MU, space, blocks, grid, 1.0)
-    w = eu.full_values(grid.I)
+    w = _full_values(eu, grid.I)
     on_wall = w[space.dirichlet_x_min]
     assert np.allclose(on_wall, np.exp(-MU.r * grid.T), rtol=1e-12)
 
