@@ -54,7 +54,7 @@ def main() -> None:
         pilot = load_reduced_model(args.pilot)
         print(f"pilot basis : loaded {args.pilot} (dim {pilot.dim})")
     else:
-        train = make_training_grid(DEFAULT_PARAM_BOX, (3, 3, 3, 3, 3), args.rate)
+        train = make_training_grid(DEFAULT_PARAM_BOX, (3, 3, 3, 3), args.rate)
         t0 = time.perf_counter()
         pilot = pod_angle_greedy_american(
             train, space, blocks, grid, GreedyConfig(n_max=args.n_max)

@@ -1,20 +1,20 @@
 """Command-line entry points.
 
 Subcommands: mesh-info, price, build-basis, deamericanize, synth, calibrate,
-report.  Every run that writes outputs also writes its resolved RunConfig as
-JSON next to them for provenance.
+report.  Every run that writes outputs also writes <stem>_runconfig.json
+next to them: the options the subcommand parsed, and under "paths" every
+file it read or wrote.  The domain, the theta-scheme weight and the
+parameter boxes are program constants, not options, and are not recorded.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import logging
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -30,50 +30,20 @@ from .trees import TreeConfig, deamericanize_set
 log = logging.getLogger(__name__)
 
 
-@dataclass
-class RunConfig:
-    """Resolved knobs of one CLI run, written next to its outputs."""
-
-    command: str
-    domain: tuple = (1e-5, 3.0, -5.0, 5.0)
-    n_nu: int = 33
-    n_x: int = 33
-    horizon: float = 2.0
-    steps: int = 120
-    theta_scheme: float = 0.5
-    backend: str = "DetailedAm"
-    calib_box_lower: tuple = DEFAULT_CALIB_BOX.lower
-    calib_box_upper: tuple = DEFAULT_CALIB_BOX.upper
-    train_box_lower: tuple = DEFAULT_PARAM_BOX.lower
-    train_box_upper: tuple = DEFAULT_PARAM_BOX.upper
-    train_counts: tuple = (3, 3, 3, 3)
-    n_max: int = 60
-    rb_tol: float = 1e-5
-    tree_steps: int = 500
-    max_iter: int = 200
-    fix_kappa: bool = False
-    feller: bool = False
-    x0: tuple | None = None
-    S0: float = 1.0
-    r: float = 0.05
-    paths: dict = field(default_factory=dict)
-
-    def dump(self, path: Path) -> None:
-        payload = dataclasses.asdict(self)
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+def _grid(args) -> TimeGrid:
+    return TimeGrid(T=args.horizon, I=args.steps)
 
 
-def _domain(cfg: RunConfig) -> Domain2D:
-    return Domain2D(*cfg.domain)
-
-
-def _grid(cfg: RunConfig) -> TimeGrid:
-    return TimeGrid(T=cfg.horizon, I=cfg.steps, theta=cfg.theta_scheme)
-
-
-def _fem(cfg: RunConfig):
-    space = build_mesh(_domain(cfg), cfg.n_nu, cfg.n_x)
+def _fem(args):
+    space = build_mesh(Domain2D(), args.n_nu, args.n_x)
     return space, assemble_blocks(space)
+
+
+def _theta_arg(text: str) -> tuple:
+    values = tuple(float(v) for v in text.split(","))
+    if len(values) != 5:
+        raise argparse.ArgumentTypeError("expected xi,rho,gamma,kappa,nu0")
+    return values
 
 
 #: Options shared by several subcommands; each subcommand takes only those it reads.
@@ -85,6 +55,12 @@ _OPTIONS = {
     "--rate": dict(type=float, default=0.05, help="risk-free rate"),
     "--spot": dict(type=float, default=1.0, help="spot price S0"),
     "--out-dir": dict(type=Path, default=Path("."), help="output directory"),
+    "--backend": dict(default="DetailedAm", choices=list(cal.VARIANTS), help="calibration route"),
+    "--theta": dict(type=_theta_arg, required=True, help="xi,rho,gamma,kappa,nu0"),
+    "--basis": dict(type=Path, default=None, help="reduced-model .npz file"),
+    "--quotes": dict(type=Path, required=True, help="quote CSV"),
+    "--tree-steps": dict(type=int, default=TreeConfig.steps, help="CRR tree steps per inversion"),
+    "--n-max": dict(type=int, default=GreedyConfig.n_max, help="basis-size cap of the greedy"),
 }
 #: The options of the mesh and the time grid.
 _FEM = ("--n-nu", "--n-x", "--horizon", "--steps")
@@ -95,11 +71,13 @@ def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(name, **_OPTIONS[name])
 
 
-def _theta_arg(text: str) -> tuple:
-    values = tuple(float(v) for v in text.split(","))
-    if len(values) != 5:
-        raise argparse.ArgumentTypeError("expected xi,rho,gamma,kappa,nu0")
-    return values
+def _write_runconfig(args, stem: str, **paths) -> None:
+    """Write the parsed options of this run and the files it read or wrote
+    (paths, None entries dropped) to <out-dir>/<stem>_runconfig.json."""
+    record = {k: v for k, v in vars(args).items() if k != "func"}
+    record["paths"] = {k: v for k, v in paths.items() if v is not None}
+    text = json.dumps(record, indent=2, sort_keys=True, default=str)
+    (args.out_dir / f"{stem}_runconfig.json").write_text(text + "\n", encoding="utf-8")
 
 
 def _pseudo_to_quoteset(pseudo, S0, r) -> qio.QuoteSet:
@@ -110,11 +88,11 @@ def _pseudo_to_quoteset(pseudo, S0, r) -> qio.QuoteSet:
     return qio.QuoteSet(quotes=tuple(quotes), S0=S0, r=r)
 
 
-def _backend(cfg: RunConfig, basis_path):
-    """The --backend variant's pricer; the mesh of cfg is built only if the
+def _backend(args):
+    """The --backend variant's pricer; the mesh of args is built only if the
     variant prices with it."""
-    model = None if basis_path is None else load_reduced_model(basis_path)
-    return cal.make_backend(cfg.backend, fem=lambda: (*_fem(cfg), _grid(cfg)), model=model)
+    model = None if args.basis is None else load_reduced_model(args.basis)
+    return cal.make_backend(args.backend, fem=lambda: (*_fem(args), _grid(args)), model=model)
 
 
 # ---------------------------------------------------------------------------
@@ -175,8 +153,7 @@ def read_residuals_csv(path) -> list[dict]:
 
 
 def cmd_mesh_info(args) -> int:
-    cfg = RunConfig(command="mesh-info", n_nu=args.n_nu, n_x=args.n_x)
-    space = build_mesh(_domain(cfg), cfg.n_nu, cfg.n_x)
+    space = build_mesh(Domain2D(), args.n_nu, args.n_x)
     print(f"domain: variance [{space.domain.nu_min}, {space.domain.nu_max}]"
           f" x log-moneyness [{space.domain.x_min}, {space.domain.x_max}]")
     print(f"intervals: {space.n_nu} x {space.n_x}")
@@ -188,46 +165,32 @@ def cmd_mesh_info(args) -> int:
 
 
 def cmd_price(args) -> int:
-    cfg = RunConfig(
-        command="price", n_nu=args.n_nu, n_x=args.n_x, horizon=args.horizon,
-        steps=args.steps, backend=args.backend, S0=args.spot, r=args.rate,
-    )
     quote = qio.Quote(maturity=args.maturity, strike=args.strike,
-                      style=cal.VARIANTS[cfg.backend].style, price=float("nan"))
-    backend = _backend(cfg, args.basis)
+                      style=cal.VARIANTS[args.backend].style, price=float("nan"))
+    backend = _backend(args)
     price = float(backend.price_vector(np.asarray(args.theta), [quote], args.spot, args.rate)[0])
     print(f"{price:.10f}")
     return 0
 
 
 def cmd_build_basis(args) -> int:
-    cfg = RunConfig(
-        command="build-basis", n_nu=args.n_nu, n_x=args.n_x, horizon=args.horizon,
-        steps=args.steps, backend="ReducedAm" if args.style == "american" else "ReducedEu",
-        n_max=args.n_max, rb_tol=args.tol, r=args.rate,
-        train_counts=tuple(args.train_counts),
-    )
-    space, blocks = _fem(cfg)
-    grid = _grid(cfg)
-    train = make_training_grid(DEFAULT_PARAM_BOX, cfg.train_counts, cfg.r)
+    space, blocks = _fem(args)
+    train = make_training_grid(DEFAULT_PARAM_BOX, args.train_counts, args.rate)
     log.info("training set: %d distinct PDE parameters", len(train))
     t0 = time.perf_counter()
-    model = pod_greedy(args.style, train, space, blocks, grid,
-                       GreedyConfig(n_max=cfg.n_max, tol=cfg.rb_tol), progress=True)
+    model = pod_greedy(args.style, train, space, blocks, _grid(args),
+                       GreedyConfig(n_max=args.n_max, tol=args.tol), progress=True)
     elapsed = time.perf_counter() - t0
     out = args.out_dir / args.output
     args.out_dir.mkdir(parents=True, exist_ok=True)
     save_reduced_model(model, out)
-    cfg.paths = {"basis": str(out)}
-    cfg.dump(args.out_dir / f"{out.stem}_runconfig.json")
+    _write_runconfig(args, out.stem, basis=out)
     print(f"basis: dim={model.dim} dual={model.n_dual} "
           f"training-error={model.errors[-1]:.3e} offline-time={elapsed:.1f}s -> {out}")
     return 0
 
 
 def cmd_deamericanize(args) -> int:
-    cfg = RunConfig(command="deamericanize", S0=args.spot, r=args.rate,
-                    tree_steps=args.tree_steps)
     raw = qio.read_quotes_csv(args.quotes, S0=args.spot, r=args.rate)
     pre = qio.preprocess_quotes(raw)
     pseudo = deamericanize_set(pre.quotes, args.spot, args.rate, TreeConfig(steps=args.tree_steps))
@@ -241,45 +204,29 @@ def cmd_deamericanize(args) -> int:
             w.writerow([repr(float(p.maturity)), repr(float(p.strike)),
                         repr(float(p.observed_price)), repr(float(p.sigma_star)),
                         repr(float(p.pseudo_price)), int(p.invertible)])
-    cfg.paths = {"input": str(args.quotes), "output": str(out)}
-    cfg.dump(args.out_dir / f"{out.stem}_runconfig.json")
+    _write_runconfig(args, out.stem, quotes=args.quotes, output=out)
     print(f"wrote {len(pseudo)} pseudo-European quotes -> {out}")
     return 0
 
 
 def cmd_synth(args) -> int:
-    cfg = RunConfig(
-        command="synth", n_nu=args.n_nu, n_x=args.n_x, horizon=args.horizon,
-        steps=args.steps, backend=args.backend, r=args.rate, x0=None,
-    )
-    backend = _backend(cfg, args.basis)
-    style = cal.VARIANTS[cfg.backend].style
+    backend = _backend(args)
+    style = cal.VARIANTS[args.backend].style
     qs = qio.generate_synthetic(np.asarray(args.theta), args.rate, style, backend.price_vector)
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / args.output
     qio.write_quotes_csv(qs, out)
-    cfg.paths = {"output": str(out)}
-    if args.basis is not None:
-        cfg.paths["basis"] = str(args.basis)
-    cfg.dump(args.out_dir / f"{out.stem}_runconfig.json")
+    _write_runconfig(args, out.stem, basis=args.basis, output=out)
     print(f"wrote {len(qs)} synthetic quotes -> {out}")
     return 0
 
 
 def cmd_calibrate(args) -> int:
-    cfg = RunConfig(
-        command="calibrate", n_nu=args.n_nu, n_x=args.n_x, horizon=args.horizon,
-        steps=args.steps, backend=args.backend, S0=args.spot, r=args.rate,
-        tree_steps=args.tree_steps, max_iter=args.max_iter, n_max=args.n_max,
-        fix_kappa=args.fix_kappa, feller=args.feller,
-        x0=tuple(args.x0) if args.x0 else None,
-        paths={} if args.basis is None else {"basis": str(args.basis)},
-    )
     raw = qio.read_quotes_csv(args.quotes, S0=args.spot, r=args.rate)
     pre = qio.preprocess_quotes(raw)
     t_pre = 0.0
     american = [q for q in pre.quotes if q.style == "american"]
-    if cal.VARIANTS[cfg.backend].deamericanize and american:
+    if cal.VARIANTS[args.backend].deamericanize and american:
         if len(american) != len(pre.quotes):
             raise ValueError("mixed-style quote sets are not supported by the DAS backends")
         t0 = time.perf_counter()
@@ -287,38 +234,37 @@ def cmd_calibrate(args) -> int:
                                    TreeConfig(steps=args.tree_steps))
         pre = _pseudo_to_quoteset(pseudo, args.spot, args.rate)
         t_pre = time.perf_counter() - t0
-    style = cal.VARIANTS[cfg.backend].style
+    style = cal.VARIANTS[args.backend].style
     wrong = sorted({q.style for q in pre.quotes} - {style})
     if wrong:
         raise ValueError(
-            f"backend {cfg.backend} fits {style} quotes; {args.quotes} holds {wrong[0]} ones"
+            f"backend {args.backend} fits {style} quotes; {args.quotes} holds {wrong[0]} ones"
         )
     box = DEFAULT_CALIB_BOX
-    options = cal.OptimizerOptions(max_iter=cfg.max_iter, feller=cfg.feller,
-                                   fix_kappa=cfg.fix_kappa)
+    options = cal.OptimizerOptions(max_iter=args.max_iter, feller=args.feller,
+                                   fix_kappa=args.fix_kappa)
+    refined_path = None
     if args.refine_basis:
-        if cfg.backend != "ReducedAm":
+        if args.backend != "ReducedAm":
             raise ValueError("--refine-basis requires --backend ReducedAm")
         if args.basis is None:
             raise ValueError("--refine-basis requires a pilot --basis")
-        space, blocks = _fem(cfg)
+        space, blocks = _fem(args)
         report, refined, _pilot = cal.calibrate_reduced_refined(
-            pre, load_reduced_model(args.basis), space, blocks, _grid(cfg),
+            pre, load_reduced_model(args.basis), space, blocks, _grid(args),
             box, DEFAULT_PARAM_BOX,
-            greedy_config=GreedyConfig(n_max=cfg.n_max),
-            x0=cfg.x0, options=options,
+            greedy_config=GreedyConfig(n_max=args.n_max),
+            x0=args.x0, options=options,
         )
         args.out_dir.mkdir(parents=True, exist_ok=True)
         refined_path = args.out_dir / f"{args.stem}_refined_basis.npz"
         save_reduced_model(refined, refined_path)
-        cfg.paths["refined_basis"] = str(refined_path)
     else:
-        backend = _backend(cfg, args.basis)
-        report = cal.calibrate(pre, backend, box, x0=cfg.x0, options=options,
+        report = cal.calibrate(pre, _backend(args), box, x0=args.x0, options=options,
                                time_preprocess=t_pre)
     paths = emit_report(report, args.out_dir, stem=args.stem)
-    cfg.paths = {**cfg.paths, **{k: str(v) for k, v in paths.items()}}
-    cfg.dump(args.out_dir / f"{args.stem}_runconfig.json")
+    _write_runconfig(args, args.stem, quotes=args.quotes, basis=args.basis,
+                     refined_basis=refined_path, **paths)
     print(paths["summary"].read_text(encoding="utf-8"), end="")
     print(f"time preprocess [s]: {report.time_preprocess:.3f}")
     print(f"time calibrate [s]: {report.time_calibrate:.3f}")
@@ -356,46 +302,34 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_mesh_info)
 
     sp = sub.add_parser("price", help="price one put option")
-    _add_options(sp, *_FEM, "--rate", "--spot")
-    sp.add_argument("--backend", default="DetailedAm", choices=list(cal.VARIANTS))
-    sp.add_argument("--theta", type=_theta_arg, required=True, help="xi,rho,gamma,kappa,nu0")
+    _add_options(sp, *_FEM, "--rate", "--spot", "--backend", "--theta", "--basis")
     sp.add_argument("--strike", type=float, required=True)
     sp.add_argument("--maturity", type=float, required=True)
-    sp.add_argument("--basis", type=Path, default=None, help="reduced-model .npz file")
     sp.set_defaults(func=cmd_price)
 
     sp = sub.add_parser("build-basis", help="offline greedy reduced-basis construction")
-    _add_options(sp, *_FEM, "--rate", "--out-dir")
+    _add_options(sp, *_FEM, "--rate", "--out-dir", "--n-max")
     sp.add_argument("--style", choices=["american", "european"], default="american")
-    sp.add_argument("--n-max", type=int, default=60)
-    sp.add_argument("--tol", type=float, default=1e-5)
+    sp.add_argument("--tol", type=float, default=GreedyConfig.tol)
     sp.add_argument("--train-counts", type=int, nargs=4, default=[3, 3, 3, 3],
                     help="training-grid points along xi, rho, gamma and kappa")
     sp.add_argument("--output", default="reduced_model.npz")
     sp.set_defaults(func=cmd_build_basis)
 
     sp = sub.add_parser("deamericanize", help="transform American quotes to pseudo-European")
-    _add_options(sp, "--rate", "--spot", "--out-dir")
-    sp.add_argument("--quotes", type=Path, required=True)
-    sp.add_argument("--tree-steps", type=int, default=500)
+    _add_options(sp, "--rate", "--spot", "--out-dir", "--quotes", "--tree-steps")
     sp.add_argument("--output", default="pseudo_quotes.csv")
     sp.set_defaults(func=cmd_deamericanize)
 
     sp = sub.add_parser("synth", help="generate the synthetic 65-quote ladder")
-    _add_options(sp, *_FEM, "--rate", "--out-dir")
-    sp.add_argument("--backend", default="DetailedAm", choices=list(cal.VARIANTS))
-    sp.add_argument("--theta", type=_theta_arg, required=True)
-    sp.add_argument("--basis", type=Path, default=None)
+    _add_options(sp, *_FEM, "--rate", "--out-dir", "--backend", "--theta", "--basis")
     sp.add_argument("--output", default="synthetic_quotes.csv")
     sp.set_defaults(func=cmd_synth)
 
     sp = sub.add_parser("calibrate", help="calibrate parameters to a quote CSV")
-    _add_options(sp, *_OPTIONS)
-    sp.add_argument("--backend", default="DetailedAm", choices=list(cal.VARIANTS))
-    sp.add_argument("--quotes", type=Path, required=True)
-    sp.add_argument("--basis", type=Path, default=None)
-    sp.add_argument("--tree-steps", type=int, default=500)
-    sp.add_argument("--max-iter", type=int, default=200)
+    _add_options(sp, *_FEM, "--rate", "--spot", "--out-dir", "--backend", "--quotes",
+                 "--basis", "--tree-steps", "--n-max")
+    sp.add_argument("--max-iter", type=int, default=cal.MAX_ITER)
     sp.add_argument("--fix-kappa", action="store_true")
     sp.add_argument("--feller", action="store_true")
     sp.add_argument("--x0", type=_theta_arg, default=None)
@@ -404,8 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="ReducedAm only: after a pilot calibration, rebuild the "
                          "basis on a training grid localized around the pilot "
                          "optimum and re-calibrate (two-stage)")
-    sp.add_argument("--n-max", type=int, default=60,
-                    help="basis-size cap for the refined basis")
     sp.set_defaults(func=cmd_calibrate)
 
     sp = sub.add_parser("report", help="summarize a residual CSV")

@@ -67,9 +67,6 @@ class BoundaryData:
             return np.exp(-self.r * t)
         return 1.0
 
-    def lift(self, t: float) -> np.ndarray:
-        return self.scale(t) * self.shape
-
 
 def boundary_data(space: FemSpace, style: str, K: float, r: float) -> BoundaryData:
     shape = np.zeros(space.n_nodes)
@@ -104,15 +101,17 @@ def lift_and_rhs(mlift, alift, boundary: BoundaryData, dt: float, theta: float):
     return load
 
 
-def obstacle_vector(space: FemSpace, boundary: BoundaryData, K: float) -> np.ndarray:
-    """Componentwise obstacle g_p = payoff(x_p) - u_L(node_p) on free DOFs.
+def payoff_vector(space: FemSpace, K: float) -> np.ndarray:
+    """Put payoff at the free DOFs: the initial value of every solve and the
+    American obstacle g_p.
 
-    The time-independent American lift vanishes at every free node, so the
-    biorthogonal pairing turns the inequality constraint into u_p >= g_p.
+    The lift of either style vanishes at every free node, so the payoff minus
+    the lift is the payoff there, and the biorthogonal pairing turns the
+    inequality constraint into u_p >= g_p.  The nodal interpolant already
+    lies in the discrete space, so it coincides with its V-orthogonal
+    projection.
     """
-    payoff = put_payoff_log(K, space.coords[:, 1])
-    g = payoff - boundary.shape
-    return g[space.free]
+    return put_payoff_log(K, space.coords[:, 1])[space.free]
 
 
 def garding_shift_estimate(mu: ModelParams) -> float:

@@ -116,9 +116,9 @@ class ParamBox:
     def hi(self) -> np.ndarray:
         return np.asarray(self.upper)
 
-    def contains(self, theta, tol: float = 0.0) -> bool:
+    def contains(self, theta) -> bool:
         t = np.asarray(theta, dtype=float)
-        return bool(np.all(t >= self.lo - tol) and np.all(t <= self.hi + tol))
+        return bool(np.all(t >= self.lo) and np.all(t <= self.hi))
 
     def midpoint(self) -> np.ndarray:
         return 0.5 * (self.lo + self.hi)

@@ -44,7 +44,6 @@ class Quote:
     price: float | None = None
     bid: float | None = None
     ask: float | None = None
-    identifier: str = ""
 
     def __post_init__(self):
         if self.maturity <= 0:
@@ -169,7 +168,7 @@ def read_quotes_csv(path, S0: float, r: float) -> QuoteSet:
         if [h.strip() for h in header] != CSV_HEADER:
             raise ValueError(f"unexpected CSV header {header!r}; want {CSV_HEADER}")
         quotes = []
-        for i, row in enumerate(reader):
+        for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
             T, K, bid, ask, price, style = row
@@ -181,7 +180,6 @@ def read_quotes_csv(path, S0: float, r: float) -> QuoteSet:
                     ask=_parse_optional(ask),
                     price=_parse_optional(price),
                     style=style.strip().lower(),
-                    identifier=f"row{i + 1}",
                 )
             )
     return QuoteSet(quotes=tuple(quotes), S0=S0, r=r)

@@ -30,11 +30,11 @@ from .heston_operator import (
     affine_coefficients,
     boundary_data,
     lift_and_rhs,
-    obstacle_vector,
+    payoff_vector,
 )
 from .mesh import AssemblyBlocks, Domain2D, FemSpace, assemble_blocks, build_mesh
 from .params import ModelParams
-from .solvers import PriceSurface, TimeGrid, _initial_condition, march, solve_american, solve_european
+from .solvers import PriceSurface, TimeGrid, march, solve_american, solve_european
 
 log = logging.getLogger(__name__)
 
@@ -205,8 +205,7 @@ def _project_offline(
     """Project the affine blocks onto psi (and xi); history holds the greedy
     record (selected_mu, errors, stagnated) of a finished build."""
     free = space.free
-    bnd = boundary_data(space, style, K, r=1.0)  # shape is r independent
-    L0 = bnd.shape
+    L0 = boundary_data(space, style, K, r=1.0).shape  # the shape is r independent
     a_red = np.empty((N_AFFINE, psi.shape[1], psi.shape[1]))
     alift = np.empty((N_AFFINE, psi.shape[1]))
     for q in range(N_AFFINE):
@@ -215,14 +214,13 @@ def _project_offline(
         alift[q] = psi.T @ (Aq @ L0)[free]
     m_red = psi.T @ (blocks.mass_free @ psi)
     mlift = psi.T @ (blocks.mass @ L0)[free]
-    u0 = _initial_condition(space, bnd, K)
-    u0_red = psi.T @ (blocks.v_gram_free @ u0)
+    payoff = payoff_vector(space, K)
+    u0_red = psi.T @ (blocks.v_gram_free @ payoff)
     b_red = g_red = None
     if style == "american":
         d = blocks.d_b_free
         b_red = (xi * d[:, None]).T @ psi
-        g_free = obstacle_vector(space, bnd, K)
-        g_red = (xi * d[:, None]).T @ g_free
+        g_red = (xi * d[:, None]).T @ payoff
     return ReducedModel(
         style=style,
         domain=space.domain,

@@ -41,10 +41,10 @@ from .heston_operator import (
     boundary_data,
     garding_shift_estimate,
     lift_and_rhs,
-    obstacle_vector,
+    payoff_vector,
 )
 from .mesh import AssemblyBlocks, FemSpace, evaluate_p1, evaluation_row
-from .params import ModelParams, put_payoff_log
+from .params import ModelParams
 
 #: Cap on the Newton iterations, and separately on the pivots, of one
 #: complementarity solve.
@@ -104,16 +104,6 @@ def _check_time_step(mu: ModelParams, grid: TimeGrid) -> None:
             f"1/(theta*lambda_a)={1.0 / (grid.theta * lam_a):g}",
             stacklevel=4,
         )
-
-
-def _initial_condition(space: FemSpace, boundary, K: float) -> np.ndarray:
-    """Nodal interpolant of payoff minus lift on the free DOFs.
-
-    The interpolant already lies in the discrete space, so it coincides with
-    its V-orthogonal projection.
-    """
-    payoff = put_payoff_log(K, space.coords[:, 1])
-    return (payoff - boundary.lift(0.0))[space.free]
 
 
 class LCPError(RuntimeError):
@@ -282,12 +272,11 @@ def _solve_detailed(style, mu, space, blocks, grid, K):
     m_free = blocks.mass_free
     lhs = (m_free / dt + th * a_free).tocsr()
     rhs_op = (m_free / dt - (1.0 - th) * a_free).tocsr()
-    u0 = _initial_condition(space, bnd, K)
+    payoff = payoff_vector(space, K)
     if style == "european":
-        U, lam = march(u0, rhs_op, load, grid.I, spla.splu(lhs.tocsc()).solve)
+        U, lam = march(payoff, rhs_op, load, grid.I, spla.splu(lhs.tocsc()).solve)
     else:
-        g = obstacle_vector(space, bnd, K)
-        U, lam = march(u0, rhs_op, load, grid.I, fem_step(lhs, g, blocks.d_b_free), g)
+        U, lam = march(payoff, rhs_op, load, grid.I, fem_step(lhs, payoff, blocks.d_b_free), payoff)
     return PriceSurface(space=space, grid=grid, K=K, boundary=bnd, basis=None, U=U, lam=lam)
 
 

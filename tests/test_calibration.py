@@ -330,7 +330,7 @@ def _fem_quote_price(surf, S0, K_i, nu0, T_i):
     tri, lam = _p1_weights(surf.space, nu0, np.log(S0 / K_i))
 
     def level_value(k):
-        full = surf.boundary.lift(k * surf.grid.dt)
+        full = surf.boundary.scale(k * surf.grid.dt) * surf.boundary.shape
         full[surf.space.free] += surf.U[k]
         return full[tri] @ lam
 

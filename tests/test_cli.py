@@ -7,7 +7,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hestoncal.cli import main
+from hestoncal.calibration import MAX_ITER
+from hestoncal.cli import build_parser, main
+from hestoncal.rbm import GreedyConfig
+from hestoncal.trees import TreeConfig
 
 THETA = "0.25,-0.5,0.10,0.4,0.10"
 
@@ -89,7 +92,7 @@ def test_synth_writes_csv_and_runconfig(tmp_path):
     assert len(lines) == 66  # header + 65 quotes
     cfg = json.loads((tmp_path / "ladder_runconfig.json").read_text())
     assert cfg["command"] == "synth"
-    assert tuple(cfg["x0"] or ()) == ()
+    assert tuple(cfg["theta"]) == tuple(float(v) for v in THETA.split(","))
 
 
 def _make_ladder(tmp_path, style="european"):
@@ -250,6 +253,73 @@ def test_runconfig_records_basis_and_n_max(tmp_path):
     cfg = json.loads((tmp_path / "rb_runconfig.json").read_text())
     assert cfg["n_max"] == 7
     assert cfg["paths"]["basis"] == basis
+
+
+#: Keys of every runconfig besides the subcommand's own options.
+RECORD_KEYS = {"command", "verbose", "paths"}
+FEM_KEYS = {"n_nu", "n_x", "horizon", "steps"}
+
+
+def _record(path):
+    return json.loads(path.read_text())
+
+
+def test_build_basis_records_exactly_its_options(tmp_path):
+    _run(["build-basis", "--n-nu", "8", "--n-x", "8", "--steps", "8", "--n-max", "6",
+          "--train-counts", "2", "1", "1", "1", "--output", "m.npz", "--out-dir", str(tmp_path)])
+    cfg = _record(tmp_path / "m_runconfig.json")
+    assert set(cfg) == RECORD_KEYS | FEM_KEYS | {
+        "rate", "out_dir", "n_max", "style", "tol", "train_counts", "output"}
+    assert cfg["paths"] == {"basis": str(tmp_path / "m.npz")}
+    assert cfg["train_counts"] == [2, 1, 1, 1]
+
+
+def test_deamericanize_records_exactly_its_options(tmp_path):
+    quotes = tmp_path / "am.csv"
+    quotes.write_text("maturity_years,strike,bid,ask,price,style\n"
+                      "0.5,1.0,,,0.08,american\n1.0,1.1,,,0.14,american\n")
+    _run(["deamericanize", "--quotes", str(quotes), "--tree-steps", "50",
+          "--output", "pseudo.csv", "--out-dir", str(tmp_path)])
+    cfg = _record(tmp_path / "pseudo_runconfig.json")
+    assert set(cfg) == RECORD_KEYS | {"rate", "spot", "out_dir", "quotes", "tree_steps", "output"}
+    assert cfg["paths"] == {"quotes": str(quotes), "output": str(tmp_path / "pseudo.csv")}
+
+
+def test_synth_records_exactly_its_options(tmp_path):
+    _run(["synth", "--backend", "DasClosedForm", "--theta", THETA, "--output", "ladder.csv",
+          "--out-dir", str(tmp_path)])
+    cfg = _record(tmp_path / "ladder_runconfig.json")
+    assert set(cfg) == RECORD_KEYS | FEM_KEYS | {
+        "rate", "out_dir", "backend", "theta", "basis", "output"}
+    assert cfg["paths"] == {"output": str(tmp_path / "ladder.csv")}
+
+
+def test_calibrate_records_exactly_its_options(tmp_path):
+    quotes = _make_ladder(tmp_path)
+    _run(["calibrate", "--backend", "DasClosedForm", "--quotes", str(quotes), "--x0", THETA,
+          "--max-iter", "1", "--stem", "cf", "--out-dir", str(tmp_path)])
+    cfg = _record(tmp_path / "cf_runconfig.json")
+    assert set(cfg) == RECORD_KEYS | FEM_KEYS | {
+        "rate", "spot", "out_dir", "backend", "quotes", "basis", "tree_steps", "n_max",
+        "max_iter", "fix_kappa", "feller", "x0", "stem", "refine_basis"}
+    assert cfg["stem"] == "cf" and cfg["refine_basis"] is False
+    assert cfg["paths"] == {
+        "quotes": str(quotes),
+        "summary": str(tmp_path / "cf_summary.txt"),
+        "residuals": str(tmp_path / "cf_residuals.csv"),
+        "surface": str(tmp_path / "cf_error_surface.csv"),
+        "timings": str(tmp_path / "cf_timings.json"),
+    }
+
+
+def test_parser_defaults_are_the_library_defaults():
+    parse = build_parser().parse_args
+    basis = parse(["build-basis"])
+    assert (basis.n_max, basis.tol) == (GreedyConfig.n_max, GreedyConfig.tol)
+    calib = parse(["calibrate", "--quotes", "q.csv"])
+    assert (calib.n_max, calib.tree_steps, calib.max_iter) == (
+        GreedyConfig.n_max, TreeConfig.steps, MAX_ITER)
+    assert parse(["deamericanize", "--quotes", "q.csv"]).tree_steps == TreeConfig.steps
 
 
 def test_calibrate_refuses_quotes_of_the_other_style(tmp_path):

@@ -9,7 +9,7 @@ from hestoncal.heston_operator import (
     boundary_data,
     garding_shift_estimate,
     lift_and_rhs,
-    obstacle_vector,
+    payoff_vector,
 )
 from hestoncal.mesh import _QP, _QW, Domain2D, _triangle_geometry, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, put_payoff_log
@@ -116,7 +116,7 @@ def test_garding_shift_bounded_on_corners():
 def test_boundary_lift_european(fem):
     space, _ = fem
     bnd = boundary_data(space, "european", 2.0, 0.05)
-    lift = bnd.lift(1.0)
+    lift = bnd.scale(1.0) * bnd.shape
     assert np.allclose(lift[space.dirichlet_x_min], 2.0 * np.exp(-0.05))
     assert np.all(lift[space.dirichlet_x_max] == 0.0)
     assert np.all(lift[~space.dirichlet] == 0.0)
@@ -125,17 +125,21 @@ def test_boundary_lift_european(fem):
 def test_boundary_lift_american_static(fem):
     space, _ = fem
     bnd = boundary_data(space, "american", 1.0, 0.05)
-    assert np.array_equal(bnd.lift(0.0), bnd.lift(1.5))
+    assert bnd.scale(0.0) == bnd.scale(1.5) == 1.0
     x_wall = space.coords[space.dirichlet, 1]
     assert np.allclose(bnd.shape[space.dirichlet], put_payoff_log(1.0, x_wall))
 
 
 def test_obstacle_nonnegative_where_payoff_positive(fem):
+    """The payoff on the free DOFs is payoff minus lift for both styles:
+    either lift vanishes at every free node."""
     space, _ = fem
-    bnd = boundary_data(space, "american", 1.0, 0.05)
-    g = obstacle_vector(space, bnd, 1.0)
+    for style in ("american", "european"):
+        assert np.all(boundary_data(space, style, 1.0, 0.05).shape[space.free] == 0.0)
+    g = payoff_vector(space, 1.0)
     x_free = space.coords[space.free, 1]
     np.testing.assert_allclose(g, put_payoff_log(1.0, x_free), atol=1e-14)
+    assert np.all(g >= 0.0)
 
 
 def test_lift_rhs_zero_for_zero_lift(fem):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hestoncal import solvers
-from hestoncal.heston_operator import assemble_operator, boundary_data, obstacle_vector
+from hestoncal.heston_operator import assemble_operator, boundary_data, payoff_vector
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluation_row
 from hestoncal.params import ModelParams
 from hestoncal.solvers import (
@@ -64,7 +64,7 @@ def test_interpolate_in_time_is_linear_between_levels():
 
 def _full_values(surf, k):
     """Full nodal values of a FEM surface at time level k: lift plus U[k]."""
-    w = surf.boundary.lift(k * surf.grid.dt)
+    w = surf.boundary.scale(k * surf.grid.dt) * surf.boundary.shape
     w[surf.space.free] += surf.U[k]
     return w
 
@@ -147,8 +147,7 @@ def test_complementarity_and_obstacle(fem, grid):
     space, blocks = fem
     K = 1.0
     am = solve_american(MU, space, blocks, grid, K)
-    bnd = boundary_data(space, "american", K, MU.r)
-    g = obstacle_vector(space, bnd, K)
+    g = payoff_vector(space, K)
     for k in range(1, grid.I + 1):
         assert np.min(am.U[k] - g) >= -1e-10
         assert np.all(am.lam[k] >= 0.0)
@@ -224,7 +223,7 @@ def _psor_cross_check_step():
     a_free = blocks.restrict(a_full)
     lhs = (blocks.mass_free / grid.dt + grid.theta * a_free).tocsr()
     rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
-    g = obstacle_vector(space, bnd, K)
+    g = payoff_vector(space, K)
     f = -(a_full @ bnd.shape)[space.free]  # the static American lift load
 
     am = solve_american(MU, space, blocks, grid, K)
@@ -285,7 +284,7 @@ def _american_system(space, blocks, grid, mu=MU, K=1.0):
     lhs = (blocks.mass_free / grid.dt + grid.theta * a_free).tocsr()
     rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
     f = -(a_full @ bnd.shape)[space.free]  # the static American lift load
-    return lhs, rhs_op, f, obstacle_vector(space, bnd, K), blocks.d_b_free
+    return lhs, rhs_op, f, payoff_vector(space, K), blocks.d_b_free
 
 
 @pytest.fixture(scope="module")
@@ -367,7 +366,7 @@ def test_european_load_matches_per_step_lift_and_rhs(fem, grid):
     U[0] = eu.U[0]
     for k in range(grid.I):
         # f^{k+theta} = -(1/dt) M (L^{k+1} - L^k) - A (theta L^{k+1} + (1-theta) L^k)
-        lk, lk1 = bnd.lift(k * dt), bnd.lift(k * dt + dt)
+        lk, lk1 = bnd.scale(k * dt) * bnd.shape, bnd.scale(k * dt + dt) * bnd.shape
         f_full = -(blocks.mass @ (lk1 - lk)) / dt - a_full @ (th * lk1 + (1.0 - th) * lk)
         f = f_full[space.free]
         U[k + 1] = lu.solve(rhs_op @ U[k] + f)
