@@ -9,15 +9,15 @@ import time
 
 import numpy as np
 
-from hestoncal.calibration import OptimizerOptions, calibrate, make_backend
+from hestoncal.calibration import OptimizerOptions, calibrate, make_backend, route_quotes
 from hestoncal.params import DEFAULT_CALIB_BOX
-from hestoncal.quotes import Quote, QuoteSet, load_google_quotes, preprocess_quotes
-from hestoncal.trees import TreeConfig, deamericanize_set
+from hestoncal.quotes import load_google_quotes, preprocess_quotes
+from hestoncal.trees import TreeConfig
 
 
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--tree-steps", type=int, default=500)
+    ap.add_argument("--tree-steps", type=int, default=TreeConfig.steps)
     ap.add_argument("--feller", action="store_true")
     args = ap.parse_args()
 
@@ -26,13 +26,8 @@ def main() -> None:
     print(f"quotes      : {len(pre.quotes)} (from {len(raw.quotes)})  "
           f"S0={pre.S0}  r={pre.r}")
     t0 = time.perf_counter()
-    pseudo = deamericanize_set(pre.quotes, pre.S0, pre.r,
-                               TreeConfig(steps=args.tree_steps))
+    quotes = route_quotes("DasClosedForm", pre, TreeConfig(steps=args.tree_steps))
     t_pre = time.perf_counter() - t0
-    quotes = QuoteSet(
-        [Quote(p.maturity, p.strike, "european", price=p.pseudo_price)
-         for p in pseudo], pre.S0, pre.r,
-    )
     report = calibrate(quotes, make_backend("DasClosedForm"), DEFAULT_CALIB_BOX,
                        options=OptimizerOptions(feller=args.feller),
                        time_preprocess=t_pre)

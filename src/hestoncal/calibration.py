@@ -4,7 +4,9 @@
 One objective, many pricing backends: detailed finite-element (American or
 European), reduced-basis surrogate, and — after de-Americanizing the quotes —
 European finite-element, reduced European, or the semi-closed-form pricer.
-VARIANTS names these routes, and make_backend builds them.  The optimizer is
+VARIANTS names these routes, route_quotes turns a quote set into the quotes
+a route fits (the one place quotes are de-Americanized for a route), and
+make_backend builds its pricer.  The optimizer is
 a box-constrained projected Levenberg-Marquardt with finite-difference
 Jacobians and an optional quadratic penalty enforcing the positive-variance
 (Feller) inequality.
@@ -21,8 +23,10 @@ import numpy as np
 from .closed_form import heston_put_cf
 from .mesh import AssemblyBlocks, FemSpace
 from .params import FELLER_EPS, CalibParams, ParamBox, clamp_to_box, feller_margin
+from .quotes import Quote, QuoteSet
 from .rbm import ReducedModel, solve_reduced
 from .solvers import TimeGrid, price_at, solve_american, solve_european
+from .trees import TreeConfig, deamericanize_set
 
 log = logging.getLogger(__name__)
 
@@ -123,6 +127,29 @@ VARIANTS = {
     "DasReduced": Variant(ReducedBackend, "european", True),
     "DasClosedForm": Variant(ClosedFormBackend, "european", True),
 }
+
+
+def route_quotes(variant: str, quote_set: QuoteSet, tree_config: TreeConfig = TreeConfig()) -> QuoteSet:
+    """The quotes VARIANTS[variant] fits.
+
+    A de-Americanizing variant turns an all-American set into its
+    pseudo-European quotes (dropping the non-invertible ones) and refuses a
+    mixed-style set.  A quote of a style the variant does not price is an
+    error.
+    """
+    v = VARIANTS[variant]
+    styles = {q.style for q in quote_set}
+    if v.deamericanize and "american" in styles:
+        if styles != {"american"}:
+            raise ValueError("mixed-style quote sets are not supported by the DAS backends")
+        pseudo = deamericanize_set(quote_set.quotes, quote_set.S0, quote_set.r, tree_config)
+        return quote_set.with_quotes(
+            Quote(p.maturity, p.strike, "european", price=p.pseudo_price) for p in pseudo
+        )
+    wrong = sorted(styles - {v.style})
+    if wrong:
+        raise ValueError(f"backend {variant} fits {v.style} quotes; the quote set holds {wrong[0]} ones")
+    return quote_set
 
 
 def make_backend(variant: str, fem=None, model: ReducedModel | None = None):
@@ -280,13 +307,9 @@ def optimize(resid_fun, x0, box: ParamBox, options: OptimizerOptions | None = No
         accepted = False
         gain = 0.0
         for _ in range(30):
-            damp = lam * np.diag(np.where(mask, np.maximum(np.diag(jtj), 1e-12), 1.0))
-            lhs = jtj + damp
-            lhs[~mask, :] = 0.0
-            lhs[:, ~mask] = 0.0
-            lhs[~mask, ~mask] = 1.0
-            rhs = -np.where(mask, jtr, 0.0)
-            delta = np.linalg.solve(lhs, rhs)
+            # a frozen coordinate has a zero Jacobian column, hence a zero step
+            damp = lam * np.diag(np.maximum(np.diag(jtj), 1e-12))
+            delta = np.linalg.solve(jtj + damp, -jtr)
             theta_new = clamp_to_box(theta + delta, box)
             step = theta_new - theta
             step_norm = float(np.linalg.norm(step))
@@ -419,8 +442,8 @@ def calibrate_reduced_refined(
 def calibrate(quote_set, backend, box: ParamBox, x0=None, options=None, time_preprocess=0.0):
     """Full pipeline around one backend: optimize, then report residuals.
 
-    De-Americanization (for the Das* variants) must already have been applied
-    to quote_set; its wall time is passed through as the preprocessing phase.
+    quote_set holds the quotes the backend fits (route_quotes); the wall
+    time of that step is passed through as the preprocessing phase.
     """
     opt = options or OptimizerOptions()
     if x0 is None:

@@ -80,18 +80,22 @@ def _write_runconfig(args, stem: str, **paths) -> None:
     (args.out_dir / f"{stem}_runconfig.json").write_text(text + "\n", encoding="utf-8")
 
 
-def _pseudo_to_quoteset(pseudo, S0, r) -> qio.QuoteSet:
-    quotes = [
-        qio.Quote(maturity=p.maturity, strike=p.strike, style="european", price=p.pseudo_price)
-        for p in pseudo
-    ]
-    return qio.QuoteSet(quotes=tuple(quotes), S0=S0, r=r)
+def _load_basis(args):
+    """The --basis model; refused unless it was built on the mesh and time
+    grid of args, which its reduced solves and refinements use."""
+    model = load_reduced_model(args.basis)
+    mesh = {"--n-nu": (model.n_nu, args.n_nu), "--n-x": (model.n_x, args.n_x),
+            "--steps": (model.grid.I, args.steps), "--horizon": (model.grid.T, args.horizon)}
+    for option, (built, parsed) in mesh.items():
+        if built != parsed:
+            raise ValueError(f"{args.basis} was built with {option} {built}; this run has {option} {parsed}")
+    return model
 
 
 def _backend(args):
     """The --backend variant's pricer; the mesh of args is built only if the
     variant prices with it."""
-    model = None if args.basis is None else load_reduced_model(args.basis)
+    model = None if args.basis is None else _load_basis(args)
     return cal.make_backend(args.backend, fem=lambda: (*_fem(args), _grid(args)), model=model)
 
 
@@ -198,12 +202,11 @@ def cmd_deamericanize(args) -> int:
     out = args.out_dir / args.output
     with open(out, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["maturity_years", "strike", "observed_price", "sigma_star",
-                    "pseudo_price", "invertible"])
+        w.writerow(["maturity_years", "strike", "observed_price", "sigma_star", "pseudo_price"])
         for p in pseudo:
             w.writerow([repr(float(p.maturity)), repr(float(p.strike)),
                         repr(float(p.observed_price)), repr(float(p.sigma_star)),
-                        repr(float(p.pseudo_price)), int(p.invertible)])
+                        repr(float(p.pseudo_price))])
     _write_runconfig(args, out.stem, quotes=args.quotes, output=out)
     print(f"wrote {len(pseudo)} pseudo-European quotes -> {out}")
     return 0
@@ -222,24 +225,10 @@ def cmd_synth(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
-    raw = qio.read_quotes_csv(args.quotes, S0=args.spot, r=args.rate)
-    pre = qio.preprocess_quotes(raw)
-    t_pre = 0.0
-    american = [q for q in pre.quotes if q.style == "american"]
-    if cal.VARIANTS[args.backend].deamericanize and american:
-        if len(american) != len(pre.quotes):
-            raise ValueError("mixed-style quote sets are not supported by the DAS backends")
-        t0 = time.perf_counter()
-        pseudo = deamericanize_set(pre.quotes, args.spot, args.rate,
-                                   TreeConfig(steps=args.tree_steps))
-        pre = _pseudo_to_quoteset(pseudo, args.spot, args.rate)
-        t_pre = time.perf_counter() - t0
-    style = cal.VARIANTS[args.backend].style
-    wrong = sorted({q.style for q in pre.quotes} - {style})
-    if wrong:
-        raise ValueError(
-            f"backend {args.backend} fits {style} quotes; {args.quotes} holds {wrong[0]} ones"
-        )
+    pre = qio.preprocess_quotes(qio.read_quotes_csv(args.quotes, S0=args.spot, r=args.rate))
+    t0 = time.perf_counter()
+    pre = cal.route_quotes(args.backend, pre, TreeConfig(steps=args.tree_steps))
+    t_pre = time.perf_counter() - t0
     box = DEFAULT_CALIB_BOX
     options = cal.OptimizerOptions(max_iter=args.max_iter, feller=args.feller,
                                    fix_kappa=args.fix_kappa)
@@ -251,7 +240,7 @@ def cmd_calibrate(args) -> int:
             raise ValueError("--refine-basis requires a pilot --basis")
         space, blocks = _fem(args)
         report, refined, _pilot = cal.calibrate_reduced_refined(
-            pre, load_reduced_model(args.basis), space, blocks, _grid(args),
+            pre, _load_basis(args), space, blocks, _grid(args),
             box, DEFAULT_PARAM_BOX,
             greedy_config=GreedyConfig(n_max=args.n_max),
             x0=args.x0, options=options,

@@ -56,10 +56,6 @@ class Domain2D:
         if not self.x_min < 0.0 < self.x_max:
             raise ValueError("require x_min < 0 < x_max")
 
-    @property
-    def area(self) -> float:
-        return (self.nu_max - self.nu_min) * (self.x_max - self.x_min)
-
 
 @dataclass
 class FemSpace:
@@ -77,9 +73,7 @@ class FemSpace:
     triangles: np.ndarray = field(repr=False)  # (J, 3) int
     dirichlet: np.ndarray = field(repr=False)  # bool mask, x-walls
     dirichlet_x_min: np.ndarray = field(repr=False)
-    dirichlet_x_max: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)  # indices of non-Dirichlet nodes
-    free_index: np.ndarray = field(repr=False)  # full -> free position or -1
 
     @property
     def n_nodes(self) -> int:
@@ -126,12 +120,7 @@ def build_mesh(domain: Domain2D, n_nu: int, n_x: int) -> FemSpace:
 
     i_x = np.tile(np.arange(stride), n_nu + 1)
     dir_lo = i_x == 0
-    dir_hi = i_x == n_x
-    dirichlet = dir_lo | dir_hi
-
-    free = np.flatnonzero(~dirichlet)
-    free_index = np.full(coords.shape[0], -1, dtype=np.int64)
-    free_index[free] = np.arange(free.size)
+    dirichlet = dir_lo | (i_x == n_x)
 
     return FemSpace(
         domain=domain,
@@ -141,9 +130,7 @@ def build_mesh(domain: Domain2D, n_nu: int, n_x: int) -> FemSpace:
         triangles=tris,
         dirichlet=dirichlet,
         dirichlet_x_min=dir_lo,
-        dirichlet_x_max=dir_hi,
-        free=free,
-        free_index=free_index,
+        free=np.flatnonzero(~dirichlet),
     )
 
 

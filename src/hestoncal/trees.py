@@ -7,6 +7,7 @@ every row (own strike, maturity and volatility) of a quote set.  The
 volatility inversions of all rows advance in lockstep, one batched tree per
 step of a bracketed Illinois regula falsi (Dowell & Jarratt, BIT 1971).
 Rows never interact, so a quote's result does not depend on its batch.
+deamericanize_set is the one transform of a quote list.
 """
 
 from __future__ import annotations
@@ -44,7 +45,6 @@ class PseudoQuote:
     observed_price: float
     sigma_star: float
     pseudo_price: float
-    invertible: bool = True
 
 
 def _rows(*args):
@@ -164,53 +164,23 @@ def invert_volatility(
     return sigma, ok
 
 
-def _pseudo_quotes(maturity, strike, observed_price, S0, r, config):
-    """One PseudoQuote per row, from one inversion and one European tree."""
-    _, (T, K, obs) = _rows(maturity, strike, observed_price)
-    sigma, ok = invert_volatility(obs, S0, K, T, r, config)
-    sigma[~ok] = np.nan
-    pseudo = np.full(obs.shape, np.nan)
-    pseudo[ok] = crr_price(S0, K[ok], T[ok], r, sigma[ok], config.steps, "european")
-    return [
-        PseudoQuote(float(t), float(k), float(o), float(s), float(v), bool(good))
-        for t, k, o, s, v, good in zip(T, K, obs, sigma, pseudo, ok)
-    ]
-
-
-def deamericanize_quote(
-    maturity: float,
-    strike: float,
-    observed_price: float,
-    S0: float,
-    r: float,
-    config: TreeConfig = TreeConfig(),
-) -> PseudoQuote:
-    return _pseudo_quotes(maturity, strike, observed_price, S0, r, config)[0]
-
-
 def deamericanize_set(quotes, S0: float, r: float, config: TreeConfig = TreeConfig()):
     """Transform a list of (maturity, strike, price) American observations.
 
-    All quotes are inverted together.  Non-invertible quotes are dropped
-    with a log entry; raises if nothing survives.  Output order follows the
-    input order.
+    All quotes are inverted together and the survivors priced by one
+    European tree.  Non-invertible quotes are dropped with a log entry;
+    raises if nothing survives.  Output order follows the input order.
     """
     quotes = list(quotes)
-    pseudo = _pseudo_quotes(
-        [q.maturity for q in quotes], [q.strike for q in quotes], [q.price for q in quotes],
-        S0, r, config,
-    )
-    out = []
-    for q, pq in zip(quotes, pseudo):
-        if pq.invertible:
-            out.append(pq)
-        else:
-            log.warning(
-                "dropping non-invertible quote T=%g K=%g price=%g",
-                q.maturity,
-                q.strike,
-                q.price,
-            )
-    if not out:
+    T, K, obs = np.array([(q.maturity, q.strike, q.price) for q in quotes], dtype=float).T
+    sigma, ok = invert_volatility(obs, S0, K, T, r, config)
+    for q, good in zip(quotes, ok):
+        if not good:
+            log.warning("dropping non-invertible quote T=%g K=%g price=%g", q.maturity, q.strike, q.price)
+    if not ok.any():
         raise ValueError("no quote survived the de-Americanization transform")
-    return out
+    pseudo = crr_price(S0, K[ok], T[ok], r, sigma[ok], config.steps, "european")
+    return [
+        PseudoQuote(float(t), float(k), float(o), float(s), float(v))
+        for t, k, o, s, v in zip(T[ok], K[ok], obs[ok], sigma[ok], pseudo)
+    ]

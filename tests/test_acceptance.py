@@ -25,15 +25,16 @@ from hestoncal.calibration import (
     PdeBackend,
     calibrate,
     calibrate_reduced_refined,
+    route_quotes,
 )
 from hestoncal.cli import main as cli_main
 from hestoncal.closed_form import heston_put_cf
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, CalibParams
-from hestoncal.quotes import Quote, QuoteSet, generate_synthetic
+from hestoncal.quotes import Quote, generate_synthetic
 from hestoncal.rbm import GreedyConfig, make_training_grid, pod_angle_greedy_american
 from hestoncal.solvers import TimeGrid, price_at, solve_american, solve_european
-from hestoncal.trees import TreeConfig, deamericanize_quote, deamericanize_set
+from hestoncal.trees import TreeConfig, deamericanize_set
 
 THETA_EX = np.array([0.7, -0.8, 0.3, 1.4, 0.3])
 X0 = np.array([0.601, -0.682, 0.487, 2.020, 0.496])
@@ -149,14 +150,16 @@ def test_criterion_4_deamericanization_fidelity():
         mu = p.to_model(RATE)
         am = solve_american(mu, space, blocks, grid, K=1.0)
         eu = solve_european(mu, space, blocks, grid, K=1.0)
+        quotes = [Quote(T, K, "american", price=price_at(am, 1.0, K, p.nu0, T))
+                  for T in DAS_MATURITIES for K in DAS_STRIKES]
+        # non-invertible quotes are dropped; their gaps stay NaN
+        pseudo = {(pq.maturity, pq.strike): pq.pseudo_price
+                  for pq in deamericanize_set(quotes, 1.0, RATE, cfg)}
         gaps = np.full((DAS_MATURITIES.size, DAS_STRIKES.size), np.nan)
         for i, T in enumerate(DAS_MATURITIES):
             for j, K in enumerate(DAS_STRIKES):
-                p_am = price_at(am, 1.0, K, p.nu0, T)
-                p_eu = price_at(eu, 1.0, K, p.nu0, T)
-                pq = deamericanize_quote(T, K, p_am, 1.0, RATE, cfg)
-                if pq.invertible:
-                    gaps[i, j] = abs(pq.pseudo_price - p_eu)
+                if (T, K) in pseudo:
+                    gaps[i, j] = abs(pseudo[T, K] - price_at(eu, 1.0, K, p.nu0, T))
         per_max[name] = float(np.nanmax(gaps))
         per_t8[name] = float(np.nanmax(gaps[-1]))
     elapsed = time.perf_counter() - t_start
@@ -177,12 +180,7 @@ def test_criterion_4_deamericanization_fidelity():
 
 @pytest.mark.slow
 def test_criterion_5_das_bias_direction(quotes65, reduced_result):
-    pseudo = deamericanize_set(quotes65.quotes, quotes65.S0, quotes65.r,
-                               TreeConfig())
-    pseudo_set = QuoteSet(
-        [Quote(p.maturity, p.strike, "european", price=p.pseudo_price)
-         for p in pseudo], quotes65.S0, quotes65.r,
-    )
+    pseudo_set = route_quotes("DasClosedForm", quotes65, TreeConfig())
     das_report = calibrate(pseudo_set, ClosedFormBackend(), DEFAULT_CALIB_BOX,
                            x0=X0, options=OptimizerOptions(max_iter=60))
     red_report, _, _ = reduced_result

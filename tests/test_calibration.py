@@ -14,6 +14,7 @@ from hestoncal.calibration import (
     make_backend,
     objective,
     optimize,
+    route_quotes,
 )
 from hestoncal.closed_form import heston_put_cf
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
@@ -21,6 +22,7 @@ from hestoncal.params import DEFAULT_CALIB_BOX, CalibParams, ModelParams, ParamB
 from hestoncal.quotes import Quote, QuoteSet
 from hestoncal.rbm import GreedyConfig, pod_greedy, solve_reduced
 from hestoncal.solvers import TimeGrid, solve_american, solve_european
+from hestoncal.trees import TreeConfig, deamericanize_set
 
 
 class _ArrayBackend:
@@ -342,7 +344,9 @@ def _reduced_quote_price(surf, S0, K_i, nu0, T_i):
     row projected onto psi, plus the interpolated lift."""
     space = surf.space
     tri, lam = _p1_weights(space, nu0, np.log(S0 / K_i))
-    fi = space.free_index[tri]
+    free_index = np.full(space.n_nodes, -1)
+    free_index[space.free] = np.arange(space.n_free)
+    fi = free_index[tri]
     row = lam[fi >= 0] @ surf.basis[fi[fi >= 0]]
     lift_shape = surf.boundary.shape[tri] @ lam
 
@@ -418,3 +422,51 @@ def test_make_backend_rejects_missing_or_mismatched_bases(registry_inputs):
             make_backend(variant, model=bases["american"])
     with pytest.raises(ValueError, match="basis is european"):
         ReducedBackend("ReducedAm", bases["european"])
+
+
+#: American quotes at S0 = 100, r = 0.02; the second is below intrinsic.
+ROUTE_QUOTES = QuoteSet(
+    (
+        Quote(maturity=0.5, strike=100.0, style="american", price=7.0),
+        Quote(maturity=0.5, strike=120.0, style="american", price=1.0),
+        Quote(maturity=1.0, strike=95.0, style="american", price=6.0),
+    ),
+    S0=100.0,
+    r=0.02,
+)
+DAS_VARIANTS = [name for name, v in VARIANTS.items() if v.deamericanize]
+
+
+@pytest.mark.parametrize("variant", DAS_VARIANTS)
+def test_route_quotes_deamericanizes_for_das_variants(variant):
+    cfg = TreeConfig(steps=100)
+    pseudo = deamericanize_set(ROUTE_QUOTES.quotes, 100.0, 0.02, cfg)
+    want = QuoteSet(
+        tuple(Quote(p.maturity, p.strike, "european", price=p.pseudo_price) for p in pseudo),
+        S0=100.0,
+        r=0.02,
+    )
+    got = route_quotes(variant, ROUTE_QUOTES, cfg)
+    assert got == want
+    assert [q.strike for q in got] == [100.0, 95.0]
+
+
+@pytest.mark.parametrize("variant", DAS_VARIANTS)
+def test_route_quotes_passes_european_sets_and_refuses_mixed_ones(variant):
+    european = _quote_set([0.1, 0.2])
+    assert route_quotes(variant, european) is european
+    mixed = european.with_quotes(european.quotes + ROUTE_QUOTES.quotes[:1])
+    with pytest.raises(ValueError, match="mixed-style"):
+        route_quotes(variant, mixed)
+
+
+@pytest.mark.parametrize("variant", [name for name in VARIANTS if name not in DAS_VARIANTS])
+def test_route_quotes_refuses_the_other_style_for_direct_variants(variant):
+    sets = {"american": ROUTE_QUOTES, "european": _quote_set([0.1, 0.2])}
+    style = VARIANTS[variant].style
+    other = "european" if style == "american" else "american"
+    own = sets[style]
+    assert route_quotes(variant, own) is own
+    for wrong in (sets[other], own.with_quotes(own.quotes + sets[other].quotes)):
+        with pytest.raises(ValueError, match=f"holds {other} ones"):
+            route_quotes(variant, wrong)

@@ -172,9 +172,7 @@ def test_deamericanize_subcommand(tmp_path):
         ]
     )
     pseudo = (tmp_path / "pseudo.csv").read_text().splitlines()
-    assert pseudo[0] == (
-        "maturity_years,strike,observed_price,sigma_star,pseudo_price,invertible"
-    )
+    assert pseudo[0] == "maturity_years,strike,observed_price,sigma_star,pseudo_price"
     assert 1 < len(pseudo) <= 66
     for line in pseudo[1:]:
         row = line.split(",")
@@ -331,6 +329,30 @@ def test_calibrate_refuses_quotes_of_the_other_style(tmp_path):
             main(["calibrate", "--backend", other, "--quotes", str(tmp_path / f"{style}.csv"),
                   "--x0", THETA, "--max-iter", "1", "--stem", other] + common)
         assert not (tmp_path / f"{other}_summary.txt").exists()
+
+
+def test_basis_refuses_a_mesh_or_time_grid_it_was_not_built_on(tmp_path):
+    common = ["--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", "2.0"]
+    _run(["build-basis", "--n-max", "4", "--train-counts", "2", "1", "1", "1",
+          "--output", "m.npz", "--out-dir", str(tmp_path)] + common)
+    basis = str(tmp_path / "m.npz")
+    price = ["price", "--backend", "ReducedAm", "--basis", basis, "--theta", THETA,
+             "--strike", "1.0", "--maturity", "0.5"]
+    _run(price + common)
+    # the default mesh and time grid are not the basis's
+    with pytest.raises(ValueError, match="built with --n-nu 8; this run has --n-nu 33"):
+        main(price)
+    # a repeated option takes its last value
+    for option, value in (("--n-x", "7"), ("--steps", "9"), ("--horizon", "1.0")):
+        with pytest.raises(ValueError, match=f"built with {option} .*; this run has {option} {value}"):
+            main(price + common + [option, value])
+    _run(["synth", "--backend", "DetailedAm", "--theta", THETA, "--output", "q.csv",
+          "--out-dir", str(tmp_path)] + common)
+    calibrate = ["calibrate", "--backend", "ReducedAm", "--basis", basis, "--refine-basis",
+                 "--quotes", str(tmp_path / "q.csv"), "--out-dir", str(tmp_path)]
+    with pytest.raises(ValueError, match="this run has --steps 120"):
+        main(calibrate + common[:4])
+    assert not (tmp_path / "calibration_summary.txt").exists()
 
 
 def test_report_subcommand(tmp_path, capsys):

@@ -15,7 +15,6 @@ from hestoncal.trees import (
     PseudoQuote,
     TreeConfig,
     crr_price,
-    deamericanize_quote,
     deamericanize_set,
     invert_volatility,
 )
@@ -150,15 +149,15 @@ def test_sigma_round_trip():
 
 def test_pseudo_price_below_observed():
     # The pseudo-European price strips the early-exercise premium.
-    pq = deamericanize_quote(1.0, 110.0, 12.5, 100.0, 0.04)
-    assert pq.invertible
+    [pq] = deamericanize_set([Quote(1.0, 110.0, "american", price=12.5)], 100.0, 0.04)
+    assert pq.observed_price == 12.5
     assert pq.pseudo_price <= pq.observed_price + 1e-12
 
 
 def test_non_invertible_quotes_flagged():
     # above-strike and below-intrinsic prices cannot come from any tree
-    assert not deamericanize_quote(1.0, 100.0, 101.0, 100.0, 0.02).invertible
-    assert not deamericanize_quote(1.0, 120.0, 5.0, 100.0, 0.02).invertible
+    assert not invert_volatility(101.0, 100.0, 100.0, 1.0, 0.02)[1]
+    assert not invert_volatility(5.0, 100.0, 120.0, 1.0, 0.02)[1]
 
 
 def test_deamericanize_set_drops_and_orders():
@@ -175,9 +174,8 @@ def test_deamericanize_set_drops_and_orders():
 
 
 def test_determinism():
-    a = deamericanize_quote(0.75, 102.0, 8.0, 100.0, 0.015)
-    b = deamericanize_quote(0.75, 102.0, 8.0, 100.0, 0.015)
-    assert a == b
+    quote = Quote(0.75, 102.0, "american", price=8.0)
+    assert deamericanize_set([quote], 100.0, 0.015) == deamericanize_set([quote], 100.0, 0.015)
 
 
 def test_zero_time_value_degenerates_to_bracket_edge():
@@ -221,10 +219,10 @@ def test_set_equals_quote_by_quote_bit_for_bit():
         Quote(maturity=0.5, strike=100.0, price=7.0, style="american"),
         Quote(maturity=1.0, strike=110.0, price=14.2, style="american"),
     ]
-    alone = [deamericanize_quote(q.maturity, q.strike, q.price, S0, r, cfg) for q in quotes]
-    assert [pq.invertible for pq in alone] == [True, True, False, True, True, True]
-    assert alone[1].sigma_star == lo
-    expected = [pq for pq in alone if pq.invertible]
+    flags = [invert_volatility(q.price, S0, q.strike, q.maturity, r, cfg)[1] for q in quotes]
+    assert flags == [True, True, False, True, True, True]
+    expected = [deamericanize_set([q], S0, r, cfg)[0] for q, ok in zip(quotes, flags) if ok]
+    assert expected[1].sigma_star == lo
     assert deamericanize_set(quotes, S0, r, cfg) == expected
     assert deamericanize_set(quotes[::-1], S0, r, cfg) == expected[::-1]
     assert deamericanize_set(quotes[3:], S0, r, cfg) == expected[2:]
