@@ -63,7 +63,7 @@ class PdeBackend:
         p = CalibParams.from_array(theta)
         mu = p.to_model(r)
         solver = solve_american if VARIANTS[self.variant].style == "american" else solve_european
-        surf = solver(mu, self.space, self.blocks, self.grid, K=1.0)
+        surf = solver(mu, self.space, self.blocks, self.grid)
         strikes, maturities = np.array([(q.strike, q.maturity) for q in quotes]).T
         return price_at(surf, S0, strikes, p.nu0, maturities)
 

@@ -3,7 +3,7 @@
 Subcommands: mesh-info, price, build-basis, deamericanize, synth, calibrate,
 report.  Every run that writes outputs also writes <stem>_runconfig.json
 next to them: the options the subcommand parsed, and under "paths" every
-file it read or wrote.  The domain, the theta-scheme weight and the
+file it read or wrote.  The domain, the theta weight, the unit strike and the
 parameter boxes are program constants, not options, and are not recorded.
 """
 
@@ -84,7 +84,7 @@ def _load_basis(args):
     """The --basis model; refused unless it was built on the mesh and time
     grid of args, which its reduced solves and refinements use."""
     model = load_reduced_model(args.basis)
-    mesh = {"--n-nu": (model.n_nu, args.n_nu), "--n-x": (model.n_x, args.n_x),
+    mesh = {"--n-nu": (model.space.n_nu, args.n_nu), "--n-x": (model.space.n_x, args.n_x),
             "--steps": (model.grid.I, args.steps), "--horizon": (model.grid.T, args.horizon)}
     for option, (built, parsed) in mesh.items():
         if built != parsed:
@@ -183,7 +183,7 @@ def cmd_build_basis(args) -> int:
     log.info("training set: %d distinct PDE parameters", len(train))
     t0 = time.perf_counter()
     model = pod_greedy(args.style, train, space, blocks, _grid(args),
-                       GreedyConfig(n_max=args.n_max, tol=args.tol), progress=True)
+                       GreedyConfig(n_max=args.n_max, tol=args.tol))
     elapsed = time.perf_counter() - t0
     out = args.out_dir / args.output
     args.out_dir.mkdir(parents=True, exist_ok=True)

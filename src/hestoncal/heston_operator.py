@@ -2,8 +2,9 @@
 
 The bilinear form a(u, v; mu) = int A(mu) grad u . grad v + int (b(mu) . grad u) v
 + int r u v decomposes into eight parameter-independent matrices with the
-coefficients returned by affine_coefficients().  The Dirichlet lift of the
-put (BoundaryData) enters every theta-step through one load formula,
+coefficients returned by affine_coefficients().  Every solve is of the
+unit-strike put (payoff, lift and obstacle scale with K).  The Dirichlet lift
+(BoundaryData) enters every theta-step through one load formula,
 lift_and_rhs, which the detailed and the reduced solves share.
 """
 
@@ -48,16 +49,15 @@ def assemble_operator(mu: ModelParams, blocks: AssemblyBlocks) -> sp.csr_matrix:
 
 @dataclass(frozen=True)
 class BoundaryData:
-    """Dirichlet data of the put problem on the x-walls.
+    """Dirichlet data of the unit-strike put problem on the x-walls.
 
-    European: w = K e^{-r t} at x = x_min, w = 0 at x = x_max.
+    European: w = e^{-r t} at x = x_min, w = 0 at x = x_max.
     American: w = payoff(x) on both walls, time independent.
     The discrete lift carries these values at the wall nodes and is zero at
     every other node, so it factors as scale(t) * shape.
     """
 
     style: str
-    K: float
     r: float
     shape: np.ndarray  # full nodal vector
 
@@ -68,24 +68,28 @@ class BoundaryData:
         return 1.0
 
 
-def boundary_data(space: FemSpace, style: str, K: float, r: float) -> BoundaryData:
+def boundary_data(space: FemSpace, style: str, r: float) -> BoundaryData:
     shape = np.zeros(space.n_nodes)
     if style == "european":
-        shape[space.dirichlet_x_min] = K
+        shape[space.dirichlet_x_min] = 1.0
     elif style == "american":
         d = space.dirichlet
-        shape[d] = put_payoff_log(K, space.coords[d, 1])
+        shape[d] = put_payoff_log(1.0, space.coords[d, 1])
     else:
         raise ValueError(f"unknown style {style!r}")
-    return BoundaryData(style=style, K=K, r=r, shape=shape)
+    return BoundaryData(style=style, r=r, shape=shape)
 
 
-def lift_and_rhs(mlift, alift, boundary: BoundaryData, dt: float, theta: float):
+#: Weight of the theta-scheme: every detailed and reduced solve is Crank-Nicolson.
+THETA = 0.5
+
+
+def lift_and_rhs(mlift, alift, boundary: BoundaryData, dt: float):
     """Load of the theta-step k, f^{k+theta}, as a function of k.
 
     f^{k+theta}(v) = -(1/dt) (u_L^{k+1} - u_L^k, v) - a(theta u_L^{k+1}
-    + (1-theta) u_L^k, v; mu).  The lift is scale(t) * shape, so the load
-    combines the two fixed lift loads mlift = (shape, v) and
+    + (1-theta) u_L^k, v; mu), theta = THETA.  The lift is scale(t) * shape,
+    so the load combines the two fixed lift loads mlift = (shape, v) and
     alift = a(shape, v; mu) with scalar weights.  The FEM passes them on the
     free DOFs, the reduced model projected onto its basis.  The static
     American lift gives the constant load -alift.
@@ -96,14 +100,14 @@ def lift_and_rhs(mlift, alift, boundary: BoundaryData, dt: float, theta: float):
 
     def load(k: int) -> np.ndarray:
         s0, s1 = boundary.scale(k * dt), boundary.scale(k * dt + dt)
-        return -(s1 - s0) / dt * mlift - (theta * s1 + (1.0 - theta) * s0) * alift
+        return -(s1 - s0) / dt * mlift - (THETA * s1 + (1.0 - THETA) * s0) * alift
 
     return load
 
 
-def payoff_vector(space: FemSpace, K: float) -> np.ndarray:
-    """Put payoff at the free DOFs: the initial value of every solve and the
-    American obstacle g_p.
+def payoff_vector(space: FemSpace) -> np.ndarray:
+    """Unit-strike put payoff at the free DOFs: the initial value of every
+    solve and the American obstacle g_p.
 
     The lift of either style vanishes at every free node, so the payoff minus
     the lift is the payoff there, and the biorthogonal pairing turns the
@@ -111,7 +115,7 @@ def payoff_vector(space: FemSpace, K: float) -> np.ndarray:
     lies in the discrete space, so it coincides with its V-orthogonal
     projection.
     """
-    return put_payoff_log(K, space.coords[:, 1])[space.free]
+    return put_payoff_log(1.0, space.coords[:, 1])[space.free]
 
 
 def garding_shift_estimate(mu: ModelParams) -> float:

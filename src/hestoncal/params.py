@@ -70,9 +70,6 @@ class CalibParams:
         if self.nu0 <= 0.0:
             raise ValueError(f"nu0 must be positive, got {self.nu0}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.xi, self.rho, self.gamma, self.kappa, self.nu0])
-
     def to_model(self, r: float) -> ModelParams:
         """Drop nu0 and attach the (externally fixed) interest rate."""
         return ModelParams(self.xi, self.rho, self.gamma, self.kappa, r)

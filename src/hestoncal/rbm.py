@@ -1,6 +1,7 @@
 """Reduced-basis surrogates: POD-Greedy (European) and POD-Angle-Greedy
 (American) offline construction, affine operator projection, and dense
-online solves with a cone-constrained multiplier.
+online solves with a cone-constrained multiplier, all of the unit-strike put
+on the mesh (FemSpace) that each model holds.
 
 The primal basis is orthonormal in the H1 semi-norm Gram inner product; the
 dual cone is spanned by normalized nonnegative multiplier snapshots and kept
@@ -27,12 +28,13 @@ import scipy.sparse.linalg as spla
 
 from .heston_operator import (
     N_AFFINE,
+    THETA,
     affine_coefficients,
     boundary_data,
     lift_and_rhs,
     payoff_vector,
 )
-from .mesh import AssemblyBlocks, Domain2D, FemSpace, assemble_blocks, build_mesh
+from .mesh import AssemblyBlocks, Domain2D, FemSpace, build_mesh
 from .params import ModelParams
 from .solvers import PriceSurface, TimeGrid, march, solve_american, solve_european
 
@@ -150,14 +152,11 @@ def supremizer(xi_vec: np.ndarray, blocks: AssemblyBlocks) -> np.ndarray:
 
 @dataclass
 class ReducedModel:
-    """Offline output: bases, projected affine blocks and greedy history."""
+    """Offline output: mesh, time grid, bases, projected blocks and greedy history."""
 
     style: str
-    domain: Domain2D
-    n_nu: int
-    n_x: int
+    space: FemSpace = field(repr=False)
     grid: TimeGrid
-    K: float
     psi: np.ndarray = field(repr=False)  # (n_free, N)
     a_red: np.ndarray = field(repr=False)  # (Q_a, N, N)
     m_red: np.ndarray = field(repr=False)  # (N, N)
@@ -170,8 +169,6 @@ class ReducedModel:
     selected_mu: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     stagnated: bool = False
-    _space: FemSpace | None = field(default=None, repr=False)
-    _boundary: object | None = field(default=None, repr=False)
 
     @property
     def dim(self) -> int:
@@ -181,16 +178,6 @@ class ReducedModel:
     def n_dual(self) -> int:
         return 0 if self.xi is None else self.xi.shape[1]
 
-    def space(self) -> FemSpace:
-        if self._space is None:
-            self._space = build_mesh(self.domain, self.n_nu, self.n_x)
-        return self._space
-
-    def boundary(self, r: float):
-        if self._boundary is None or self._boundary.r != r:
-            self._boundary = boundary_data(self.space(), self.style, self.K, r)
-        return self._boundary
-
 
 def _project_offline(
     style: str,
@@ -199,13 +186,12 @@ def _project_offline(
     grid: TimeGrid,
     psi: np.ndarray,
     xi: np.ndarray | None,
-    K: float,
     **history,
 ) -> ReducedModel:
     """Project the affine blocks onto psi (and xi); history holds the greedy
     record (selected_mu, errors, stagnated) of a finished build."""
     free = space.free
-    L0 = boundary_data(space, style, K, r=1.0).shape  # the shape is r independent
+    L0 = boundary_data(space, style, r=1.0).shape  # the shape is r independent
     a_red = np.empty((N_AFFINE, psi.shape[1], psi.shape[1]))
     alift = np.empty((N_AFFINE, psi.shape[1]))
     for q in range(N_AFFINE):
@@ -214,7 +200,7 @@ def _project_offline(
         alift[q] = psi.T @ (Aq @ L0)[free]
     m_red = psi.T @ (blocks.mass_free @ psi)
     mlift = psi.T @ (blocks.mass @ L0)[free]
-    payoff = payoff_vector(space, K)
+    payoff = payoff_vector(space)
     u0_red = psi.T @ (blocks.v_gram_free @ payoff)
     b_red = g_red = None
     if style == "american":
@@ -223,11 +209,8 @@ def _project_offline(
         g_red = (xi * d[:, None]).T @ payoff
     return ReducedModel(
         style=style,
-        domain=space.domain,
-        n_nu=space.n_nu,
-        n_x=space.n_x,
+        space=space,
         grid=grid,
-        K=K,
         psi=psi,
         a_red=a_red,
         m_red=m_red,
@@ -237,7 +220,6 @@ def _project_offline(
         xi=xi,
         b_red=b_red,
         g_red=g_red,
-        _space=space,
         **history,
     )
 
@@ -247,28 +229,26 @@ def _project_offline(
 
 
 def solve_reduced(model: ReducedModel, mu: ModelParams) -> PriceSurface:
-    """Dense online theta-scheme solve; American adds the cone multiplier.
+    """Dense online unit-strike Crank-Nicolson solve; American adds the cone multiplier.
 
     The result is the surface of basis = psi: U holds the reduced
     coefficients and lam the multipliers in dual cone coordinates.
     """
     grid = model.grid
-    dt, th = grid.dt, grid.theta
+    dt = grid.dt
     theta_q = affine_coefficients(mu)
     A = np.tensordot(theta_q, model.a_red, axes=1)
-    S = model.m_red / dt + th * A
-    R = model.m_red / dt - (1.0 - th) * A
-    bnd = model.boundary(mu.r)
-    load = lift_and_rhs(model.mlift_red, theta_q @ model.alift_red, bnd, dt, th)
+    S = model.m_red / dt + THETA * A
+    R = model.m_red / dt - (1.0 - THETA) * A
+    bnd = boundary_data(model.space, model.style, mu.r)
+    load = lift_and_rhs(model.mlift_red, theta_q @ model.alift_red, bnd, dt)
     s_inv = np.linalg.inv(S)
     if model.style == "european":
         U, lam = march(model.u0_red, R, load, grid.I, lambda rhs: s_inv @ rhs)
     else:
         g = model.g_red
         U, lam = march(model.u0_red, R, load, grid.I, _schur_step(s_inv, model.b_red, g), g)
-    return PriceSurface(
-        space=model.space(), grid=grid, K=model.K, boundary=bnd, basis=model.psi, U=U, lam=lam
-    )
+    return PriceSurface(space=model.space, grid=grid, boundary=bnd, basis=model.psi, U=U, lam=lam)
 
 
 def _schur_step(s_inv, B, g):
@@ -318,10 +298,10 @@ def _final_error(model_like, mu, u_final_det, gram):
     return float(np.sqrt(diff @ (gram @ diff)))
 
 
-def _detailed_solve(style, mu, space, blocks, grid, K):
+def _detailed_solve(style, mu, space, blocks, grid):
     if style == "european":
-        return solve_european(mu, space, blocks, grid, K)
-    return solve_american(mu, space, blocks, grid, K)
+        return solve_european(mu, space, blocks, grid)
+    return solve_american(mu, space, blocks, grid)
 
 
 def pod_greedy(
@@ -331,8 +311,6 @@ def pod_greedy(
     blocks: AssemblyBlocks,
     grid: TimeGrid,
     config: GreedyConfig = GreedyConfig(),
-    K: float = 1.0,
-    progress: bool = False,
 ) -> ReducedModel:
     """POD-Greedy (European) / POD-Angle-Greedy (American) basis construction.
 
@@ -354,12 +332,11 @@ def pod_greedy(
     finals = np.empty((len(train), space.n_free))
     traj_cache: dict[int, object] = {}
     for i, mu in enumerate(train):
-        surf = _detailed_solve(style, mu, space, blocks, grid, K)
+        surf = _detailed_solve(style, mu, space, blocks, grid)
         finals[i] = surf.U[-1]
         if i == 0:
             traj_cache[0] = surf
-        if progress:
-            log.info("detailed training solve %d/%d", i + 1, len(train))
+        log.info("detailed training solve %d/%d", i + 1, len(train))
 
     # initialization: first training point, k' = final step
     surf0 = traj_cache[0]
@@ -384,7 +361,7 @@ def pod_greedy(
     prev_err = np.inf
     stall = 0
     while psi.shape[1] < config.n_max:
-        model = _project_offline(style, space, blocks, grid, psi, xi, K)
+        model = _project_offline(style, space, blocks, grid, psi, xi)
         errs = np.array([_final_error(model, mu, finals[i], gram) for i, mu in enumerate(train)])
         i_worst = int(np.argmax(errs))
         eps_train = float(errs[i_worst])
@@ -406,10 +383,9 @@ def pod_greedy(
         mu_n = train[i_worst]
         selected.append(mu_n)
         if i_worst not in traj_cache:
-            traj_cache[i_worst] = _detailed_solve(style, mu_n, space, blocks, grid, K)
+            traj_cache[i_worst] = _detailed_solve(style, mu_n, space, blocks, grid)
         surf = traj_cache[i_worst]
-        if progress:
-            log.info("greedy pick %s err %.3e dim %d", mu_n, eps_train, psi.shape[1])
+        log.info("greedy pick %s err %.3e dim %d", mu_n, eps_train, psi.shape[1])
 
         new_primal = []
         if style == "american":
@@ -441,13 +417,13 @@ def pod_greedy(
         psi = np.column_stack([psi] + added)
 
     return _project_offline(
-        style, space, blocks, grid, psi, xi, K,
+        style, space, blocks, grid, psi, xi,
         selected_mu=selected, errors=errors, stagnated=stagnated,
     )
 
 
-def pod_angle_greedy_american(train, space, blocks, grid, config=GreedyConfig(), K=1.0, **kw):
-    return pod_greedy("american", train, space, blocks, grid, config, K, **kw)
+def pod_angle_greedy_american(train, space, blocks, grid, config=GreedyConfig()):
+    return pod_greedy("american", train, space, blocks, grid, config)
 
 
 # ---------------------------------------------------------------------------
@@ -462,14 +438,16 @@ _ARRAY_FIELDS = (
 
 def save_reduced_model(model: ReducedModel, path) -> None:
     """Serialize the model to a versioned .npz container."""
+    d = model.space.domain
     meta = {
         "format_version": FORMAT_VERSION,
         "style": model.style,
-        "domain": [model.domain.nu_min, model.domain.nu_max, model.domain.x_min, model.domain.x_max],
-        "n_nu": model.n_nu,
-        "n_x": model.n_x,
-        "grid": [model.grid.T, model.grid.I, model.grid.theta],
-        "K": model.K,
+        "domain": [d.nu_min, d.nu_max, d.x_min, d.x_max],
+        "n_nu": model.space.n_nu,
+        "n_x": model.space.n_x,
+        # the version-1 layout records the theta weight and the strike
+        "grid": [model.grid.T, model.grid.I, THETA],
+        "K": 1.0,
         "selected_mu": [list(m.as_array()) for m in model.selected_mu],
         "errors": model.errors,
         "stagnated": model.stagnated,
@@ -480,18 +458,20 @@ def save_reduced_model(model: ReducedModel, path) -> None:
 
 
 def load_reduced_model(path) -> ReducedModel:
+    """Load a container; one solved with another theta or strike is refused."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(f"unsupported container version {meta['format_version']}")
         T, I, theta = meta["grid"]
+        if theta != THETA or meta["K"] != 1.0:
+            raise ValueError(
+                f"{path} was solved with theta {theta} and K {meta['K']}; only {THETA} and 1 load"
+            )
         return ReducedModel(
             style=meta["style"],
-            domain=Domain2D(*meta["domain"]),
-            n_nu=int(meta["n_nu"]),
-            n_x=int(meta["n_x"]),
-            grid=TimeGrid(T=T, I=int(I), theta=theta),
-            K=meta["K"],
+            space=build_mesh(Domain2D(*meta["domain"]), int(meta["n_nu"]), int(meta["n_x"])),
+            grid=TimeGrid(T=T, I=int(I)),
             selected_mu=[ModelParams(*row) for row in meta["selected_mu"]],
             errors=list(meta["errors"]),
             stagnated=bool(meta["stagnated"]),

@@ -1,8 +1,9 @@
 """Full-order time stepping for European and American put surfaces, and the
 time loop and active-set kernel shared with the reduced model.
 
-Every solve, detailed or reduced (rbm.solve_reduced), is one theta-scheme
-loop, march: step k solves with the right-hand side rhs_op @ U[k] + load(k),
+Every solve, detailed or reduced (rbm.solve_reduced), is of the unit-strike
+put and is one Crank-Nicolson loop (theta = heston_operator.THETA), march:
+step k solves with the right-hand side rhs_op @ U[k] + load(k),
 where load is the lift load of heston_operator.lift_and_rhs.  The European
 problem is a linear solve per step.  The American problem couples it with
 the componentwise obstacle through a diagonal biorthogonal pairing, so every
@@ -36,6 +37,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .heston_operator import (
+    THETA,
     BoundaryData,
     assemble_operator,
     boundary_data,
@@ -59,17 +61,14 @@ STEP_TOL = 1e-9
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid of the theta-scheme; t runs from 0 to the horizon."""
+    """Uniform time grid of the Crank-Nicolson solves; t runs from 0 to the horizon."""
 
     T: float
     I: int
-    theta: float = 0.5
 
     def __post_init__(self):
         if self.T <= 0 or self.I < 1:
             raise ValueError("require T > 0 and I >= 1")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
 
     @property
     def dt(self) -> float:
@@ -89,7 +88,6 @@ class PriceSurface:
 
     space: FemSpace
     grid: TimeGrid
-    K: float
     boundary: BoundaryData
     basis: np.ndarray | None = field(repr=False)
     U: np.ndarray = field(repr=False)  # (I+1, n_free) or (I+1, N)
@@ -98,10 +96,10 @@ class PriceSurface:
 
 def _check_time_step(mu: ModelParams, grid: TimeGrid) -> None:
     lam_a = garding_shift_estimate(mu)
-    if grid.theta > 0 and grid.dt >= 1.0 / (grid.theta * lam_a):
+    if grid.dt >= 1.0 / (THETA * lam_a):
         warnings.warn(
             f"time step dt={grid.dt:g} may violate the stability bound "
-            f"1/(theta*lambda_a)={1.0 / (grid.theta * lam_a):g}",
+            f"1/(theta*lambda_a)={1.0 / (THETA * lam_a):g}",
             stacklevel=4,
         )
 
@@ -257,41 +255,37 @@ def march(u0, rhs_op, load, I: int, solve, g=None):
     return U, lam
 
 
-def _solve_detailed(style, mu, space, blocks, grid, K):
+def _solve_detailed(style, mu, space, blocks, grid):
     """The FEM solve of one style behind solve_european and solve_american."""
     _check_time_step(mu, grid)
-    bnd = boundary_data(space, style, K, mu.r)
+    bnd = boundary_data(space, style, mu.r)
     a_full = assemble_operator(mu, blocks)
     a_free = blocks.restrict(a_full)
     free = space.free
-    dt, th = grid.dt, grid.theta
-    load = lift_and_rhs((blocks.mass @ bnd.shape)[free], (a_full @ bnd.shape)[free], bnd, dt, th)
+    dt = grid.dt
+    load = lift_and_rhs((blocks.mass @ bnd.shape)[free], (a_full @ bnd.shape)[free], bnd, dt)
     # freed before the time loop: held across it, the heap tends to return
     # and re-fault the LU pages, about twice the page faults per solve
     del a_full
     m_free = blocks.mass_free
-    lhs = (m_free / dt + th * a_free).tocsr()
-    rhs_op = (m_free / dt - (1.0 - th) * a_free).tocsr()
-    payoff = payoff_vector(space, K)
+    lhs = (m_free / dt + THETA * a_free).tocsr()
+    rhs_op = (m_free / dt - (1.0 - THETA) * a_free).tocsr()
+    payoff = payoff_vector(space)
     if style == "european":
         U, lam = march(payoff, rhs_op, load, grid.I, spla.splu(lhs.tocsc()).solve)
     else:
         U, lam = march(payoff, rhs_op, load, grid.I, fem_step(lhs, payoff, blocks.d_b_free), payoff)
-    return PriceSurface(space=space, grid=grid, K=K, boundary=bnd, basis=None, U=U, lam=lam)
+    return PriceSurface(space=space, grid=grid, boundary=bnd, basis=None, U=U, lam=lam)
 
 
-def solve_european(
-    mu: ModelParams, space: FemSpace, blocks: AssemblyBlocks, grid: TimeGrid, K: float = 1.0
-) -> PriceSurface:
-    """theta-scheme solve of the European put on the free DOFs."""
-    return _solve_detailed("european", mu, space, blocks, grid, K)
+def solve_european(mu: ModelParams, space: FemSpace, blocks: AssemblyBlocks, grid: TimeGrid) -> PriceSurface:
+    """Crank-Nicolson solve of the unit-strike European put on the free DOFs."""
+    return _solve_detailed("european", mu, space, blocks, grid)
 
 
-def solve_american(
-    mu: ModelParams, space: FemSpace, blocks: AssemblyBlocks, grid: TimeGrid, K: float = 1.0
-) -> PriceSurface:
-    """Per-step primal-dual active set solve of the American put system."""
-    return _solve_detailed("american", mu, space, blocks, grid, K)
+def solve_american(mu: ModelParams, space: FemSpace, blocks: AssemblyBlocks, grid: TimeGrid) -> PriceSurface:
+    """Per-step primal-dual active set solve of the unit-strike American put system."""
+    return _solve_detailed("american", mu, space, blocks, grid)
 
 
 def psor_step(lhs, rhs, g, omega: float = 1.5, tol: float = 1e-10, max_iter: int = 20000, u0=None):
@@ -338,8 +332,8 @@ def price_at(surface: PriceSurface, S0: float, strikes, nu0: float, maturities):
     """Put prices of quotes (K_i, T_i) from one unit-strike surface.
 
     strikes and maturities broadcast; scalars give a scalar.  Quote i is the
-    surface at the point (nu0, log(S0/K_i)) and maturity T_i, scaled by
-    K_i / K_solve.  One pass serves every quote: evaluation_row locates all
+    surface at the point (nu0, log(S0/K_i)) and maturity T_i, scaled by K_i.
+    One pass serves every quote: evaluation_row locates all
     points, their free part is projected onto the basis once, one product
     gives their values at every time level, and off-grid maturities blend
     the adjacent levels (interpolate_in_time).  A point
@@ -361,4 +355,4 @@ def price_at(surface: PriceSurface, S0: float, strikes, nu0: float, maturities):
         return at_levels[quote, k] + lift * bnd.scale(k * grid.dt)
 
     k0, k1, w = interpolate_in_time(grid, maturities)
-    return (((1.0 - w) * at(k0) + w * at(k1)) * strikes / surface.K).reshape(shape)[()]
+    return (((1.0 - w) * at(k0) + w * at(k1)) * strikes).reshape(shape)[()]

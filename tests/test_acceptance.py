@@ -148,8 +148,8 @@ def test_criterion_4_deamericanization_fidelity():
     for name, theta in DAS_SCENARIOS.items():
         p = CalibParams.from_array(theta)
         mu = p.to_model(RATE)
-        am = solve_american(mu, space, blocks, grid, K=1.0)
-        eu = solve_european(mu, space, blocks, grid, K=1.0)
+        am = solve_american(mu, space, blocks, grid)
+        eu = solve_european(mu, space, blocks, grid)
         quotes = [Quote(T, K, "american", price=price_at(am, 1.0, K, p.nu0, T))
                   for T in DAS_MATURITIES for K in DAS_STRIKES]
         # non-invertible quotes are dropped; their gaps stay NaN
@@ -203,7 +203,7 @@ def test_criterion_6_cross_backend_consistency():
         space = build_mesh(Domain2D(), n, n)
         blocks = assemble_blocks(space)
         grid = TimeGrid(2.0, steps)
-        surf = solve_european(mu, space, blocks, grid, K=1.0)
+        surf = solve_european(mu, space, blocks, grid)
         worst = 0.0
         for K, T in probes:
             fem = price_at(surf, 1.0, K, p.nu0, T)

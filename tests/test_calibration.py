@@ -336,7 +336,7 @@ def _fem_quote_price(surf, S0, K_i, nu0, T_i):
         full[surf.space.free] += surf.U[k]
         return full[tri] @ lam
 
-    return _blend_in_time(surf.grid, T_i, level_value) * K_i / surf.K
+    return _blend_in_time(surf.grid, T_i, level_value) * K_i
 
 
 def _reduced_quote_price(surf, S0, K_i, nu0, T_i):
@@ -353,7 +353,7 @@ def _reduced_quote_price(surf, S0, K_i, nu0, T_i):
     def level_value(k):
         return surf.boundary.scale(k * surf.grid.dt) * lift_shape + row @ surf.U[k]
 
-    return _blend_in_time(surf.grid, T_i, level_value) * K_i / surf.K
+    return _blend_in_time(surf.grid, T_i, level_value) * K_i
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -368,7 +368,7 @@ def test_every_variant_prices_through_make_backend(variant, registry_inputs):
     mu = p.to_model(REGISTRY_R)
     if spec.backend is PdeBackend:
         solver = solve_american if spec.style == "american" else solve_european
-        surf, oracle = solver(mu, *fem, K=1.0), _fem_quote_price
+        surf, oracle = solver(mu, *fem), _fem_quote_price
         assert surf.basis is None
     elif spec.backend is ReducedBackend:
         surf, oracle = solve_reduced(bases[spec.style], mu), _reduced_quote_price

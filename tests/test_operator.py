@@ -115,16 +115,16 @@ def test_garding_shift_bounded_on_corners():
 
 def test_boundary_lift_european(fem):
     space, _ = fem
-    bnd = boundary_data(space, "european", 2.0, 0.05)
+    bnd = boundary_data(space, "european", 0.05)
     lift = bnd.scale(1.0) * bnd.shape
-    assert np.allclose(lift[space.dirichlet_x_min], 2.0 * np.exp(-0.05))
+    assert np.allclose(lift[space.dirichlet_x_min], np.exp(-0.05))
     assert np.all(lift[space.coords[:, 1] == space.domain.x_max] == 0.0)
     assert np.all(lift[~space.dirichlet] == 0.0)
 
 
 def test_boundary_lift_american_static(fem):
     space, _ = fem
-    bnd = boundary_data(space, "american", 1.0, 0.05)
+    bnd = boundary_data(space, "american", 0.05)
     assert bnd.scale(0.0) == bnd.scale(1.5) == 1.0
     x_wall = space.coords[space.dirichlet, 1]
     assert np.allclose(bnd.shape[space.dirichlet], put_payoff_log(1.0, x_wall))
@@ -135,8 +135,8 @@ def test_obstacle_nonnegative_where_payoff_positive(fem):
     either lift vanishes at every free node."""
     space, _ = fem
     for style in ("american", "european"):
-        assert np.all(boundary_data(space, style, 1.0, 0.05).shape[space.free] == 0.0)
-    g = payoff_vector(space, 1.0)
+        assert np.all(boundary_data(space, style, 0.05).shape[space.free] == 0.0)
+    g = payoff_vector(space)
     x_free = space.coords[space.free, 1]
     np.testing.assert_allclose(g, put_payoff_log(1.0, x_free), atol=1e-14)
     assert np.all(g >= 0.0)
@@ -146,11 +146,11 @@ def test_lift_rhs_zero_for_zero_lift(fem):
     """With zero Dirichlet data the theta-scheme load vanishes."""
     space, blocks = fem
     mu = ModelParams(0.5, -0.5, 0.2, 1.0, 0.0)
-    bnd = boundary_data(space, "european", 1.0, 0.0)
+    bnd = boundary_data(space, "european", 0.0)
     # r=0 European lift is static; rhs reduces to -A L0 restricted
     a = assemble_operator(mu, blocks)
     mlift, alift = (blocks.mass @ bnd.shape)[space.free], (a @ bnd.shape)[space.free]
-    load = lift_and_rhs(mlift, alift, bnd, 0.1, 0.5)
+    load = lift_and_rhs(mlift, alift, bnd, 0.1)
     want = -(a @ bnd.shape)[space.free]
     for k in (0, 7):
         np.testing.assert_allclose(load(k), want, atol=1e-14)

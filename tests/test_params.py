@@ -28,8 +28,8 @@ def test_model_params_validation():
 
 
 def test_calib_roundtrip():
-    p = CalibParams(0.7, -0.8, 0.3, 1.4, 0.3)
-    assert CalibParams.from_array(p.as_array()) == p
+    p = CalibParams.from_array([0.7, -0.8, 0.3, 1.4, 0.3])
+    assert p == CalibParams(0.7, -0.8, 0.3, 1.4, 0.3)
     mu = p.to_model(0.05)
     assert mu.r == 0.05 and mu.xi == 0.7
 

@@ -8,6 +8,7 @@ import pytest
 import scipy.sparse as sp
 
 from hestoncal.calibration import PdeBackend, ReducedBackend
+from hestoncal.heston_operator import THETA
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, ParamBox
 from hestoncal.rbm import (
@@ -184,7 +185,7 @@ def test_reduced_american_matches_detailed_at_selected_mu(toy, toy_american):
     space, blocks, grid = toy
     m = toy_american
     mu = m.selected_mu[-1]
-    surf = solve_american(mu, space, blocks, grid, K=1.0)
+    surf = solve_american(mu, space, blocks, grid)
     traj = solve_reduced(m, mu)
     for T in (0.5, 1.0):
         p_det = price_at(surf, 1.0, 1.0, 0.2, T)
@@ -192,9 +193,8 @@ def test_reduced_american_matches_detailed_at_selected_mu(toy, toy_american):
         assert p_red == pytest.approx(p_det, abs=5e-3)
 
 
-@pytest.mark.parametrize("theta", [0.5, 1.0])
 @pytest.mark.parametrize("style", ["european", "american"])
-def test_full_basis_reduced_solve_is_the_detailed_solve(style, theta):
+def test_full_basis_reduced_solve_is_the_detailed_solve(style):
     """The online solve is the Galerkin projection of the detailed theta-scheme.
 
     With a V-orthonormal basis of the whole free space, psi = L^-T for
@@ -204,14 +204,14 @@ def test_full_basis_reduced_solve_is_the_detailed_solve(style, theta):
     """
     space = build_mesh(Domain2D(), 8, 8)
     blocks = assemble_blocks(space)
-    grid = TimeGrid(1.0, 24, theta)
+    grid = TimeGrid(1.0, 24)
     mu = ModelParams(0.7, -0.8, 0.3, 1.4, 0.05)
     psi = np.linalg.inv(np.linalg.cholesky(blocks.v_gram_free.toarray())).T
     sqrt_d = np.sqrt(blocks.d_b_free)
     xi = np.diag(1.0 / sqrt_d) if style == "american" else None
-    traj = solve_reduced(_project_offline(style, space, blocks, grid, psi, xi, 1.0), mu)
+    traj = solve_reduced(_project_offline(style, space, blocks, grid, psi, xi), mu)
     solver = solve_american if style == "american" else solve_european
-    surf = solver(mu, space, blocks, grid, 1.0)
+    surf = solver(mu, space, blocks, grid)
     U = traj.U @ psi.T
     assert np.abs(U - surf.U).max() <= 1e-10 * np.abs(surf.U).max()
     if style == "american":
@@ -267,8 +267,8 @@ ARRAY_FIELDS = ("psi", "a_red", "m_red", "mlift_red", "alift_red", "u0_red", "xi
 
 
 def _assert_same_model(back, m):
-    assert (back.style, back.domain, back.n_nu, back.n_x, back.grid, back.K) == (
-        m.style, m.domain, m.n_nu, m.n_x, m.grid, m.K
+    assert (back.style, back.space.n_nu, back.space.n_x, back.space.domain, back.grid) == (
+        m.style, m.space.n_nu, m.space.n_x, m.space.domain, m.grid
     )
     assert back.selected_mu == m.selected_mu
     assert back.errors == m.errors and back.stagnated == m.stagnated
@@ -296,38 +296,58 @@ def test_serialization_round_trip(tmp_path, toy_american, toy_european):
     assert toy_european.xi is None and toy_european.b_red is None and toy_european.g_red is None
 
 
-@pytest.mark.parametrize("style", ["american", "european"])
-def test_loads_container_in_version_1_key_layout(tmp_path, style, toy_american, toy_european):
-    # the key layout and member order of version-1 files written so far
-    m = toy_american if style == "american" else toy_european
+def _save_version_1(path, m, **meta_changes):
+    """Write m in the key layout and member order of the version-1 files
+    written so far; meta_changes replace entries of its meta."""
+    d = m.space.domain
     meta = {
         "format_version": 1,
         "style": m.style,
-        "domain": [m.domain.nu_min, m.domain.nu_max, m.domain.x_min, m.domain.x_max],
-        "n_nu": m.n_nu,
-        "n_x": m.n_x,
-        "grid": [m.grid.T, m.grid.I, m.grid.theta],
-        "K": m.K,
+        "domain": [d.nu_min, d.nu_max, d.x_min, d.x_max],
+        "n_nu": m.space.n_nu,
+        "n_x": m.space.n_x,
+        "grid": [m.grid.T, m.grid.I, THETA],
+        "K": 1.0,
         "selected_mu": [list(p.as_array()) for p in m.selected_mu],
         "errors": m.errors,
         "stagnated": m.stagnated,
+        **meta_changes,
     }
     arrays = {
         "psi": m.psi, "a_red": m.a_red, "m_red": m.m_red, "mlift_red": m.mlift_red,
         "alift_red": m.alift_red, "u0_red": m.u0_red,
         "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
     }
-    if style == "american":
+    if m.style == "american":
         arrays.update(xi=m.xi, b_red=m.b_red, g_red=m.g_red)
-    path = tmp_path / "v1.npz"
     np.savez(path, **arrays)
+
+
+@pytest.mark.parametrize("style", ["american", "european"])
+def test_loads_container_in_version_1_key_layout(tmp_path, style, toy_american, toy_european):
+    m = toy_american if style == "american" else toy_european
+    path = tmp_path / "v1.npz"
+    _save_version_1(path, m)
     _assert_same_model(load_reduced_model(path), m)
+
+
+@pytest.mark.parametrize("changes, named", [
+    ({"grid": [1.0, 20, 1.0]}, "theta 1.0"),
+    ({"K": 2.0}, "K 2.0"),
+], ids=["theta", "strike"])
+def test_refuses_container_solved_with_another_theta_or_strike(tmp_path, changes, named, toy_american):
+    """Every solve is the Crank-Nicolson unit-strike put, so a file that
+    records another theta weight or strike is refused, naming the value."""
+    path = tmp_path / "other.npz"
+    _save_version_1(path, toy_american, **changes)
+    with pytest.raises(ValueError, match=named):
+        load_reduced_model(path)
 
 
 def test_error_decays_with_basis_size(toy, toy_train):
     space, blocks, grid = toy
     mu_test = ModelParams(0.35, -0.45, 0.12, 1.2, 0.03)
-    surf = solve_american(mu_test, space, blocks, grid, K=1.0)
+    surf = solve_american(mu_test, space, blocks, grid)
     u_ref = surf.U[-1]
     G = blocks.v_gram_free
     errs = []
@@ -347,7 +367,7 @@ def test_reduced_price_off_grid_matches_detailed(toy):
     space, blocks, grid = toy
     mu = ModelParams(0.3, -0.5, 0.1, 1.0, 0.03)
     m = pod_greedy("european", [mu], space, blocks, grid, GreedyConfig(n_max=16, tol=1e-14))
-    surf = solve_european(mu, space, blocks, grid, K=1.0)
+    surf = solve_european(mu, space, blocks, grid)
     traj = solve_reduced(m, mu)
     for T in (0.27, 0.5, 0.93):  # off the dt = 0.05 grid, except 0.5
         for K in (0.9, 1.0, 1.1):

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from hestoncal import solvers
-from hestoncal.heston_operator import assemble_operator, boundary_data, payoff_vector
+from hestoncal.heston_operator import THETA, assemble_operator, boundary_data, payoff_vector
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluation_row
 from hestoncal.params import ModelParams
 from hestoncal.solvers import (
@@ -44,8 +44,6 @@ def test_time_grid():
     assert g.I * g.dt == 2.0
     with pytest.raises(ValueError):
         TimeGrid(T=0.0, I=8)
-    with pytest.raises(ValueError):
-        TimeGrid(T=2.0, I=8, theta=1.5)
 
 
 def test_interpolate_in_time_is_linear_between_levels():
@@ -75,7 +73,7 @@ def test_price_at_on_grid_maturity_is_its_level(fem, grid):
     strikes = np.array([0.9, 1.1, np.exp(4.8)])
     rows = evaluation_row(space, 0.3, np.log(1.0 / strikes))
     for solver in (solve_european, solve_american):
-        surf = solver(MU, space, blocks, grid, 1.0)
+        surf = solver(MU, space, blocks, grid)
         for k in (1, 12, 25):
             level = rows @ _full_values(surf, k)
             got = price_at(surf, 1.0, strikes, 0.3, k * grid.dt)
@@ -86,7 +84,7 @@ def test_price_at_vector_matches_scalar_calls_and_broadcasts(fem, grid):
     """One array call prices like one call per quote, in the input's shape."""
     space, blocks = fem
     for solver in (solve_european, solve_american):
-        surf = solver(MU, space, blocks, grid, 1.0)
+        surf = solver(MU, space, blocks, grid)
         strikes = np.array([[0.8, 1.0, 1.2], [1.1, 0.9, 1.0]])
         maturities = np.array([[0.2, 0.73, 1.0], [0.5, 0.5, 0.99]])
         got = price_at(surf, 1.0, strikes, 0.3, maturities)
@@ -101,7 +99,7 @@ def test_price_at_vector_matches_scalar_calls_and_broadcasts(fem, grid):
 def test_price_at_off_grid_maturity_blends_adjacent_levels(fem, grid):
     space, blocks = fem
     for solver in (solve_european, solve_american):
-        surf = solver(MU, space, blocks, grid, 1.0)
+        surf = solver(MU, space, blocks, grid)
         for T in (0.5, 0.73, 0.99):
             k = T / grid.dt
             k0 = int(k)
@@ -116,7 +114,7 @@ def test_price_at_off_grid_maturity_blends_adjacent_levels(fem, grid):
 
 def test_price_at_beyond_horizon_raises(fem, grid):
     space, blocks = fem
-    eu = solve_european(MU, space, blocks, grid, 1.0)
+    eu = solve_european(MU, space, blocks, grid)
     with pytest.raises(ValueError, match="horizon"):
         price_at(eu, 1.0, 1.0, 0.3, 1.5)
     with pytest.raises(ValueError, match="horizon"):
@@ -133,8 +131,8 @@ def test_american_dominates_european(fem, grid):
     conventions (discounted strike vs payoff), which differ by O(K e^{x_min}).
     """
     space, blocks = fem
-    eu = solve_european(MU, space, blocks, grid, 1.0)
-    am = solve_american(MU, space, blocks, grid, 1.0)
+    eu = solve_european(MU, space, blocks, grid)
+    am = solve_american(MU, space, blocks, grid)
     for nu0 in (0.05, 0.1, 0.3, 0.5, 0.8):
         for K in np.linspace(0.75, 1.25, 11):
             p_eu = price_at(eu, 1.0, K, nu0, 1.0)
@@ -145,13 +143,12 @@ def test_american_dominates_european(fem, grid):
 
 def test_complementarity_and_obstacle(fem, grid):
     space, blocks = fem
-    K = 1.0
-    am = solve_american(MU, space, blocks, grid, K)
-    g = payoff_vector(space, K)
+    am = solve_american(MU, space, blocks, grid)
+    g = payoff_vector(space)
     for k in range(1, grid.I + 1):
         assert np.min(am.U[k] - g) >= -1e-10
         assert np.all(am.lam[k] >= 0.0)
-        assert np.max(np.abs(am.lam[k] * (am.U[k] - g))) <= 1e-8 * K
+        assert np.max(np.abs(am.lam[k] * (am.U[k] - g))) <= 1e-8
 
 
 def test_r0_american_equals_european_fem(monkeypatch):
@@ -168,12 +165,12 @@ def test_r0_american_equals_european_fem(monkeypatch):
     space = build_mesh(Domain2D(), 33, 33)
     blocks = assemble_blocks(space)
     grid = TimeGrid(T=1.0, I=50)
-    am = solve_american(MU_R0, space, blocks, grid, 1.0)
+    am = solve_american(MU_R0, space, blocks, grid)
     # the European solve on the American (payoff) wall data
     monkeypatch.setattr(
-        solvers, "boundary_data", lambda space, style, K, r: boundary_data(space, "american", K, r)
+        solvers, "boundary_data", lambda space, style, r: boundary_data(space, "american", r)
     )
-    eu = solve_european(MU_R0, space, blocks, grid, 1.0)
+    eu = solve_european(MU_R0, space, blocks, grid)
     for K in (0.9, 1.0, 1.1):
         p_eu = price_at(eu, 1.0, K, 0.3, 1.0)
         p_am = price_at(am, 1.0, K, 0.3, 1.0)
@@ -182,19 +179,9 @@ def test_r0_american_equals_european_fem(monkeypatch):
 
 def test_price_monotone_in_strike(fem, grid):
     space, blocks = fem
-    am = solve_american(MU, space, blocks, grid, 1.0)
+    am = solve_american(MU, space, blocks, grid)
     prices = [price_at(am, 1.0, K, 0.3, 1.0) for K in np.linspace(0.7, 1.3, 13)]
     assert np.all(np.diff(prices) > 0)
-
-
-def test_strike_homogeneity(fem, grid):
-    """Pricing K=2 via the unit-strike surface equals a direct K=2 solve."""
-    space, blocks = fem
-    s1 = solve_european(MU, space, blocks, grid, 1.0)
-    s2 = solve_european(MU, space, blocks, grid, 2.0)
-    p_scaled = price_at(s1, 1.0, 2.0, 0.3, 1.0)
-    p_direct = price_at(s2, 1.0, 2.0, 0.3, 1.0)
-    assert p_scaled == pytest.approx(p_direct, rel=1e-10)
 
 
 def test_temporal_convergence():
@@ -203,7 +190,7 @@ def test_temporal_convergence():
     blocks = assemble_blocks(space)
 
     def price(I):
-        surf = solve_european(MU, space, blocks, TimeGrid(T=1.0, I=I), 1.0)
+        surf = solve_european(MU, space, blocks, TimeGrid(T=1.0, I=I))
         return price_at(surf, 1.0, 1.0, 0.3, 1.0)
 
     ref = price(256)
@@ -217,16 +204,15 @@ def _psor_cross_check_step():
     space = build_mesh(Domain2D(), 10, 10)
     blocks = assemble_blocks(space)
     grid = TimeGrid(T=0.5, I=5)
-    K = 1.0
-    bnd = boundary_data(space, "american", K, MU.r)
+    bnd = boundary_data(space, "american", MU.r)
     a_full = assemble_operator(MU, blocks)
     a_free = blocks.restrict(a_full)
-    lhs = (blocks.mass_free / grid.dt + grid.theta * a_free).tocsr()
-    rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
-    g = payoff_vector(space, K)
+    lhs = (blocks.mass_free / grid.dt + THETA * a_free).tocsr()
+    rhs_op = (blocks.mass_free / grid.dt - (1 - THETA) * a_free).tocsr()
+    g = payoff_vector(space)
     f = -(a_full @ bnd.shape)[space.free]  # the static American lift load
 
-    am = solve_american(MU, space, blocks, grid, K)
+    am = solve_american(MU, space, blocks, grid)
     rhs = rhs_op @ am.U[0] + f
     return lhs, rhs, g, blocks.d_b_free, am
 
@@ -254,7 +240,7 @@ def test_fem_pivoting_from_empty_set_matches_psor():
 def test_european_boundary_consistency(fem, grid):
     """Deep-ITM European value approaches the discounted strike."""
     space, blocks = fem
-    eu = solve_european(MU, space, blocks, grid, 1.0)
+    eu = solve_european(MU, space, blocks, grid)
     w = _full_values(eu, grid.I)
     on_wall = w[space.dirichlet_x_min]
     assert np.allclose(on_wall, np.exp(-MU.r * grid.T), rtol=1e-12)
@@ -276,15 +262,15 @@ def _fresh_step(lhs, rhs, g, d):
     return solve
 
 
-def _american_system(space, blocks, grid, mu=MU, K=1.0):
+def _american_system(space, blocks, grid, mu=MU):
     """(lhs, rhs_op, f, g, d) of solve_american's theta-steps."""
-    bnd = boundary_data(space, "american", K, mu.r)
+    bnd = boundary_data(space, "american", mu.r)
     a_full = assemble_operator(mu, blocks)
     a_free = blocks.restrict(a_full)
-    lhs = (blocks.mass_free / grid.dt + grid.theta * a_free).tocsr()
-    rhs_op = (blocks.mass_free / grid.dt - (1 - grid.theta) * a_free).tocsr()
+    lhs = (blocks.mass_free / grid.dt + THETA * a_free).tocsr()
+    rhs_op = (blocks.mass_free / grid.dt - (1 - THETA) * a_free).tocsr()
     f = -(a_full @ bnd.shape)[space.free]  # the static American lift load
-    return lhs, rhs_op, f, payoff_vector(space, K), blocks.d_b_free
+    return lhs, rhs_op, f, payoff_vector(space), blocks.d_b_free
 
 
 @pytest.fixture(scope="module")
@@ -327,7 +313,7 @@ def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
 def test_solve_american_matches_fresh_factorization(ladder_fem):
     """The whole solve equals a loop that builds every matrix fresh."""
     space, blocks = ladder_fem
-    am = solve_american(MU, space, blocks, LADDER_GRID, 1.0)
+    am = solve_american(MU, space, blocks, LADDER_GRID)
     lhs, rhs_op, f, g, d = _american_system(space, blocks, LADDER_GRID)
     u = am.U[0]
     active = np.zeros(g.size, dtype=bool)
@@ -347,7 +333,7 @@ def test_solve_american_factorizes_at_most_1_2_lus_per_step(ladder_fem, monkeypa
         return splu(*args, **kwargs)
 
     monkeypatch.setattr(spla, "splu", counting_splu)
-    solve_american(MU, space, blocks, LADDER_GRID, 1.0)
+    solve_american(MU, space, blocks, LADDER_GRID)
     assert len(calls) <= 1.2 * LADDER_GRID.I
 
 
@@ -355,11 +341,11 @@ def test_european_load_matches_per_step_lift_and_rhs(fem, grid):
     """The two fixed lift loads price like the lift load assembled from the
     full-node lift vectors at every step."""
     space, blocks = fem
-    eu = solve_european(MU, space, blocks, grid, 1.0)
-    bnd = boundary_data(space, "european", 1.0, MU.r)
+    eu = solve_european(MU, space, blocks, grid)
+    bnd = boundary_data(space, "european", MU.r)
     a_full = assemble_operator(MU, blocks)
     a_free = blocks.restrict(a_full)
-    dt, th = grid.dt, grid.theta
+    dt, th = grid.dt, THETA
     lu = spla.splu((blocks.mass_free / dt + th * a_free).tocsc())
     rhs_op = (blocks.mass_free / dt - (1 - th) * a_free).tocsr()
     U = np.empty_like(eu.U)
