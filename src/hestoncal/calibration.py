@@ -396,6 +396,10 @@ def calibrate_reduced_refined(
     warm-started.  Every round prices with ReducedAm, so pilot_model must be
     an American basis.
 
+    space and grid must be the mesh and time grid pilot_model was built on,
+    so that every refinement basis discretizes the pilot's problem; another
+    mesh (domain, n_nu or n_x) or grid raises ValueError.
+
     Returns (report, refined_model, pilot_report) for the last round;
     report.time_preprocess accumulates the offline basis-construction time
     of all rounds, while time_calibrate is the online cost of the final
@@ -405,6 +409,12 @@ def calibrate_reduced_refined(
 
     if n_refine < 1:
         raise ValueError("n_refine must be at least 1")
+    pilot_mesh = (pilot_model.space.domain, pilot_model.space.n_nu, pilot_model.space.n_x)
+    mesh = (space.domain, space.n_nu, space.n_x)
+    if mesh != pilot_mesh:
+        raise ValueError(f"refinement mesh (domain, n_nu, n_x) = {mesh} is not the pilot basis's {pilot_mesh}")
+    if grid != pilot_model.grid:
+        raise ValueError(f"refinement time grid {grid} is not the pilot basis's {pilot_model.grid}")
     pilot_backend = make_backend("ReducedAm", model=pilot_model)
     # The pilot only needs to locate the valley to within the localization
     # half-widths, so stop it early instead of polishing a biased optimum.

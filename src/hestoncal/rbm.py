@@ -71,6 +71,15 @@ def make_training_grid(box, counts, r: float) -> list[ModelParams]:
 # basic linear-algebra building blocks
 
 
+def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """X^T Y for column blocks over the free DOFs, summed by NumPy's own loops.
+
+    BLAS splits these long sums across threads for some shapes, so a matmul
+    here would make the basis depend on the BLAS thread count.
+    """
+    return np.einsum("ki,kj->ij", X, Y)
+
+
 def pod1(trajectory: np.ndarray, gram) -> np.ndarray:
     """First dominant POD mode of snapshot columns in the gram inner product.
 
@@ -83,7 +92,7 @@ def pod1(trajectory: np.ndarray, gram) -> np.ndarray:
         raise ValueError("trajectory must be a 2-d array of snapshot columns")
     if S.shape[0] < S.shape[1]:
         raise ValueError("snapshots must be columns")
-    C = S.T @ (gram @ S)
+    C = _inner(S, gram @ S)
     if not np.any(np.abs(C) > 0.0):
         raise ValueError("all-zero snapshot trajectory")
     w, Q = np.linalg.eigh(0.5 * (C + C.T))
@@ -196,16 +205,16 @@ def _project_offline(
     alift = np.empty((N_AFFINE, psi.shape[1]))
     for q in range(N_AFFINE):
         Aq = blocks.a_blocks[q]
-        a_red[q] = psi.T @ (blocks.restrict(Aq) @ psi)
+        a_red[q] = _inner(psi, blocks.restrict(Aq) @ psi)
         alift[q] = psi.T @ (Aq @ L0)[free]
-    m_red = psi.T @ (blocks.mass_free @ psi)
+    m_red = _inner(psi, blocks.mass_free @ psi)
     mlift = psi.T @ (blocks.mass @ L0)[free]
     payoff = payoff_vector(space)
     u0_red = psi.T @ (blocks.v_gram_free @ payoff)
     b_red = g_red = None
     if style == "american":
         d = blocks.d_b_free
-        b_red = (xi * d[:, None]).T @ psi
+        b_red = _inner(xi * d[:, None], psi)
         g_red = (xi * d[:, None]).T @ payoff
     return ReducedModel(
         style=style,
@@ -258,30 +267,37 @@ def _schur_step(s_inv, B, g):
     S a - B^T beta = rhs with beta = 0 off the active set and B a = g on it,
     in dual cone coordinates beta, so c = B a.  S is pre-inverted; block
     elimination gives a = S^-1 (rhs + B_A^T beta), and beta on the active
-    set solves the small Schur complement (B S^-1 B^T)_AA.
+    set solves the small Schur complement (B S^-1 B^T)_AA.  The callbacks
+    share one slot keyed by the active set, as fem_step's do, that holds
+    the set's indices and the parts of g, B^T and the Schur complement
+    they select.
     """
     n_w = g.size
     bs = B @ s_inv  # (n_w, N)
     schur = bs @ B.T  # (n_w, n_w)
+    key, parts = None, None
 
     def step(rhs):
         a_free = s_inv @ rhs
         ba_free = bs @ rhs  # = B a with beta = 0
 
         def solve(active):
-            idx = np.flatnonzero(active)
+            nonlocal key, parts
+            if active.tobytes() != key:
+                idx = np.flatnonzero(active)
+                key, parts = active.tobytes(), (idx, g[idx], schur[np.ix_(idx, idx)], B.T[:, idx], schur[:, idx])
+            idx, g_act, small, b_act, schur_act = parts
             beta = np.zeros(n_w)
             if idx.size == 0:
                 return a_free, beta, ba_free
-            rhs_small = g[idx] - ba_free[idx]
-            small = schur[np.ix_(idx, idx)]
+            rhs_small = g_act - ba_free[idx]
             try:
                 beta_act = np.linalg.solve(small, rhs_small)
             except np.linalg.LinAlgError:
                 beta_act = np.linalg.lstsq(small, rhs_small, rcond=None)[0]
             beta[idx] = beta_act
-            a = a_free + s_inv @ (B.T[:, idx] @ beta_act)
-            return a, beta, ba_free + schur[:, idx] @ beta_act
+            a = a_free + s_inv @ (b_act @ beta_act)
+            return a, beta, ba_free + schur_act @ beta_act
 
         return solve
 
@@ -402,7 +418,7 @@ def pod_greedy(
                 new_primal.append(supremizer(xi_new, blocks))
 
         snaps = surf.U.T  # columns
-        proj = psi @ (psi.T @ (gram @ snaps))
+        proj = psi @ _inner(psi, gram @ snaps)
         resid = snaps - proj
         try:
             psi_new = pod1(resid, gram)

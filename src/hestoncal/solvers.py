@@ -17,7 +17,9 @@ solve_complementarity solves it by a primal-dual active set iteration
 Kunisch 2002), with least-index principal pivoting as its only fallback.
 It sees the problem only through a callback solve(active) -> (x, lam, c);
 fem_step builds the FEM one, which factorizes each distinct active set once
-and reuses that LU across Newton iterations and across theta-steps.
+and reuses that LU across Newton iterations and across theta-steps.  One
+fill-reducing ordering per solve serves all of those LUs: each is a NATURAL
+factorization of the step matrix permuted into that order.
 
 Every solve returns the one surface type, PriceSurface: a coefficient
 trajectory U in a basis of the free DOFs (psi for a reduced solve, the
@@ -133,7 +135,7 @@ def solve_complementarity(solve, g, active):
     for _ in range(MAX_ITER):
         x, lam, c = solve(active)
         new_active = (lam + (g - c)) > 0
-        if np.array_equal(new_active, active):
+        if (new_active == active).all():
             return x, lam, active
         scale = max(1.0, np.abs(c).max(), np.abs(g).max())
         if (g - c).max() <= KKT_TOL * scale and lam.min() >= -KKT_TOL * scale:
@@ -188,17 +190,27 @@ def fem_step(lhs, g, d):
     The callbacks of one fem_step share a single LU slot keyed by the active
     set, so each distinct set is factorized once and its LU is reused until
     another set evicts it: the first Newton iterate of step k starts from
-    step k-1's final set, whose LU the slot still holds.  The modified matrix
-    masks the rows of lhs held in CSC with a unit diagonal on the active rows;
-    it equals (diag(~A) lhs + diag(A)).tocsc() entry for entry, explicit zeros
-    dropped, so a reused LU is the one a fresh build would give.
+    step k-1's final set, whose LU the slot still holds.
+
+    Every modified matrix has the pattern of lhs with some rows cut to their
+    diagonal, so one fill-reducing ordering serves them all: fem_step takes
+    SuperLU's minimum-degree ordering of lhs + lhs^T once (one extra LU, of
+    lhs itself) and factorizes every active set in that order with
+    permc_spec="NATURAL", so no splu call orders columns again.  The
+    modified matrix masks the rows of the symmetrically permuted lhs, held
+    in CSC, with a unit diagonal on the active rows; it equals
+    (diag(~A) lhs + diag(A))[order][:, order] in canonical CSC entry for
+    entry, explicit zeros dropped, so a reused LU is the one a fresh build
+    would give.
     """
     n = g.size
-    csc = lhs.tocsc()
+    order = np.argsort(spla.splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c)
+    csc = lhs.tocsr()[order][:, order].tocsc()
     rows = csc.indices
     diag = np.flatnonzero(rows == np.repeat(np.arange(n), np.diff(csc.indptr)))
     if diag.size != n:
         raise ValueError("fem_step needs every diagonal entry of lhs stored")
+    g_ord = g[order]
     key, lu = None, None
 
     def factor(active):
@@ -206,16 +218,21 @@ def fem_step(lhs, g, d):
         data[diag[active]] = 1.0
         keep = data != 0.0
         indptr = np.concatenate(([0], np.cumsum(keep)))[csc.indptr]
-        return spla.splu(sp.csc_matrix((data[keep], rows[keep], indptr), shape=csc.shape))
+        mod = sp.csc_matrix((data[keep], rows[keep], indptr), shape=csc.shape)
+        return spla.splu(mod, permc_spec="NATURAL")
 
     def step(rhs):
+        rhs_ord = rhs[order]
+
         def solve(active):
             nonlocal key, lu
+            active_ord = active[order]
             if active.tobytes() != key:
                 # drop the evicted LU first: two alive at once raise peak memory
                 lu = None
-                key, lu = active.tobytes(), factor(active)
-            u = lu.solve(np.where(active, g, rhs))
+                key, lu = active.tobytes(), factor(active_ord)
+            u = np.empty(n)
+            u[order] = lu.solve(np.where(active_ord, g_ord, rhs_ord))
             lam = np.zeros(n)
             if active.any():
                 lam[active] = (lhs @ u - rhs)[active] / d[active]

@@ -10,6 +10,7 @@ from hestoncal.calibration import (
     PdeBackend,
     ReducedBackend,
     calibrate,
+    calibrate_reduced_refined,
     fd_jacobian,
     make_backend,
     objective,
@@ -470,3 +471,30 @@ def test_route_quotes_refuses_the_other_style_for_direct_variants(variant):
     for wrong in (sets[other], own.with_quotes(own.quotes + sets[other].quotes)):
         with pytest.raises(ValueError, match=f"holds {other} ones"):
             route_quotes(variant, wrong)
+
+
+@pytest.mark.parametrize(
+    "mesh, grid, named",
+    [((9, 8), TimeGrid(1.0, 10), ("9, 8)", "8, 8)")), ((8, 8), TimeGrid(1.0, 12), ("I=12", "I=10"))],
+    ids=["mesh", "steps"],
+)
+def test_calibrate_reduced_refined_refuses_another_discretization(
+    registry_inputs, monkeypatch, mesh, grid, named
+):
+    """A refinement basis is never built on another mesh or time grid than
+    its pilot's: the mismatch raises, naming both, before any calibration or
+    greedy runs."""
+    from hestoncal import calibration, rbm
+
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the discretization check")
+
+    monkeypatch.setattr(calibration, "calibrate", never)
+    monkeypatch.setattr(rbm, "pod_angle_greedy_american", never)
+    pilot = registry_inputs[1]["american"]
+    space = build_mesh(Domain2D(), *mesh)
+    with pytest.raises(ValueError, match="pilot") as err:
+        calibrate_reduced_refined(
+            ROUTE_QUOTES, pilot, space, assemble_blocks(space), grid, DEFAULT_CALIB_BOX, DEFAULT_CALIB_BOX
+        )
+    assert all(name in str(err.value) for name in named)

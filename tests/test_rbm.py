@@ -1,6 +1,10 @@
 """Reduced-basis offline construction and online solves (toy scale)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from dataclasses import replace
 
 import numpy as np
@@ -342,6 +346,35 @@ def test_refuses_container_solved_with_another_theta_or_strike(tmp_path, changes
     _save_version_1(path, toy_american, **changes)
     with pytest.raises(ValueError, match=named):
         load_reduced_model(path)
+
+
+#: Builds a two-point American basis on the 33 x 33 mesh with I = 125, where
+#: the snapshot correlation of pod1 is large enough for BLAS to thread, and
+#: saves it to the path given as the first argument.
+_THREAD_BUILD = """
+import sys
+from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
+from hestoncal.params import ModelParams
+from hestoncal.rbm import GreedyConfig, pod_greedy, save_reduced_model
+from hestoncal.solvers import TimeGrid
+space = build_mesh(Domain2D(), 33, 33)
+train = [ModelParams(0.7, -0.8, 0.3, 1.4, 0.05), ModelParams(0.5, -0.6, 0.2, 2.0, 0.05)]
+model = pod_greedy("american", train, space, assemble_blocks(space), TimeGrid(2.0, 125), GreedyConfig(n_max=4))
+save_reduced_model(model, sys.argv[1])
+"""
+
+
+def test_basis_build_does_not_depend_on_blas_thread_count(tmp_path):
+    """The same greedy build at one and at two BLAS threads saves the same
+    container byte for byte."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    paths = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        paths.append(tmp_path / f"threads_{threads}.npz")
+        subprocess.run([sys.executable, "-c", _THREAD_BUILD, str(paths[-1])], env=env, check=True, timeout=300)
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_error_decays_with_basis_size(toy, toy_train):

@@ -10,6 +10,7 @@ from hestoncal.heston_operator import THETA, assemble_operator, boundary_data, p
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluation_row
 from hestoncal.params import ModelParams
 from hestoncal.solvers import (
+    KKT_TOL,
     TimeGrid,
     fem_step,
     interpolate_in_time,
@@ -246,14 +247,29 @@ def test_european_boundary_consistency(fem, grid):
     assert np.allclose(on_wall, np.exp(-MU.r * grid.T), rtol=1e-12)
 
 
-def _fresh_step(lhs, rhs, g, d):
+def _mmd_order(lhs):
+    """The symmetric order fem_step factorizes in: SuperLU's minimum-degree
+    ordering of lhs + lhs^T."""
+    return np.argsort(spla.splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c)
+
+
+def _fresh_step(lhs, rhs, g, d, order=None):
     """Reference FEM step callback: builds (diag(~A) lhs + diag(A)).tocsc()
-    from new sparse objects and factorizes it on every call."""
+    from new sparse objects and factorizes it on every call.  With an order,
+    the matrix is permuted symmetrically by it and factorized with
+    permc_spec="NATURAL", as fem_step does; without one, SuperLU orders the
+    columns of each matrix itself (COLAMD), the reference that one ordering
+    per solve is held to."""
     n = rhs.size
 
     def solve(active):
         mod = (sp.diags((~active).astype(float)) @ lhs + sp.diags(active.astype(float))).tocsc()
-        u = spla.splu(mod).solve(np.where(active, g, rhs))
+        b = np.where(active, g, rhs)
+        if order is None:
+            u = spla.splu(mod).solve(b)
+        else:
+            u = np.empty(n)
+            u[order] = spla.splu(mod[order][:, order].tocsc(), permc_spec="NATURAL").solve(b[order])
         lam = np.zeros(n)
         if active.any():
             lam[active] = (lhs @ u - rhs)[active] / d[active]
@@ -285,29 +301,33 @@ def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
     lhs, rhs_op, f, g, d = _american_system(space, blocks, grid)
     rng = np.random.default_rng(5)
     rhs = rhs_op @ rng.uniform(0.0, 0.5, g.size) + f
+    order = _mmd_order(lhs)
     factored = []
 
     def recording_splu(A, *args, **kwargs):
-        factored.append(A)
+        factored.append((A, kwargs.get("permc_spec")))
         return splu(A, *args, **kwargs)
 
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", recording_splu)
     solve = fem_step(lhs, g, d)(rhs)
+    # the one ordering call, on lhs itself
+    assert [spec for _, spec in factored] == ["MMD_AT_PLUS_A"]
     sets = [rng.uniform(size=g.size) < p for p in (0.0, 0.1, 0.4, 0.4, 0.9)]
     sets.append(sets[2].copy())  # seen before but evicted since: a new LU
     sets.append(sets[-1].copy())  # the set the slot holds: no new LU
     for active in sets:
         n_before = len(factored)
         u, lam, c = solve(active)
-        u_ref, lam_ref, _ = _fresh_step(lhs, rhs, g, d)(active)
+        u_ref, lam_ref, _ = _fresh_step(lhs, rhs, g, d, order)(active)
         assert np.array_equal(u, u_ref) and np.array_equal(lam, lam_ref)
         assert c is u
-        mine, ref = factored[n_before], factored[-1]
+        (mine, mine_spec), (ref, ref_spec) = factored[n_before], factored[-1]
+        assert mine_spec == ref_spec == "NATURAL"
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(mine, attr), getattr(ref, attr))
-    # every set but the repeat was factorized twice (step and reference)
-    assert len(factored) == 2 * len(sets) - 1
+    # the ordering, then every set but the repeat twice (step and reference)
+    assert len(factored) == 1 + 2 * len(sets) - 1
 
 
 def test_solve_american_matches_fresh_factorization(ladder_fem):
@@ -315,10 +335,11 @@ def test_solve_american_matches_fresh_factorization(ladder_fem):
     space, blocks = ladder_fem
     am = solve_american(MU, space, blocks, LADDER_GRID)
     lhs, rhs_op, f, g, d = _american_system(space, blocks, LADDER_GRID)
+    order = _mmd_order(lhs)
     u = am.U[0]
     active = np.zeros(g.size, dtype=bool)
     for k in range(LADDER_GRID.I):
-        u, lam, active = solve_complementarity(_fresh_step(lhs, rhs_op @ u + f, g, d), g, active)
+        u, lam, active = solve_complementarity(_fresh_step(lhs, rhs_op @ u + f, g, d, order), g, active)
         assert np.array_equal(u, am.U[k + 1]) and np.array_equal(lam, am.lam[k + 1])
 
 
@@ -335,6 +356,68 @@ def test_solve_american_factorizes_at_most_1_2_lus_per_step(ladder_fem, monkeypa
     monkeypatch.setattr(spla, "splu", counting_splu)
     solve_american(MU, space, blocks, LADDER_GRID)
     assert len(calls) <= 1.2 * LADDER_GRID.I
+
+
+#: One corner of DEFAULT_CALIB_BOX: largest xi, most negative rho, smallest
+#: gamma and kappa (Feller condition far from met).
+CORNER = ModelParams(0.9, -0.95, 0.01, 0.1, 0.05)
+#: The model of the synthetic ladders' theta (P2 of the acceptance tests,
+#: whose theta_ex is MU).
+LADDER_MU = ModelParams(0.25, -0.5, 0.10, 0.4, 0.05)
+
+
+@pytest.mark.parametrize("n, I", [(17, 48), (33, 125)])
+@pytest.mark.parametrize("mu", [MU, LADDER_MU, CORNER], ids=["mu", "ladder", "corner"])
+def test_solve_american_matches_solver_with_default_ordering(n, I, mu, monkeypatch):
+    """One ordering per solve moves U and lam by round-off only.
+
+    The oracle factorizes every active set with SuperLU's own column
+    ordering.  U and lam agree within 1e-10 relative, and the active sets
+    agree except at ties: nodes where, in both solutions, u - g is within
+    KKT_TOL (scaled as solve_complementarity scales it) and lam within the
+    1e-10 bound.  solve_american orders lhs once: exactly one splu call is
+    not NATURAL.
+    """
+    space = build_mesh(Domain2D(), n, n)
+    blocks = assemble_blocks(space)
+    grid = TimeGrid(T=2.0, I=I)
+    specs = []
+    splu = spla.splu
+
+    def recording_splu(*args, **kwargs):
+        specs.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    am = solve_american(mu, space, blocks, grid)
+    monkeypatch.undo()
+    assert sum(spec != "NATURAL" for spec in specs) == 1
+
+    lhs, rhs_op, f, g, d = _american_system(space, blocks, grid, mu)
+    step = fem_step(lhs, g, d)
+    u, u_ref = am.U[0], am.U[0]
+    active = active_ref = np.zeros(g.size, dtype=bool)
+    U_ref, lam_ref = np.zeros_like(am.U), np.zeros_like(am.lam)
+    U_ref[0] = u_ref
+    slack, multiplier = [], []
+    for k in range(I):
+        u, lam, active = solve_complementarity(step(rhs_op @ u + f), g, active)
+        assert np.array_equal(u, am.U[k + 1]) and np.array_equal(lam, am.lam[k + 1])
+        u_ref, lam_ref[k + 1], active_ref = solve_complementarity(
+            _fresh_step(lhs, rhs_op @ u_ref + f, g, d), g, active_ref
+        )
+        U_ref[k + 1] = u_ref
+        tie = active != active_ref
+        for uu, ll in ((u, lam), (u_ref, lam_ref[k + 1])):
+            slack.append(np.abs(uu - g)[tie] / max(1.0, np.abs(uu).max(), np.abs(g).max()))
+            multiplier.append(np.abs(ll[tie]))
+    assert np.abs(am.U - U_ref).max() <= 1e-10 * np.abs(U_ref).max()
+    lam_tol = 1e-10 * np.abs(lam_ref).max()
+    assert np.abs(am.lam - lam_ref).max() <= lam_tol
+    # a node changes side only at a tie: lam within the bound above and
+    # u - g within the KKT tolerance, in both solutions
+    assert np.concatenate(slack).max(initial=0.0) <= KKT_TOL
+    assert np.concatenate(multiplier).max(initial=0.0) <= lam_tol
 
 
 def test_european_load_matches_per_step_lift_and_rhs(fem, grid):
