@@ -8,11 +8,12 @@ dual cone is spanned by normalized nonnegative multiplier snapshots and kept
 inf-sup stable through supremizer enrichment of the primal space.  The
 online solve is the Galerkin projection of the detailed one: it runs the
 same time loop (solvers.march) with the same load formula, and each
-American step is solved by the shared active-set kernel through a dense
-Schur-complement callback.  It returns the detailed solve's surface type,
-solvers.PriceSurface with basis psi; solvers.price_at projects each quote's
-interpolation row onto psi once, so its products with the coefficients cost
-O(N) per quote and time level, independent of the finite-element dimension.
+American step is solved by the shared active-set kernel through the dense
+Schur complement of each active set (_schur_step).  It returns the detailed
+solve's surface type, solvers.PriceSurface with basis psi; solvers.price_at
+projects each quote's interpolation row onto psi once, so its products with
+the coefficients cost O(N) per quote and time level, independent of the
+finite-element dimension.
 """
 
 from __future__ import annotations
@@ -36,10 +37,11 @@ from .heston_operator import (
 )
 from .mesh import AssemblyBlocks, Domain2D, FemSpace, build_mesh
 from .params import ModelParams
-from .solvers import PriceSurface, TimeGrid, march, solve_american, solve_european
+from .solvers import LCPError, PriceSurface, TimeGrid, march, solve_american, solve_european
 
 log = logging.getLogger(__name__)
 
+#: Relative norm below which gram_orthonormalize drops a vector as dependent.
 ORTHO_TOL = 1e-10
 # consecutive re-picks of the worst training point without an error decrease
 # after which the greedy stops as stagnated
@@ -106,13 +108,13 @@ def pod1(trajectory: np.ndarray, gram) -> np.ndarray:
     return z
 
 
-def gram_orthonormalize(vectors, gram, basis=(), tol: float = ORTHO_TOL):
+def gram_orthonormalize(vectors, gram, basis=()):
     """Modified Gram-Schmidt in the gram inner product, applied twice.
 
     Orthogonalizes each vector against the orthonormal basis vectors (a
     sequence, such as psi.T for the columns of psi) and the previously
-    accepted vectors; vectors whose norm collapses below tol (relative to
-    their input norm) are dropped.
+    accepted vectors; vectors whose norm collapses below ORTHO_TOL (relative
+    to their input norm) are dropped.
     """
     accepted = []
     cols = list(basis)
@@ -125,7 +127,7 @@ def gram_orthonormalize(vectors, gram, basis=(), tol: float = ORTHO_TOL):
             for b in cols + accepted:
                 v -= (b @ (gram @ v)) * b
         n = np.sqrt(v @ (gram @ v))
-        if n <= tol * n0 or n == 0.0:
+        if n <= ORTHO_TOL * n0 or n == 0.0:
             continue
         accepted.append(v / n)
     return accepted
@@ -261,47 +263,42 @@ def solve_reduced(model: ReducedModel, mu: ModelParams) -> PriceSurface:
 
 
 def _schur_step(s_inv, B, g):
-    """solve_complementarity callbacks of the steps of one reduced solve.
+    """Per-set factorizations of the steps of one reduced solve.
 
-    _schur_step(s_inv, B, g)(rhs) is the callback of the step
-    S a - B^T beta = rhs with beta = 0 off the active set and B a = g on it,
-    in dual cone coordinates beta, so c = B a.  S is pre-inverted; block
-    elimination gives a = S^-1 (rhs + B_A^T beta), and beta on the active
-    set solves the small Schur complement (B S^-1 B^T)_AA.  The callbacks
-    share one slot keyed by the active set, as fem_step's do, that holds
-    the set's indices and the parts of g, B^T and the Schur complement
-    they select.
+    _schur_step(s_inv, B, g)(active) returns solve(rhs) -> (a, beta, B a) of
+    the step S a - B^T beta = rhs with beta = 0 off the active set and
+    B a = g on it, in dual cone coordinates beta, so c = B a.  S is
+    pre-inverted; block elimination gives a = S^-1 (rhs + B_A^T beta), and
+    beta on the active set solves the small Schur complement
+    (B S^-1 B^T)_AA, whose parts the set selects once.  It keeps no state,
+    like fem_step: march holds the one slot.  A singular Schur block raises
+    solvers.LCPError.
     """
     n_w = g.size
     bs = B @ s_inv  # (n_w, N)
     schur = bs @ B.T  # (n_w, n_w)
-    key, parts = None, None
 
-    def step(rhs):
-        a_free = s_inv @ rhs
-        ba_free = bs @ rhs  # = B a with beta = 0
+    def factor(active):
+        idx = np.flatnonzero(active)
+        g_act, small, b_act, schur_act = g[idx], schur[np.ix_(idx, idx)], B.T[:, idx], schur[:, idx]
 
-        def solve(active):
-            nonlocal key, parts
-            if active.tobytes() != key:
-                idx = np.flatnonzero(active)
-                key, parts = active.tobytes(), (idx, g[idx], schur[np.ix_(idx, idx)], B.T[:, idx], schur[:, idx])
-            idx, g_act, small, b_act, schur_act = parts
+        def solve(rhs):
+            a_free = s_inv @ rhs
+            ba_free = bs @ rhs  # = B a with beta = 0
             beta = np.zeros(n_w)
             if idx.size == 0:
                 return a_free, beta, ba_free
-            rhs_small = g_act - ba_free[idx]
             try:
-                beta_act = np.linalg.solve(small, rhs_small)
+                beta_act = np.linalg.solve(small, g_act - ba_free[idx])
             except np.linalg.LinAlgError:
-                beta_act = np.linalg.lstsq(small, rhs_small, rcond=None)[0]
+                raise LCPError(n_w, 0, np.nan, "singular Schur block") from None
             beta[idx] = beta_act
             a = a_free + s_inv @ (b_act @ beta_act)
             return a, beta, ba_free + schur_act @ beta_act
 
         return solve
 
-    return step
+    return factor
 
 
 # ---------------------------------------------------------------------------

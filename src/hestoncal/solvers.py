@@ -15,11 +15,12 @@ with c = u here and c = B a in the reduced model.
 solve_complementarity solves it by a primal-dual active set iteration
 (semismooth Newton on the complementarity system, Hintermueller, Ito and
 Kunisch 2002), with least-index principal pivoting as its only fallback.
-It sees the problem only through a callback solve(active) -> (x, lam, c);
-fem_step builds the FEM one, which factorizes each distinct active set once
-and reuses that LU across Newton iterations and across theta-steps.  One
-fill-reducing ordering per solve serves all of those LUs: each is a NATURAL
-factorization of the step matrix permuted into that order.
+It sees the problem only through a callback solve(active) -> (x, lam, c),
+which march builds from a pure per-set factorization factor(active) ->
+solve(rhs) (fem_step, rbm._schur_step) and the one slot that keeps the last
+set's factorization across Newton iterations and theta-steps.  One
+fill-reducing ordering per FEM solve serves all of its LUs: each is a
+NATURAL factorization of the step matrix permuted into that order.
 
 Every solve returns the one surface type, PriceSurface: a coefficient
 trajectory U in a basis of the free DOFs (psi for a reduced solve, the
@@ -180,17 +181,14 @@ def principal_pivoting(solve, g, active):
 
 
 def fem_step(lhs, g, d):
-    """solve_complementarity callbacks of the theta-steps of one FEM solve.
+    """Per-set factorizations of the theta-steps of one FEM solve.
 
-    fem_step(lhs, g, d)(rhs) is the callback of the step
-    lhs @ u - diag(d) lam = rhs with c = u.  Active rows are replaced by the
-    identity equations u_p = g_p, and their multiplier is the residual of the
-    original row divided by the pairing weight d_p.
-
-    The callbacks of one fem_step share a single LU slot keyed by the active
-    set, so each distinct set is factorized once and its LU is reused until
-    another set evicts it: the first Newton iterate of step k starts from
-    step k-1's final set, whose LU the slot still holds.
+    fem_step(lhs, g, d)(active) factorizes the step lhs @ u - diag(d) lam = rhs
+    with c = u on one active set and returns its solve(rhs) -> (u, lam, u).
+    Active rows are replaced by the identity equations u_p = g_p, and their
+    multiplier is the residual of the original row divided by the pairing
+    weight d_p.  It keeps no state: march holds the one slot that reuses a
+    set's factorization.
 
     Every modified matrix has the pattern of lhs with some rows cut to their
     diagonal, so one fill-reducing ordering serves them all: fem_step takes
@@ -200,8 +198,7 @@ def fem_step(lhs, g, d):
     modified matrix masks the rows of the symmetrically permuted lhs, held
     in CSC, with a unit diagonal on the active rows; it equals
     (diag(~A) lhs + diag(A))[order][:, order] in canonical CSC entry for
-    entry, explicit zeros dropped, so a reused LU is the one a fresh build
-    would give.
+    entry, explicit zeros dropped.
     """
     n = g.size
     order = np.argsort(spla.splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c)
@@ -211,45 +208,40 @@ def fem_step(lhs, g, d):
     if diag.size != n:
         raise ValueError("fem_step needs every diagonal entry of lhs stored")
     g_ord = g[order]
-    key, lu = None, None
 
     def factor(active):
-        data = np.where(active[rows], 0.0, csc.data)
-        data[diag[active]] = 1.0
+        active_ord = active[order]
+        idx = np.flatnonzero(active)
+        data = np.where(active_ord[rows], 0.0, csc.data)
+        data[diag[active_ord]] = 1.0
         keep = data != 0.0
         indptr = np.concatenate(([0], np.cumsum(keep)))[csc.indptr]
         mod = sp.csc_matrix((data[keep], rows[keep], indptr), shape=csc.shape)
-        return spla.splu(mod, permc_spec="NATURAL")
+        lu = spla.splu(mod, permc_spec="NATURAL")
 
-    def step(rhs):
-        rhs_ord = rhs[order]
-
-        def solve(active):
-            nonlocal key, lu
-            active_ord = active[order]
-            if active.tobytes() != key:
-                # drop the evicted LU first: two alive at once raise peak memory
-                lu = None
-                key, lu = active.tobytes(), factor(active_ord)
+        def solve(rhs):
             u = np.empty(n)
-            u[order] = lu.solve(np.where(active_ord, g_ord, rhs_ord))
+            u[order] = lu.solve(np.where(active_ord, g_ord, rhs[order]))
             lam = np.zeros(n)
-            if active.any():
-                lam[active] = (lhs @ u - rhs)[active] / d[active]
+            if idx.size:
+                lam[idx] = (lhs @ u - rhs)[idx] / d[idx]
             return u, lam, u
 
         return solve
 
-    return step
+    return factor
 
 
-def march(u0, rhs_op, load, I: int, solve, g=None):
+def march(u0, rhs_op, load, I: int, step, g=None):
     """The theta-scheme time loop of every detailed and reduced solve.
 
     Step k solves with the right-hand side rhs_op @ U[k] + load(k).  Without
-    an obstacle g, solve(rhs) returns U[k+1].  With one, solve(rhs) is the
-    step's solve_complementarity callback, started from the previous step's
-    active set.  Returns (U, lam), lam None without an obstacle and
+    an obstacle g, step(rhs) returns U[k+1].  With one, step(active)
+    factorizes an active set's step matrix and returns its solve(rhs) ->
+    (x, lam, c), and each step is solve_complementarity started from the
+    previous step's set.  One slot, keyed by the set, keeps the last
+    factorization across Newton iterations and steps; it is dropped before
+    the next is built.  Returns (U, lam), lam None without an obstacle and
     lam[0] = 0 with one.  The trajectory is checked once after the loop: a
     non-finite U raises FloatingPointError naming its first step.
     """
@@ -258,14 +250,22 @@ def march(u0, rhs_op, load, I: int, solve, g=None):
     lam = None
     if g is None:
         for k in range(I):
-            U[k + 1] = solve(rhs_op @ U[k] + load(k))
+            U[k + 1] = step(rhs_op @ U[k] + load(k))
     else:
         lam = np.zeros((I + 1, g.size))
         active = np.zeros(g.size, dtype=bool)
+        key, solve = None, None
+
+        def slot(active):
+            nonlocal key, solve
+            if active.tobytes() != key:
+                solve = None  # first: two factorizations alive at once raise peak memory
+                key, solve = active.tobytes(), step(active)
+            return solve
+
         for k in range(I):
-            U[k + 1], lam[k + 1], active = solve_complementarity(
-                solve(rhs_op @ U[k] + load(k)), g, active
-            )
+            rhs = rhs_op @ U[k] + load(k)
+            U[k + 1], lam[k + 1], active = solve_complementarity(lambda a: slot(a)(rhs), g, active)
     if not np.isfinite(U).all():
         k = int(np.argmin(np.isfinite(U).all(axis=1)))
         raise FloatingPointError(f"non-finite solution at step {k}")

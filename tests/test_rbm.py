@@ -18,6 +18,7 @@ from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, ParamBox
 from hestoncal.rbm import (
     GreedyConfig,
     _project_offline,
+    _schur_step,
     angle_to_space,
     gram_orthonormalize,
     load_reduced_model,
@@ -495,3 +496,19 @@ def test_pivot_lcp_without_solution_raises_typed_error():
     assert isinstance(err, RuntimeError)
     assert err.n == 1 and err.pivots >= 1 and err.residual > 0.0
     assert "n=1" in str(err)
+
+
+def test_singular_schur_block_raises_typed_error():
+    """Two equal constraint rows with equal obstacles, both active: the Schur
+    block (B S^-1 B^T)_AA is singular, and the step raises instead of
+    returning a least-squares multiplier."""
+    B = np.array([[1.0, 2.0, 0.5], [1.0, 2.0, 0.5], [0.0, 1.0, -1.0]])
+    g = np.array([0.3, 0.3, -0.2])
+    s_inv = np.linalg.inv(np.array([[4.0, 1.0, 0.0], [1.0, 3.0, 0.5], [0.0, 0.5, 2.0]]))
+    factor = _schur_step(s_inv, B, g)
+    with pytest.raises(LCPError, match="singular Schur block") as info:
+        factor(np.array([True, True, False]))(np.array([1.0, -0.5, 0.25]))
+    assert isinstance(info.value, RuntimeError) and info.value.n == 3
+    # either row alone is a regular block
+    _, beta, c = factor(np.array([True, False, False]))(np.array([1.0, -0.5, 0.25]))
+    assert c[0] == pytest.approx(g[0], rel=1e-14) and beta[1:].tolist() == [0.0, 0.0]

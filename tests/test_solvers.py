@@ -1,3 +1,4 @@
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -228,7 +229,8 @@ def test_psor_cross_check():
 def test_fem_pivoting_from_empty_set_matches_psor():
     """The kernel's fallback alone, started from no active node."""
     lhs, rhs, g, d, am = _psor_cross_check_step()
-    u, lam, active = principal_pivoting(fem_step(lhs, g, d)(rhs), g, np.zeros(g.size, dtype=bool))
+    factor = fem_step(lhs, g, d)
+    u, lam, active = principal_pivoting(lambda a: factor(a)(rhs), g, np.zeros(g.size, dtype=bool))
     u_psor = psor_step(lhs, rhs, g, tol=1e-12)
     assert active.any()
     assert np.max(np.abs(u - u_psor)) < 1e-7
@@ -296,7 +298,7 @@ def ladder_fem():
 
 
 def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
-    """Masked build and LU slot give the fresh reference bit for bit."""
+    """The masked build of each set gives the fresh reference bit for bit."""
     space, blocks = fem
     lhs, rhs_op, f, g, d = _american_system(space, blocks, grid)
     rng = np.random.default_rng(5)
@@ -310,15 +312,13 @@ def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
 
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", recording_splu)
-    solve = fem_step(lhs, g, d)(rhs)
+    factor = fem_step(lhs, g, d)
     # the one ordering call, on lhs itself
     assert [spec for _, spec in factored] == ["MMD_AT_PLUS_A"]
-    sets = [rng.uniform(size=g.size) < p for p in (0.0, 0.1, 0.4, 0.4, 0.9)]
-    sets.append(sets[2].copy())  # seen before but evicted since: a new LU
-    sets.append(sets[-1].copy())  # the set the slot holds: no new LU
+    sets = [rng.uniform(size=g.size) < p for p in (0.0, 0.1, 0.4, 0.9)]
     for active in sets:
         n_before = len(factored)
-        u, lam, c = solve(active)
+        u, lam, c = factor(active)(rhs)
         u_ref, lam_ref, _ = _fresh_step(lhs, rhs, g, d, order)(active)
         assert np.array_equal(u, u_ref) and np.array_equal(lam, lam_ref)
         assert c is u
@@ -326,8 +326,42 @@ def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
         assert mine_spec == ref_spec == "NATURAL"
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(mine, attr), getattr(ref, attr))
-    # the ordering, then every set but the repeat twice (step and reference)
-    assert len(factored) == 1 + 2 * len(sets) - 1
+    # the ordering, then one LU per set for the step and one for the reference
+    assert len(factored) == 1 + 2 * len(sets)
+
+
+def test_march_factorizes_each_consecutive_set_once_and_drops_the_evicted_one():
+    """march's one slot: a factorization per distinct consecutive active set,
+    none on a repeat, and the evicted one released before the next is built.
+
+    The stub step is u = rhs with obstacle g = 0, so each step's final set is
+    {rhs < 0}: A, A, B, A from the empty start set.
+    """
+    g = np.zeros(2)
+    loads = np.array([[-1.0, 1.0], [-1.0, 1.0], [1.0, -1.0], [-1.0, 1.0]])
+    factored, alive_at_build, refs = [], [], []
+
+    class Factorization:
+        def __init__(self, active):
+            self.active = active.copy()
+
+        def __call__(self, rhs):
+            u = np.where(self.active, g, rhs)
+            return u, np.where(self.active, g - rhs, 0.0), u
+
+    def factor(active):
+        alive_at_build.append(sum(ref() is not None for ref in refs))
+        factored.append(active.tolist())
+        built = Factorization(active)
+        refs.append(weakref.ref(built))
+        return built
+
+    U, lam = solvers.march(np.zeros(2), np.zeros((2, 2)), loads.__getitem__, len(loads), factor, g)
+    assert np.array_equal(U[1:], np.maximum(loads, 0.0))
+    assert np.array_equal(lam[1:], np.maximum(-loads, 0.0))
+    a, b = [True, False], [False, True]
+    assert factored == [[False, False], a, b, a]
+    assert alive_at_build == [0] * len(factored)
 
 
 def test_solve_american_matches_fresh_factorization(ladder_fem):
@@ -394,14 +428,15 @@ def test_solve_american_matches_solver_with_default_ordering(n, I, mu, monkeypat
     assert sum(spec != "NATURAL" for spec in specs) == 1
 
     lhs, rhs_op, f, g, d = _american_system(space, blocks, grid, mu)
-    step = fem_step(lhs, g, d)
+    factor = fem_step(lhs, g, d)
     u, u_ref = am.U[0], am.U[0]
     active = active_ref = np.zeros(g.size, dtype=bool)
     U_ref, lam_ref = np.zeros_like(am.U), np.zeros_like(am.lam)
     U_ref[0] = u_ref
     slack, multiplier = [], []
     for k in range(I):
-        u, lam, active = solve_complementarity(step(rhs_op @ u + f), g, active)
+        rhs = rhs_op @ u + f
+        u, lam, active = solve_complementarity(lambda a: factor(a)(rhs), g, active)
         assert np.array_equal(u, am.U[k + 1]) and np.array_equal(lam, am.lam[k + 1])
         u_ref, lam_ref[k + 1], active_ref = solve_complementarity(
             _fresh_step(lhs, rhs_op @ u_ref + f, g, d), g, active_ref
