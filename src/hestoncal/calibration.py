@@ -340,7 +340,8 @@ def optimize(resid_fun, x0, box: ParamBox, options: OptimizerOptions | None = No
         nu = 2.0
         if opt.feller and feller_margin(theta[0], theta[2], theta[3]) < FELLER_EPS:
             pen_weight *= FELLER_GROWTH
-            r = full_resid(theta, pen_weight)
+            # only the penalty entry depends on the weight: no re-pricing
+            r = np.append(r[:-1], _feller_residual(theta, pen_weight))
             J = cost(r)
             continue  # objective changed; convergence checks are meaningless here
         if dj <= TOL_DJ:
@@ -355,16 +356,17 @@ def optimize(resid_fun, x0, box: ParamBox, options: OptimizerOptions | None = No
 
 
 def localized_box(pilot_theta, half_widths, pde_box: ParamBox, calib_box: ParamBox) -> ParamBox:
-    """Training box for a refined basis: pilot +- half_widths in the PDE
-    coordinates (xi, rho, gamma, kappa), clipped to the global PDE box; the
-    initial-variance axis is inherited from the calibration box because the
-    PDE basis does not depend on nu0."""
+    """Training and calibration box of a refined basis: pilot +- half_widths
+    in the PDE coordinates (xi, rho, gamma, kappa), clipped to both the
+    global PDE box and the calibration box, so that a refined optimum stays
+    a point of calib_box; the initial-variance axis is inherited from the
+    calibration box because the PDE basis does not depend on nu0."""
     th = np.asarray(pilot_theta, dtype=float)
     hw = np.asarray(half_widths, dtype=float)
     if hw.shape != (4,):
         raise ValueError("half_widths must cover (xi, rho, gamma, kappa)")
-    lo = np.maximum(pde_box.lo[:4], th[:4] - hw)
-    hi = np.minimum(pde_box.hi[:4], th[:4] + hw)
+    lo = np.max([pde_box.lo[:4], calib_box.lo[:4], th[:4] - hw], axis=0)
+    hi = np.min([pde_box.hi[:4], calib_box.hi[:4], th[:4] + hw], axis=0)
     return ParamBox(lower=(*lo, calib_box.lo[4]), upper=(*hi, calib_box.hi[4]))
 
 

@@ -232,28 +232,30 @@ def cmd_calibrate(args) -> int:
     box = DEFAULT_CALIB_BOX
     options = cal.OptimizerOptions(max_iter=args.max_iter, feller=args.feller,
                                    fix_kappa=args.fix_kappa)
-    refined_path = None
+    refined_path, pilot_paths = None, {}
     if args.refine_basis:
         if args.backend != "ReducedAm":
             raise ValueError("--refine-basis requires --backend ReducedAm")
         if args.basis is None:
             raise ValueError("--refine-basis requires a pilot --basis")
         space, blocks = _fem(args)
-        report, refined, _pilot = cal.calibrate_reduced_refined(
+        report, refined, pilot = cal.calibrate_reduced_refined(
             pre, _load_basis(args), space, blocks, _grid(args),
             box, DEFAULT_PARAM_BOX,
             greedy_config=GreedyConfig(n_max=args.n_max),
             x0=args.x0, options=options,
         )
-        args.out_dir.mkdir(parents=True, exist_ok=True)
+        pilot_paths = {f"pilot_{k}": v for k, v in
+                       emit_report(pilot, args.out_dir, stem=f"{args.stem}_pilot").items()}
         refined_path = args.out_dir / f"{args.stem}_refined_basis.npz"
         save_reduced_model(refined, refined_path)
+        print(f"refined basis: dim={refined.dim} dual={refined.n_dual} -> {refined_path}")
     else:
         report = cal.calibrate(pre, _backend(args), box, x0=args.x0, options=options,
                                time_preprocess=t_pre)
     paths = emit_report(report, args.out_dir, stem=args.stem)
     _write_runconfig(args, args.stem, quotes=args.quotes, basis=args.basis,
-                     refined_basis=refined_path, **paths)
+                     refined_basis=refined_path, **pilot_paths, **paths)
     print(paths["summary"].read_text(encoding="utf-8"), end="")
     print(f"time preprocess [s]: {report.time_preprocess:.3f}")
     print(f"time calibrate [s]: {report.time_calibrate:.3f}")

@@ -198,7 +198,7 @@ class AssemblyBlocks:
     mass: int phi_j phi_i.
     v_gram: H1 semi-norm Gram matrix int grad phi_j . grad phi_i.
     a_blocks: the eight matrices of the affine operator split (see
-    heston_operator.AFFINE_BLOCKS for the corresponding coefficients).
+    heston_operator.affine_coefficients for the corresponding coefficients).
     d_b: diagonal of the biorthogonal pairing, (D_B)_pp = int phi_p.
     All matrices are on the full node set; use restrict() for the free-DOF
     versions.

@@ -12,6 +12,7 @@ from hestoncal.calibration import (
     calibrate,
     calibrate_reduced_refined,
     fd_jacobian,
+    localized_box,
     make_backend,
     objective,
     optimize,
@@ -19,7 +20,7 @@ from hestoncal.calibration import (
 )
 from hestoncal.closed_form import heston_put_cf
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
-from hestoncal.params import DEFAULT_CALIB_BOX, CalibParams, ModelParams, ParamBox, feller_margin
+from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, CalibParams, ModelParams, ParamBox, feller_margin
 from hestoncal.quotes import Quote, QuoteSet
 from hestoncal.rbm import GreedyConfig, pod_greedy, solve_reduced
 from hestoncal.solvers import TimeGrid, solve_american, solve_european
@@ -162,6 +163,21 @@ def test_optimize_feller_penalty_reaches_feasible_point():
     )
     assert status != "feller_infeasible"
     assert feller_margin(theta[0], theta[2], theta[3]) >= 0.0
+
+
+def test_optimize_feller_reweighting_prices_nothing_uncounted():
+    # each growth of the penalty weight reuses the residual in hand: every
+    # call of the residual function is one of the n_evals objective evaluations
+    target = np.array([0.9, -0.5, 0.02, 0.2, 0.3])
+    calls = []
+
+    def resid(th):
+        calls.append(th)
+        return th - target
+
+    *_, n_evals, _ = optimize(resid, DEFAULT_CALIB_BOX.midpoint(), DEFAULT_CALIB_BOX,
+                              OptimizerOptions(feller=True))
+    assert len(calls) == n_evals
 
 
 def test_optimize_fixed_kappa():
@@ -498,3 +514,13 @@ def test_calibrate_reduced_refined_refuses_another_discretization(
             ROUTE_QUOTES, pilot, space, assemble_blocks(space), grid, DEFAULT_CALIB_BOX, DEFAULT_CALIB_BOX
         )
     assert all(name in str(err.value) for name in named)
+
+
+def test_localized_box_stays_inside_the_calibration_box():
+    """The training box allows rho up to 0.95 but calibration only up to 0.3:
+    a pilot at rho = 0.25 gets a refined box that stops at 0.3, not 0.40."""
+    pilot = np.array([0.5, 0.25, 0.2, 2.0, 0.3])
+    box = localized_box(pilot, (0.25, 0.15, 0.10, 1.0), DEFAULT_PARAM_BOX, DEFAULT_CALIB_BOX)
+    assert box.hi[1] == DEFAULT_CALIB_BOX.hi[1]
+    assert np.all(box.lo >= DEFAULT_CALIB_BOX.lo) and np.all(box.hi <= DEFAULT_CALIB_BOX.hi)
+    assert box.contains(pilot)

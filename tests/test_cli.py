@@ -355,6 +355,27 @@ def test_basis_refuses_a_mesh_or_time_grid_it_was_not_built_on(tmp_path):
     assert not (tmp_path / "calibration_summary.txt").exists()
 
 
+def test_refine_basis_reports_the_pilot_and_the_refined_basis(tmp_path, capsys):
+    common = ["--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", "2.0", "--out-dir", str(tmp_path)]
+    _run(["build-basis", "--n-max", "4", "--train-counts", "2", "1", "1", "1",
+          "--output", "m.npz"] + common)
+    _run(["synth", "--backend", "DetailedAm", "--theta", THETA, "--output", "q.csv"] + common)
+    capsys.readouterr()
+    _run(["calibrate", "--backend", "ReducedAm", "--basis", str(tmp_path / "m.npz"),
+          "--refine-basis", "--n-max", "4", "--quotes", str(tmp_path / "q.csv"), "--x0", THETA,
+          "--max-iter", "1", "--stem", "two"] + common)
+    out = capsys.readouterr().out
+    assert f"refined basis: dim=4 dual=2 -> {tmp_path / 'two_refined_basis.npz'}" in out
+    paths = _record(tmp_path / "two_runconfig.json")["paths"]
+    for key, suffix in (("summary", "summary.txt"), ("residuals", "residuals.csv"),
+                        ("surface", "error_surface.csv"), ("timings", "timings.json")):
+        assert paths[f"pilot_{key}"] == str(tmp_path / f"two_pilot_{suffix}")
+        assert paths[key] == str(tmp_path / f"two_{suffix}")
+    pilot = (tmp_path / "two_pilot_summary.txt").read_text()
+    assert "backend: ReducedAm" in pilot and "iterations: 1" in pilot
+    assert paths["refined_basis"] == str(tmp_path / "two_refined_basis.npz")
+
+
 def test_report_subcommand(tmp_path, capsys):
     res = tmp_path / "r.csv"
     res.write_text(
