@@ -268,33 +268,31 @@ def _schur_step(s_inv, B, g):
     _schur_step(s_inv, B, g)(active) returns solve(rhs) -> (a, beta, B a) of
     the step S a - B^T beta = rhs with beta = 0 off the active set and
     B a = g on it, in dual cone coordinates beta, so c = B a.  S is
-    pre-inverted; block elimination gives a = S^-1 (rhs + B_A^T beta), and
-    beta on the active set solves the small Schur complement
-    (B S^-1 B^T)_AA, whose parts the set selects once.  It keeps no state,
-    like fem_step: march holds the one slot.  A singular Schur block raises
-    solvers.LCPError.
+    pre-inverted; block elimination gives beta_A = k_A - K_A rhs with
+    K_A = (B S^-1 B^T)_AA^-1 (B S^-1)_A and k_A = (B S^-1 B^T)_AA^-1 g_A,
+    and a = S^-1 (rhs + B_A^T beta_A).  The factorization inverts the Schur
+    block once and folds all of it into one affine map y = M rhs + m of the
+    stacked (a, beta, B a), so each Newton iteration is one product.  It
+    keeps no state, like fem_step: march holds the one slot.  A singular
+    Schur block raises solvers.LCPError when the set is factorized.
     """
-    n_w = g.size
+    n_w, n = B.shape
     bs = B @ s_inv  # (n_w, N)
-    schur = bs @ B.T  # (n_w, n_w)
+    free = np.vstack((s_inv, np.zeros((n_w, n)), bs))  # the map with beta = 0
+    lift = np.vstack((s_inv @ B.T, np.eye(n_w), bs @ B.T))  # d(a, beta, B a) / d beta
 
     def factor(active):
         idx = np.flatnonzero(active)
-        g_act, small, b_act, schur_act = g[idx], schur[np.ix_(idx, idx)], B.T[:, idx], schur[:, idx]
+        lift_a = lift[:, idx]
+        try:
+            inv = np.linalg.inv(lift_a[n + n_w + idx])  # the Schur block, 0 x 0 for no set
+        except np.linalg.LinAlgError:
+            raise LCPError(n_w, 0, np.nan, "singular Schur block") from None
+        M, m = free - lift_a @ (inv @ bs[idx]), lift_a @ (inv @ g[idx])
 
         def solve(rhs):
-            a_free = s_inv @ rhs
-            ba_free = bs @ rhs  # = B a with beta = 0
-            beta = np.zeros(n_w)
-            if idx.size == 0:
-                return a_free, beta, ba_free
-            try:
-                beta_act = np.linalg.solve(small, g_act - ba_free[idx])
-            except np.linalg.LinAlgError:
-                raise LCPError(n_w, 0, np.nan, "singular Schur block") from None
-            beta[idx] = beta_act
-            a = a_free + s_inv @ (b_act @ beta_act)
-            return a, beta, ba_free + schur_act @ beta_act
+            y = M @ rhs + m
+            return y[:n], y[n : n + n_w], y[n + n_w :]
 
         return solve
 

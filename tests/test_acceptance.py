@@ -123,7 +123,8 @@ def test_criterion_2_reduced_recovery(detailed_result, reduced_result):
     speedup = det_time / online
     ok = err <= 1e-1 and speedup >= 20.0 and online <= 180.0
     _verdict(2, "reduced synthetic recovery", ok,
-             f"|theta-ex|={err:.2e} online={online:.1f}s "
+             f"|theta-ex|={err:.2e} online={online:.1f}s evals={report.n_evals} "
+             f"per_eval={1e3 * online / report.n_evals:.2f}ms "
              f"speedup={speedup:.0f}x dim={refined.dim} "
              f"offline={report.time_preprocess:.0f}s")
 

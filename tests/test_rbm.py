@@ -512,3 +512,27 @@ def test_singular_schur_block_raises_typed_error():
     # either row alone is a regular block
     _, beta, c = factor(np.array([True, False, False]))(np.array([1.0, -0.5, 0.25]))
     assert c[0] == pytest.approx(g[0], rel=1e-14) and beta[1:].tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("subset", range(16))
+def test_schur_step_matches_the_bordered_saddle_point_solve(subset):
+    """Every active set of a 4-row case, the empty one included: (a, beta_A)
+    solve S a - B_A^T beta_A = rhs, (B a)_A = g_A, beta is exactly 0 off A
+    and c = B a."""
+    rng = np.random.default_rng(11)
+    n, n_w = 6, 4
+    S = 4.0 * np.eye(n) + rng.normal(scale=0.5, size=(n, n))  # nonsymmetric, like the CN step
+    B = rng.normal(size=(n_w, n))
+    g = rng.normal(size=n_w)
+    rhs = rng.normal(size=n)
+    active = np.array([(subset >> i) & 1 for i in range(n_w)], dtype=bool)
+    idx = np.flatnonzero(active)
+    bordered = np.block([[S, -B[idx].T], [B[idx], np.zeros((idx.size, idx.size))]])
+    ref = np.linalg.solve(bordered, np.concatenate((rhs, g[idx])))
+    a_ref, beta_ref = ref[:n], np.zeros(n_w)
+    beta_ref[idx] = ref[n:]
+
+    a, beta, c = _schur_step(np.linalg.inv(S), B, g)(active)(rhs)
+    for got, want in ((a, a_ref), (beta, beta_ref), (c, B @ a_ref)):
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    assert (beta[~active] == 0.0).all()
