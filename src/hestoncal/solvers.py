@@ -127,12 +127,11 @@ def solve_complementarity(solve, g, active):
     with c = g on the active rows, the multiplier lam (zero off them) and the
     constrained quantity c.  Each Newton step moves to the set
     {lam + g - c > 0}.  An iterate within KKT_TOL is accepted even while its
-    set still flickers on round-off ties.  The first repeated set is merged
-    with the current one; a second repeat, or MAX_ITER iterations, hands the
-    last set to principal_pivoting.  Returns (x, lam, active).
+    set still flickers on round-off ties.  The first repeated set, or MAX_ITER
+    iterations, hands the current set to principal_pivoting.  Returns
+    (x, lam, active).
     """
     seen: set[bytes] = set()
-    merged = False
     for _ in range(MAX_ITER):
         x, lam, c = solve(active)
         new_active = (lam + (g - c)) > 0
@@ -143,11 +142,7 @@ def solve_complementarity(solve, g, active):
             return x, np.maximum(lam, 0.0), active
         key = new_active.tobytes()
         if key in seen:
-            if merged:
-                break
-            new_active |= active
-            merged = True
-            seen.clear()
+            break
         seen.add(key)
         active = new_active
     return principal_pivoting(solve, g, active)

@@ -165,18 +165,18 @@ def invert_volatility(
 
 
 def deamericanize_set(quotes, S0: float, r: float, config: TreeConfig = TreeConfig()):
-    """Transform a list of (maturity, strike, price) American observations.
+    """Transform a list of American quotes, each priced at its mid.
 
     All quotes are inverted together and the survivors priced by one
     European tree.  Non-invertible quotes are dropped with a log entry;
     raises if nothing survives.  Output order follows the input order.
     """
     quotes = list(quotes)
-    T, K, obs = np.array([(q.maturity, q.strike, q.price) for q in quotes], dtype=float).T
+    T, K, obs = np.array([(q.maturity, q.strike, q.mid) for q in quotes], dtype=float).T
     sigma, ok = invert_volatility(obs, S0, K, T, r, config)
     for q, good in zip(quotes, ok):
         if not good:
-            log.warning("dropping non-invertible quote T=%g K=%g price=%g", q.maturity, q.strike, q.price)
+            log.warning("dropping non-invertible quote T=%g K=%g price=%g", q.maturity, q.strike, q.mid)
     if not ok.any():
         raise ValueError("no quote survived the de-Americanization transform")
     pseudo = crr_price(S0, K[ok], T[ok], r, sigma[ok], config.steps, "european")

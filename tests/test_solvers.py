@@ -10,6 +10,7 @@ from hestoncal import solvers
 from hestoncal.heston_operator import THETA, assemble_operator, boundary_data, payoff_vector
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluation_row
 from hestoncal.params import ModelParams
+from hestoncal.rbm import solve_reduced
 from hestoncal.solvers import (
     KKT_TOL,
     TimeGrid,
@@ -390,6 +391,31 @@ def test_solve_american_factorizes_at_most_1_2_lus_per_step(ladder_fem, monkeypa
     monkeypatch.setattr(spla, "splu", counting_splu)
     solve_american(MU, space, blocks, LADDER_GRID)
     assert len(calls) <= 1.2 * LADDER_GRID.I
+
+
+def test_ordinary_american_solves_never_pivot(ladder_fem, toy_american, monkeypatch):
+    """Newton alone finishes every step of the ladder's FEM solve at theta_ex
+    and of a reduced solve on the toy basis: pivoting is only the fallback
+    for steps that revisit an active set."""
+    steps, pivots = [], []
+    kernel, pivoting = solvers.solve_complementarity, solvers.principal_pivoting
+
+    def counted_kernel(*args):
+        steps.append(None)
+        return kernel(*args)
+
+    def counted_pivoting(*args):
+        pivots.append(None)
+        return pivoting(*args)
+
+    monkeypatch.setattr(solvers, "solve_complementarity", counted_kernel)
+    monkeypatch.setattr(solvers, "principal_pivoting", counted_pivoting)
+    space, blocks = ladder_fem
+    solve_american(MU, space, blocks, LADDER_GRID)
+    assert (len(steps), len(pivots)) == (LADDER_GRID.I, 0)
+    steps.clear()
+    solve_reduced(toy_american, ModelParams(0.35, -0.45, 0.15, 1.25, 0.2))
+    assert (len(steps), len(pivots)) == (toy_american.grid.I, 0)
 
 
 #: One corner of DEFAULT_CALIB_BOX: largest xi, most negative rho, smallest

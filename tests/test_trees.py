@@ -173,6 +173,19 @@ def test_deamericanize_set_drops_and_orders():
         deamericanize_set([quotes[1]], 100.0, 0.02)
 
 
+def test_deamericanize_set_prices_bid_ask_quotes_at_their_mid(caplog):
+    """A quote with only a bid/ask pair is inverted at its mid, as
+    QuoteSet.prices() prices it, and is named by its mid when dropped."""
+    spreads = [(0.5, 100.0, 6.9, 7.1), (0.5, 120.0, 0.9, 1.1), (1.0, 95.0, 5.0, 5.2)]
+    bid_ask = [Quote(T, K, "american", bid=b, ask=a) for T, K, b, a in spreads]
+    at_mid = [Quote(T, K, "american", price=0.5 * (b + a)) for T, K, b, a in spreads]
+    with caplog.at_level("WARNING", logger="hestoncal.trees"):
+        out = deamericanize_set(bid_ask, 100.0, 0.02)
+    assert [r.getMessage() for r in caplog.records] == ["dropping non-invertible quote T=0.5 K=120 price=1"]
+    assert [pq.strike for pq in out] == [100.0, 95.0]
+    assert out == deamericanize_set(at_mid, 100.0, 0.02)
+
+
 def test_determinism():
     quote = Quote(0.75, 102.0, "american", price=8.0)
     assert deamericanize_set([quote], 100.0, 0.015) == deamericanize_set([quote], 100.0, 0.015)
