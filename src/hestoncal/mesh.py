@@ -227,19 +227,6 @@ class AssemblyBlocks:
         return self.d_b[self.space.free]
 
 
-# (weight, d_trial, d_test) per affine block, in coefficient order
-BLOCK_DEFS = [
-    ("nu", "nu", "nu"),  # xi^2/2
-    None,  # rho*xi/2 mixed block, assembled as a symmetrized pair below
-    ("nu", "x", "x"),  # 1/2
-    ("one", "nu", None),  # -kappa*gamma + xi^2/2
-    ("nu", "nu", None),  # kappa
-    ("one", "x", None),  # -r + rho*xi/2
-    ("nu", "x", None),  # 1/2
-    ("one", None, None),  # r
-]
-
-
 def assemble_blocks(space: FemSpace) -> AssemblyBlocks:
     """Assemble mass, V-Gram, affine operator blocks and the dual pairing."""
     mass = assemble_matrix(space, "one", None, None)
@@ -247,18 +234,20 @@ def assemble_blocks(space: FemSpace) -> AssemblyBlocks:
         assemble_matrix(space, "one", "nu", "nu")
         + assemble_matrix(space, "one", "x", "x")
     ).tocsr()
-    mixed = (
-        assemble_matrix(space, "nu", "nu", "x")
-        + assemble_matrix(space, "nu", "x", "nu")
-    ).tocsr()
-    a_blocks = []
-    for k, spec in enumerate(BLOCK_DEFS):
-        if spec is None:
-            a_blocks.append(mixed)
-        elif spec == ("one", None, None):
-            a_blocks.append(mass)
-        else:
-            a_blocks.append(assemble_matrix(space, *spec))
+    # the affine operator blocks, in the order of affine_coefficients
+    a_blocks = [
+        assemble_matrix(space, "nu", "nu", "nu"),  # xi^2/2
+        (
+            assemble_matrix(space, "nu", "nu", "x")
+            + assemble_matrix(space, "nu", "x", "nu")
+        ).tocsr(),  # rho*xi/2, the mixed block as a symmetrized pair
+        assemble_matrix(space, "nu", "x", "x"),  # 1/2
+        assemble_matrix(space, "one", "nu", None),  # -kappa*gamma + xi^2/2
+        assemble_matrix(space, "nu", "nu", None),  # kappa
+        assemble_matrix(space, "one", "x", None),  # -r + rho*xi/2
+        assemble_matrix(space, "nu", "x", None),  # 1/2
+        mass,  # r
+    ]
     d_b = np.asarray(mass.sum(axis=1)).ravel()  # partition of unity
     return AssemblyBlocks(space=space, mass=mass, v_gram=v_gram, a_blocks=a_blocks, d_b=d_b)
 

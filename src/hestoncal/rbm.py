@@ -309,12 +309,6 @@ def _final_error(model_like, mu, u_final_det, gram):
     return float(np.sqrt(diff @ (gram @ diff)))
 
 
-def _detailed_solve(style, mu, space, blocks, grid):
-    if style == "european":
-        return solve_european(mu, space, blocks, grid)
-    return solve_american(mu, space, blocks, grid)
-
-
 def pod_greedy(
     style: str,
     train: list[ModelParams],
@@ -326,9 +320,12 @@ def pod_greedy(
     """POD-Greedy (European) / POD-Angle-Greedy (American) basis construction.
 
     The error measure is the true V-norm error between the detailed and the
-    reduced solution at final time; all detailed training trajectories are
-    computed once up front and only their final-time snapshots are kept,
-    the full trajectory of a selected parameter being recomputed on demand.
+    reduced solution at final time.  Every detailed training solve runs once
+    up front and its whole surface is kept: the picks read their trajectories
+    and multipliers from it, and the error sweep reads its final levels.
+    That holds len(train) * (I+1) * n_free * 16 bytes (8 for a European
+    build, which has no multipliers).  A cap n_max with no room for a pick
+    beyond the initial basis is refused.
     """
     if not train:
         raise ValueError("training set is empty")
@@ -339,18 +336,15 @@ def pod_greedy(
     w_diag = blocks.d_b_free
     w_gram = sp.diags(w_diag)
 
-    # detailed sweep: final-time snapshots for the error measure
-    finals = np.empty((len(train), space.n_free))
-    traj_cache: dict[int, object] = {}
+    # detailed sweep: the surfaces of the picks and the finals of the error measure
+    solve = solve_european if style == "european" else solve_american
+    surfs = []
     for i, mu in enumerate(train):
-        surf = _detailed_solve(style, mu, space, blocks, grid)
-        finals[i] = surf.U[-1]
-        if i == 0:
-            traj_cache[0] = surf
+        surfs.append(solve(mu, space, blocks, grid))
         log.info("detailed training solve %d/%d", i + 1, len(train))
 
     # initialization: first training point, k' = final step
-    surf0 = traj_cache[0]
+    surf0 = surfs[0]
     init_vectors = [surf0.U[-1]]
     xi = None
     xi_ortho = []  # W-orthonormal basis of span(xi), extended with xi
@@ -364,6 +358,11 @@ def pod_greedy(
         xi_ortho = gram_orthonormalize([xi0], w_gram)
         init_vectors.append(supremizer(xi0, blocks))
     psi = np.column_stack(gram_orthonormalize(init_vectors, gram))
+    if psi.shape[1] >= config.n_max:
+        raise ValueError(
+            f"n_max={config.n_max} leaves no room for a greedy pick beyond the "
+            f"initial basis of size {psi.shape[1]}"
+        )
     selected = [train[0]]
     errors = []
 
@@ -373,7 +372,7 @@ def pod_greedy(
     stall = 0
     while psi.shape[1] < config.n_max:
         model = _project_offline(style, space, blocks, grid, psi, xi)
-        errs = np.array([_final_error(model, mu, finals[i], gram) for i, mu in enumerate(train)])
+        errs = np.array([_final_error(model, mu, surf.U[-1], gram) for mu, surf in zip(train, surfs)])
         i_worst = int(np.argmax(errs))
         eps_train = float(errs[i_worst])
         errors.append(eps_train)
@@ -393,9 +392,7 @@ def pod_greedy(
         prev_pick, prev_err = i_worst, eps_train
         mu_n = train[i_worst]
         selected.append(mu_n)
-        if i_worst not in traj_cache:
-            traj_cache[i_worst] = _detailed_solve(style, mu_n, space, blocks, grid)
-        surf = traj_cache[i_worst]
+        surf = surfs[i_worst]
         log.info("greedy pick %s err %.3e dim %d", mu_n, eps_train, psi.shape[1])
 
         new_primal = []
@@ -448,7 +445,8 @@ _ARRAY_FIELDS = (
 
 
 def save_reduced_model(model: ReducedModel, path) -> None:
-    """Serialize the model to a versioned .npz container."""
+    """Serialize the model to a versioned .npz container at exactly path
+    (np.savez would append .npz to a file name without it)."""
     d = model.space.domain
     meta = {
         "format_version": FORMAT_VERSION,
@@ -465,7 +463,8 @@ def save_reduced_model(model: ReducedModel, path) -> None:
     }
     arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **{name: a for name, a in arrays.items() if a is not None})
+    with open(path, "wb") as fh:
+        np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
 
 
 def load_reduced_model(path) -> ReducedModel:

@@ -9,7 +9,7 @@ import pytest
 
 from hestoncal.calibration import MAX_ITER
 from hestoncal.cli import build_parser, main
-from hestoncal.rbm import GreedyConfig
+from hestoncal.rbm import GreedyConfig, load_reduced_model
 from hestoncal.trees import TreeConfig
 
 THETA = "0.25,-0.5,0.10,0.4,0.10"
@@ -270,6 +270,25 @@ def test_build_basis_records_exactly_its_options(tmp_path):
         "rate", "out_dir", "n_max", "style", "tol", "train_counts", "output"}
     assert cfg["paths"] == {"basis": str(tmp_path / "m.npz")}
     assert cfg["train_counts"] == [2, 1, 1, 1]
+
+
+def test_build_basis_writes_the_output_path_it_records(tmp_path, capsys):
+    common = ["--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", "2.0"]
+    _run(["build-basis", "--n-max", "4", "--train-counts", "2", "1", "1", "1",
+          "--output", "mybasis", "--out-dir", str(tmp_path)] + common)
+    basis = tmp_path / "mybasis"
+    assert capsys.readouterr().out.rstrip().endswith(f"-> {basis}")
+    assert _record(tmp_path / "mybasis_runconfig.json")["paths"] == {"basis": str(basis)}
+    assert load_reduced_model(basis).style == "american"
+    _run(["price", "--backend", "ReducedAm", "--basis", str(basis), "--theta", THETA,
+          "--strike", "1.0", "--maturity", "0.5"] + common)
+
+
+def test_build_basis_refuses_a_cap_without_room_for_a_pick(tmp_path):
+    with pytest.raises(ValueError, match="n_max=2 .*initial basis of size 2"):
+        main(["build-basis", "--style", "american", "--n-nu", "8", "--n-x", "8", "--steps", "8",
+              "--n-max", "2", "--train-counts", "2", "1", "1", "1", "--out-dir", str(tmp_path)])
+    assert not any(tmp_path.iterdir())  # nothing written
 
 
 def test_deamericanize_records_exactly_its_options(tmp_path):

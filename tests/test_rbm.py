@@ -30,7 +30,7 @@ from hestoncal.rbm import (
     solve_reduced,
     supremizer,
 )
-from hestoncal import solvers
+from hestoncal import rbm, solvers
 from hestoncal.solvers import (
     LCPError,
     TimeGrid,
@@ -228,6 +228,29 @@ def test_european_greedy_reproduces_single_trajectory(toy):
     errs = np.asarray(m.errors)
     assert np.all(np.diff(errs) <= 1e-12)  # monotone decrease on its own snapshot
     assert errs[-1] <= 1e-4
+
+
+def test_greedy_solves_each_training_point_once(toy, toy_train, monkeypatch):
+    """The picks reuse their sweep solves instead of solving again."""
+    solved = []
+
+    def counting(mu, *args):
+        solved.append(mu)
+        return solve_american(mu, *args)
+
+    monkeypatch.setattr(rbm, "solve_american", counting)
+    space, blocks, grid = toy
+    model = pod_greedy("american", toy_train, space, blocks, grid, GreedyConfig(n_max=8, tol=1e-12))
+    assert any(mu != toy_train[0] for mu in model.selected_mu[1:])
+    assert solved == toy_train
+
+
+@pytest.mark.parametrize("style, n_init", [("american", 2), ("european", 1)])
+def test_greedy_refuses_a_cap_without_room_for_a_pick(toy, style, n_init):
+    space, blocks, grid = toy
+    mu = ModelParams(0.3, -0.5, 0.1, 1.0, 0.03)
+    with pytest.raises(ValueError, match=f"n_max={n_init} .*initial basis of size {n_init}"):
+        pod_greedy(style, [mu], space, blocks, grid, GreedyConfig(n_max=n_init))
 
 
 def test_backend_agreement_european(toy):
