@@ -4,7 +4,9 @@
 For each parameter scenario, prices American and European puts on a
 9-strike x 8-maturity grid with the DetailedAm and DetailedEu backends,
 converts the American prices to pseudo-European prices with one
-deamericanize_set call per scenario (batched CRR trees, lockstep volatility inversion), and
+deamericanize_set call per scenario (batched CRR trees, lockstep volatility
+inversion started from each quote's Black-Scholes implied volatility and
+widened to the full bracket where that start misses the root), and
 reports the maximum absolute gap |pseudo-European - PDE-European| per
 scenario and per longest maturity.
 """

@@ -6,13 +6,17 @@ strike and maturity.  A tree is array-valued: one backward induction prices
 every row (own strike, maturity and volatility) of a quote set.  The
 volatility inversions of all rows advance in lockstep, one batched tree per
 step of a bracketed Illinois regula falsi (Dowell & Jarratt, BIT 1971).
-Rows never interact, so a quote's result does not depend on its batch.
+Each row's bracket starts near its root, from the Black-Scholes implied
+volatility of its observed price read as a European price; a row the start
+misses is widened to the full volatility bracket.  Rows never interact, so
+a quote's result does not depend on its batch.
 deamericanize_set is the one transform of a quote list.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -102,6 +106,34 @@ def crr_price(
     return float(values[0, 0]) if scalar else values[:, 0].copy()
 
 
+def _bs_put_implied_volatility(price: float, S0: float, K: float, T: float, r: float):
+    """(sigma, vega) of the Black-Scholes put worth `price`, or (nan, nan).
+
+    Newton's method from the inflection point of the price in sigma (at
+    least 0.1), which converges monotonically (Manaster & Koehler, J. Finance
+    1982), kept inside a bisection bracket.  A price outside the open no-arbitrage
+    interval ((K e^{-rT} - S0)^+, K e^{-rT}) has no root; nor, here, has one
+    the iteration does not match to 1e-13 K e^{-rT} at positive vega.
+    """
+    k = K * math.exp(-r * T)
+    if not max(k - S0, 0.0) < price < k:
+        return math.nan, math.nan
+    sqrt_t, log_m = math.sqrt(T), math.log(S0 / k)
+    lo, hi = 0.0, math.inf
+    sigma = max(math.sqrt(2.0 * abs(log_m) / T), 0.1)
+    for _ in range(100):
+        d1 = log_m / (sigma * sqrt_t) + 0.5 * sigma * sqrt_t
+        d2 = d1 - sigma * sqrt_t
+        diff = k * 0.5 * math.erfc(d2 / math.sqrt(2.0)) - S0 * 0.5 * math.erfc(d1 / math.sqrt(2.0)) - price
+        vega = S0 * sqrt_t * math.exp(-0.5 * d1 * d1) / math.sqrt(2.0 * math.pi)
+        if abs(diff) <= 1e-13 * k and vega > 0:
+            return sigma, vega
+        lo, hi = (sigma, hi) if diff < 0 else (lo, sigma)
+        step = sigma - diff / vega if vega > 0 else math.nan
+        sigma = step if lo < step < hi else (2.0 * sigma if hi == math.inf else 0.5 * (lo + hi))
+    return math.nan, math.nan
+
+
 def invert_volatility(
     observed_price,
     S0: float,
@@ -113,10 +145,19 @@ def invert_volatility(
     """Flat volatilities whose American tree prices match, found in lockstep.
 
     observed_price, K and T are scalars or equal-length arrays.  Each row's
-    root is bracketed by [max(SIGMA_LO, r sqrt(dt)), SIGMA_HI] and found by
-    Illinois regula falsi; every step prices all unfinished rows in one
-    batched tree, and a row finishes once its price is within PRICE_TOL or
-    its bracket is narrower than 1e-14.
+    root lies in [lo, SIGMA_HI], lo = max(SIGMA_LO, |r| sqrt(dt)), and is
+    found by Illinois regula falsi; every step prices all unfinished rows in
+    one batched tree, and a row finishes once its price is within PRICE_TOL
+    or its bracket is narrower than 1e-14.
+
+    The bracket starts near the root.  Its upper end is the Black-Scholes
+    implied volatility sigma_E of the observed price: an American price is
+    at least the European one, so the root lies below sigma_E up to the
+    tree's error.  Its lower end is a doubled Newton step down from there,
+    sigma_E - 2 (P_tree(sigma_E) - price) / vega_BS(sigma_E).  Both are
+    clipped into [lo, SIGMA_HI], the step taken from the clipped sigma_E.  A row with no Black-Scholes root starts
+    from [lo, SIGMA_HI], and a row whose start misses its root is widened to
+    lo or SIGMA_HI and re-priced there.
 
     Returns (sigma_star, invertible), floats for scalar input.  Prices at or
     below the intrinsic floor, above the strike, above the SIGMA_HI tree, or
@@ -126,12 +167,33 @@ def invert_volatility(
     scalar, (obs, K, T) = _rows(observed_price, K, T)
     sigma = np.full(obs.shape, np.nan)
     ok = np.zeros(obs.shape, dtype=bool)
-    # the CRR probability needs sigma > r sqrt(dt); lift the bracket edge
-    lo = np.maximum(SIGMA_LO, 1.000001 * r * np.sqrt(T / config.steps))
     rows = np.flatnonzero((obs <= K) & (obs >= np.maximum(K - S0, 0.0)))
-    a, b = lo[rows], np.full(rows.size, SIGMA_HI)
-    fa = crr_price(S0, K[rows], T[rows], r, a, config.steps, "american") - obs[rows]
-    fb = crr_price(S0, K[rows], T[rows], r, b, config.steps, "american") - obs[rows]
+    # the CRR probability needs sigma > |r| sqrt(dt); lift the bracket edge
+    lo = np.maximum(SIGMA_LO, 1.000001 * abs(r) * np.sqrt(T[rows] / config.steps))
+
+    def excess(i, s):
+        """American tree prices of rows i at volatilities s, minus the observed prices."""
+        if not i.size:
+            return np.zeros(0)
+        return crr_price(S0, K[i], T[i], r, s, config.steps, "american") - obs[i]
+
+    guess, vega = np.array(
+        [_bs_put_implied_volatility(obs[i], S0, K[i], T[i], r) for i in rows]
+    ).reshape(-1, 2).T
+    b = np.clip(np.where(np.isnan(guess), SIGMA_HI, guess), lo, SIGMA_HI)
+    fb = excess(rows, b)
+    a = np.where(np.isnan(guess), lo, np.clip(b - 2.0 * fb / vega, lo, b))
+    fa = fb.copy()
+    apart = a < b
+    fa[apart] = excess(rows[apart], a[apart])
+    # a start that misses its root is widened to the bracket edge on that side
+    up, down = (fb < 0) & (b < SIGMA_HI), (fa >= 0) & (a > lo)
+    a[up], fa[up] = b[up], fb[up]
+    b[down], fb[down] = a[down], fa[down]
+    a[down], b[up] = lo[down], SIGMA_HI
+    wide = up | down
+    f = excess(rows[wide], np.where(up, b, a)[wide])
+    fb[up], fa[down] = f[up[wide]], f[down[wide]]
     # zero time value; degenerate but representable at the bracket edge
     edge = fa >= 0
     sigma[rows[edge]] = a[edge]
@@ -144,7 +206,7 @@ def invert_volatility(
         if not rows.size:
             break
         c = b - fb * (b - a) / (fb - fa)
-        fc = crr_price(S0, K[rows], T[rows], r, c, config.steps, "american") - obs[rows]
+        fc = excess(rows, c)
         hit = np.abs(fc) < PRICE_TOL
         low = fc < 0
         # Illinois: an end kept twice in a row has its value halved

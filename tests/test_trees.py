@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from hestoncal import trees
-from hestoncal.quotes import Quote
+from hestoncal.quotes import Quote, load_google_quotes, preprocess_quotes
 from hestoncal.trees import (
     PRICE_TOL,
     SIGMA_HI,
@@ -264,10 +264,92 @@ def test_iteration_cap_flags_non_invertible(monkeypatch, caplog):
         Quote(maturity=1.0, strike=180.0, price=80.0, style="american"),  # zero time value
     ]
     assert invert_volatility(7.0, S0, 100.0, 0.5, r)[1]
-    monkeypatch.setattr(trees, "_MAX_ITER", 2)
+    # the Black-Scholes start brackets this row so tightly that two Illinois
+    # steps match it; one does not
+    monkeypatch.setattr(trees, "_MAX_ITER", 1)
     sigma, ok = invert_volatility(7.0, S0, 100.0, 0.5, r)
     assert not ok and math.isnan(sigma)
     with caplog.at_level(logging.WARNING, logger="hestoncal.trees"):
         out = deamericanize_set(quotes, S0, r)
     assert [pq.strike for pq in out] == [180.0]
     assert "dropping non-invertible quote T=0.5 K=100" in caplog.text
+
+
+def test_negative_rate_round_trip():
+    # the CRR probability needs sigma > |r| sqrt(dt), so the lower bracket
+    # edge is lifted by |r| whatever the sign of r
+    S0, K, T, r, cfg = 100.0, 100.0, 1.0, -0.005, TreeConfig()
+    assert invert_volatility(8.0, S0, K, T, r, cfg)[1]
+    obs = crr_price(S0, K, T, r, 0.3, cfg.steps, "american")
+    sigma, ok = invert_volatility(obs, S0, K, T, r, cfg)
+    assert ok
+    assert sigma == pytest.approx(0.3, abs=1e-6)
+
+
+def test_negative_rate_deamericanize_set():
+    S0, r = 100.0, -0.005
+    quotes = [
+        Quote(maturity=0.25, strike=95.0, price=2.31, style="american"),
+        Quote(maturity=0.5, strike=120.0, price=1.0, style="american"),  # < intrinsic
+        Quote(maturity=1.0, strike=100.0, price=8.0, style="american"),
+        Quote(maturity=2.0, strike=110.0, price=18.5, style="american"),
+    ]
+    out = deamericanize_set(quotes, S0, r)
+    assert [pq.strike for pq in out] == [95.0, 100.0, 110.0]
+    for pq in out:
+        am = crr_price(S0, pq.strike, pq.maturity, r, pq.sigma_star, 500, "american")
+        assert abs(am - pq.observed_price) < PRICE_TOL
+        # with r <= 0 early exercise of a put is worth nothing
+        assert abs(pq.pseudo_price - pq.observed_price) < PRICE_TOL
+
+
+def test_google_quotes_need_few_trees_per_quote(monkeypatch):
+    # every tree row counts, the final European pricing included; the full
+    # [SIGMA_LO, SIGMA_HI] start needed 11.33 rows per quote
+    rows = []
+    crr = trees.crr_price
+
+    def counting(S0, K, T, r, sigma, steps, style="european"):
+        rows.append(np.broadcast(np.atleast_1d(K), np.atleast_1d(T), np.atleast_1d(sigma)).size)
+        return crr(S0, K, T, r, sigma, steps, style)
+
+    monkeypatch.setattr(trees, "crr_price", counting)
+    pre = preprocess_quotes(load_google_quotes())
+    kept = [
+        pq
+        for T in pre.maturities()
+        for pq in deamericanize_set([q for q in pre if q.maturity == T], pre.S0, pre.r)
+    ]
+    assert len(pre) == 401
+    assert len(kept) == 376
+    assert sum(rows) <= 7 * len(pre)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.03, -0.005])
+def test_black_scholes_implied_volatility_round_trip(r):
+    S0 = 100.0
+    for K in (60.0, 90.0, 100.0, 115.0, 150.0):
+        for T in (0.02, 0.25, 1.0, 3.0):
+            for sigma in (0.05, 0.2, 0.6, 1.5):
+                price = _bs_put(S0, K, T, r, sigma)
+                if price - max(K * math.exp(-r * T) - S0, 0.0) < 1e-6:
+                    continue  # no time value to read a volatility from
+                got, vega = trees._bs_put_implied_volatility(price, S0, K, T, r)
+                assert got == pytest.approx(sigma, rel=1e-7), (K, T, sigma)
+                assert vega > 0
+
+
+def test_prices_without_black_scholes_root_start_from_full_bracket():
+    # at or above K e^{-rT} no European put has the price; the rows start from
+    # [lo, SIGMA_HI] and get per-quote bisection's flags and volatilities
+    S0, r, cfg = 100.0, 0.05, TreeConfig(steps=200)
+    K = np.array([100.0, 100.0, 2500.0, 2500.0, 2500.0])
+    T = np.ones(5)
+    price = np.array([100.0 * math.exp(-r), 99.5, 2400.0, 2410.0, 2499.0])
+    for p, k, t in zip(price, K, T):
+        assert math.isnan(trees._bs_put_implied_volatility(p, S0, k, t, r)[0])
+    sigma, ok = invert_volatility(price, S0, K, T, r, cfg)
+    reference = [_invert_bisection(p, S0, k, t, r, cfg) for p, k, t in zip(price, K, T)]
+    assert ok.tolist() == [flag for _, flag in reference]
+    assert 0 < ok.sum() < ok.size
+    np.testing.assert_allclose(sigma[ok], [s for s, flag in reference if flag], rtol=1e-6)
