@@ -90,20 +90,15 @@ class ReducedBackend:
 
 
 class ClosedFormBackend:
-    """Semi-closed-form European put pricer; one heston_put_cf call prices
-    every quote of a maturity."""
+    """Semi-closed-form European put pricer; one heston_put_cf call, and so
+    one characteristic-function pass, prices every quote."""
 
     variant = "DasClosedForm"
 
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
-        mu = p.to_model(r)
         strikes, maturities = np.array([(q.strike, q.maturity) for q in quotes]).T
-        prices = np.empty(len(quotes))
-        for T in np.unique(maturities):
-            at_T = maturities == T
-            prices[at_T] = heston_put_cf(S0, strikes[at_T], T, mu, p.nu0)
-        return prices
+        return heston_put_cf(S0, strikes, maturities, p.to_model(r), p.nu0)
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,11 @@ function (Albrecher et al. 2007) and the two-probability representation of
 the call, with the put recovered by put-call parity.  Both probability
 integrals run on one fixed composite Gauss-Legendre grid of [0, 200]
 (8 panels of 64 nodes) built once.  The characteristic function does not
-depend on the strike, so a single heston_cf call on [u - i, u] serves P1, P2
-and every strike of one maturity.
+depend on the strike, and its maturity-independent terms not on T, so one
+heston_cf call on [u - i, u] at every maturity of a quote vector serves P1,
+P2 and every quote.  The strike kernel e^{-iu ln K} factors over the panels
+as e^{-i m_p ln K} e^{-i h x_j ln K} (panel midpoint m_p, node offset h x_j),
+8 + 64 exponentials per strike instead of 512.
 """
 
 from __future__ import annotations
@@ -20,14 +23,14 @@ from .params import ModelParams
 
 @functools.cache
 def _grid(panels: int):
-    """Nodes and weights of the composite Gauss-Legendre rule of 64 nodes per
-    panel on [0, 200].  Built on first use: leggauss's eigensolver alone adds
-    about 1 MB of resident memory to a process that never prices with it."""
+    """(mids, offsets, weights) of the composite Gauss-Legendre rule of 64
+    nodes per panel on [0, 200]: node j of panel p is mids[p] + offsets[j],
+    of weight weights[j].  Built on first use: leggauss's eigensolver alone
+    adds about 1 MB of resident memory to a process that never prices with it."""
     x, w = np.polynomial.legendre.leggauss(64)
     edges = np.linspace(0.0, 200.0, panels + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
     half = 0.5 * (edges[1] - edges[0])
-    return (mids[:, None] + half * x[None, :]).ravel(), half * np.tile(w, panels)
+    return 0.5 * (edges[:-1] + edges[1:]), half * x, half * w
 
 
 def _clog1p(z):
@@ -41,13 +44,17 @@ def _clog1p(z):
     return out
 
 
-def heston_cf(u, T: float, mu: ModelParams, nu0: float, S0: float):
+def heston_cf(u, T, mu: ModelParams, nu0: float, S0: float):
     """Characteristic function of log S_T, E[exp(i u log S_T)].
 
-    Branch-safe formulation: the log argument (1 - g exp(-dT)) / (1 - g)
+    T is a maturity or an array of them; the result has shape
+    T.shape + u.shape, and the terms that do not depend on T are computed
+    once.  Branch-safe formulation: the log argument (1 - g exp(-dT)) / (1 - g)
     with |g| <= 1 never crosses the negative real axis.
     """
     u = np.asarray(u, dtype=np.complex128)
+    T = np.asarray(T, dtype=float)
+    T = T.reshape(T.shape + (1,) * u.ndim)
     xi, rho, gamma, kappa, r = mu.xi, mu.rho, mu.gamma, mu.kappa, mu.r
     i = 1j
     a = kappa * gamma
@@ -63,34 +70,51 @@ def heston_cf(u, T: float, mu: ModelParams, nu0: float, S0: float):
     C = r * i * u * T + (a / (xi * xi)) * (beta_minus_d * T - 2.0 * log_term)
     D = beta_minus_d / (xi * xi) * (1.0 - exp_dt) / (1.0 - g * exp_dt)
     val = np.exp(i * u * np.log(S0) + C + D * nu0)
-    if not np.all(np.isfinite(val)):
+    bad = ~np.isfinite(val)
+    if bad.any():
+        T_bad = float(np.broadcast_to(T, val.shape)[bad][0])
         raise FloatingPointError(
-            f"characteristic function overflow at T={T}, mu={mu}, nu0={nu0}"
+            f"characteristic function overflow at T={T_bad}, mu={mu}, nu0={nu0}"
         )
     return val
 
 
-def _put(S0, K, T, mu, nu0, u, w):
-    """European put at the strikes K from the quadrature nodes u, weights w.
+def _put(S0, K, T, mu, nu0, mids, offsets, weights):
+    """European puts of the quotes (K, T) on the panel rule (mids, offsets,
+    weights) of _grid.
 
     P_j = 1/2 + (1/pi) int_0^inf Re[e^{-iu ln K} f_j(u) / (iu)] du with
     f_2 = heston_cf(u) and f_1 = heston_cf(u - i) / (S0 e^{rT}); the exact
     normalizer E[S_T] avoids heston_cf(-i), which is 0/0 when kappa < rho xi.
+    K and T broadcast; one heston_cf call serves every maturity.
     """
-    K = np.asarray(K, dtype=float)
-    f = heston_cf(np.concatenate([u - 1j, u]), T, mu, nu0, S0)
-    f1 = f[: u.size] / (S0 * np.exp(mu.r * T))
-    f2 = f[u.size :]
-    kernel = np.exp(-1j * np.multiply.outer(np.log(K), u)) / (1j * u)
-    # a row sum, unlike a matrix product, rounds alike for one or many strikes
-    p1 = 0.5 + ((kernel * f1).real * w).sum(axis=-1) / np.pi
-    p2 = 0.5 + ((kernel * f2).real * w).sum(axis=-1) / np.pi
+    K, T = np.broadcast_arrays(np.asarray(K, dtype=float), np.asarray(T, dtype=float))
+    shape, K, T = K.shape, K.ravel(), T.ravel()
+    u = (mids[:, None] + offsets).ravel()
+    maturities, group = np.unique(T, return_inverse=True)
+    f = heston_cf(np.concatenate([u - 1j, u]), maturities, mu, nu0, S0)
+    # (maturity, P1 or P2, node) integrands without the strike kernel
+    f = f.reshape(maturities.size, 2, u.size)
+    f[:, 0] /= (S0 * np.exp(mu.r * maturities))[:, None]
+    f *= np.tile(weights, mids.size) / (1j * u)
+    log_k = np.log(K)
+    panel = np.exp(-1j * np.multiply.outer(log_k, mids))
+    node = np.exp(-1j * np.multiply.outer(log_k, offsets))
+    p = np.empty((K.size, 2))
+    for g in range(maturities.size):
+        at = np.flatnonzero(group == g)
+        kernel = (panel[at, :, None] * node[at, None, :]).reshape(at.size, 1, u.size)
+        # a row sum, unlike a matrix product, rounds alike for one or many strikes
+        p[at] = (kernel * f[g]).real.sum(axis=-1)
+    p = 0.5 + p / np.pi
     disc_K = K * np.exp(-mu.r * T)
-    return S0 * p1 - disc_K * p2 - S0 + disc_K
+    return (S0 * p[:, 0] - disc_K * p[:, 1] - S0 + disc_K).reshape(shape)
 
 
-def heston_put_cf(S0: float, K: float | np.ndarray, T: float, mu: ModelParams, nu0: float):
-    """European put price at one strike (a float) or an array of strikes
-    (an array of the same shape), all of maturity T."""
+def heston_put_cf(S0: float, K, T, mu: ModelParams, nu0: float):
+    """European put prices of the quotes (K, T) from one heston_cf call.
+
+    K and T broadcast as in solvers.price_at; scalars give a float, else an
+    array of the broadcast shape."""
     put = _put(S0, K, T, mu, nu0, *_grid(8))
     return float(put) if put.ndim == 0 else put

@@ -7,8 +7,9 @@ every row (own strike, maturity and volatility) of a quote set.  The
 volatility inversions of all rows advance in lockstep, one batched tree per
 step of a bracketed Illinois regula falsi (Dowell & Jarratt, BIT 1971).
 Each row's bracket starts near its root, from the Black-Scholes implied
-volatility of its observed price read as a European price; a row the start
-misses is widened to the full volatility bracket.  Rows never interact, so
+volatility of its observed price read as a European price and a doubled
+Newton step from it, down or up; a row both trials miss is widened to the
+full volatility bracket.  Rows never interact, so
 a quote's result does not depend on its batch.
 deamericanize_set is the one transform of a quote list.
 """
@@ -150,14 +151,17 @@ def invert_volatility(
     one batched tree, and a row finishes once its price is within PRICE_TOL
     or its bracket is narrower than 1e-14.
 
-    The bracket starts near the root.  Its upper end is the Black-Scholes
-    implied volatility sigma_E of the observed price: an American price is
-    at least the European one, so the root lies below sigma_E up to the
-    tree's error.  Its lower end is a doubled Newton step down from there,
-    sigma_E - 2 (P_tree(sigma_E) - price) / vega_BS(sigma_E).  Both are
-    clipped into [lo, SIGMA_HI], the step taken from the clipped sigma_E.  A row with no Black-Scholes root starts
-    from [lo, SIGMA_HI], and a row whose start misses its root is widened to
-    lo or SIGMA_HI and re-priced there.
+    The bracket starts near the root, from the Black-Scholes implied
+    volatility sigma_E of the observed price: an American price is at least
+    the European one, so the root mostly lies below sigma_E, up to the
+    tree's error.  The second trial is a doubled Newton step from there,
+    sigma_E - 2 (P_tree(sigma_E) - price) / vega_BS(sigma_E): down where the
+    tree price at sigma_E is above the observed one, and up, mirrored,
+    where it is below.  Both are clipped into [lo, SIGMA_HI], the step taken
+    from the clipped sigma_E, and priced in one batched tree per trial.  A
+    row with no Black-Scholes root starts from [lo, SIGMA_HI], and a row
+    whose two trials both miss its root is widened to lo or SIGMA_HI and
+    re-priced there.
 
     Returns (sigma_star, invertible), floats for scalar input.  Prices at or
     below the intrinsic floor, above the strike, above the SIGMA_HI tree, or
@@ -182,11 +186,16 @@ def invert_volatility(
     ).reshape(-1, 2).T
     b = np.clip(np.where(np.isnan(guess), SIGMA_HI, guess), lo, SIGMA_HI)
     fb = excess(rows, b)
-    a = np.where(np.isnan(guess), lo, np.clip(b - 2.0 * fb / vega, lo, b))
-    fa = fb.copy()
-    apart = a < b
-    fa[apart] = excess(rows[apart], a[apart])
-    # a start that misses its root is widened to the bracket edge on that side
+    # the second trial: a doubled Newton step from b, downward where the tree
+    # price at b is above the observed one, mirrored upward where it is below
+    c = np.where(np.isnan(guess), lo, np.clip(b - 2.0 * fb / vega, lo, SIGMA_HI))
+    fc = fb.copy()
+    apart = c != b
+    fc[apart] = excess(rows[apart], c[apart])
+    high = c > b
+    a, fa = np.where(high, b, c), np.where(high, fb, fc)
+    b, fb = np.where(high, c, b), np.where(high, fc, fb)
+    # a start whose trials both miss its root is widened to the bracket edge on that side
     up, down = (fb < 0) & (b < SIGMA_HI), (fa >= 0) & (a > lo)
     a[up], fa[up] = b[up], fb[up]
     b[down], fb[down] = a[down], fa[down]

@@ -96,7 +96,6 @@ def test_put_bounds_over_whole_calib_box():
 def test_fixed_grid_converges():
     """The module's 8-panel grid agrees with a 16-panel grid of the same
     [0, 200] to 1e-12 max(S0, K) over seeded whole-box parameters."""
-    u16, w16 = closed_form._grid(16)
     google_T = sorted({q.maturity for q in load_google_quotes().quotes})
     maturities = [0.1, 1.0 / 6.0, 0.5, 2.0] + google_T
     cases = [(1.0, np.linspace(0.5, 1.5, 11)), (GOOGLE_S0, np.linspace(250.0, 880.0, 10))]
@@ -108,7 +107,7 @@ def test_fixed_grid_converges():
         for T in maturities:
             for S0, K in cases:
                 got = heston_put_cf(S0, K, T, mu, p.nu0)
-                ref = closed_form._put(S0, K, T, mu, p.nu0, u16, w16)
+                ref = closed_form._put(S0, K, T, mu, p.nu0, *closed_form._grid(16))
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (theta, T, S0)
 
 
@@ -129,7 +128,74 @@ def test_backend_prices_interleaved_maturities_in_quote_order():
     p = CalibParams.from_array(theta)
     mu = p.to_model(0.05)
     want = [heston_put_cf(100.0, K, T, mu, p.nu0) for T, K in layout]
-    np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+    np.testing.assert_array_equal(got, want)
+
+
+def test_backend_makes_one_cf_call_per_evaluation(monkeypatch):
+    calls = []
+    cf = closed_form.heston_cf
+
+    def counting(u, T, *args):
+        calls.append(np.size(T))
+        return cf(u, T, *args)
+
+    monkeypatch.setattr(closed_form, "heston_cf", counting)
+    maturities = (0.05, 0.25, 0.5, 1.0, 2.0)
+    quotes = [Quote(maturity=T, strike=K, style="european", price=np.nan)
+              for K in (80.0, 100.0, 120.0) for T in maturities]
+    theta = np.array([0.25, -0.5, 0.10, 0.4, 0.10])
+    ClosedFormBackend().price_vector(theta, quotes, 100.0, 0.05)
+    assert calls == [len(maturities)]
+
+
+def test_cf_of_many_maturities_equals_one_call_each():
+    u = np.linspace(0.0, 200.0, 301) - 0.5j
+    maturities = np.array([0.05, 0.25, 1.0, 3.0])
+    many = heston_cf(u, maturities, MU, NU0, 100.0)
+    assert many.shape == (4, 301)
+    for row, T in zip(many, maturities):
+        np.testing.assert_array_equal(row, heston_cf(u, T, MU, NU0, 100.0))
+
+
+def test_cf_overflow_names_the_maturity():
+    # E[S_T^2] grows like e^{2rT}: overflows at T = 400 but not at T = 1
+    mu = ModelParams(xi=0.25, rho=-0.5, gamma=0.10, kappa=0.4, r=1.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        heston_cf(np.array([-2j]), 1.0, mu, NU0, 1.0)
+        with pytest.raises(FloatingPointError, match=r"T=400\.0"):
+            heston_cf(np.array([-2j]), np.array([1.0, 400.0]), mu, NU0, 1.0)
+
+
+def _direct_put(S0, K, T, mu, nu0):
+    """The put on _grid(8) with one exponential e^{-iu ln K} per strike and
+    node: the oracle of the panel-factorized strike kernel."""
+    mids, offsets, weights = closed_form._grid(8)
+    u = (mids[:, None] + offsets).ravel()
+    w = np.tile(weights, mids.size)
+    f = heston_cf(np.concatenate([u - 1j, u]), T, mu, nu0, S0)
+    f1 = f[: u.size] / (S0 * np.exp(mu.r * T))
+    f2 = f[u.size :]
+    kernel = np.exp(-1j * np.multiply.outer(np.log(K), u)) / (1j * u)
+    p1 = 0.5 + ((kernel * f1).real * w).sum(axis=-1) / np.pi
+    p2 = 0.5 + ((kernel * f2).real * w).sum(axis=-1) / np.pi
+    disc_K = K * np.exp(-mu.r * T)
+    return S0 * p1 - disc_K * p2 - S0 + disc_K
+
+
+def test_factorized_kernel_matches_direct_exponentials():
+    google = load_google_quotes().quotes
+    google_T = sorted({q.maturity for q in google})
+    cases = [(1.0, np.linspace(0.5, 1.5, 11)), (GOOGLE_S0, np.array(sorted({q.strike for q in google})))]
+    box = DEFAULT_CALIB_BOX
+    rng = np.random.default_rng(7)
+    for theta in box.lo + rng.random((20, 5)) * (box.hi - box.lo):
+        p = CalibParams.from_array(theta)
+        mu = p.to_model(0.0015)
+        for T in [0.1, 1.0] + google_T:
+            for S0, K in cases:
+                got = heston_put_cf(S0, K, T, mu, p.nu0)
+                ref = _direct_put(S0, K, T, mu, p.nu0)
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (theta, T, S0)
 
 
 def test_deterministic():

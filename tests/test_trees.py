@@ -303,14 +303,19 @@ def test_negative_rate_deamericanize_set():
         assert abs(pq.pseudo_price - pq.observed_price) < PRICE_TOL
 
 
-def test_google_quotes_need_few_trees_per_quote(monkeypatch):
-    # every tree row counts, the final European pricing included; the full
-    # [SIGMA_LO, SIGMA_HI] start needed 11.33 rows per quote
-    rows = []
+def _google_tree_rows(monkeypatch):
+    """De-Americanize the bundled Google puts a maturity at a time:
+    (quotes, kept pseudo-quotes, rows of every tree, American rows priced at
+    a bracket edge, SIGMA_HI or the lifted lower edge of the row)."""
+    rows, edge = [], []
     crr = trees.crr_price
 
     def counting(S0, K, T, r, sigma, steps, style="european"):
-        rows.append(np.broadcast(np.atleast_1d(K), np.atleast_1d(T), np.atleast_1d(sigma)).size)
+        K_, T_, sigma_ = np.broadcast_arrays(np.atleast_1d(K), np.atleast_1d(T), np.atleast_1d(sigma))
+        rows.append(K_.size)
+        if style == "american":
+            lo = np.maximum(SIGMA_LO, 1.000001 * abs(r) * np.sqrt(T_ / steps))
+            edge.append(np.sum((sigma_ == SIGMA_HI) | (sigma_ == lo)))
         return crr(S0, K, T, r, sigma, steps, style)
 
     monkeypatch.setattr(trees, "crr_price", counting)
@@ -320,9 +325,25 @@ def test_google_quotes_need_few_trees_per_quote(monkeypatch):
         for T in pre.maturities()
         for pq in deamericanize_set([q for q in pre if q.maturity == T], pre.S0, pre.r)
     ]
+    return pre, kept, sum(rows), sum(edge)
+
+
+def test_google_quotes_need_few_trees_per_quote(monkeypatch):
+    # every tree row counts, the final European pricing included; the full
+    # [SIGMA_LO, SIGMA_HI] start needed 11.33 rows per quote
+    pre, kept, rows, _ = _google_tree_rows(monkeypatch)
     assert len(pre) == 401
     assert len(kept) == 376
-    assert sum(rows) <= 7 * len(pre)
+    assert rows <= 7 * len(pre)
+
+
+def test_google_quotes_rarely_reach_a_bracket_edge(monkeypatch):
+    # a start that misses high tries a mirrored Newton step up before
+    # SIGMA_HI; widening every such row straight to SIGMA_HI priced 86 rows
+    # at an edge
+    _, kept, _, edge = _google_tree_rows(monkeypatch)
+    assert len(kept) == 376
+    assert edge <= 1
 
 
 @pytest.mark.parametrize("r", [0.0, 0.03, -0.005])
