@@ -1,15 +1,16 @@
 """Semi-closed-form Heston European put pricer.
 
 Uses the branch-cut-safe ("little trap") formulation of the characteristic
-function (Albrecher et al. 2007) and the two-probability representation of
-the call, with the put recovered by put-call parity.  Both probability
-integrals run on one fixed composite Gauss-Legendre grid of [0, 200]
-(8 panels of 64 nodes) built once.  The characteristic function does not
-depend on the strike, and its maturity-independent terms not on T, so one
-heston_cf call on [u - i, u] at every maturity of a quote vector serves P1,
-P2 and every quote.  The strike kernel e^{-iu ln K} factors over the panels
-as e^{-i m_p ln K} e^{-i h x_j ln K} (panel midpoint m_p, node offset h x_j),
-8 + 64 exponentials per strike instead of 512.
+function (Albrecher et al. 2007) and Lewis's single-integral formula for the
+put (Lewis 2001), whose integrand takes the characteristic function at
+u - i/2 and decays as |phi| / (u^2 + 1/4).  The integral runs on one fixed
+composite Gauss-Legendre grid of [0, 200] (4 panels of 128 nodes) built
+once.  The characteristic function does not depend on the strike, and its
+maturity-independent terms not on T, so one heston_cf call at every
+maturity of a quote vector serves every quote.  The strike kernel
+e^{-iu ln K} factors over the panels as e^{-i m_p ln K} e^{-i h x_j ln K}
+(panel midpoint m_p, node offset h x_j), 4 + 128 exponentials per strike
+instead of 512.
 """
 
 from __future__ import annotations
@@ -23,11 +24,13 @@ from .params import ModelParams
 
 @functools.cache
 def _grid(panels: int):
-    """(mids, offsets, weights) of the composite Gauss-Legendre rule of 64
+    """(mids, offsets, weights) of the composite Gauss-Legendre rule of 128
     nodes per panel on [0, 200]: node j of panel p is mids[p] + offsets[j],
-    of weight weights[j].  Built on first use: leggauss's eigensolver alone
-    adds about 1 MB of resident memory to a process that never prices with it."""
-    x, w = np.polynomial.legendre.leggauss(64)
+    of weight weights[j].  Wide panels of many nodes, because the integrand's
+    poles at u = +-i/2 slow the convergence of a narrow first panel.  Built on
+    first use: leggauss's eigensolver alone adds about 1 MB of resident memory
+    to a process that never prices with it."""
+    x, w = np.polynomial.legendre.leggauss(128)
     edges = np.linspace(0.0, 200.0, panels + 1)
     half = 0.5 * (edges[1] - edges[0])
     return 0.5 * (edges[:-1] + edges[1:]), half * x, half * w
@@ -81,34 +84,32 @@ def heston_cf(u, T, mu: ModelParams, nu0: float, S0: float):
 
 def _put(S0, K, T, mu, nu0, mids, offsets, weights):
     """European puts of the quotes (K, T) on the panel rule (mids, offsets,
-    weights) of _grid.
+    weights) of _grid, by Lewis's formula
 
-    P_j = 1/2 + (1/pi) int_0^inf Re[e^{-iu ln K} f_j(u) / (iu)] du with
-    f_2 = heston_cf(u) and f_1 = heston_cf(u - i) / (S0 e^{rT}); the exact
-    normalizer E[S_T] avoids heston_cf(-i), which is 0/0 when kappa < rho xi.
-    K and T broadcast; one heston_cf call serves every maturity.
+        P = K e^{-rT} - (sqrt(K) e^{-rT} / pi)
+            int_0^inf Re[e^{-iu ln K} heston_cf(u - i/2)] / (u^2 + 1/4) du.
+
+    At u - i/2, d^2 - beta^2 = xi^2 (u^2 + 1/4) > 0, so beta + d never
+    vanishes, as it does at u = -i when kappa < rho xi.  K and T broadcast;
+    one heston_cf call serves every maturity.
     """
     K, T = np.broadcast_arrays(np.asarray(K, dtype=float), np.asarray(T, dtype=float))
     shape, K, T = K.shape, K.ravel(), T.ravel()
     u = (mids[:, None] + offsets).ravel()
     maturities, group = np.unique(T, return_inverse=True)
-    f = heston_cf(np.concatenate([u - 1j, u]), maturities, mu, nu0, S0)
-    # (maturity, P1 or P2, node) integrands without the strike kernel
-    f = f.reshape(maturities.size, 2, u.size)
-    f[:, 0] /= (S0 * np.exp(mu.r * maturities))[:, None]
-    f *= np.tile(weights, mids.size) / (1j * u)
+    # (maturity, node) integrands without the strike kernel
+    f = heston_cf(u - 0.5j, maturities, mu, nu0, S0)
+    f *= np.tile(weights, mids.size) / (u * u + 0.25)
     log_k = np.log(K)
     panel = np.exp(-1j * np.multiply.outer(log_k, mids))
     node = np.exp(-1j * np.multiply.outer(log_k, offsets))
-    p = np.empty((K.size, 2))
+    integral = np.empty(K.size)
     for g in range(maturities.size):
         at = np.flatnonzero(group == g)
-        kernel = (panel[at, :, None] * node[at, None, :]).reshape(at.size, 1, u.size)
+        kernel = (panel[at, :, None] * node[at, None, :]).reshape(at.size, u.size)
         # a row sum, unlike a matrix product, rounds alike for one or many strikes
-        p[at] = (kernel * f[g]).real.sum(axis=-1)
-    p = 0.5 + p / np.pi
-    disc_K = K * np.exp(-mu.r * T)
-    return (S0 * p[:, 0] - disc_K * p[:, 1] - S0 + disc_K).reshape(shape)
+        integral[at] = (kernel * f[g]).real.sum(axis=-1)
+    return (np.exp(-mu.r * T) * (K - np.sqrt(K) / np.pi * integral)).reshape(shape)
 
 
 def heston_put_cf(S0: float, K, T, mu: ModelParams, nu0: float):
@@ -116,5 +117,5 @@ def heston_put_cf(S0: float, K, T, mu: ModelParams, nu0: float):
 
     K and T broadcast as in solvers.price_at; scalars give a float, else an
     array of the broadcast shape."""
-    put = _put(S0, K, T, mu, nu0, *_grid(8))
+    put = _put(S0, K, T, mu, nu0, *_grid(4))
     return float(put) if put.ndim == 0 else put

@@ -72,8 +72,8 @@ def test_monotone_and_convex_in_strike():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the Fourier integrals stop at u = 200: here 42 of 8,400 short-maturity "
-    "puts leave the bounds, worst by 1.2e-6; carried to u = 800 none do",
+    reason="the Fourier integral stops at u = 200: here 24 of 8,400 short-maturity "
+    "puts leave the bounds, worst by 1.8e-8; carried to u = 800 none do",
 )
 def test_put_bounds_over_whole_calib_box():
     """Seeded DEFAULT_CALIB_BOX sweep of the no-arbitrage put bounds
@@ -93,9 +93,16 @@ def test_put_bounds_over_whole_calib_box():
     assert np.all(excess <= 1e-12), f"{np.sum(excess > 1e-12)} of {excess.size}, worst {excess.max():.2e}"
 
 
-def test_fixed_grid_converges():
-    """The module's 8-panel grid agrees with a 16-panel grid of the same
-    [0, 200] to 1e-12 max(S0, K) over seeded whole-box parameters."""
+def _rule(upper, panels):
+    """_grid's 128-node panels carried from [0, 200] to [0, upper]."""
+    mids, offsets, weights = closed_form._grid(panels)
+    scale = upper / 200.0
+    return mids * scale, offsets * scale, weights * scale
+
+
+def _fixed_grid_cases():
+    """(mu, nu0, T, S0, K) over 40 seeded whole-box points, test and Google
+    maturities, unit and Google strikes."""
     google_T = sorted({q.maturity for q in load_google_quotes().quotes})
     maturities = [0.1, 1.0 / 6.0, 0.5, 2.0] + google_T
     cases = [(1.0, np.linspace(0.5, 1.5, 11)), (GOOGLE_S0, np.linspace(250.0, 880.0, 10))]
@@ -103,12 +110,28 @@ def test_fixed_grid_converges():
     rng = np.random.default_rng(20150202)
     for theta in box.lo + rng.random((40, 5)) * (box.hi - box.lo):
         p = CalibParams.from_array(theta)
-        mu = p.to_model(0.05)
         for T in maturities:
             for S0, K in cases:
-                got = heston_put_cf(S0, K, T, mu, p.nu0)
-                ref = closed_form._put(S0, K, T, mu, p.nu0, *closed_form._grid(16))
-                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (theta, T, S0)
+                yield p.to_model(0.05), p.nu0, T, S0, K
+
+
+def test_fixed_grid_converges():
+    """The module's 4-panel grid agrees with an 8-panel grid of the same
+    [0, 200] to 1e-12 max(S0, K) over seeded whole-box parameters."""
+    for mu, nu0, T, S0, K in _fixed_grid_cases():
+        got = heston_put_cf(S0, K, T, mu, nu0)
+        ref = closed_form._put(S0, K, T, mu, nu0, *closed_form._grid(8))
+        assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (mu, T, S0)
+
+
+def test_truncation_at_200_is_small():
+    """Stopping the integral at u = 200 moves no price of the fixed-grid
+    cases by more than 2e-5 max(S0, K) from the integral carried to 1600."""
+    wide = _rule(1600.0, 32)
+    for mu, nu0, T, S0, K in _fixed_grid_cases():
+        got = heston_put_cf(S0, K, T, mu, nu0)
+        ref = closed_form._put(S0, K, T, mu, nu0, *wide)
+        assert np.all(np.abs(got - ref) <= 2e-5 * np.maximum(S0, K)), (mu, T, S0)
 
 
 def test_array_strikes_match_scalar_calls():
@@ -167,19 +190,41 @@ def test_cf_overflow_names_the_maturity():
 
 
 def _direct_put(S0, K, T, mu, nu0):
-    """The put on _grid(8) with one exponential e^{-iu ln K} per strike and
-    node: the oracle of the panel-factorized strike kernel."""
-    mids, offsets, weights = closed_form._grid(8)
+    """Lewis's put on _grid(4) with one exponential e^{-iu ln K} per strike
+    and node: the oracle of the panel-factorized strike kernel."""
+    mids, offsets, weights = closed_form._grid(4)
     u = (mids[:, None] + offsets).ravel()
     w = np.tile(weights, mids.size)
-    f = heston_cf(np.concatenate([u - 1j, u]), T, mu, nu0, S0)
-    f1 = f[: u.size] / (S0 * np.exp(mu.r * T))
-    f2 = f[u.size :]
+    f = heston_cf(u - 0.5j, T, mu, nu0, S0) / (u * u + 0.25)
+    kernel = np.exp(-1j * np.multiply.outer(np.log(K), u))
+    integral = ((kernel * f).real * w).sum(axis=-1)
+    return np.exp(-mu.r * T) * (K - np.sqrt(K) / np.pi * integral)
+
+
+def _two_probability_put(S0, K, T, mu, nu0, mids, offsets, weights):
+    """The put from the two probabilities P_j = 1/2 + (1/pi) int_0^inf
+    Re[e^{-iu ln K} f_j(u) / (iu)] du, f_2 = heston_cf(u) and f_1 =
+    heston_cf(u - i) / (S0 e^{rT}), and put-call parity: an oracle of
+    Lewis's formula independent of it."""
+    u = (mids[:, None] + offsets).ravel()
+    w = np.tile(weights, mids.size)
+    f1 = heston_cf(u - 1j, T, mu, nu0, S0) / (S0 * np.exp(mu.r * T))
+    f2 = heston_cf(u, T, mu, nu0, S0)
     kernel = np.exp(-1j * np.multiply.outer(np.log(K), u)) / (1j * u)
     p1 = 0.5 + ((kernel * f1).real * w).sum(axis=-1) / np.pi
     p2 = 0.5 + ((kernel * f2).real * w).sum(axis=-1) / np.pi
     disc_K = K * np.exp(-mu.r * T)
     return S0 * p1 - disc_K * p2 - S0 + disc_K
+
+
+def test_single_integral_matches_two_probabilities():
+    """Both representations of the put, on one rule of [0, 1600], agree to
+    1e-10 max(S0, K) on the fixed-grid cases."""
+    wide = _rule(1600.0, 32)
+    for mu, nu0, T, S0, K in _fixed_grid_cases():
+        got = closed_form._put(S0, K, T, mu, nu0, *wide)
+        ref = _two_probability_put(S0, K, T, mu, nu0, *wide)
+        assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(S0, K)), (mu, T, S0)
 
 
 def test_factorized_kernel_matches_direct_exponentials():
@@ -207,7 +252,9 @@ def test_deterministic():
 @pytest.mark.parametrize("gamma, nu0", [(0.25, 0.1), (0.5, 1.0)])
 def test_put_finite_where_kappa_below_rho_xi(gamma, nu0):
     """At the calibration-box corner xi=0.9, rho=0.3, kappa=0.1, beta + d
-    vanishes at u = -i, where the P1 normalizer used to be evaluated.
+    vanishes at u = -i, where no put formula of this module evaluates the
+    characteristic function: Lewis's formula takes it at u - i/2, where
+    d^2 - beta^2 = xi^2 (u^2 + 1/4) > 0, so beta + d never vanishes.
 
     Near-zero variance (gamma and nu0 at their lower bounds) is left out:
     there the fixed Fourier truncation prices short puts slightly below
