@@ -50,6 +50,11 @@ TRIAL_ERRORS = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
 # backends: map a parameter vector to model prices for a fixed quote list
 
 
+def _strikes_and_maturities(quotes) -> tuple[np.ndarray, np.ndarray]:
+    """The strike and maturity arrays of a quote list, in its order."""
+    return np.array([(q.strike, q.maturity) for q in quotes]).T
+
+
 @dataclass
 class PdeBackend:
     """Detailed finite-element pricer; one unit-strike solve per evaluation."""
@@ -64,7 +69,7 @@ class PdeBackend:
         mu = p.to_model(r)
         solver = solve_american if VARIANTS[self.variant].style == "american" else solve_european
         surf = solver(mu, self.space, self.blocks, self.grid)
-        strikes, maturities = np.array([(q.strike, q.maturity) for q in quotes]).T
+        strikes, maturities = _strikes_and_maturities(quotes)
         return price_at(surf, S0, strikes, p.nu0, maturities)
 
 
@@ -85,7 +90,7 @@ class ReducedBackend:
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
         mu = p.to_model(r)
-        strikes, maturities = np.array([(q.strike, q.maturity) for q in quotes]).T
+        strikes, maturities = _strikes_and_maturities(quotes)
         return price_at(solve_reduced(self.model, mu), S0, strikes, p.nu0, maturities)
 
 
@@ -97,7 +102,7 @@ class ClosedFormBackend:
 
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
         p = CalibParams.from_array(theta)
-        strikes, maturities = np.array([(q.strike, q.maturity) for q in quotes]).T
+        strikes, maturities = _strikes_and_maturities(quotes)
         return heston_put_cf(S0, strikes, maturities, p.to_model(r), p.nu0)
 
 

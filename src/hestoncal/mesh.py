@@ -5,8 +5,9 @@ structured triangulation.  Assembly of all parameter-independent matrices is
 vectorized over triangles; the biorthogonal dual basis enters only through
 the diagonal pairing entries int(phi_p).  Point location and P1
 interpolation are vectorized over points: evaluation_row turns a batch of
-points into one sparse matrix of interpolation rows, which evaluate_p1
-applies to nodal values.
+points into interpolation rows, the three nodes and barycentric weights of
+each point's triangle, which evaluate_p1 applies to nodal values by
+gathering.
 """
 
 from __future__ import annotations
@@ -74,6 +75,7 @@ class FemSpace:
     dirichlet: np.ndarray = field(repr=False)  # bool mask, x-walls
     dirichlet_x_min: np.ndarray = field(repr=False)
     free: np.ndarray = field(repr=False)  # indices of non-Dirichlet nodes
+    free_index: np.ndarray = field(repr=False)  # node -> position in free, 0 if Dirichlet
 
     @property
     def n_nodes(self) -> int:
@@ -121,6 +123,9 @@ def build_mesh(domain: Domain2D, n_nu: int, n_x: int) -> FemSpace:
     i_x = np.tile(np.arange(stride), n_nu + 1)
     dir_lo = i_x == 0
     dirichlet = dir_lo | (i_x == n_x)
+    free = np.flatnonzero(~dirichlet)
+    free_index = np.zeros(coords.shape[0], dtype=np.int64)
+    free_index[free] = np.arange(free.size)
 
     return FemSpace(
         domain=domain,
@@ -130,7 +135,8 @@ def build_mesh(domain: Domain2D, n_nu: int, n_x: int) -> FemSpace:
         triangles=tris,
         dirichlet=dirichlet,
         dirichlet_x_min=dir_lo,
-        free=np.flatnonzero(~dirichlet),
+        free=free,
+        free_index=free_index,
     )
 
 
@@ -275,24 +281,31 @@ def locate_triangle(space: FemSpace, nu, x) -> np.ndarray:
     return np.where(s >= t, cell, cell + space.triangles.shape[0] // 2)
 
 
-def evaluation_row(space: FemSpace, nu, x) -> sp.csr_matrix:
+def evaluation_row(space: FemSpace, nu, x) -> tuple[np.ndarray, np.ndarray]:
     """Rows of P1 interpolation at the points (nu, x), one per point.
 
-    Row i holds the barycentric weights of point i at the three nodes of its
-    triangle, so rows @ values interpolates full nodal values at every point
-    (evaluate_p1).  nu and x broadcast; the rows follow their flattened
-    order.
+    Returns (nodes, weights), both (points, 3): row i is the three nodes of
+    point i's triangle and its barycentric weights there, so evaluate_p1
+    interpolates full nodal values at every point by gathering.  nu and x
+    broadcast; the rows follow their flattened order.
     """
     nu, x = (c.ravel() for c in np.broadcast_arrays(nu, x))
     tri = space.triangles[locate_triangle(space, nu, x)]
     p = space.coords[tri]  # (n, 3, 2)
     edges = np.swapaxes(p[:, 1:] - p[:, :1], 1, 2)
     st = np.linalg.solve(edges, (np.column_stack([nu, x]) - p[:, 0])[..., None])[..., 0]
-    lam = np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
-    indptr = np.arange(0, lam.size + 1, 3)
-    return sp.csr_matrix((lam.ravel(), tri.ravel(), indptr), shape=(nu.size, space.n_nodes))
+    return tri, np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
 
 
-def evaluate_p1(rows: sp.csr_matrix, coefficients: np.ndarray) -> np.ndarray:
-    """P1 interpolant of full nodal coefficients at the points of evaluation_row rows."""
-    return rows @ coefficients
+def evaluate_p1(rows, coefficients: np.ndarray) -> np.ndarray:
+    """P1 interpolant of nodal coefficients at the points of evaluation_row rows.
+
+    coefficients is indexed by node along its first axis; any further axes
+    carry through, so a (nodes, m) array gives (points, m).  Each value sums
+    the three weighted node values in row order, the order of a sparse row
+    product.
+    """
+    nodes, weights = rows
+    c = coefficients[nodes]  # (points, 3, ...)
+    w = weights.reshape(weights.shape + (1,) * (c.ndim - 2))
+    return w[:, 0] * c[:, 0] + w[:, 1] * c[:, 1] + w[:, 2] * c[:, 2]

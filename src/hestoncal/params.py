@@ -31,7 +31,7 @@ class ModelParams:
     rho: correlation between asset and variance noise, in (-1, 1)
     gamma: long-run variance (> 0)
     kappa: mean-reversion rate (> 0)
-    r: risk-free rate (>= 0, per year)
+    r: risk-free rate (any finite value, per year)
     """
 
     xi: float
@@ -49,8 +49,8 @@ class ModelParams:
             raise ValueError(f"kappa must be positive, got {self.kappa}")
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie strictly in (-1, 1), got {self.rho}")
-        if self.r < 0.0:
-            raise ValueError(f"r must be nonnegative, got {self.r}")
+        if not np.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.xi, self.rho, self.gamma, self.kappa, self.r])

@@ -11,9 +11,9 @@ same time loop (solvers.march) with the same load formula, and each
 American step is solved by the shared active-set kernel through the dense
 Schur complement of each active set (_schur_step).  It returns the detailed
 solve's surface type, solvers.PriceSurface with basis psi; solvers.price_at
-projects each quote's interpolation row onto psi once, so its products with
-the coefficients cost O(N) per quote and time level, independent of the
-finite-element dimension.
+gathers the rows of psi at each quote's three nodes once, so its products
+with the coefficients cost O(N) per quote and time level, independent of
+the finite-element dimension.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ import scipy.sparse.linalg as spla
 from .heston_operator import (
     N_AFFINE,
     THETA,
+    BoundaryData,
     affine_coefficients,
     boundary_data,
     lift_and_rhs,
@@ -180,6 +181,12 @@ class ReducedModel:
     selected_mu: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     stagnated: bool = False
+    # the Dirichlet lift's shape, which does not depend on the rate
+    lift_shape: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.lift_shape = boundary_data(self.space, self.style, r=1.0).shape
+        self.lift_shape.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -251,7 +258,7 @@ def solve_reduced(model: ReducedModel, mu: ModelParams) -> PriceSurface:
     A = np.tensordot(theta_q, model.a_red, axes=1)
     S = model.m_red / dt + THETA * A
     R = model.m_red / dt - (1.0 - THETA) * A
-    bnd = boundary_data(model.space, model.style, mu.r)
+    bnd = BoundaryData(style=model.style, r=mu.r, shape=model.lift_shape)
     load = lift_and_rhs(model.mlift_red, theta_q @ model.alift_red, bnd, dt)
     s_inv = np.linalg.inv(S)
     if model.style == "european":

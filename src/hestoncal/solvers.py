@@ -16,18 +16,19 @@ solve_complementarity solves it by a primal-dual active set iteration
 (semismooth Newton on the complementarity system, Hintermueller, Ito and
 Kunisch 2002), with least-index principal pivoting as its only fallback.
 It sees the problem only through a callback solve(active) -> (x, lam, c),
-which march builds from a pure per-set factorization factor(active) ->
-solve(rhs) (fem_step, rbm._schur_step) and the one slot that keeps the last
-set's factorization across Newton iterations and theta-steps.  One
-fill-reducing ordering per FEM solve serves all of its LUs: each is a
-NATURAL factorization of the step matrix permuted into that order.
+which march builds once per solve from a pure per-set factorization
+factor(active) -> solve(rhs) (fem_step, rbm._schur_step) and the one slot
+that keeps the last set's factorization across Newton iterations and
+theta-steps.  One fill-reducing ordering per FEM solve serves all of its
+LUs: each is a NATURAL factorization of the step matrix permuted into that
+order.
 
 Every solve returns the one surface type, PriceSurface: a coefficient
 trajectory U in a basis of the free DOFs (psi for a reduced solve, the
 identity for a FEM solve) plus the Dirichlet lift.  price_at is the one quote
-lookup: it prices a whole quote vector in one array pass, and off-grid
-maturities are priced by linear interpolation in time between the adjacent
-levels (interpolate_in_time); they are never snapped to a level.
+lookup: it prices a whole quote vector in one array pass of gathers, and
+off-grid maturities are priced by linear interpolation in time between the
+adjacent levels (interpolate_in_time); they are never snapped to a level.
 """
 
 from __future__ import annotations
@@ -127,24 +128,26 @@ def solve_complementarity(solve, g, active):
     with c = g on the active rows, the multiplier lam (zero off them) and the
     constrained quantity c.  Each Newton step moves to the set
     {lam + g - c > 0}.  An iterate within KKT_TOL is accepted even while its
-    set still flickers on round-off ties.  The first repeated set, or MAX_ITER
-    iterations, hands the current set to principal_pivoting.  Returns
-    (x, lam, active).
+    set still flickers on round-off ties.  Sets are compared by their
+    tobytes() keys, one per set visited.  The first repeated set, or
+    MAX_ITER iterations, hands the current set to principal_pivoting.
+    Returns (x, lam, active).
     """
+    key = active.tobytes()
     seen: set[bytes] = set()
     for _ in range(MAX_ITER):
         x, lam, c = solve(active)
         new_active = (lam + (g - c)) > 0
-        if (new_active == active).all():
+        new_key = new_active.tobytes()
+        if new_key == key:
             return x, lam, active
         scale = max(1.0, np.abs(c).max(), np.abs(g).max())
         if (g - c).max() <= KKT_TOL * scale and lam.min() >= -KKT_TOL * scale:
             return x, np.maximum(lam, 0.0), active
-        key = new_active.tobytes()
-        if key in seen:
+        if new_key in seen:
             break
-        seen.add(key)
-        active = new_active
+        seen.add(new_key)
+        active, key = new_active, new_key
     return principal_pivoting(solve, g, active)
 
 
@@ -234,11 +237,13 @@ def march(u0, rhs_op, load, I: int, step, g=None):
     an obstacle g, step(rhs) returns U[k+1].  With one, step(active)
     factorizes an active set's step matrix and returns its solve(rhs) ->
     (x, lam, c), and each step is solve_complementarity started from the
-    previous step's set.  One slot, keyed by the set, keeps the last
-    factorization across Newton iterations and steps; it is dropped before
-    the next is built.  Returns (U, lam), lam None without an obstacle and
-    lam[0] = 0 with one.  The trajectory is checked once after the loop: a
-    non-finite U raises FloatingPointError naming its first step.
+    previous step's set.  The kernel's callback is built once per solve and
+    reads the current step's right-hand side.  It holds the one slot, keyed
+    by the set's tobytes(), which keeps the last factorization across Newton
+    iterations and steps; the held one is dropped before the next is built.
+    Returns (U, lam), lam None without an obstacle and lam[0] = 0 with one.
+    The trajectory is checked once after the loop: a non-finite U raises
+    FloatingPointError naming its first step.
     """
     U = np.empty((I + 1, u0.size))
     U[0] = u0
@@ -249,18 +254,19 @@ def march(u0, rhs_op, load, I: int, step, g=None):
     else:
         lam = np.zeros((I + 1, g.size))
         active = np.zeros(g.size, dtype=bool)
-        key, solve = None, None
+        key, factorization, rhs = None, None, None
 
-        def slot(active):
-            nonlocal key, solve
-            if active.tobytes() != key:
-                solve = None  # first: two factorizations alive at once raise peak memory
-                key, solve = active.tobytes(), step(active)
-            return solve
+        def solve(active):
+            nonlocal key, factorization
+            set_key = active.tobytes()
+            if set_key != key:
+                factorization = None  # first: two factorizations alive at once raise peak memory
+                key, factorization = set_key, step(active)
+            return factorization(rhs)
 
         for k in range(I):
             rhs = rhs_op @ U[k] + load(k)
-            U[k + 1], lam[k + 1], active = solve_complementarity(lambda a: slot(a)(rhs), g, active)
+            U[k + 1], lam[k + 1], active = solve_complementarity(solve, g, active)
     if not np.isfinite(U).all():
         k = int(np.argmin(np.isfinite(U).all(axis=1)))
         raise FloatingPointError(f"non-finite solution at step {k}")
@@ -331,7 +337,8 @@ def interpolate_in_time(grid: TimeGrid, maturities):
     """
     T = np.asarray(maturities, dtype=float)
     k = T / grid.dt
-    k = np.where(np.abs(k - np.round(k)) <= STEP_TOL * np.maximum(1.0, np.abs(k)), np.round(k), k)
+    nearest = np.round(k)
+    k = np.where(np.abs(k - nearest) <= STEP_TOL * np.maximum(1.0, np.abs(k)), nearest, k)
     outside = ~((0 <= k) & (k <= grid.I))
     if outside.any():
         raise ValueError(f"maturity {T[outside].flat[0]} outside the grid horizon")
@@ -345,22 +352,27 @@ def price_at(surface: PriceSurface, S0: float, strikes, nu0: float, maturities):
 
     strikes and maturities broadcast; scalars give a scalar.  Quote i is the
     surface at the point (nu0, log(S0/K_i)) and maturity T_i, scaled by K_i.
-    One pass serves every quote: evaluation_row locates all
-    points, their free part is projected onto the basis once, one product
-    gives their values at every time level, and off-grid maturities blend
-    the adjacent levels (interpolate_in_time).  A point
-    outside the domain or a maturity beyond the horizon raises ValueError.
+    One pass serves every quote: evaluation_row locates all points, and
+    evaluate_p1 interpolates the lift.  The free part of each row gathers its
+    nodes' rows of psi (or, for a FEM surface, its nodes' columns of U)
+    through space.free_index, a Dirichlet node taking weight zero, in the
+    order of a sparse row product; one product then gives a reduced
+    surface's values at every time level.  Off-grid maturities blend the
+    adjacent levels (interpolate_in_time).  A point outside the domain or a
+    maturity beyond the horizon raises ValueError.
     """
     strikes, maturities = np.broadcast_arrays(strikes, maturities)
     shape = strikes.shape
     strikes, maturities = strikes.ravel(), maturities.ravel()
     space, grid, bnd = surface.space, surface.grid, surface.boundary
     rows = evaluation_row(space, nu0, np.log(S0 / strikes))
-    free = rows[:, space.free]
-    if surface.basis is not None:
-        free = free @ surface.basis
-    at_levels = free @ surface.U.T  # (quote, time level)
     lift = evaluate_p1(rows, bnd.shape)
+    nodes, weights = rows
+    w_free = np.where(space.dirichlet[nodes], 0.0, weights)[..., None]
+    by_free_dof = surface.U.T if surface.basis is None else surface.basis  # a view, not a copy
+    c = by_free_dof[space.free_index[nodes]]  # (quote, 3, time level or N)
+    free = w_free[:, 0] * c[:, 0] + w_free[:, 1] * c[:, 1] + w_free[:, 2] * c[:, 2]
+    at_levels = free if surface.basis is None else free @ surface.U.T  # (quote, time level)
     quote = np.arange(strikes.size)
 
     def at(k):

@@ -6,10 +6,12 @@ import numpy as np
 import pytest
 
 from hestoncal import closed_form
-from hestoncal.calibration import ClosedFormBackend
+from hestoncal.calibration import ClosedFormBackend, PdeBackend
 from hestoncal.closed_form import heston_cf, heston_put_cf
+from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_CALIB_BOX, CalibParams, ModelParams
 from hestoncal.quotes import GOOGLE_S0, Quote, load_google_quotes
+from hestoncal.solvers import TimeGrid
 
 
 MU = ModelParams(xi=0.25, rho=-0.5, gamma=0.10, kappa=0.4, r=0.05)
@@ -51,6 +53,28 @@ def test_black_scholes_limit():
     # hand value: S0=K=100, T=1, r=4%, sigma=30% -> d1=0.28333, d2=-0.01667,
     # put = 96.0789*Phi(0.01667) - 100*Phi(-0.28333) = 9.832
     assert ref == pytest.approx(9.832, abs=2e-3)
+
+
+def test_black_scholes_limit_at_a_negative_rate():
+    """The frozen-variance limit also holds for r < 0, across strikes and maturities."""
+    sigma, r = 0.3, -0.005
+    mu = ModelParams(xi=1e-6, rho=0.0, gamma=sigma**2, kappa=1.0, r=r)
+    for K in (80.0, 100.0, 125.0):
+        for T in (0.25, 1.0, 2.0):
+            got = heston_put_cf(100.0, K, T, mu, sigma**2)
+            assert got == pytest.approx(_bs_put(100.0, K, T, r, sigma), abs=1e-6)
+
+
+def test_detailed_eu_matches_closed_form_at_a_negative_rate():
+    """DetailedEu against the closed form at r = -0.005, on acceptance
+    criterion 6's coarse grid (40 x 40, I = 125) and probes."""
+    theta = np.array([0.25, -0.50, 0.10, 0.4, 0.10])
+    space = build_mesh(Domain2D(), 40, 40)
+    pde = PdeBackend("DetailedEu", space, assemble_blocks(space), TimeGrid(2.0, 125))
+    quotes = [Quote(T, K, "european", price=0.0) for K in (0.8, 0.9, 1.0, 1.1, 1.2) for T in (0.5, 1.0, 2.0)]
+    fem = pde.price_vector(theta, quotes, 1.0, -0.005)
+    cf = ClosedFormBackend().price_vector(theta, quotes, 1.0, -0.005)
+    assert np.abs(fem - cf).max() <= 1e-2
 
 
 def test_arbitrage_bounds():

@@ -30,6 +30,12 @@ def assemble_load(space, func) -> np.ndarray:
     return out
 
 
+def test_free_index_maps_each_node_to_its_free_position():
+    s = build_mesh(Domain2D(), 5, 7)
+    assert np.array_equal(s.free_index[s.free], np.arange(s.n_free))
+    assert np.all(s.free_index[s.dirichlet] == 0)
+
+
 def _area(d: Domain2D) -> float:
     return (d.nu_max - d.nu_min) * (d.x_max - d.x_min)
 
@@ -75,15 +81,30 @@ def test_interpolation_exact_on_affine(small_space):
     s = small_space
     coeff = 2.0 + 3.0 * s.coords[:, 0] - 0.5 * s.coords[:, 1]
     nu, x = np.array([(0.5, 0.3), (1e-5, -5.0), (3.0, 5.0), (2.2, -1.7)]).T
-    got = evaluate_p1(evaluation_row(s, nu, x), coeff)
+    rows = evaluation_row(s, nu, x)
+    got = evaluate_p1(rows, coeff)
     assert np.allclose(got, 2.0 + 3.0 * nu - 0.5 * x, rtol=0.0, atol=1e-12)
+    # further axes of the coefficients carry through, column by column
+    stacked = evaluate_p1(rows, np.column_stack([coeff, 2.0 * coeff, s.coords[:, 1]]))
+    assert stacked.shape == (4, 3)
+    assert np.array_equal(stacked[:, 0], got) and np.array_equal(stacked[:, 1], 2.0 * got)
+    assert np.allclose(stacked[:, 2], x, rtol=0.0, atol=1e-12)
+
+
+def _dense(rows, n_nodes):
+    """The (points, n_nodes) matrix of evaluation_row's rows."""
+    nodes, weights = rows
+    out = np.zeros((nodes.shape[0], n_nodes))
+    out[np.arange(nodes.shape[0])[:, None], nodes] = weights
+    return out
 
 
 def test_evaluation_row_weights(small_space):
-    rows = evaluation_row(small_space, 0.7, 0.2)
-    assert rows.shape == (1, small_space.n_nodes) and rows.nnz == 3
-    assert np.isclose(rows.sum(), 1.0)
-    assert np.all(rows.data >= -1e-14)
+    nodes, weights = evaluation_row(small_space, 0.7, 0.2)
+    assert nodes.shape == weights.shape == (1, 3)
+    assert np.unique(nodes).size == 3
+    assert np.isclose(weights.sum(), 1.0)
+    assert np.all(weights >= -1e-14)
 
 
 def _barycentric(space, j, nu, x):
@@ -116,7 +137,7 @@ def test_locate_triangle_covers_all(small_space):
     tris = locate_triangle(s, nu, x)
     assert tris.shape == nu.shape
     assert np.all((0 <= tris) & (tris < s.triangles.shape[0]))
-    rows = evaluation_row(s, nu, x).toarray()
+    rows = _dense(evaluation_row(s, nu, x), s.n_nodes)
     for i, j in enumerate(tris):
         lam = _barycentric(s, j, nu[i], x[i])
         assert np.all(lam >= -1e-12) and np.isclose(lam.sum(), 1.0)

@@ -23,8 +23,10 @@ def test_model_params_validation():
         ModelParams(-0.1, 0.0, 0.2, 1.0, 0.05)
     with pytest.raises(ValueError):
         ModelParams(0.5, 1.0, 0.2, 1.0, 0.05)
-    with pytest.raises(ValueError):
-        ModelParams(0.5, 0.0, 0.2, 1.0, -0.01)
+    ModelParams(0.5, 0.0, 0.2, 1.0, -0.01)  # negative rates are allowed
+    for r in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(0.5, 0.0, 0.2, 1.0, r)
 
 
 def test_calib_roundtrip():

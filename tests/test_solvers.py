@@ -6,11 +6,11 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from hestoncal import solvers
+from hestoncal import rbm, solvers
 from hestoncal.heston_operator import THETA, assemble_operator, boundary_data, payoff_vector
-from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluation_row
-from hestoncal.params import ModelParams
-from hestoncal.rbm import solve_reduced
+from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluate_p1, evaluation_row
+from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams
+from hestoncal.rbm import GreedyConfig, pod_greedy, solve_reduced
 from hestoncal.solvers import (
     KKT_TOL,
     TimeGrid,
@@ -78,9 +78,55 @@ def test_price_at_on_grid_maturity_is_its_level(fem, grid):
     for solver in (solve_european, solve_american):
         surf = solver(MU, space, blocks, grid)
         for k in (1, 12, 25):
-            level = rows @ _full_values(surf, k)
+            level = evaluate_p1(rows, _full_values(surf, k))
             got = price_at(surf, 1.0, strikes, 0.3, k * grid.dt)
             assert np.allclose(got, level * strikes, rtol=1e-14, atol=0.0)
+
+
+def _sparse_price_at(surface, S0, strikes, nu0, maturities):
+    """The quote lookup as a sparse product: a CSR matrix of interpolation
+    rows, its free columns projected onto the basis and multiplied by U^T."""
+    space, grid, bnd = surface.space, surface.grid, surface.boundary
+    nodes, weights = evaluation_row(space, nu0, np.log(S0 / strikes))
+    rows = sp.csr_matrix(
+        (weights.ravel(), nodes.ravel(), np.arange(0, weights.size + 1, 3)),
+        shape=(strikes.size, space.n_nodes),
+    )
+    free = rows[:, space.free]
+    if surface.basis is not None:
+        free = free @ surface.basis
+    at_levels = free @ surface.U.T
+    lift = rows @ bnd.shape
+    quote = np.arange(strikes.size)
+
+    def at(k):
+        return at_levels[quote, k] + lift * bnd.scale(k * grid.dt)
+
+    k0, k1, w = interpolate_in_time(grid, maturities)
+    return ((1.0 - w) * at(k0) + w * at(k1)) * strikes
+
+
+def test_price_at_equals_the_sparse_lookup_bit_for_bit(fem, grid, toy, toy_train, toy_american):
+    """The gathered lookup prices every quote exactly as the sparse product
+    does, for FEM and reduced surfaces of both styles, on and off the time
+    grid, with the last strike's cell at the x_min wall (nonzero lift)."""
+    mu = ModelParams(0.35, -0.45, 0.15, 1.25, 0.2)
+    toy_space, toy_blocks, toy_grid = toy
+    european = pod_greedy("european", toy_train[:4], toy_space, toy_blocks, toy_grid, GreedyConfig(n_max=8))
+    surfaces = [
+        solve_european(mu, *fem, grid),
+        solve_american(mu, *fem, grid),
+        solve_reduced(european, mu),
+        solve_reduced(toy_american, mu),
+    ]
+    strikes = np.array([0.8, 0.9, 1.0, 1.05, 1.2, np.exp(4.8)])
+    for surf in surfaces:
+        dt = surf.grid.dt
+        for maturities in (np.full(6, 10 * dt), (np.arange(1, 7) + 0.37) * dt, np.linspace(dt, 1.0, 6)):
+            for nu0 in (0.05, 0.3):
+                got = price_at(surf, 1.0, strikes, nu0, maturities)
+                want = _sparse_price_at(surf, 1.0, strikes, nu0, maturities)
+                assert got.tobytes() == want.tobytes()
 
 
 def test_price_at_vector_matches_scalar_calls_and_broadcasts(fem, grid):
@@ -363,6 +409,68 @@ def test_march_factorizes_each_consecutive_set_once_and_drops_the_evicted_one():
     a, b = [True, False], [False, True]
     assert factored == [[False, False], a, b, a]
     assert alive_at_build == [0] * len(factored)
+
+
+def _reference_kernel(solve, g, active):
+    """solve_complementarity with its Newton test comparing sets elementwise."""
+    seen = set()
+    for _ in range(solvers.MAX_ITER):
+        x, lam, c = solve(active)
+        new_active = (lam + (g - c)) > 0
+        if (new_active == active).all():
+            return x, lam, active
+        scale = max(1.0, np.abs(c).max(), np.abs(g).max())
+        if (g - c).max() <= KKT_TOL * scale and lam.min() >= -KKT_TOL * scale:
+            return x, np.maximum(lam, 0.0), active
+        key = new_active.tobytes()
+        if key in seen:
+            break
+        seen.add(key)
+        active = new_active
+    return principal_pivoting(solve, g, active)
+
+
+def _reference_march(u0, rhs_op, load, I, step, g):
+    """march's loop with an obstacle, building a new kernel callback per step
+    and keying the slot by each call's own tobytes()."""
+    U = np.empty((I + 1, u0.size))
+    U[0] = u0
+    lam = np.zeros((I + 1, g.size))
+    active = np.zeros(g.size, dtype=bool)
+    key, solve = None, None
+
+    def slot(active):
+        nonlocal key, solve
+        if active.tobytes() != key:
+            solve = None
+            key, solve = active.tobytes(), step(active)
+        return solve
+
+    for k in range(I):
+        rhs = rhs_op @ U[k] + load(k)
+        U[k + 1], lam[k + 1], active = _reference_kernel(lambda a: slot(a)(rhs), g, active)
+    return U, lam
+
+
+def test_time_loop_equals_the_reference_loop_bit_for_bit(toy_american, monkeypatch):
+    """The one-callback, key-comparing loop gives the reference loop's U and
+    lam bit for bit: a FEM solve at a corner of DEFAULT_PARAM_BOX and a
+    reduced solve on the toy basis."""
+    space = build_mesh(Domain2D(), 17, 17)
+    blocks = assemble_blocks(space)
+    corner = ModelParams(*DEFAULT_PARAM_BOX.hi[:2], *DEFAULT_PARAM_BOX.lo[2:4], DEFAULT_PARAM_BOX.hi[4])
+    mu = ModelParams(0.35, -0.45, 0.15, 1.25, 0.2)
+    runs = [
+        lambda: solve_american(corner, space, blocks, TimeGrid(T=2.0, I=48)),
+        lambda: solve_reduced(toy_american, mu),
+    ]
+    for run in runs:
+        got = run()
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "march", _reference_march)
+            m.setattr(rbm, "march", _reference_march)
+            want = run()
+        assert got.U.tobytes() == want.U.tobytes() and got.lam.tobytes() == want.lam.tobytes()
 
 
 def test_solve_american_matches_fresh_factorization(ladder_fem):
