@@ -23,14 +23,21 @@ def put_payoff_log(K: float, x) -> np.ndarray | float:
     return np.maximum(K - K * np.exp(x), 0.0)
 
 
+def _check_finite_positive(name: str, value: float) -> None:
+    # written as a negated test so that NaN, for which every comparison is
+    # false, is rejected too
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
 @dataclass(frozen=True)
 class ModelParams:
     """PDE parameter vector mu = (xi, rho, gamma, kappa, r).
 
-    xi: volatility of volatility (> 0)
+    xi: volatility of volatility (finite, > 0)
     rho: correlation between asset and variance noise, in (-1, 1)
-    gamma: long-run variance (> 0)
-    kappa: mean-reversion rate (> 0)
+    gamma: long-run variance (finite, > 0)
+    kappa: mean-reversion rate (finite, > 0)
     r: risk-free rate (any finite value, per year)
     """
 
@@ -41,12 +48,8 @@ class ModelParams:
     r: float
 
     def __post_init__(self):
-        if self.xi <= 0.0:
-            raise ValueError(f"xi must be positive, got {self.xi}")
-        if self.gamma <= 0.0:
-            raise ValueError(f"gamma must be positive, got {self.gamma}")
-        if self.kappa <= 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
+        for name in ("xi", "gamma", "kappa"):
+            _check_finite_positive(name, getattr(self, name))
         if not -1.0 < self.rho < 1.0:
             raise ValueError(f"rho must lie strictly in (-1, 1), got {self.rho}")
         if not np.isfinite(self.r):
@@ -67,8 +70,7 @@ class CalibParams:
     nu0: float
 
     def __post_init__(self):
-        if self.nu0 <= 0.0:
-            raise ValueError(f"nu0 must be positive, got {self.nu0}")
+        _check_finite_positive("nu0", self.nu0)
 
     def to_model(self, r: float) -> ModelParams:
         """Drop nu0 and attach the (externally fixed) interest rate."""

@@ -19,9 +19,12 @@ It sees the problem only through a callback solve(active) -> (x, lam, c),
 which march builds once per solve from a pure per-set factorization
 factor(active) -> solve(rhs) (fem_step, rbm._schur_step) and the one slot
 that keeps the last set's factorization across Newton iterations and
-theta-steps.  One fill-reducing ordering per FEM solve serves all of its
-LUs: each is a NATURAL factorization of the step matrix permuted into that
-order.
+theta-steps.  A FEM set's LU is of the principal inactive block of the step
+matrix alone, lhs_II u_I = rhs_I - lhs_IA g_A, with the multipliers
+lam_A = (lhs u - rhs)_A / d_A read from the active rows' residuals.  One
+fill-reducing ordering per FEM solve serves all of its LUs: each is a
+NATURAL factorization of a block in that order, restricted to the block's
+nodes.
 
 Every solve returns the one surface type, PriceSurface: a coefficient
 trajectory U in a basis of the free DOFs (psi for a reduced solve, the
@@ -182,44 +185,49 @@ def fem_step(lhs, g, d):
     """Per-set factorizations of the theta-steps of one FEM solve.
 
     fem_step(lhs, g, d)(active) factorizes the step lhs @ u - diag(d) lam = rhs
-    with c = u on one active set and returns its solve(rhs) -> (u, lam, u).
-    Active rows are replaced by the identity equations u_p = g_p, and their
-    multiplier is the residual of the original row divided by the pairing
-    weight d_p.  It keeps no state: march holds the one slot that reuses a
-    set's factorization.
+    with c = u on one active set A and returns its solve(rhs) -> (u, lam, u).
+    The active rows are fixed at u_A = g_A, so only the principal inactive
+    block is factorized (the semismooth Newton step of Hintermueller, Ito and
+    Kunisch 2002):
 
-    Every modified matrix has the pattern of lhs with some rows cut to their
-    diagonal, so one fill-reducing ordering serves them all: fem_step takes
-    SuperLU's minimum-degree ordering of lhs + lhs^T once (one extra LU, of
-    lhs itself) and factorizes every active set in that order with
-    permc_spec="NATURAL", so no splu call orders columns again.  The
-    modified matrix masks the rows of the symmetrically permuted lhs, held
-    in CSC, with a unit diagonal on the active rows; it equals
-    (diag(~A) lhs + diag(A))[order][:, order] in canonical CSC entry for
-    entry, explicit zeros dropped.
+        lhs_II u_I = rhs_I - lhs_IA g_A,
+
+    and the multiplier of an active row is the residual of its original
+    equation divided by the pairing weight, lam_A = (lhs u - rhs)_A / d_A.
+    It keeps no state: march holds the one slot that reuses a set's
+    factorization.
+
+    One fill-reducing ordering serves every block: fem_step takes SuperLU's
+    minimum-degree ordering of lhs + lhs^T once (one extra LU, of lhs itself)
+    and restricts it to each set's inactive nodes, so every block is
+    factorized with permc_spec="NATURAL" and no splu call orders columns
+    again.  A block is read from the symmetrically permuted lhs, held in
+    CSC, by keeping the entries whose row and column are both inactive; it
+    equals lhs[free][:, free] in canonical CSC entry for entry, free being
+    the inactive nodes in that order.  The all-active set gives a 0 x 0
+    block, which SuperLU factorizes like any other.
     """
     n = g.size
     order = np.argsort(spla.splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c)
     csc = lhs.tocsr()[order][:, order].tocsc()
     rows = csc.indices
-    diag = np.flatnonzero(rows == np.repeat(np.arange(n), np.diff(csc.indptr)))
-    if diag.size != n:
-        raise ValueError("fem_step needs every diagonal entry of lhs stored")
-    g_ord = g[order]
+    cols = np.repeat(np.arange(n), np.diff(csc.indptr))
 
     def factor(active):
-        active_ord = active[order]
+        inactive = ~active[order]
+        free = order[inactive]
+        keep = inactive[rows] & inactive[cols]
+        renumber = np.cumsum(inactive) - 1
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(renumber[cols[keep]], minlength=free.size))))
+        block = sp.csc_matrix((csc.data[keep], renumber[rows[keep]], indptr), shape=(free.size, free.size))
+        lu = spla.splu(block, permc_spec="NATURAL")
+        g_active = np.where(active, g, 0.0)
+        offset = (lhs @ g_active)[free]
         idx = np.flatnonzero(active)
-        data = np.where(active_ord[rows], 0.0, csc.data)
-        data[diag[active_ord]] = 1.0
-        keep = data != 0.0
-        indptr = np.concatenate(([0], np.cumsum(keep)))[csc.indptr]
-        mod = sp.csc_matrix((data[keep], rows[keep], indptr), shape=csc.shape)
-        lu = spla.splu(mod, permc_spec="NATURAL")
 
         def solve(rhs):
-            u = np.empty(n)
-            u[order] = lu.solve(np.where(active_ord, g_ord, rhs[order]))
+            u = g_active.copy()
+            u[free] = lu.solve(rhs[free] - offset)
             lam = np.zeros(n)
             if idx.size:
                 lam[idx] = (lhs @ u - rhs)[idx] / d[idx]
@@ -283,7 +291,8 @@ def _solve_detailed(style, mu, space, blocks, grid):
     dt = grid.dt
     load = lift_and_rhs((blocks.mass @ bnd.shape)[free], (a_full @ bnd.shape)[free], bnd, dt)
     # freed before the time loop: held across it, the heap tends to return
-    # and re-fault the LU pages, about twice the page faults per solve
+    # and re-fault the LU pages, 25-33k minor faults per three 33 x 33,
+    # I = 125 solves against 5-18k
     del a_full
     m_free = blocks.mass_free
     lhs = (m_free / dt + THETA * a_free).tocsr()

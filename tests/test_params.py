@@ -27,6 +27,14 @@ def test_model_params_validation():
     for r in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
             ModelParams(0.5, 0.0, 0.2, 1.0, r)
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -0.1):
+        for i in (0, 2, 3):  # xi, gamma, kappa
+            theta = [0.5, 0.0, 0.2, 1.0, 0.05]
+            theta[i] = bad
+            with pytest.raises(ValueError, match="finite and positive"):
+                ModelParams(*theta)
+        with pytest.raises(ValueError, match="finite and positive"):
+            CalibParams(0.5, 0.0, 0.2, 1.0, bad)
 
 
 def test_calib_roundtrip():

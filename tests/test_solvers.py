@@ -302,11 +302,34 @@ def _mmd_order(lhs):
     return np.argsort(spla.splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c)
 
 
-def _fresh_step(lhs, rhs, g, d, order=None):
-    """Reference FEM step callback: builds (diag(~A) lhs + diag(A)).tocsc()
-    from new sparse objects and factorizes it on every call.  With an order,
-    the matrix is permuted symmetrically by it and factorized with
-    permc_spec="NATURAL", as fem_step does; without one, SuperLU orders the
+def _fresh_step(lhs, rhs, g, d, order):
+    """Reference FEM step callback: builds the inactive principal block
+    lhs[free][:, free].tocsc() from new sparse objects, free being the
+    inactive nodes in the given order, and factorizes it with
+    permc_spec="NATURAL" on every call, as fem_step does.  u is g on the
+    active set and solves lhs_II u_I = rhs_I - lhs_IA g_A off it."""
+    n = rhs.size
+
+    def solve(active):
+        free = order[~active[order]]
+        g_active = np.where(active, g, 0.0)
+        u = g_active.copy()
+        lu = spla.splu(lhs.tocsr()[free][:, free].tocsc(), permc_spec="NATURAL")
+        u[free] = lu.solve(rhs[free] - (lhs @ g_active)[free])
+        lam = np.zeros(n)
+        if active.any():
+            lam[active] = (lhs @ u - rhs)[active] / d[active]
+        return u, lam, u
+
+    return solve
+
+
+def _masked_step(lhs, rhs, g, d, order=None):
+    """Reference FEM step callback on the whole step matrix: builds
+    (diag(~A) lhs + diag(A)).tocsc(), whose active rows are the identity
+    equations u_p = g_p, from new sparse objects and factorizes it on every
+    call.  With an order, the matrix is permuted symmetrically by it and
+    factorized with permc_spec="NATURAL"; without one, SuperLU orders the
     columns of each matrix itself (COLAMD), the reference that one ordering
     per solve is held to."""
     n = rhs.size
@@ -345,7 +368,8 @@ def ladder_fem():
 
 
 def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
-    """The masked build of each set gives the fresh reference bit for bit."""
+    """The masked build of each set's inactive block gives the fresh block
+    reference bit for bit, and the whole masked step matrix within 1e-10."""
     space, blocks = fem
     lhs, rhs_op, f, g, d = _american_system(space, blocks, grid)
     rng = np.random.default_rng(5)
@@ -373,8 +397,27 @@ def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
         assert mine_spec == ref_spec == "NATURAL"
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(mine, attr), getattr(ref, attr))
-    # the ordering, then one LU per set for the step and one for the reference
-    assert len(factored) == 1 + 2 * len(sets)
+        u_full, lam_full, _ = _masked_step(lhs, rhs, g, d, order)(active)
+        assert np.abs(u - u_full).max() <= 1e-10 * np.abs(u_full).max()
+        assert np.abs(lam - lam_full).max() <= 1e-10 * np.abs(lam_full).max()
+    # the ordering, then one LU per set for the step and one for each reference
+    assert len(factored) == 1 + 3 * len(sets)
+
+
+def test_fem_step_degenerate_sets(fem, grid):
+    """The empty set is a plain solve of lhs; the all-active set, a 0 x 0
+    block, fixes u = g exactly with lam = (lhs g - rhs) / d."""
+    space, blocks = fem
+    lhs, rhs_op, f, g, d = _american_system(space, blocks, grid)
+    rhs = rhs_op @ np.random.default_rng(7).uniform(0.0, 0.5, g.size) + f
+    factor = fem_step(lhs, g, d)
+    u, lam, _ = factor(np.zeros(g.size, dtype=bool))(rhs)
+    u_plain = spla.splu(lhs.tocsc()).solve(rhs)
+    assert np.abs(u - u_plain).max() <= 1e-12 * np.abs(u_plain).max()
+    assert not lam.any()
+    u, lam, _ = factor(np.ones(g.size, dtype=bool))(rhs)
+    assert np.array_equal(u, g)
+    assert np.array_equal(lam, (lhs @ g - rhs) / d)
 
 
 def test_march_factorizes_each_consecutive_set_once_and_drops_the_evicted_one():
@@ -474,16 +517,64 @@ def test_time_loop_equals_the_reference_loop_bit_for_bit(toy_american, monkeypat
 
 
 def test_solve_american_matches_fresh_factorization(ladder_fem):
-    """The whole solve equals a loop that builds every matrix fresh."""
+    """The whole solve equals a loop that builds every inactive block fresh,
+    bit for bit, and a loop on the whole masked step matrix in the same
+    order within 1e-10 relative, its active sets equal except at ties (the
+    tie rule of the default-ordering test below)."""
     space, blocks = ladder_fem
     am = solve_american(MU, space, blocks, LADDER_GRID)
     lhs, rhs_op, f, g, d = _american_system(space, blocks, LADDER_GRID)
     order = _mmd_order(lhs)
-    u = am.U[0]
-    active = np.zeros(g.size, dtype=bool)
+    u, u_full = am.U[0], am.U[0]
+    active = active_full = np.zeros(g.size, dtype=bool)
+    U_full, lam_full = np.zeros_like(am.U), np.zeros_like(am.lam)
+    slack, multiplier = [], []
     for k in range(LADDER_GRID.I):
         u, lam, active = solve_complementarity(_fresh_step(lhs, rhs_op @ u + f, g, d, order), g, active)
         assert np.array_equal(u, am.U[k + 1]) and np.array_equal(lam, am.lam[k + 1])
+        u_full, lam_full[k + 1], active_full = solve_complementarity(
+            _masked_step(lhs, rhs_op @ u_full + f, g, d, order), g, active_full
+        )
+        U_full[k + 1] = u_full
+        tie = active != active_full
+        for uu, ll in ((u, lam), (u_full, lam_full[k + 1])):
+            slack.append(np.abs(uu - g)[tie] / max(1.0, np.abs(uu).max(), np.abs(g).max()))
+            multiplier.append(np.abs(ll[tie]))
+    U_full[0] = am.U[0]
+    assert np.abs(am.U - U_full).max() <= 1e-10 * np.abs(U_full).max()
+    lam_tol = 1e-10 * np.abs(lam_full).max()
+    assert np.abs(am.lam - lam_full).max() <= lam_tol
+    assert np.concatenate(slack).max(initial=0.0) <= KKT_TOL
+    assert np.concatenate(multiplier).max(initial=0.0) <= lam_tol
+
+
+def test_solve_american_factorizes_only_the_inactive_block(ladder_fem, monkeypatch):
+    """Every set's LU is of its inactive block alone: each NATURAL splu call
+    gets a square CSC matrix of n - |A| rows for the set being factorized."""
+    space, blocks = ladder_fem
+    sets, shapes = [], []
+    splu, step = spla.splu, solvers.fem_step
+
+    def recording_splu(A, *args, **kwargs):
+        if kwargs.get("permc_spec") == "NATURAL":
+            shapes.append((A.format, A.shape))
+        return splu(A, *args, **kwargs)
+
+    def recording_step(lhs, g, d):
+        factor = step(lhs, g, d)
+
+        def recording_factor(active):
+            sets.append(int(active.sum()))
+            return factor(active)
+
+        return recording_factor
+
+    monkeypatch.setattr(spla, "splu", recording_splu)
+    monkeypatch.setattr(solvers, "fem_step", recording_step)
+    solve_american(MU, space, blocks, LADDER_GRID)
+    n = space.n_free
+    assert len(sets) >= LADDER_GRID.I and max(sets) > 0
+    assert shapes == [("csc", (n - a, n - a)) for a in sets]
 
 
 def test_solve_american_factorizes_at_most_1_2_lus_per_step(ladder_fem, monkeypatch):
@@ -573,7 +664,7 @@ def test_solve_american_matches_solver_with_default_ordering(n, I, mu, monkeypat
         u, lam, active = solve_complementarity(lambda a: factor(a)(rhs), g, active)
         assert np.array_equal(u, am.U[k + 1]) and np.array_equal(lam, am.lam[k + 1])
         u_ref, lam_ref[k + 1], active_ref = solve_complementarity(
-            _fresh_step(lhs, rhs_op @ u_ref + f, g, d), g, active_ref
+            _masked_step(lhs, rhs_op @ u_ref + f, g, d), g, active_ref
         )
         U_ref[k + 1] = u_ref
         tie = active != active_ref
