@@ -85,14 +85,6 @@ class FemSpace:
     def n_free(self) -> int:
         return self.free.size
 
-    @property
-    def h_nu(self) -> float:
-        return (self.domain.nu_max - self.domain.nu_min) / self.n_nu
-
-    @property
-    def h_x(self) -> float:
-        return (self.domain.x_max - self.domain.x_min) / self.n_x
-
 
 def build_mesh(domain: Domain2D, n_nu: int, n_x: int) -> FemSpace:
     """Build the structured P1 triangulation with (n_nu+1)*(n_x+1) nodes.
@@ -258,43 +250,36 @@ def assemble_blocks(space: FemSpace) -> AssemblyBlocks:
     return AssemblyBlocks(space=space, mass=mass, v_gram=v_gram, a_blocks=a_blocks, d_b=d_b)
 
 
-def locate_triangle(space: FemSpace, nu, x) -> np.ndarray:
-    """Indices of the triangles containing the points (nu, x).
-
-    nu and x broadcast against each other; the result has their shape.  A
-    point outside the closed domain raises ValueError.
-    """
-    nu, x = np.broadcast_arrays(nu, x)
-    d = space.domain
-    tol = 1e-12 * max(d.nu_max - d.nu_min, d.x_max - d.x_min)
-    inside = (d.nu_min - tol <= nu) & (nu <= d.nu_max + tol)
-    inside &= (d.x_min - tol <= x) & (x <= d.x_max + tol)
-    if not inside.all():
-        i = np.argmin(inside)
-        raise ValueError(f"point ({nu.flat[i]}, {x.flat[i]}) lies outside the domain")
-    a = np.clip(((nu - d.nu_min) / space.h_nu).astype(np.int64), 0, space.n_nu - 1)
-    b = np.clip(((x - d.x_min) / space.h_x).astype(np.int64), 0, space.n_x - 1)
-    # local coordinates in the cell decide which side of the diagonal we are on
-    s = (nu - (d.nu_min + a * space.h_nu)) / space.h_nu
-    t = (x - (d.x_min + b * space.h_x)) / space.h_x
-    cell = a * space.n_x + b
-    return np.where(s >= t, cell, cell + space.triangles.shape[0] // 2)
-
-
 def evaluation_row(space: FemSpace, nu, x) -> tuple[np.ndarray, np.ndarray]:
     """Rows of P1 interpolation at the points (nu, x), one per point.
 
     Returns (nodes, weights), both (points, 3): row i is the three nodes of
     point i's triangle and its barycentric weights there, so evaluate_p1
     interpolates full nodal values at every point by gathering.  nu and x
-    broadcast; the rows follow their flattened order.
+    broadcast; the rows follow their flattened order.  Each point's cell is
+    searched on the two axes' node arrays (the upper walls belong to the
+    last cell), and its local coordinates give the weights.  A point
+    outside the closed domain raises ValueError.
     """
     nu, x = (c.ravel() for c in np.broadcast_arrays(nu, x))
-    tri = space.triangles[locate_triangle(space, nu, x)]
-    p = space.coords[tri]  # (n, 3, 2)
-    edges = np.swapaxes(p[:, 1:] - p[:, :1], 1, 2)
-    st = np.linalg.solve(edges, (np.column_stack([nu, x]) - p[:, 0])[..., None])[..., 0]
-    return tri, np.column_stack([1.0 - st[:, 0] - st[:, 1], st])
+    d = space.domain
+    tol = 1e-12 * max(d.nu_max - d.nu_min, d.x_max - d.x_min)
+    inside = (d.nu_min - tol <= nu) & (nu <= d.nu_max + tol)
+    inside &= (d.x_min - tol <= x) & (x <= d.x_max + tol)
+    if not inside.all():
+        i = np.argmin(inside)
+        raise ValueError(f"point ({nu[i]}, {x[i]}) lies outside the domain")
+    nu_nodes, x_nodes = space.coords[:: space.n_x + 1, 0], space.coords[: space.n_x + 1, 1]
+    a = np.clip(np.searchsorted(nu_nodes, nu, side="right") - 1, 0, space.n_nu - 1)
+    b = np.clip(np.searchsorted(x_nodes, x, side="right") - 1, 0, space.n_x - 1)
+    s = (nu - nu_nodes[a]) / (nu_nodes[a + 1] - nu_nodes[a])
+    t = (x - x_nodes[b]) / (x_nodes[b + 1] - x_nodes[b])
+    # lower triangle [n00, n10, n11] where s >= t, upper [n00, n11, n01]
+    lower = s >= t
+    cell = a * space.n_x + b
+    nodes = space.triangles[np.where(lower, cell, cell + space.triangles.shape[0] // 2)]
+    weights = np.column_stack([1.0 - np.maximum(s, t), np.where(lower, s - t, s), np.where(lower, t, t - s)])
+    return nodes, weights
 
 
 def evaluate_p1(rows, coefficients: np.ndarray) -> np.ndarray:

@@ -16,6 +16,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .params import _check_finite_positive
+
 log = logging.getLogger(__name__)
 
 CSV_HEADER = ["maturity_years", "strike", "bid", "ask", "price", "style"]
@@ -46,10 +48,12 @@ class Quote:
     ask: float | None = None
 
     def __post_init__(self):
-        if self.maturity <= 0:
-            raise ValueError(f"maturity must be positive, got {self.maturity}")
-        if self.strike <= 0:
-            raise ValueError(f"strike must be positive, got {self.strike}")
+        _check_finite_positive("maturity", self.maturity)
+        _check_finite_positive("strike", self.strike)
+        for name, value in (("bid", self.bid), ("ask", self.ask)):
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+        # a NaN price is allowed: it marks a quote that is yet to be priced
         if self.style not in ("american", "european"):
             raise ValueError(f"unknown style {self.style!r}")
         if self.price is None and (self.bid is None or self.ask is None):

@@ -475,7 +475,7 @@ def save_reduced_model(model: ReducedModel, path) -> None:
 
 
 def load_reduced_model(path) -> ReducedModel:
-    """Load a container; one solved with another theta or strike is refused."""
+    """Load a container; one with another theta, strike or free-node count is refused."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["format_version"] != FORMAT_VERSION:
@@ -485,12 +485,17 @@ def load_reduced_model(path) -> ReducedModel:
             raise ValueError(
                 f"{path} was solved with theta {theta} and K {meta['K']}; only {THETA} and 1 load"
             )
+        space = build_mesh(Domain2D(*meta["domain"]), int(meta["n_nu"]), int(meta["n_x"]))
+        arrays = {name: data[name] for name in _ARRAY_FIELDS if name in data.files}
+        for name in ("psi", "xi"):
+            if name in arrays and len(arrays[name]) != space.n_free:
+                raise ValueError(f"{path}: {name} has {len(arrays[name])} rows for {space.n_free} free nodes")
         return ReducedModel(
             style=meta["style"],
-            space=build_mesh(Domain2D(*meta["domain"]), int(meta["n_nu"]), int(meta["n_x"])),
+            space=space,
             grid=TimeGrid(T=T, I=int(I)),
             selected_mu=[ModelParams(*row) for row in meta["selected_mu"]],
             errors=list(meta["errors"]),
             stagnated=bool(meta["stagnated"]),
-            **{name: data[name] for name in _ARRAY_FIELDS if name in data.files},
+            **arrays,
         )

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -12,7 +14,6 @@ from hestoncal.mesh import (
     build_mesh,
     evaluate_p1,
     evaluation_row,
-    locate_triangle,
 )
 
 
@@ -91,14 +92,6 @@ def test_interpolation_exact_on_affine(small_space):
     assert np.allclose(stacked[:, 2], x, rtol=0.0, atol=1e-12)
 
 
-def _dense(rows, n_nodes):
-    """The (points, n_nodes) matrix of evaluation_row's rows."""
-    nodes, weights = rows
-    out = np.zeros((nodes.shape[0], n_nodes))
-    out[np.arange(nodes.shape[0])[:, None], nodes] = weights
-    return out
-
-
 def test_evaluation_row_weights(small_space):
     nodes, weights = evaluation_row(small_space, 0.7, 0.2)
     assert nodes.shape == weights.shape == (1, 3)
@@ -107,49 +100,63 @@ def test_evaluation_row_weights(small_space):
     assert np.all(weights >= -1e-14)
 
 
-def _barycentric(space, j, nu, x):
-    """Barycentric coordinates of (nu, x) in triangle j by a 2 x 2 solve."""
-    p = space.coords[space.triangles[j]]
+def _barycentric(space, nodes, nu, x):
+    """Barycentric coordinates of (nu, x) in the triangle of nodes by a 2 x 2 solve."""
+    p = space.coords[nodes]
     st = np.linalg.solve((p[1:] - p[0]).T, np.array([nu, x]) - p[0])
     return np.array([1.0 - st.sum(), *st])
 
 
-def test_locate_triangle_covers_all(small_space):
-    """Every point of the closed domain is located in a triangle containing
-    it, and its evaluation row holds that triangle's barycentric weights."""
-    s = small_space
+def _sinh_graded(space):
+    """The space with its x nodes moved to x = 0.1 sinh(z), z uniform, which
+    crowds them around x = 0; the topology and the domain stay."""
+    d = space.domain
+    z = np.linspace(np.arcsinh(d.x_min / 0.1), np.arcsinh(d.x_max / 0.1), space.n_x + 1)
+    x = 0.1 * np.sinh(z)
+    x[[0, -1]] = d.x_min, d.x_max
+    coords = space.coords.copy()
+    coords[:, 1] = np.tile(x, space.n_nu + 1)
+    return dataclasses.replace(space, coords=coords)
+
+
+@pytest.mark.parametrize("graded", [False, True], ids=["uniform", "sinh_graded"])
+def test_evaluation_row_covers_all(small_space, graded):
+    """Every point of the closed domain gets the nodes of a triangle
+    containing it and that triangle's barycentric weights, on the uniform
+    mesh and on one graded in x."""
+    s = _sinh_graded(small_space) if graded else small_space
     d = s.domain
     rng = np.random.default_rng(42)
-    nu_nodes = np.linspace(d.nu_min, d.nu_max, s.n_nu + 1)
-    x_nodes = np.linspace(d.x_min, d.x_max, s.n_x + 1)
+    nu_nodes, x_nodes = s.coords[:: s.n_x + 1, 0], s.coords[: s.n_x + 1, 1]
     u = rng.uniform(size=60)
+    a, b = rng.integers(0, s.n_nu, 60), rng.integers(0, s.n_x, 60)
     points = [
         rng.uniform((d.nu_min, d.x_min), (d.nu_max, d.x_max), (200, 2)),  # seeded
         s.coords,  # mesh nodes
         np.column_stack([rng.choice(nu_nodes, 60), d.x_min + u * (d.x_max - d.x_min)]),  # nu lines
         np.column_stack([d.nu_min + u * (d.nu_max - d.nu_min), rng.choice(x_nodes, 60)]),  # x lines
         # cell diagonals, from (low nu, low x) to (high nu, high x)
-        np.column_stack([nu_nodes[:-1][rng.integers(0, s.n_nu, 60)] + u * s.h_nu,
-                         x_nodes[:-1][rng.integers(0, s.n_x, 60)] + u * s.h_x]),
+        np.column_stack([nu_nodes[a] + u * np.diff(nu_nodes)[a], x_nodes[b] + u * np.diff(x_nodes)[b]]),
         np.array([[d.nu_min, d.x_min], [d.nu_min, d.x_max], [d.nu_max, d.x_min], [d.nu_max, d.x_max]]),
     ]
     nu, x = np.vstack(points).T
-    tris = locate_triangle(s, nu, x)
-    assert tris.shape == nu.shape
-    assert np.all((0 <= tris) & (tris < s.triangles.shape[0]))
-    rows = _dense(evaluation_row(s, nu, x), s.n_nodes)
-    for i, j in enumerate(tris):
-        lam = _barycentric(s, j, nu[i], x[i])
+    nodes, weights = evaluation_row(s, nu, x)
+    assert nodes.shape == weights.shape == (nu.size, 3)
+    triangles = {tuple(t) for t in s.triangles}
+    for i in range(nu.size):
+        assert tuple(nodes[i]) in triangles
+        lam = _barycentric(s, nodes[i], nu[i], x[i])
         assert np.all(lam >= -1e-12) and np.isclose(lam.sum(), 1.0)
-        want = np.zeros(s.n_nodes)
-        want[s.triangles[j]] = lam
-        assert np.allclose(rows[i], want, rtol=0.0, atol=1e-14)
+        assert np.allclose(weights[i], lam, rtol=0.0, atol=1e-14)
+    # the weights are a partition of unity that rebuilds each point
+    assert np.all(weights >= 0.0)
+    rebuilt = np.einsum("pk,pkc->pc", weights, s.coords[nodes])
+    assert np.allclose(rebuilt, np.column_stack([nu, x]), rtol=0.0, atol=1e-14)
     # scalars broadcast against arrays
-    assert np.array_equal(locate_triangle(s, nu[0], x[:5]), locate_triangle(s, np.full(5, nu[0]), x[:5]))
+    for got, want in zip(evaluation_row(s, nu[0], x[:5]), evaluation_row(s, np.full(5, nu[0]), x[:5])):
+        assert np.array_equal(got, want)
     # one point outside, by either coordinate, fails the whole batch
     for bad in ((-1.0, 0.0), (1.0, d.x_max + 0.1), (d.nu_max * 2, 0.0), (1.0, d.x_min - 1e-6)):
-        with pytest.raises(ValueError, match="outside the domain"):
-            locate_triangle(s, np.append(nu[:10], bad[0]), np.append(x[:10], bad[1]))
         with pytest.raises(ValueError, match="outside the domain"):
             evaluation_row(s, np.append(nu[:10], bad[0]), np.append(x[:10], bad[1]))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from hestoncal.quotes import (
+    CSV_HEADER,
     GOOGLE_R,
     GOOGLE_S0,
     LADDER_MATURITIES,
@@ -121,6 +122,23 @@ def test_csv_round_trip_is_bit_exact(tmp_path):
         assert a.strike == b.strike
         assert a.bid == b.bid and a.ask == b.ask and a.price == b.price
         assert a.style == b.style
+
+
+@pytest.mark.parametrize("row, named", [
+    ("nan,100.0,,,1.0", "maturity"),
+    ("1.0,inf,,,1.0", "strike"),
+    ("1.0,100.0,nan,2.0,", "bid"),
+    ("1.0,100.0,1.0,inf,", "ask"),
+], ids=["maturity", "strike", "bid", "ask"])
+def test_csv_row_with_non_finite_value_is_refused(tmp_path, row, named):
+    """A NaN or infinite maturity, strike, bid or ask in a CSV row fails the
+    read, naming the field; a NaN price, the unpriced placeholder, reads."""
+    path = tmp_path / "q.csv"
+    path.write_text(f"{','.join(CSV_HEADER)}\n{row},american\n")
+    with pytest.raises(ValueError, match=f"{named} must be finite"):
+        read_quotes_csv(path, S0=100.0, r=0.02)
+    path.write_text(f"{','.join(CSV_HEADER)}\n1.0,100.0,,,nan,american\n")
+    assert np.isnan(read_quotes_csv(path, S0=100.0, r=0.02).quotes[0].price)
 
 
 def test_csv_header_enforced(tmp_path):

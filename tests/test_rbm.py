@@ -350,6 +350,27 @@ def test_refuses_container_solved_with_another_theta_or_strike(tmp_path, changes
         load_reduced_model(path)
 
 
+@pytest.mark.parametrize("changes", [{"n_x": 17}, {"n_nu": 17}, {"n_nu": 20}], ids=["n_x", "n_nu", "n_nu_20"])
+def test_refuses_container_whose_bases_do_not_fit_its_mesh(tmp_path, changes, toy_american):
+    """A file whose recorded mesh has another number of free nodes than its
+    bases have rows is refused, naming both counts, instead of pricing on
+    the wrong nodes."""
+    path = tmp_path / "other_mesh.npz"
+    _save_version_1(path, toy_american, **changes)
+    n_rows = toy_american.space.n_free
+    n_free = build_mesh(Domain2D(), changes.get("n_nu", 16), changes.get("n_x", 16)).n_free
+    with pytest.raises(ValueError, match=f"psi has {n_rows} rows.* {n_free} free nodes"):
+        load_reduced_model(path)
+
+
+def test_refuses_container_whose_dual_basis_does_not_fit_its_mesh(tmp_path, toy_american):
+    path = tmp_path / "short_xi.npz"
+    _save_version_1(path, replace(toy_american, xi=toy_american.xi[1:]))
+    n_free = toy_american.space.n_free
+    with pytest.raises(ValueError, match=f"xi has {n_free - 1} rows.* {n_free} free nodes"):
+        load_reduced_model(path)
+
+
 #: Builds a two-point American basis on the 33 x 33 mesh with I = 125, where
 #: the snapshot correlation of pod1 is large enough for BLAS to thread, and
 #: saves it to the path given as the first argument.

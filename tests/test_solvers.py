@@ -13,6 +13,7 @@ from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams
 from hestoncal.rbm import GreedyConfig, pod_greedy, solve_reduced
 from hestoncal.solvers import (
     KKT_TOL,
+    LCPError,
     TimeGrid,
     fem_step,
     interpolate_in_time,
@@ -615,6 +616,24 @@ def test_ordinary_american_solves_never_pivot(ladder_fem, toy_american, monkeypa
     steps.clear()
     solve_reduced(toy_american, ModelParams(0.35, -0.45, 0.15, 1.25, 0.2))
     assert (len(steps), len(pivots)) == (toy_american.grid.I, 0)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=LCPError,
+    reason="least-index pivoting flips one row per pivot: from the previous step's "
+    "set it hits the 500-pivot cap here (KKT residual 4.7e-2), and at 10 of the 16 "
+    "toy training points",
+)
+def test_principal_pivoting_finishes_every_fem_step_from_its_warm_start(toy, monkeypatch):
+    """The kernel's fallback, handed every step of a toy FEM solve from the
+    step's warm start, ends at the solution Newton finds."""
+    space, blocks, grid = toy
+    mu = ModelParams(0.2, -0.7, 0.25, 2.0, 0.03)
+    want = solve_american(mu, space, blocks, grid)
+    monkeypatch.setattr(solvers, "solve_complementarity", principal_pivoting)
+    got = solve_american(mu, space, blocks, grid)
+    assert np.allclose(got.U, want.U, rtol=0.0, atol=1e-10)
 
 
 #: One corner of DEFAULT_CALIB_BOX: largest xi, most negative rho, smallest
