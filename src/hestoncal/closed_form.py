@@ -7,11 +7,11 @@ u - i/2 and decays as |phi| / (u^2 + 1/4).  The integral runs on one fixed
 composite Gauss-Legendre grid of [0, 200] (4 panels of 128 nodes) built
 once.  The characteristic function does not depend on the strike, and its
 maturity-independent terms not on T, so one heston_cf call at every
-maturity of a quote vector serves every quote.  The strike kernel
-e^{-iu ln K} factors over the panels as e^{-i m_p ln K} e^{-i h x_j ln K}
-(panel midpoint m_p, node offset h x_j), 4 + 128 exponentials per strike
-instead of 512.
-"""
+maturity of a quote vector serves every quote.  Nothing on the strike side
+depends on the parameters: the kernel e^{-iu ln K} with the weights and
+1/(u^2 + 1/4) folded in is built once per quote set and cached, and an
+evaluation reduces it against the heston_cf pass in real arithmetic.  The
+complex log of heston_cf is real arithmetic too, log1p and atan2."""
 
 from __future__ import annotations
 
@@ -37,14 +37,22 @@ def _grid(panels: int):
 
 
 def _clog1p(z):
-    """log(1 + z) for complex z, accurate for small |z|."""
-    z = np.asarray(z, dtype=np.complex128)
-    small = np.abs(z) < 1e-4
-    out = np.empty_like(z)
-    zs = z[small]
-    out[small] = zs * (1.0 - zs * (0.5 - zs / 3.0))
-    out[~small] = np.log(1.0 + z[~small])
-    return out
+    """log(1 + z) for complex z in real arithmetic, z = x + iy:
+    (1/2) log1p(t) + i atan2(y, 1 + x), t = x (2 + x) + y^2 = |1 + z|^2 - 1.
+
+    Where |t| > 3/4 the real part is log|1 + z| from hypot instead: t loses
+    its relative accuracy as |1 + z| -> 0 and overflows near |z| = 1e154, and
+    hypot does neither.  A zero imaginary part keeps its sign, so z < -1
+    maps to either side of the cut.
+    """
+    x, y = z.real, z.imag
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        t = x * (2.0 + x) + y * y
+        re = 0.5 * np.log1p(t)
+    far = ~(np.abs(t) <= 0.75)
+    if far.any():
+        re = np.where(far, np.log(np.hypot(1.0 + x, y)), re)
+    return re + 1j * np.arctan2(y, 1.0 + x)
 
 
 def heston_cf(u, T, mu: ModelParams, nu0: float, S0: float):
@@ -82,6 +90,39 @@ def heston_cf(u, T, mu: ModelParams, nu0: float, S0: float):
     return val
 
 
+@functools.lru_cache(maxsize=1)
+def _strike_side(K: bytes, T: bytes, mids: bytes, offsets: bytes, weights: bytes):
+    """The parameter-free side of Lewis's integral for the quotes (K, T) on
+    the panel rule (mids, offsets, weights) of _grid, all given as the bytes
+    of float64 arrays: (nodes u - i/2, unique maturities, each quote's index
+    into them, kernel), read-only.
+
+    Row q of the kernel interleaves w_j cos(u_j ln K_q) / (u_j^2 + 1/4) and
+    w_j sin(u_j ln K_q) / (u_j^2 + 1/4), so that its dot product with the
+    float64 view of a heston_cf row is the quadrature of
+    int_0^inf Re[e^{-iu ln K_q} heston_cf(u - i/2)] / (u^2 + 1/4) du.  A
+    calibration prices one quote vector many times, so the one cached entry
+    serves every evaluation after the first; K and T are checked here once.
+    """
+    K, T = np.frombuffer(K), np.frombuffer(T)
+    if not (np.all((0.0 < K) & (K < np.inf)) and np.all((0.0 < T) & (T < np.inf))):
+        raise ValueError("K and T must be positive and finite")
+    mids, offsets, weights = (np.frombuffer(a) for a in (mids, offsets, weights))
+    u = (mids[:, None] + offsets).ravel()
+    w = np.tile(weights, mids.size) / (u * u + 0.25)
+    phase = np.multiply.outer(np.log(K), u)
+    kernel = np.empty(phase.shape + (2,))
+    np.cos(phase, out=kernel[..., 0])
+    np.sin(phase, out=kernel[..., 1])
+    kernel *= w[:, None]
+    kernel = kernel.reshape(K.size, 2 * u.size)
+    maturities, group = np.unique(T, return_inverse=True)
+    out = (u - 0.5j, maturities, group, kernel)
+    for a in out:
+        a.flags.writeable = False
+    return out
+
+
 def _put(S0, K, T, mu, nu0, mids, offsets, weights):
     """European puts of the quotes (K, T) on the panel rule (mids, offsets,
     weights) of _grid, by Lewis's formula
@@ -90,25 +131,20 @@ def _put(S0, K, T, mu, nu0, mids, offsets, weights):
             int_0^inf Re[e^{-iu ln K} heston_cf(u - i/2)] / (u^2 + 1/4) du.
 
     At u - i/2, d^2 - beta^2 = xi^2 (u^2 + 1/4) > 0, so beta + d never
-    vanishes, as it does at u = -i when kappa < rho xi.  K and T broadcast;
-    one heston_cf call serves every maturity.
+    vanishes, as it does at u = -i when kappa < rho xi.  K and T broadcast.
+    The strike kernel comes from _strike_side, built once per quote set;
+    an evaluation is one heston_cf call at every maturity and one real dot
+    product per quote, a row reduction that rounds alike in any batch.
     """
+    if not 0.0 < S0 < np.inf:
+        raise ValueError("S0 must be positive and finite")
     K, T = np.broadcast_arrays(np.asarray(K, dtype=float), np.asarray(T, dtype=float))
     shape, K, T = K.shape, K.ravel(), T.ravel()
-    u = (mids[:, None] + offsets).ravel()
-    maturities, group = np.unique(T, return_inverse=True)
-    # (maturity, node) integrands without the strike kernel
-    f = heston_cf(u - 0.5j, maturities, mu, nu0, S0)
-    f *= np.tile(weights, mids.size) / (u * u + 0.25)
-    log_k = np.log(K)
-    panel = np.exp(-1j * np.multiply.outer(log_k, mids))
-    node = np.exp(-1j * np.multiply.outer(log_k, offsets))
-    integral = np.empty(K.size)
-    for g in range(maturities.size):
-        at = np.flatnonzero(group == g)
-        kernel = (panel[at, :, None] * node[at, None, :]).reshape(at.size, u.size)
-        # a row sum, unlike a matrix product, rounds alike for one or many strikes
-        integral[at] = (kernel * f[g]).real.sum(axis=-1)
+    nodes, maturities, group, kernel = _strike_side(
+        K.tobytes(), T.tobytes(), mids.tobytes(), offsets.tobytes(), weights.tobytes()
+    )
+    f = heston_cf(nodes, maturities, mu, nu0, S0)
+    integral = np.einsum("ij,ij->i", kernel, f.view(np.float64)[group])
     return (np.exp(-mu.r * T) * (K - np.sqrt(K) / np.pi * integral)).reshape(shape)
 
 
@@ -116,6 +152,6 @@ def heston_put_cf(S0: float, K, T, mu: ModelParams, nu0: float):
     """European put prices of the quotes (K, T) from one heston_cf call.
 
     K and T broadcast as in solvers.price_at; scalars give a float, else an
-    array of the broadcast shape."""
+    array of the broadcast shape.  S0, K and T must be positive and finite."""
     put = _put(S0, K, T, mu, nu0, *_grid(4))
     return float(put) if put.ndim == 0 else put

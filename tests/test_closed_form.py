@@ -193,6 +193,9 @@ def test_backend_makes_one_cf_call_per_evaluation(monkeypatch):
     theta = np.array([0.25, -0.5, 0.10, 0.4, 0.10])
     ClosedFormBackend().price_vector(theta, quotes, 100.0, 0.05)
     assert calls == [len(maturities)]
+    # the second evaluation finds the strike kernel cached and still makes one
+    ClosedFormBackend().price_vector(theta * 1.01, quotes, 100.0, 0.05)
+    assert calls == [len(maturities)] * 2
 
 
 def test_cf_of_many_maturities_equals_one_call_each():
@@ -291,3 +294,144 @@ def test_put_finite_where_kappa_below_rho_xi(gamma, nu0):
             disc_K = K * math.exp(-mu.r * T)
             assert math.isfinite(p)
             assert max(disc_K - 1.0, 0.0) - 1e-9 <= p <= disc_K
+
+
+MU_CHECKS = ModelParams(xi=0.5, rho=-0.5, gamma=0.1, kappa=1.0, r=0.05)
+
+
+@pytest.mark.parametrize(
+    "S0, K, T",
+    [
+        (1.0, -1.0, 1.0),
+        (1.0, np.nan, 1.0),
+        (1.0, np.inf, 1.0),
+        (1.0, np.array([0.9, 0.0, 1.1]), 1.0),
+        (1.0, 1.0, -0.5),
+        (1.0, 1.0, 0.0),
+        (1.0, 1.0, np.nan),
+        (1.0, np.array([0.9, 1.1]), np.array([0.5, np.inf])),
+        (-1.0, 1.0, 1.0),
+        (0.0, 1.0, 1.0),
+        (np.nan, 1.0, 1.0),
+        (np.inf, 1.0, 1.0),
+    ],
+)
+def test_put_refuses_nonpositive_or_nonfinite_inputs(S0, K, T):
+    """No put has such a spot, strike or maturity.  Unchecked, K = -1 or NaN
+    prices NaN, T = -0.5 a put of -3286, T = 0 an at-the-money put of
+    0.0016, and S0 = -1 stops in heston_cf with an overflow error."""
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        heston_put_cf(S0, K, T, MU_CHECKS, 0.1)
+
+
+def test_refused_quote_set_keeps_the_cached_one():
+    heston_put_cf(1.0, 1.0, 1.0, MU_CHECKS, 0.1)
+    hits = closed_form._strike_side.cache_info().hits
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            heston_put_cf(1.0, -1.0, 1.0, MU_CHECKS, 0.1)
+    heston_put_cf(1.0, 1.0, 1.0, MU_CHECKS, 0.1)
+    assert closed_form._strike_side.cache_info().hits == hits + 1
+
+
+def _google_quote_set():
+    quotes = load_google_quotes().quotes[::8]
+    return np.array([q.strike for q in quotes]), np.array([q.maturity for q in quotes])
+
+
+def test_cached_kernel_gives_the_same_bits():
+    """A miss and a hit price alike, also after another quote vector has
+    taken the cache's one entry in between."""
+    K, T = _google_quote_set()
+    price = lambda K: heston_put_cf(GOOGLE_S0, K, T, MU, NU0)
+    closed_form._strike_side.cache_clear()
+    miss = price(K)
+    hits = closed_form._strike_side.cache_info().hits
+    np.testing.assert_array_equal(price(K), miss)
+    assert closed_form._strike_side.cache_info().hits == hits + 1
+    other = price(K * 1.01)
+    assert not np.array_equal(other, miss)
+    np.testing.assert_array_equal(price(K), miss)
+
+
+def test_cache_holds_one_read_only_entry():
+    K, T = _google_quote_set()
+    heston_put_cf(GOOGLE_S0, K, T, MU, NU0)
+    heston_put_cf(GOOGLE_S0, K[:5], T[:5], MU, NU0)
+    info = closed_form._strike_side.cache_info()
+    assert info.maxsize == 1 and info.currsize == 1
+    # the key heston_put_cf forms: a hit on the entry it left
+    entry = closed_form._strike_side(
+        K[:5].tobytes(), T[:5].tobytes(), *(a.tobytes() for a in closed_form._grid(4))
+    )
+    assert closed_form._strike_side.cache_info().hits == info.hits + 1
+    for a in entry:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+
+
+@pytest.fixture
+def mp():
+    """mpmath at 30 significant digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(30):
+        yield mpmath
+
+
+def _assert_clog1p_matches_mpmath(mp, z):
+    """_clog1p within 4 units of float64 round-off of log(1 + z) at 30
+    digits, normwise.  A zero imaginary part takes its side of the cut from
+    its sign, which an mpmath zero does not carry."""
+    got = closed_form._clog1p(z)
+    for zi, gi in zip(z, got):
+        want = mp.log1p(mp.mpc(zi.real, abs(zi.imag)))
+        if math.copysign(1.0, zi.imag) < 0:
+            want = mp.conj(want)
+        err = abs(mp.mpc(gi.real, gi.imag) - want) / abs(want)
+        assert err <= 4 * np.finfo(float).eps, (zi, gi, want)
+
+
+def test_clog1p_matches_mpmath_from_tiny_to_huge(mp):
+    """|z| from 1e-300 to 1e300 at 29 angles: y^2 underflows at the low end
+    and x (2 + x) + y^2 overflows above 1e154."""
+    angles = np.exp(1j * np.linspace(-np.pi, np.pi, 29))
+    _assert_clog1p_matches_mpmath(mp, np.multiply.outer(10.0 ** np.arange(-300, 301, 5.0), angles).ravel())
+
+
+def test_clog1p_matches_mpmath_at_the_cut_and_near_minus_one(mp):
+    """z < -1 with +-0 and tiny imaginary parts, on both sides of the cut,
+    and z within 1e-12 ... 0.1 of -1, where log1p(x (2 + x) + y^2) cancels."""
+    on_cut = [complex(x, y) for x in (-1e300, -1e10, -3.0, -2.0, -1.5, -1.0 - 1e-8)
+              for y in (0.0, -0.0, 1e-300, -1e-300, 1e-10, -1e-10)]
+    sides = closed_form._clog1p(np.array([complex(-2.0, 0.0), complex(-2.0, -0.0)])).imag
+    assert sides.tolist() == [math.pi, -math.pi]
+    angles = np.exp(1j * np.linspace(-np.pi, np.pi, 29))
+    near = -1.0 + np.multiply.outer(10.0 ** np.arange(-12.0, 0.0), angles).ravel()
+    _assert_clog1p_matches_mpmath(mp, np.concatenate([on_cut, near]))
+
+
+def test_clog1p_matches_mpmath_on_heston_cf_arguments(mp, monkeypatch):
+    """A seeded sample of the arguments heston_cf forms on the put's nodes
+    over DEFAULT_CALIB_BOX, its kappa < rho xi corner and its nu0 floor, at
+    the test and Google maturities.  They come near neither place where
+    the real form alone fails: |1 + z| > 0.5, and |z| < 2 is far from the
+    overflow of x (2 + x) + y^2 near |z| = 1e154."""
+    seen = []
+    clog1p = closed_form._clog1p
+    monkeypatch.setattr(closed_form, "_clog1p", lambda z: seen.append(z.ravel()) or clog1p(z))
+    google_T = sorted({q.maturity for q in load_google_quotes().quotes})
+    maturities = np.array([0.05, 0.1, 1.0 / 6.0, 0.5, 1.0, 2.0] + google_T)
+    mids, offsets, _ = closed_form._grid(4)
+    nodes = (mids[:, None] + offsets).ravel() - 0.5j
+    box = DEFAULT_CALIB_BOX
+    rng = np.random.default_rng(5)
+    cases = [(CalibParams.from_array(t).to_model(0.05), CalibParams.from_array(t).nu0)
+             for t in box.lo + rng.random((20, 5)) * (box.hi - box.lo)]
+    cases += [(ModelParams(xi=0.9, rho=0.3, gamma=gamma, kappa=0.1, r=0.05), box.lo[4])
+              for gamma in (box.lo[2], box.hi[2])]
+    for mu, nu0 in cases:
+        heston_cf(nodes, maturities, mu, nu0, 1.0)
+    z = np.concatenate(seen)
+    assert np.abs(1.0 + z).min() > 0.5 and np.abs(z).max() < 2.0
+    _assert_clog1p_matches_mpmath(mp, rng.choice(z, 2000, replace=False))
