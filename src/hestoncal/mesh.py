@@ -132,6 +132,21 @@ def build_mesh(domain: Domain2D, n_nu: int, n_x: int) -> FemSpace:
     )
 
 
+def band_order(space: FemSpace) -> np.ndarray:
+    """A band (envelope) ordering of the free DOFs, as positions in space.free.
+
+    The free nodes are sorted by i_nu - i_x, then by i_nu: the level lines
+    parallel to the diagonal along which build_mesh splits every cell.  A
+    node's neighbours lie on its own line and the two adjacent ones, so the
+    step matrix permuted symmetrically by this order is banded, its
+    bandwidth about the length of the longest line, min(n_nu, n_x) + 1.  It
+    is the level structure that reverse Cuthill-McKee finds on this graph.
+    """
+    stride = space.n_x + 1
+    i_nu, i_x = np.divmod(space.free, stride)
+    return np.lexsort((i_nu, i_nu - i_x))
+
+
 def _triangle_geometry(space: FemSpace):
     """Per-triangle areas and constant P1 basis gradients."""
     p = space.coords[space.triangles]  # (J, 3, 2)

@@ -22,9 +22,10 @@ that keeps the last set's factorization across Newton iterations and
 theta-steps.  A FEM set's LU is of the principal inactive block of the step
 matrix alone, lhs_II u_I = rhs_I - lhs_IA g_A, with the multipliers
 lam_A = (lhs u - rhs)_A / d_A read from the active rows' residuals.  One
-fill-reducing ordering per FEM solve serves all of its LUs: each is a
-NATURAL factorization of a block in that order, restricted to the block's
-nodes.
+band order per mesh (mesh.band_order) serves all of a FEM solve's LUs: each
+is a NATURAL factorization of a block in that order, restricted to the
+block's nodes.  It beats a minimum-degree ordering up to about 48 intervals
+per side; on larger meshes minimum degree would factorize faster.
 
 Every solve returns the one surface type, PriceSurface: a coefficient
 trajectory U in a basis of the free DOFs (psi for a reduced solve, the
@@ -52,7 +53,7 @@ from .heston_operator import (
     lift_and_rhs,
     payoff_vector,
 )
-from .mesh import AssemblyBlocks, FemSpace, evaluate_p1, evaluation_row
+from .mesh import AssemblyBlocks, FemSpace, band_order, evaluate_p1, evaluation_row
 from .params import ModelParams
 
 #: Cap on the Newton iterations, and separately on the pivots, of one
@@ -181,10 +182,10 @@ def principal_pivoting(solve, g, active):
     raise LCPError(g.size, MAX_ITER, residual, "pivot cap")
 
 
-def fem_step(lhs, g, d):
+def fem_step(lhs, g, d, order):
     """Per-set factorizations of the theta-steps of one FEM solve.
 
-    fem_step(lhs, g, d)(active) factorizes the step lhs @ u - diag(d) lam = rhs
+    fem_step(lhs, g, d, order)(active) factorizes the step lhs @ u - diag(d) lam = rhs
     with c = u on one active set A and returns its solve(rhs) -> (u, lam, u).
     The active rows are fixed at u_A = g_A, so only the principal inactive
     block is factorized (the semismooth Newton step of Hintermueller, Ito and
@@ -197,18 +198,20 @@ def fem_step(lhs, g, d):
     It keeps no state: march holds the one slot that reuses a set's
     factorization.
 
-    One fill-reducing ordering serves every block: fem_step takes SuperLU's
-    minimum-degree ordering of lhs + lhs^T once (one extra LU, of lhs itself)
-    and restricts it to each set's inactive nodes, so every block is
-    factorized with permc_spec="NATURAL" and no splu call orders columns
-    again.  A block is read from the symmetrically permuted lhs, held in
-    CSC, by keeping the entries whose row and column are both inactive; it
-    equals lhs[free][:, free] in canonical CSC entry for entry, free being
-    the inactive nodes in that order.  The all-active set gives a 0 x 0
-    block, which SuperLU factorizes like any other.
+    One symmetric order of the free DOFs serves every block: fem_step
+    restricts order (a permutation of range(n), the mesh's band_order in a
+    solve) to each set's inactive nodes, so every block is factorized with
+    permc_spec="NATURAL" and no splu call orders columns.  On the meshes
+    used here (up to about 48 intervals per side) the band order factorizes
+    faster than a minimum-degree one at about the same fill; on larger
+    meshes minimum degree would win (97 x 97: about twice as fast per LU).
+    A block is read from the symmetrically permuted lhs, held in CSC, by
+    keeping the entries whose row and column are both inactive; it equals
+    lhs[free][:, free] in canonical CSC entry for entry, free being the
+    inactive nodes in that order.  The all-active set gives a 0 x 0 block,
+    which SuperLU factorizes like any other.
     """
     n = g.size
-    order = np.argsort(spla.splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c)
     csc = lhs.tocsr()[order][:, order].tocsc()
     rows = csc.indices
     cols = np.repeat(np.arange(n), np.diff(csc.indptr))
@@ -291,8 +294,9 @@ def _solve_detailed(style, mu, space, blocks, grid):
     dt = grid.dt
     load = lift_and_rhs((blocks.mass @ bnd.shape)[free], (a_full @ bnd.shape)[free], bnd, dt)
     # freed before the time loop: held across it, the heap tends to return
-    # and re-fault the LU pages, 25-33k minor faults per three 33 x 33,
-    # I = 125 solves against 5-18k
+    # and re-fault the LU pages, 6-13k minor faults per three 33 x 33,
+    # I = 125 solves after a warm-up one against 4-6k (ru_minflt,
+    # PYTHONHASHSEED 0-3)
     del a_full
     m_free = blocks.mass_free
     lhs = (m_free / dt + THETA * a_free).tocsr()
@@ -301,7 +305,8 @@ def _solve_detailed(style, mu, space, blocks, grid):
     if style == "european":
         U, lam = march(payoff, rhs_op, load, grid.I, spla.splu(lhs.tocsc()).solve)
     else:
-        U, lam = march(payoff, rhs_op, load, grid.I, fem_step(lhs, payoff, blocks.d_b_free), payoff)
+        step = fem_step(lhs, payoff, blocks.d_b_free, band_order(space))
+        U, lam = march(payoff, rhs_op, load, grid.I, step, payoff)
     return PriceSurface(space=space, grid=grid, boundary=bnd, basis=None, U=U, lam=lam)
 
 

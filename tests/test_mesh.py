@@ -11,6 +11,7 @@ from hestoncal.mesh import (
     _triangle_geometry,
     assemble_blocks,
     assemble_matrix,
+    band_order,
     build_mesh,
     evaluate_p1,
     evaluation_row,
@@ -35,6 +36,24 @@ def test_free_index_maps_each_node_to_its_free_position():
     s = build_mesh(Domain2D(), 5, 7)
     assert np.array_equal(s.free_index[s.free], np.arange(s.n_free))
     assert np.all(s.free_index[s.dirichlet] == 0)
+
+
+@pytest.mark.parametrize("n_nu, n_x", [(8, 8), (33, 33), (16, 64), (64, 16)])
+def test_band_order_bands_the_step_matrix(n_nu, n_x):
+    """band_order is a permutation of the free positions, and every free-DOF
+    matrix of the mesh (the theta-step's sparsity pattern: the mass matrix
+    plus the operator blocks) permuted by it has bandwidth at most
+    min(n_nu, n_x) + 2.  Splitting the cells along the other diagonal
+    roughly doubles it."""
+    space = build_mesh(Domain2D(), n_nu, n_x)
+    blocks = assemble_blocks(space)
+    order = band_order(space)
+    assert np.array_equal(np.sort(order), np.arange(space.n_free))
+    pattern = abs(blocks.mass_free) + sum(abs(blocks.restrict(a)) for a in blocks.a_blocks)
+    rows, cols = pattern.nonzero()
+    position = np.empty_like(order)
+    position[order] = np.arange(order.size)
+    assert np.abs(position[rows] - position[cols]).max() <= min(n_nu, n_x) + 2
 
 
 def _area(d: Domain2D) -> float:

@@ -8,7 +8,7 @@ import scipy.sparse.linalg as spla
 
 from hestoncal import rbm, solvers
 from hestoncal.heston_operator import THETA, assemble_operator, boundary_data, payoff_vector
-from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, evaluate_p1, evaluation_row
+from hestoncal.mesh import Domain2D, assemble_blocks, band_order, build_mesh, evaluate_p1, evaluation_row
 from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams
 from hestoncal.rbm import GreedyConfig, pod_greedy, solve_reduced
 from hestoncal.solvers import (
@@ -277,7 +277,7 @@ def test_psor_cross_check():
 def test_fem_pivoting_from_empty_set_matches_psor():
     """The kernel's fallback alone, started from no active node."""
     lhs, rhs, g, d, am = _psor_cross_check_step()
-    factor = fem_step(lhs, g, d)
+    factor = fem_step(lhs, g, d, band_order(am.space))
     u, lam, active = principal_pivoting(lambda a: factor(a)(rhs), g, np.zeros(g.size, dtype=bool))
     u_psor = psor_step(lhs, rhs, g, tol=1e-12)
     assert active.any()
@@ -295,12 +295,6 @@ def test_european_boundary_consistency(fem, grid):
     w = _full_values(eu, grid.I)
     on_wall = w[space.dirichlet_x_min]
     assert np.allclose(on_wall, np.exp(-MU.r * grid.T), rtol=1e-12)
-
-
-def _mmd_order(lhs):
-    """The symmetric order fem_step factorizes in: SuperLU's minimum-degree
-    ordering of lhs + lhs^T."""
-    return np.argsort(spla.splu(lhs.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c)
 
 
 def _fresh_step(lhs, rhs, g, d, order):
@@ -331,8 +325,8 @@ def _masked_step(lhs, rhs, g, d, order=None):
     equations u_p = g_p, from new sparse objects and factorizes it on every
     call.  With an order, the matrix is permuted symmetrically by it and
     factorized with permc_spec="NATURAL"; without one, SuperLU orders the
-    columns of each matrix itself (COLAMD), the reference that one ordering
-    per solve is held to."""
+    columns of each matrix itself (COLAMD), the reference that the one band
+    order per mesh is held to."""
     n = rhs.size
 
     def solve(active):
@@ -375,7 +369,7 @@ def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
     lhs, rhs_op, f, g, d = _american_system(space, blocks, grid)
     rng = np.random.default_rng(5)
     rhs = rhs_op @ rng.uniform(0.0, 0.5, g.size) + f
-    order = _mmd_order(lhs)
+    order = band_order(space)
     factored = []
 
     def recording_splu(A, *args, **kwargs):
@@ -384,9 +378,9 @@ def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
 
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", recording_splu)
-    factor = fem_step(lhs, g, d)
-    # the one ordering call, on lhs itself
-    assert [spec for _, spec in factored] == ["MMD_AT_PLUS_A"]
+    factor = fem_step(lhs, g, d, order)
+    # no ordering call: the order is the mesh's
+    assert factored == []
     sets = [rng.uniform(size=g.size) < p for p in (0.0, 0.1, 0.4, 0.9)]
     for active in sets:
         n_before = len(factored)
@@ -401,8 +395,8 @@ def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
         u_full, lam_full, _ = _masked_step(lhs, rhs, g, d, order)(active)
         assert np.abs(u - u_full).max() <= 1e-10 * np.abs(u_full).max()
         assert np.abs(lam - lam_full).max() <= 1e-10 * np.abs(lam_full).max()
-    # the ordering, then one LU per set for the step and one for each reference
-    assert len(factored) == 1 + 3 * len(sets)
+    # one LU per set for the step and one for each reference
+    assert len(factored) == 3 * len(sets)
 
 
 def test_fem_step_degenerate_sets(fem, grid):
@@ -411,7 +405,7 @@ def test_fem_step_degenerate_sets(fem, grid):
     space, blocks = fem
     lhs, rhs_op, f, g, d = _american_system(space, blocks, grid)
     rhs = rhs_op @ np.random.default_rng(7).uniform(0.0, 0.5, g.size) + f
-    factor = fem_step(lhs, g, d)
+    factor = fem_step(lhs, g, d, band_order(space))
     u, lam, _ = factor(np.zeros(g.size, dtype=bool))(rhs)
     u_plain = spla.splu(lhs.tocsc()).solve(rhs)
     assert np.abs(u - u_plain).max() <= 1e-12 * np.abs(u_plain).max()
@@ -525,7 +519,7 @@ def test_solve_american_matches_fresh_factorization(ladder_fem):
     space, blocks = ladder_fem
     am = solve_american(MU, space, blocks, LADDER_GRID)
     lhs, rhs_op, f, g, d = _american_system(space, blocks, LADDER_GRID)
-    order = _mmd_order(lhs)
+    order = band_order(space)
     u, u_full = am.U[0], am.U[0]
     active = active_full = np.zeros(g.size, dtype=bool)
     U_full, lam_full = np.zeros_like(am.U), np.zeros_like(am.lam)
@@ -561,8 +555,8 @@ def test_solve_american_factorizes_only_the_inactive_block(ladder_fem, monkeypat
             shapes.append((A.format, A.shape))
         return splu(A, *args, **kwargs)
 
-    def recording_step(lhs, g, d):
-        factor = step(lhs, g, d)
+    def recording_step(lhs, g, d, order):
+        factor = step(lhs, g, d, order)
 
         def recording_factor(active):
             sets.append(int(active.sum()))
@@ -647,14 +641,14 @@ LADDER_MU = ModelParams(0.25, -0.5, 0.10, 0.4, 0.05)
 @pytest.mark.parametrize("n, I", [(17, 48), (33, 125)])
 @pytest.mark.parametrize("mu", [MU, LADDER_MU, CORNER], ids=["mu", "ladder", "corner"])
 def test_solve_american_matches_solver_with_default_ordering(n, I, mu, monkeypatch):
-    """One ordering per solve moves U and lam by round-off only.
+    """One band order per mesh moves U and lam by round-off only.
 
     The oracle factorizes every active set with SuperLU's own column
     ordering.  U and lam agree within 1e-10 relative, and the active sets
     agree except at ties: nodes where, in both solutions, u - g is within
     KKT_TOL (scaled as solve_complementarity scales it) and lam within the
-    1e-10 bound.  solve_american orders lhs once: exactly one splu call is
-    not NATURAL.
+    1e-10 bound.  solve_american orders no matrix itself: every splu call is
+    NATURAL, in the mesh's band order.
     """
     space = build_mesh(Domain2D(), n, n)
     blocks = assemble_blocks(space)
@@ -669,10 +663,10 @@ def test_solve_american_matches_solver_with_default_ordering(n, I, mu, monkeypat
     monkeypatch.setattr(spla, "splu", recording_splu)
     am = solve_american(mu, space, blocks, grid)
     monkeypatch.undo()
-    assert sum(spec != "NATURAL" for spec in specs) == 1
+    assert specs and all(spec == "NATURAL" for spec in specs)
 
     lhs, rhs_op, f, g, d = _american_system(space, blocks, grid, mu)
-    factor = fem_step(lhs, g, d)
+    factor = fem_step(lhs, g, d, band_order(space))
     u, u_ref = am.U[0], am.U[0]
     active = active_ref = np.zeros(g.size, dtype=bool)
     U_ref, lam_ref = np.zeros_like(am.U), np.zeros_like(am.lam)
