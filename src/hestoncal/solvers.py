@@ -25,7 +25,9 @@ lam_A = (lhs u - rhs)_A / d_A read from the active rows' residuals.  One
 band order per mesh (mesh.band_order) serves all of a FEM solve's LUs: each
 is a NATURAL factorization of a block in that order, restricted to the
 block's nodes.  It beats a minimum-degree ordering up to about 48 intervals
-per side; on larger meshes minimum degree would factorize faster.
+per side and loses above: on the 97 x 97 mesh of acceptance criterion 4 and
+of scripts/deamericanization_study.py's default, each LU takes about twice
+as long.
 
 Every solve returns the one surface type, PriceSurface: a coefficient
 trajectory U in a basis of the free DOFs (psi for a reduced solve, the
@@ -201,10 +203,12 @@ def fem_step(lhs, g, d, order):
     One symmetric order of the free DOFs serves every block: fem_step
     restricts order (a permutation of range(n), the mesh's band_order in a
     solve) to each set's inactive nodes, so every block is factorized with
-    permc_spec="NATURAL" and no splu call orders columns.  On the meshes
-    used here (up to about 48 intervals per side) the band order factorizes
-    faster than a minimum-degree one at about the same fill; on larger
-    meshes minimum degree would win (97 x 97: about twice as fast per LU).
+    permc_spec="NATURAL" and no splu call orders columns.  Up to about 48
+    intervals per side the band order factorizes faster than a
+    minimum-degree one at about the same fill.  Above that minimum degree
+    is faster: on the 97 x 97 mesh that acceptance criterion 4 and
+    scripts/deamericanization_study.py's default use, each LU takes about
+    twice as long in the band order.
     A block is read from the symmetrically permuted lhs, held in CSC, by
     keeping the entries whose row and column are both inactive; it equals
     lhs[free][:, free] in canonical CSC entry for entry, free being the
