@@ -399,8 +399,8 @@ def calibrate_reduced_refined(
     an American basis.
 
     space and grid must be the mesh and time grid pilot_model was built on,
-    so that every refinement basis discretizes the pilot's problem; another
-    mesh (domain, n_nu or n_x) or grid raises ValueError.
+    so that every refinement basis discretizes the pilot's problem; other
+    node arrays or another grid raise ValueError.
 
     Returns (report, refined_model, pilot_report) for the last round;
     report.time_preprocess accumulates the offline basis-construction time
@@ -411,10 +411,10 @@ def calibrate_reduced_refined(
 
     if n_refine < 1:
         raise ValueError("n_refine must be at least 1")
-    pilot_mesh = (pilot_model.space.domain, pilot_model.space.n_nu, pilot_model.space.n_x)
-    mesh = (space.domain, space.n_nu, space.n_x)
-    if mesh != pilot_mesh:
-        raise ValueError(f"refinement mesh (domain, n_nu, n_x) = {mesh} is not the pilot basis's {pilot_mesh}")
+    pilot = pilot_model.space
+    if not (np.array_equal(space.nu, pilot.nu) and np.array_equal(space.x, pilot.x)):
+        raise ValueError(f"refinement mesh {space.n_nu, space.n_x} has other nodes than the pilot "
+                         f"basis's {pilot.n_nu, pilot.n_x}")
     if grid != pilot_model.grid:
         raise ValueError(f"refinement time grid {grid} is not the pilot basis's {pilot_model.grid}")
     pilot_backend = make_backend("ReducedAm", model=pilot_model)

@@ -164,8 +164,7 @@ def cmd_mesh_info(args) -> int:
     print(f"nodes: {space.n_nodes}")
     print(f"triangles: {space.triangles.shape[0]}")
     print(f"free (interior + variance-wall) DOFs: {space.n_free}")
-    nu_nodes, x_nodes = space.coords[:: space.n_x + 1, 0], space.coords[: space.n_x + 1, 1]
-    print(f"mesh size: h_nu={np.ptp(nu_nodes) / space.n_nu:.6g}, h_x={np.ptp(x_nodes) / space.n_x:.6g}")
+    print(f"mesh size: h_nu={np.ptp(space.nu) / space.n_nu:.6g}, h_x={np.ptp(space.x) / space.n_x:.6g}")
     return 0
 
 

@@ -1,9 +1,10 @@
 """P1 finite element discretization of the log-transformed pricing domain.
 
 The computational domain (nu_min, nu_max) x (x_min, x_max) is tiled by a
-structured triangulation.  Assembly of all parameter-independent matrices is
-vectorized over triangles; the biorthogonal dual basis enters only through
-the diagonal pairing entries int(phi_p).  Point location and P1
+structured triangulation of the tensor grid of one node array per axis.
+Assembly of all parameter-independent matrices is vectorized over
+triangles; the biorthogonal dual basis enters only through the diagonal
+pairing entries int(phi_p).  Point location and P1
 interpolation are vectorized over points: evaluation_row turns a batch of
 points into interpolation rows, the three nodes and barycentric weights of
 each point's triangle, which evaluate_p1 applies to nodal values by
@@ -60,22 +61,59 @@ class Domain2D:
 
 @dataclass
 class FemSpace:
-    """Structured triangulation with the DOF bookkeeping of the primal space.
+    """Triangulation of the tensor grid of two node arrays (mesh_from_nodes) and its DOF bookkeeping.
 
     Nodes are ordered nu-major: node(i_nu, i_x) = i_nu * (n_x + 1) + i_x.
-    Dirichlet nodes are the two x-walls (both corners included); the
-    remaining boundary nodes on the nu-walls carry natural conditions.
+    Each grid rectangle is split into two triangles along the diagonal from
+    its (low nu, low x) corner to its (high nu, high x) corner.  Dirichlet
+    nodes are the two x-walls (both corners included); the remaining
+    boundary nodes on the nu-walls carry natural conditions.
     """
 
-    domain: Domain2D
-    n_nu: int
-    n_x: int
-    coords: np.ndarray = field(repr=False)  # (N_X, 2), columns (nu, x)
-    triangles: np.ndarray = field(repr=False)  # (J, 3) int
-    dirichlet: np.ndarray = field(repr=False)  # bool mask, x-walls
-    dirichlet_x_min: np.ndarray = field(repr=False)
-    free: np.ndarray = field(repr=False)  # indices of non-Dirichlet nodes
-    free_index: np.ndarray = field(repr=False)  # node -> position in free, 0 if Dirichlet
+    nu: np.ndarray = field(repr=False)  # (n_nu + 1,) variance nodes, increasing
+    x: np.ndarray = field(repr=False)  # (n_x + 1,) log-moneyness nodes, increasing
+    coords: np.ndarray = field(init=False, repr=False)  # (N_X, 2), columns (nu, x)
+    triangles: np.ndarray = field(init=False, repr=False)  # (J, 3) int
+    dirichlet: np.ndarray = field(init=False, repr=False)  # bool mask, x-walls
+    dirichlet_x_min: np.ndarray = field(init=False, repr=False)
+    free: np.ndarray = field(init=False, repr=False)  # indices of non-Dirichlet nodes
+    free_index: np.ndarray = field(init=False, repr=False)  # node -> position in free, 0 if Dirichlet
+
+    def __post_init__(self):
+        NU, X = np.meshgrid(self.nu, self.x, indexing="ij")
+        self.coords = np.column_stack([NU.ravel(), X.ravel()])
+
+        stride = self.n_x + 1
+        a, b = np.meshgrid(np.arange(self.n_nu), np.arange(self.n_x), indexing="ij")
+        n00 = (a * stride + b).ravel()
+        n01 = n00 + 1
+        n10 = n00 + stride
+        n11 = n10 + 1
+        self.triangles = np.vstack(
+            [
+                np.column_stack([n00, n10, n11]),
+                np.column_stack([n00, n11, n01]),
+            ]
+        )
+
+        i_x = np.tile(np.arange(stride), self.n_nu + 1)
+        self.dirichlet_x_min = i_x == 0
+        self.dirichlet = self.dirichlet_x_min | (i_x == self.n_x)
+        self.free = np.flatnonzero(~self.dirichlet)
+        self.free_index = np.zeros(self.n_nodes, dtype=np.int64)
+        self.free_index[self.free] = np.arange(self.free.size)
+
+    @property
+    def domain(self) -> Domain2D:
+        return Domain2D(float(self.nu[0]), float(self.nu[-1]), float(self.x[0]), float(self.x[-1]))
+
+    @property
+    def n_nu(self) -> int:
+        return self.nu.size - 1
+
+    @property
+    def n_x(self) -> int:
+        return self.x.size - 1
 
     @property
     def n_nodes(self) -> int:
@@ -86,49 +124,22 @@ class FemSpace:
         return self.free.size
 
 
+def mesh_from_nodes(nu, x) -> FemSpace:
+    """The FemSpace of the node arrays nu and x, which it keeps as read-only copies.  Each
+    needs at least 2 finite, strictly increasing nodes, and their ends must make a Domain2D."""
+    nu, x = np.array(nu, dtype=float), np.array(x, dtype=float)
+    for name, a in (("nu", nu), ("x", x)):
+        if a.ndim != 1 or a.size < 2 or not (np.isfinite(a).all() and (np.diff(a) > 0).all()):
+            raise ValueError(f"{name} must be at least 2 finite, strictly increasing nodes")
+        a.flags.writeable = False
+    Domain2D(nu[0], nu[-1], x[0], x[-1])  # checks the ends
+    return FemSpace(nu, x)
+
+
 def build_mesh(domain: Domain2D, n_nu: int, n_x: int) -> FemSpace:
-    """Build the structured P1 triangulation with (n_nu+1)*(n_x+1) nodes.
-
-    Each grid rectangle is split into two triangles along the diagonal from
-    its (low nu, low x) corner to its (high nu, high x) corner.
-    """
-    if n_nu < 1 or n_x < 1:
-        raise ValueError("need at least one cell per direction")
-    nu = np.linspace(domain.nu_min, domain.nu_max, n_nu + 1)
-    x = np.linspace(domain.x_min, domain.x_max, n_x + 1)
-    NU, X = np.meshgrid(nu, x, indexing="ij")
-    coords = np.column_stack([NU.ravel(), X.ravel()])
-
-    stride = n_x + 1
-    a, b = np.meshgrid(np.arange(n_nu), np.arange(n_x), indexing="ij")
-    n00 = (a * stride + b).ravel()
-    n01 = n00 + 1
-    n10 = n00 + stride
-    n11 = n10 + 1
-    tris = np.vstack(
-        [
-            np.column_stack([n00, n10, n11]),
-            np.column_stack([n00, n11, n01]),
-        ]
-    )
-
-    i_x = np.tile(np.arange(stride), n_nu + 1)
-    dir_lo = i_x == 0
-    dirichlet = dir_lo | (i_x == n_x)
-    free = np.flatnonzero(~dirichlet)
-    free_index = np.zeros(coords.shape[0], dtype=np.int64)
-    free_index[free] = np.arange(free.size)
-
-    return FemSpace(
-        domain=domain,
-        n_nu=n_nu,
-        n_x=n_x,
-        coords=coords,
-        triangles=tris,
-        dirichlet=dirichlet,
-        dirichlet_x_min=dir_lo,
-        free=free,
-        free_index=free_index,
+    """The uniform mesh of domain with n_nu x n_x cells: mesh_from_nodes on linspace nodes."""
+    return mesh_from_nodes(
+        np.linspace(domain.nu_min, domain.nu_max, n_nu + 1), np.linspace(domain.x_min, domain.x_max, n_x + 1)
     )
 
 
@@ -136,7 +147,7 @@ def band_order(space: FemSpace) -> np.ndarray:
     """A band (envelope) ordering of the free DOFs, as positions in space.free.
 
     The free nodes are sorted by i_nu - i_x, then by i_nu: the level lines
-    parallel to the diagonal along which build_mesh splits every cell.  A
+    parallel to the diagonal along which FemSpace splits every cell.  A
     node's neighbours lie on its own line and the two adjacent ones, so the
     step matrix permuted symmetrically by this order is banded, its
     bandwidth about the length of the longest line, min(n_nu, n_x) + 1.  It
@@ -284,11 +295,10 @@ def evaluation_row(space: FemSpace, nu, x) -> tuple[np.ndarray, np.ndarray]:
     if not inside.all():
         i = np.argmin(inside)
         raise ValueError(f"point ({nu[i]}, {x[i]}) lies outside the domain")
-    nu_nodes, x_nodes = space.coords[:: space.n_x + 1, 0], space.coords[: space.n_x + 1, 1]
-    a = np.clip(np.searchsorted(nu_nodes, nu, side="right") - 1, 0, space.n_nu - 1)
-    b = np.clip(np.searchsorted(x_nodes, x, side="right") - 1, 0, space.n_x - 1)
-    s = (nu - nu_nodes[a]) / (nu_nodes[a + 1] - nu_nodes[a])
-    t = (x - x_nodes[b]) / (x_nodes[b + 1] - x_nodes[b])
+    a = np.clip(np.searchsorted(space.nu, nu, side="right") - 1, 0, space.n_nu - 1)
+    b = np.clip(np.searchsorted(space.x, x, side="right") - 1, 0, space.n_x - 1)
+    s = (nu - space.nu[a]) / (space.nu[a + 1] - space.nu[a])
+    t = (x - space.x[b]) / (space.x[b + 1] - space.x[b])
     # lower triangle [n00, n10, n11] where s >= t, upper [n00, n11, n01]
     lower = s >= t
     cell = a * space.n_x + b
@@ -300,10 +310,10 @@ def evaluation_row(space: FemSpace, nu, x) -> tuple[np.ndarray, np.ndarray]:
 def evaluate_p1(rows, coefficients: np.ndarray) -> np.ndarray:
     """P1 interpolant of nodal coefficients at the points of evaluation_row rows.
 
-    coefficients is indexed by node along its first axis; any further axes
-    carry through, so a (nodes, m) array gives (points, m).  Each value sums
-    the three weighted node values in row order, the order of a sparse row
-    product.
+    coefficients is indexed by the rows' node indices along its first axis;
+    any further axes carry through, so a (nodes, m) array gives (points, m).
+    Each value sums the three weighted node values in row order, the order
+    of a sparse row product.
     """
     nodes, weights = rows
     c = coefficients[nodes]  # (points, 3, ...)

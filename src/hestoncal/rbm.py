@@ -36,7 +36,7 @@ from .heston_operator import (
     lift_and_rhs,
     payoff_vector,
 )
-from .mesh import AssemblyBlocks, Domain2D, FemSpace, build_mesh
+from .mesh import AssemblyBlocks, Domain2D, FemSpace, assemble_blocks, build_mesh, mesh_from_nodes
 from .params import ModelParams
 from .solvers import LCPError, PriceSurface, TimeGrid, march, solve_american, solve_european
 
@@ -164,7 +164,7 @@ def supremizer(xi_vec: np.ndarray, blocks: AssemblyBlocks) -> np.ndarray:
 
 @dataclass
 class ReducedModel:
-    """Offline output: mesh, time grid, bases, projected blocks and greedy history."""
+    """Offline output of _project_offline: mesh, time grid, bases, projected blocks, greedy history."""
 
     style: str
     space: FemSpace = field(repr=False)
@@ -175,18 +175,14 @@ class ReducedModel:
     mlift_red: np.ndarray = field(repr=False)  # (N,)  psi^T (M L0)|free
     alift_red: np.ndarray = field(repr=False)  # (Q_a, N)
     u0_red: np.ndarray = field(repr=False)  # (N,)
+    # the Dirichlet lift's shape, which does not depend on the rate
+    lift_shape: np.ndarray = field(repr=False, compare=False)
     xi: np.ndarray | None = field(default=None, repr=False)  # (n_free, N_W)
     b_red: np.ndarray | None = field(default=None, repr=False)  # (N_W, N)
     g_red: np.ndarray | None = field(default=None, repr=False)  # (N_W,)
     selected_mu: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     stagnated: bool = False
-    # the Dirichlet lift's shape, which does not depend on the rate
-    lift_shape: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.lift_shape = boundary_data(self.space, self.style, r=1.0).shape
-        self.lift_shape.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -210,6 +206,7 @@ def _project_offline(
     record (selected_mu, errors, stagnated) of a finished build."""
     free = space.free
     L0 = boundary_data(space, style, r=1.0).shape  # the shape is r independent
+    L0.flags.writeable = False
     a_red = np.empty((N_AFFINE, psi.shape[1], psi.shape[1]))
     alift = np.empty((N_AFFINE, psi.shape[1]))
     for q in range(N_AFFINE):
@@ -235,6 +232,7 @@ def _project_offline(
         mlift_red=mlift,
         alift_red=alift,
         u0_red=u0_red,
+        lift_shape=L0,
         xi=xi,
         b_red=b_red,
         g_red=g_red,
@@ -444,58 +442,53 @@ def pod_angle_greedy_american(train, space, blocks, grid, config=GreedyConfig())
 # ---------------------------------------------------------------------------
 # serialization
 
-FORMAT_VERSION = 1
-# the container's array fields; a European model has no xi, b_red or g_red
-_ARRAY_FIELDS = (
-    "psi", "a_red", "m_red", "mlift_red", "alift_red", "u0_red", "xi", "b_red", "g_red",
-)
+FORMAT_VERSION = 2
 
 
 def save_reduced_model(model: ReducedModel, path) -> None:
-    """Serialize the model to a versioned .npz container at exactly path
-    (np.savez would append .npz to a file name without it)."""
-    d = model.space.domain
+    """Serialize what the build cannot re-derive (the bases, the mesh's node arrays, the time
+    grid and the greedy history) to a versioned .npz container at exactly path (np.savez would
+    append .npz to a file name without it)."""
     meta = {
         "format_version": FORMAT_VERSION,
         "style": model.style,
-        "domain": [d.nu_min, d.nu_max, d.x_min, d.x_max],
-        "n_nu": model.space.n_nu,
-        "n_x": model.space.n_x,
-        # the version-1 layout records the theta weight and the strike
+        # the theta weight and the strike every solve fixes, so that load can refuse others
         "grid": [model.grid.T, model.grid.I, THETA],
         "K": 1.0,
         "selected_mu": [list(m.as_array()) for m in model.selected_mu],
         "errors": model.errors,
         "stagnated": model.stagnated,
     }
-    arrays = {name: getattr(model, name) for name in _ARRAY_FIELDS}
+    arrays = {"psi": model.psi, "xi": model.xi, "nu": model.space.nu, "x": model.space.x}
     arrays["meta"] = np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8)
     with open(path, "wb") as fh:
         np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
 
 
 def load_reduced_model(path) -> ReducedModel:
-    """Load a container; one with another theta, strike or free-node count is refused."""
+    """Load a container and project its mesh's affine blocks onto its bases.  A version-2 mesh is
+    its node arrays; a version-1 file gets the uniform mesh its meta names, and its stored
+    projections are ignored.  One with another theta, strike or free-node count is refused."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta["format_version"] != FORMAT_VERSION:
+        if meta["format_version"] not in (1, FORMAT_VERSION):
             raise ValueError(f"unsupported container version {meta['format_version']}")
         T, I, theta = meta["grid"]
         if theta != THETA or meta["K"] != 1.0:
             raise ValueError(
                 f"{path} was solved with theta {theta} and K {meta['K']}; only {THETA} and 1 load"
             )
-        space = build_mesh(Domain2D(*meta["domain"]), int(meta["n_nu"]), int(meta["n_x"]))
-        arrays = {name: data[name] for name in _ARRAY_FIELDS if name in data.files}
-        for name in ("psi", "xi"):
-            if name in arrays and len(arrays[name]) != space.n_free:
-                raise ValueError(f"{path}: {name} has {len(arrays[name])} rows for {space.n_free} free nodes")
-        return ReducedModel(
-            style=meta["style"],
-            space=space,
-            grid=TimeGrid(T=T, I=int(I)),
-            selected_mu=[ModelParams(*row) for row in meta["selected_mu"]],
-            errors=list(meta["errors"]),
-            stagnated=bool(meta["stagnated"]),
-            **arrays,
-        )
+        if meta["format_version"] == 1:
+            space = build_mesh(Domain2D(*meta["domain"]), int(meta["n_nu"]), int(meta["n_x"]))
+        else:
+            space = mesh_from_nodes(data["nu"], data["x"])
+        bases = {name: data[name] for name in ("psi", "xi") if name in data.files}
+    for name, basis in bases.items():
+        if len(basis) != space.n_free:
+            raise ValueError(f"{path}: {name} has {len(basis)} rows for {space.n_free} free nodes")
+    return _project_offline(
+        meta["style"], space, assemble_blocks(space), TimeGrid(T=T, I=int(I)), bases["psi"], bases.get("xi"),
+        selected_mu=[ModelParams(*row) for row in meta["selected_mu"]],
+        errors=list(meta["errors"]),
+        stagnated=bool(meta["stagnated"]),
+    )

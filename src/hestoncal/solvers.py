@@ -371,12 +371,11 @@ def price_at(surface: PriceSurface, S0: float, strikes, nu0: float, maturities):
     strikes and maturities broadcast; scalars give a scalar.  Quote i is the
     surface at the point (nu0, log(S0/K_i)) and maturity T_i, scaled by K_i.
     One pass serves every quote: evaluation_row locates all points, and
-    evaluate_p1 interpolates the lift.  The free part of each row gathers its
-    nodes' rows of psi (or, for a FEM surface, its nodes' columns of U)
-    through space.free_index, a Dirichlet node taking weight zero, in the
-    order of a sparse row product; one product then gives a reduced
-    surface's values at every time level.  Off-grid maturities blend the
-    adjacent levels (interpolate_in_time).  A point outside the domain or a
+    evaluate_p1 interpolates the lift and, through space.free_index with a
+    Dirichlet node's weight zero, the free part from psi's rows (or, for a
+    FEM surface, U's columns); one product then gives a reduced surface's
+    values at every time level.  Off-grid maturities blend the adjacent
+    levels (interpolate_in_time).  A point outside the domain or a
     maturity beyond the horizon raises ValueError.
     """
     strikes, maturities = np.broadcast_arrays(strikes, maturities)
@@ -386,10 +385,9 @@ def price_at(surface: PriceSurface, S0: float, strikes, nu0: float, maturities):
     rows = evaluation_row(space, nu0, np.log(S0 / strikes))
     lift = evaluate_p1(rows, bnd.shape)
     nodes, weights = rows
-    w_free = np.where(space.dirichlet[nodes], 0.0, weights)[..., None]
+    w_free = np.where(space.dirichlet[nodes], 0.0, weights)
     by_free_dof = surface.U.T if surface.basis is None else surface.basis  # a view, not a copy
-    c = by_free_dof[space.free_index[nodes]]  # (quote, 3, time level or N)
-    free = w_free[:, 0] * c[:, 0] + w_free[:, 1] * c[:, 1] + w_free[:, 2] * c[:, 2]
+    free = evaluate_p1((space.free_index[nodes], w_free), by_free_dof)  # (quote, time level or N)
     at_levels = free if surface.basis is None else free @ surface.U.T  # (quote, time level)
     quote = np.arange(strikes.size)
 

@@ -1,5 +1,3 @@
-import dataclasses
-
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -15,6 +13,7 @@ from hestoncal.mesh import (
     build_mesh,
     evaluate_p1,
     evaluation_row,
+    mesh_from_nodes,
 )
 
 
@@ -133,9 +132,7 @@ def _sinh_graded(space):
     z = np.linspace(np.arcsinh(d.x_min / 0.1), np.arcsinh(d.x_max / 0.1), space.n_x + 1)
     x = 0.1 * np.sinh(z)
     x[[0, -1]] = d.x_min, d.x_max
-    coords = space.coords.copy()
-    coords[:, 1] = np.tile(x, space.n_nu + 1)
-    return dataclasses.replace(space, coords=coords)
+    return mesh_from_nodes(space.nu, x)
 
 
 @pytest.mark.parametrize("graded", [False, True], ids=["uniform", "sinh_graded"])
@@ -146,7 +143,7 @@ def test_evaluation_row_covers_all(small_space, graded):
     s = _sinh_graded(small_space) if graded else small_space
     d = s.domain
     rng = np.random.default_rng(42)
-    nu_nodes, x_nodes = s.coords[:: s.n_x + 1, 0], s.coords[: s.n_x + 1, 1]
+    nu_nodes, x_nodes = s.nu, s.x
     u = rng.uniform(size=60)
     a, b = rng.integers(0, s.n_nu, 60), rng.integers(0, s.n_x, 60)
     points = [
@@ -178,6 +175,41 @@ def test_evaluation_row_covers_all(small_space, graded):
     for bad in ((-1.0, 0.0), (1.0, d.x_max + 0.1), (d.nu_max * 2, 0.0), (1.0, d.x_min - 1e-6)):
         with pytest.raises(ValueError, match="outside the domain"):
             evaluation_row(s, np.append(nu[:10], bad[0]), np.append(x[:10], bad[1]))
+
+
+def test_mesh_from_nodes_derives_domain_and_counts(small_space):
+    """A space is its node arrays: the uniform mesh is their linspace case,
+    and a graded one keeps its nodes, read-only, with the domain and the
+    interval counts they give."""
+    d = small_space.domain
+    assert np.array_equal(small_space.nu, np.linspace(d.nu_min, d.nu_max, 9))
+    assert np.array_equal(small_space.x, np.linspace(d.x_min, d.x_max, 9))
+    g = _sinh_graded(build_mesh(Domain2D(), 6, 10))
+    assert (g.domain, g.n_nu, g.n_x, g.n_free) == (Domain2D(), 6, 10, 7 * 9)
+    assert np.array_equal(g.coords, np.column_stack([np.repeat(g.nu, 11), np.tile(g.x, 7)]))
+    with pytest.raises(ValueError, match="read-only"):
+        g.x[1] = 0.0
+
+
+@pytest.mark.parametrize(
+    "nu, x, named",
+    [
+        ([0.1, 0.1, 1.0], [-1.0, 1.0], "nu must be"),
+        ([0.1, 1.0], [-1.0, 1.0, 0.5], "x must be"),
+        ([0.5], [-1.0, 1.0], "nu must be"),
+        ([0.1, 1.0], [[-1.0, 1.0]], "x must be"),
+        ([0.1, np.nan, 1.0], [-1.0, 1.0], "nu must be"),
+        ([0.1, 1.0], [-1.0, np.inf], "x must be"),
+        ([0.0, 1.0], [-1.0, 1.0], "0 < nu_min"),
+        ([0.1, 1.0], [0.0, 1.0], "x_min < 0"),
+        ([0.1, 1.0], [-2.0, -1.0], "x_min < 0"),
+    ],
+    ids=["nu_repeated", "x_decreasing", "one_node", "two_dimensional", "nan", "inf",
+         "nu_min_zero", "x_min_zero", "x_below_zero"],
+)
+def test_mesh_from_nodes_refuses_bad_node_arrays(nu, x, named):
+    with pytest.raises(ValueError, match=named):
+        mesh_from_nodes(nu, x)
 
 
 def test_matrix_symmetry(small_space):

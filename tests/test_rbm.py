@@ -13,7 +13,7 @@ import scipy.sparse as sp
 
 from hestoncal.calibration import PdeBackend, ReducedBackend
 from hestoncal.heston_operator import THETA
-from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
+from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, mesh_from_nodes
 from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, ParamBox
 from hestoncal.rbm import (
     GreedyConfig,
@@ -276,6 +276,9 @@ def _assert_same_model(back, m):
     assert (back.style, back.space.n_nu, back.space.n_x, back.space.domain, back.grid) == (
         m.style, m.space.n_nu, m.space.n_x, m.space.domain, m.grid
     )
+    for name in ("nu", "x"):
+        assert getattr(back.space, name).tobytes() == getattr(m.space, name).tobytes(), name
+    assert back.lift_shape.tobytes() == m.lift_shape.tobytes()
     assert back.selected_mu == m.selected_mu
     assert back.errors == m.errors and back.stagnated == m.stagnated
     for name in ARRAY_FIELDS:
@@ -296,10 +299,67 @@ def test_serialization_round_trip(tmp_path, toy_american, toy_european):
         path = tmp_path / f"{m.style}.npz"
         save_reduced_model(m, path)
         with np.load(path) as data:
-            dual = {"xi", "b_red", "g_red"} if m.style == "american" else set()
-            assert set(data.files) == {"meta", *ARRAY_FIELDS[:6], *dual}
+            dual = {"xi"} if m.style == "american" else set()
+            assert set(data.files) == {"meta", "psi", "nu", "x", *dual}
         _assert_same_model(load_reduced_model(path), m)
     assert toy_european.xi is None and toy_european.b_red is None and toy_european.g_red is None
+
+
+def _container(path):
+    """The members of the container at path, with its meta decoded."""
+    with np.load(path) as data:
+        members = {name: data[name] for name in data.files}
+    members["meta"] = json.loads(bytes(members["meta"]).decode())
+    return members
+
+
+def _rewrite(path, members):
+    """Write members (meta as a dict) as a container at path."""
+    meta = np.frombuffer(json.dumps(members["meta"], sort_keys=True).encode(), dtype=np.uint8)
+    np.savez(path, **{**members, "meta": meta})
+
+
+def test_container_meta_names_no_mesh(tmp_path, toy_american):
+    """A version-2 container's mesh is its node arrays alone: its meta holds
+    no domain and no interval counts, and a meta edited to name another mesh
+    with as many free nodes (14 x 18 for 16 x 16) loads the same model."""
+    path = tmp_path / "m.npz"
+    save_reduced_model(toy_american, path)
+    members = _container(path)
+    assert members["meta"]["format_version"] == 2
+    assert not {"domain", "n_nu", "n_x"} & set(members["meta"])
+    members["meta"].update(domain=[1e-5, 3.0, -5.0, 5.0], n_nu=14, n_x=18)
+    assert build_mesh(Domain2D(), 14, 18).n_free == toy_american.space.n_free
+    _rewrite(path, members)
+    _assert_same_model(load_reduced_model(path), toy_american)
+
+
+def test_graded_basis_round_trips_through_container(tmp_path):
+    """A basis built on a mesh graded in x (x = 0.1 sinh(z), z uniform)
+    loads onto the same node arrays, with bit-identical online solves."""
+    x = 0.1 * np.sinh(np.linspace(-np.arcsinh(50.0), np.arcsinh(50.0), 13))
+    x[[0, -1]] = -5.0, 5.0
+    space = mesh_from_nodes(np.linspace(1e-5, 3.0, 11), x)
+    train = [ModelParams(0.3, -0.5, 0.1, 1.0, 0.03), ModelParams(0.5, -0.2, 0.2, 2.0, 0.03)]
+    m = pod_greedy("american", train, space, assemble_blocks(space), TimeGrid(1.0, 20), GreedyConfig(n_max=6))
+    path = tmp_path / "graded.npz"
+    save_reduced_model(m, path)
+    back = load_reduced_model(path)
+    assert np.array_equal(back.space.x, x) and not np.array_equal(back.space.x, build_mesh(Domain2D(), 10, 12).x)
+    _assert_same_model(back, m)
+
+
+def test_refuses_container_whose_node_arrays_do_not_fit_its_bases(tmp_path, toy_american):
+    """A version-2 file whose node arrays give another free-node count than
+    its bases have rows is refused, naming both counts."""
+    path = tmp_path / "m.npz"
+    save_reduced_model(toy_american, path)
+    members = _container(path)
+    members["x"] = members["x"][:-1]
+    _rewrite(path, members)
+    n_rows = toy_american.space.n_free
+    with pytest.raises(ValueError, match=f"psi has {n_rows} rows.* {n_rows - 17} free nodes"):
+        load_reduced_model(path)
 
 
 def _save_version_1(path, m, **meta_changes):
