@@ -4,14 +4,14 @@ Uses the branch-cut-safe ("little trap") formulation of the characteristic
 function (Albrecher et al. 2007) and Lewis's single-integral formula for the
 put (Lewis 2001), whose integrand takes the characteristic function at
 u - i/2 and decays as |phi| / (u^2 + 1/4).  The integral runs on one fixed
-composite Gauss-Legendre grid of [0, 200] (4 panels of 128 nodes) built
-once.  The characteristic function does not depend on the strike, and its
-maturity-independent terms not on T, so one heston_cf call at every
-maturity of a quote vector serves every quote.  Nothing on the strike side
-depends on the parameters: the kernel e^{-iu ln K} with the weights and
-1/(u^2 + 1/4) folded in is built once per quote set and cached, and an
-evaluation reduces it against the heston_cf pass in real arithmetic.  The
-complex log of heston_cf is real arithmetic too, log1p and atan2."""
+graded Gauss-Legendre rule of [0, 200] (248 nodes on 5 panels, narrow next
+to u = 0) built once.  The characteristic function does not depend on the
+strike, and its maturity-independent terms not on T, so one heston_cf call
+at every maturity of a quote vector serves every quote.  Nothing on the
+strike side depends on the parameters: the kernel e^{-iu ln K} with the
+weights and 1/(u^2 + 1/4) folded in is built once per quote set and cached,
+and an evaluation reduces it against the heston_cf pass in real arithmetic.
+The complex log of heston_cf is real arithmetic too, log1p and atan2."""
 
 from __future__ import annotations
 
@@ -22,18 +22,32 @@ import numpy as np
 from .params import ModelParams
 
 
+#: Panel edges of the rule on [0, 200] and the Gauss-Legendre nodes of each panel.
+_EDGES = (0.0, 2.0, 10.0, 40.0, 100.0, 200.0)
+_NODES = (24, 24, 48, 64, 88)
+
+
 @functools.cache
-def _grid(panels: int):
-    """(mids, offsets, weights) of the composite Gauss-Legendre rule of 128
-    nodes per panel on [0, 200]: node j of panel p is mids[p] + offsets[j],
-    of weight weights[j].  Wide panels of many nodes, because the integrand's
-    poles at u = +-i/2 slow the convergence of a narrow first panel.  Built on
-    first use: leggauss's eigensolver alone adds about 1 MB of resident memory
-    to a process that never prices with it."""
-    x, w = np.polynomial.legendre.leggauss(128)
-    edges = np.linspace(0.0, 200.0, panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    return 0.5 * (edges[:-1] + edges[1:]), half * x, half * w
+def _rule():
+    """(nodes, weights) of the composite Gauss-Legendre rule on [0, 200]
+    whose panels run between _EDGES with _NODES nodes each.  A panel's rule
+    converges at a rate set by the distance of the integrand's nearest
+    singularity relative to the panel's width.  The poles at u = +-i/2 lie
+    half a unit from the end u = 0, so the panels start narrow there and
+    widen geometrically, and each needs few nodes (Trefethen, SIAM Review
+    2008); further out each panel has the nodes the oscillation of
+    e^{-iu ln(K/S0)} needs for K/S0 from 0.1 to 10.  Built on first use, so
+    a process that never prices runs no leggauss eigensolve; read-only, as
+    every caller shares it."""
+    u, w = [], []
+    for a, b, n in zip(_EDGES[:-1], _EDGES[1:], _NODES):
+        x, wx = np.polynomial.legendre.leggauss(n)
+        u.append(0.5 * (a + b) + 0.5 * (b - a) * x)
+        w.append(0.5 * (b - a) * wx)
+    out = np.concatenate(u), np.concatenate(w)
+    for a in out:
+        a.flags.writeable = False
+    return out
 
 
 def _clog1p(z):
@@ -91,11 +105,10 @@ def heston_cf(u, T, mu: ModelParams, nu0: float, S0: float):
 
 
 @functools.lru_cache(maxsize=1)
-def _strike_side(K: bytes, T: bytes, mids: bytes, offsets: bytes, weights: bytes):
-    """The parameter-free side of Lewis's integral for the quotes (K, T) on
-    the panel rule (mids, offsets, weights) of _grid, all given as the bytes
-    of float64 arrays: (nodes u - i/2, unique maturities, each quote's index
-    into them, kernel), read-only.
+def _strike_side(K: bytes, T: bytes):
+    """The parameter-free side of Lewis's integral on _rule for the quotes
+    (K, T), given as the bytes of float64 arrays: (nodes u - i/2, unique
+    maturities, each quote's index into them, kernel), read-only.
 
     Row q of the kernel interleaves w_j cos(u_j ln K_q) / (u_j^2 + 1/4) and
     w_j sin(u_j ln K_q) / (u_j^2 + 1/4), so that its dot product with the
@@ -107,14 +120,12 @@ def _strike_side(K: bytes, T: bytes, mids: bytes, offsets: bytes, weights: bytes
     K, T = np.frombuffer(K), np.frombuffer(T)
     if not (np.all((0.0 < K) & (K < np.inf)) and np.all((0.0 < T) & (T < np.inf))):
         raise ValueError("K and T must be positive and finite")
-    mids, offsets, weights = (np.frombuffer(a) for a in (mids, offsets, weights))
-    u = (mids[:, None] + offsets).ravel()
-    w = np.tile(weights, mids.size) / (u * u + 0.25)
+    u, w = _rule()
     phase = np.multiply.outer(np.log(K), u)
     kernel = np.empty(phase.shape + (2,))
     np.cos(phase, out=kernel[..., 0])
     np.sin(phase, out=kernel[..., 1])
-    kernel *= w[:, None]
+    kernel *= (w / (u * u + 0.25))[:, None]
     kernel = kernel.reshape(K.size, 2 * u.size)
     maturities, group = np.unique(T, return_inverse=True)
     out = (u - 0.5j, maturities, group, kernel)
@@ -123,9 +134,8 @@ def _strike_side(K: bytes, T: bytes, mids: bytes, offsets: bytes, weights: bytes
     return out
 
 
-def _put(S0, K, T, mu, nu0, mids, offsets, weights):
-    """European puts of the quotes (K, T) on the panel rule (mids, offsets,
-    weights) of _grid, by Lewis's formula
+def _put(S0, K, T, mu, nu0):
+    """European puts of the quotes (K, T) on _rule, by Lewis's formula
 
         P = K e^{-rT} - (sqrt(K) e^{-rT} / pi)
             int_0^inf Re[e^{-iu ln K} heston_cf(u - i/2)] / (u^2 + 1/4) du.
@@ -140,9 +150,7 @@ def _put(S0, K, T, mu, nu0, mids, offsets, weights):
         raise ValueError("S0 must be positive and finite")
     K, T = np.broadcast_arrays(np.asarray(K, dtype=float), np.asarray(T, dtype=float))
     shape, K, T = K.shape, K.ravel(), T.ravel()
-    nodes, maturities, group, kernel = _strike_side(
-        K.tobytes(), T.tobytes(), mids.tobytes(), offsets.tobytes(), weights.tobytes()
-    )
+    nodes, maturities, group, kernel = _strike_side(K.tobytes(), T.tobytes())
     f = heston_cf(nodes, maturities, mu, nu0, S0)
     integral = np.einsum("ij,ij->i", kernel, f.view(np.float64)[group])
     return (np.exp(-mu.r * T) * (K - np.sqrt(K) / np.pi * integral)).reshape(shape)
@@ -153,5 +161,5 @@ def heston_put_cf(S0: float, K, T, mu: ModelParams, nu0: float):
 
     K and T broadcast as in solvers.price_at; scalars give a float, else an
     array of the broadcast shape.  S0, K and T must be positive and finite."""
-    put = _put(S0, K, T, mu, nu0, *_grid(4))
+    put = _put(S0, K, T, mu, nu0)
     return float(put) if put.ndim == 0 else put

@@ -468,7 +468,8 @@ def save_reduced_model(model: ReducedModel, path) -> None:
 def load_reduced_model(path) -> ReducedModel:
     """Load a container and project its mesh's affine blocks onto its bases.  A version-2 mesh is
     its node arrays; a version-1 file gets the uniform mesh its meta names, and its stored
-    projections are ignored.  One with another theta, strike or free-node count is refused."""
+    projections are ignored.  One with another theta, strike or free-node count, or without a basis
+    its style needs, is refused."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
         if meta["format_version"] not in (1, FORMAT_VERSION):
@@ -482,7 +483,11 @@ def load_reduced_model(path) -> ReducedModel:
             space = build_mesh(Domain2D(*meta["domain"]), int(meta["n_nu"]), int(meta["n_x"]))
         else:
             space = mesh_from_nodes(data["nu"], data["x"])
-        bases = {name: data[name] for name in ("psi", "xi") if name in data.files}
+        names = ("psi", "xi") if meta["style"] == "american" else ("psi",)
+        missing = [name for name in names if name not in data.files]
+        if missing:
+            raise ValueError(f"{path}: the {meta['style']} container has no {' or '.join(missing)} basis")
+        bases = {name: data[name] for name in names}
     for name, basis in bases.items():
         if len(basis) != space.n_free:
             raise ValueError(f"{path}: {name} has {len(basis)} rows for {space.n_free} free nodes")

@@ -96,8 +96,9 @@ def test_monotone_and_convex_in_strike():
 
 @pytest.mark.xfail(
     strict=True,
-    reason="the Fourier integral stops at u = 200: here 24 of 8,400 short-maturity "
-    "puts leave the bounds, worst by 1.8e-8; carried to u = 800 none do",
+    reason="the Fourier integral stops at u = 200: on the graded rule 24 of 8,400 "
+    "short-maturity puts leave the bounds, worst by 1.8e-8, as on 4 uniform panels "
+    "of 128 nodes; carried to u = 800 none do",
 )
 def test_put_bounds_over_whole_calib_box():
     """Seeded DEFAULT_CALIB_BOX sweep of the no-arbitrage put bounds
@@ -118,10 +119,22 @@ def test_put_bounds_over_whole_calib_box():
 
 
 def _rule(upper, panels):
-    """_grid's 128-node panels carried from [0, 200] to [0, upper]."""
-    mids, offsets, weights = closed_form._grid(panels)
-    scale = upper / 200.0
-    return mids * scale, offsets * scale, weights * scale
+    """(nodes, weights) of the uniform oracle: `panels` equal panels of 128
+    Gauss-Legendre nodes on [0, upper]."""
+    x, w = np.polynomial.legendre.leggauss(128)
+    edges = np.linspace(0.0, upper, panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    mids = 0.5 * (edges[:-1] + edges[1:])
+    return (mids[:, None] + half * x).ravel(), np.tile(half * w, panels)
+
+
+def _direct_put(S0, K, T, mu, nu0, u, w):
+    """Lewis's put on the rule (u, w) with one exponential e^{-iu ln K} per
+    strike and node: the oracle of the cached strike kernel."""
+    f = heston_cf(u - 0.5j, T, mu, nu0, S0) / (u * u + 0.25)
+    kernel = np.exp(-1j * np.multiply.outer(np.log(K), u))
+    integral = ((kernel * f).real * w).sum(axis=-1)
+    return np.exp(-mu.r * T) * (K - np.sqrt(K) / np.pi * integral)
 
 
 def _fixed_grid_cases():
@@ -140,12 +153,44 @@ def _fixed_grid_cases():
 
 
 def test_fixed_grid_converges():
-    """The module's 4-panel grid agrees with an 8-panel grid of the same
-    [0, 200] to 1e-12 max(S0, K) over seeded whole-box parameters."""
+    """The module's graded rule agrees with the uniform rule of 8 panels of
+    128 nodes on the same [0, 200] to 1e-12 max(S0, K) over seeded
+    whole-box parameters."""
+    oracle = _rule(200.0, 8)
     for mu, nu0, T, S0, K in _fixed_grid_cases():
         got = heston_put_cf(S0, K, T, mu, nu0)
-        ref = closed_form._put(S0, K, T, mu, nu0, *closed_form._grid(8))
+        ref = _direct_put(S0, K, T, mu, nu0, *oracle)
         assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (mu, T, S0)
+
+
+def test_rule_matches_uniform_oracle_across_moneyness():
+    """The module's graded rule agrees with the uniform oracle of
+    test_fixed_grid_converges to 1e-12 max(S0, K) for K/S0 from 0.1 to 10
+    and T from 0.02 to 3 over seeded whole-box parameters: its outer panels
+    resolve the oscillation e^{-iu ln(K/S0)} of the deepest strikes."""
+    oracle = _rule(200.0, 8)
+    moneyness = np.geomspace(0.1, 10.0, 21)
+    box = DEFAULT_CALIB_BOX
+    rng = np.random.default_rng(31)
+    for theta in box.lo + rng.random((60, 5)) * (box.hi - box.lo):
+        p = CalibParams.from_array(theta)
+        mu = p.to_model(0.05)
+        for T in (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
+            for S0 in (1.0, GOOGLE_S0):
+                K = S0 * moneyness
+                got = heston_put_cf(S0, K, T, mu, p.nu0)
+                ref = _direct_put(S0, K, T, mu, p.nu0, *oracle)
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (theta, T, S0)
+
+
+def test_rule_nodes_increase_inside_its_interval():
+    """The rule's nodes increase inside (0, 200), its weights integrate a
+    constant over [0, 200], and the cached arrays are read-only."""
+    u, w = closed_form._rule()
+    assert u.size == sum(closed_form._NODES)
+    assert 0.0 < u[0] and np.all(np.diff(u) > 0.0) and u[-1] < 200.0
+    assert np.all(w > 0.0) and w.sum() == pytest.approx(200.0, rel=1e-14)
+    assert not (u.flags.writeable or w.flags.writeable)
 
 
 def test_truncation_at_200_is_small():
@@ -154,7 +199,7 @@ def test_truncation_at_200_is_small():
     wide = _rule(1600.0, 32)
     for mu, nu0, T, S0, K in _fixed_grid_cases():
         got = heston_put_cf(S0, K, T, mu, nu0)
-        ref = closed_form._put(S0, K, T, mu, nu0, *wide)
+        ref = _direct_put(S0, K, T, mu, nu0, *wide)
         assert np.all(np.abs(got - ref) <= 2e-5 * np.maximum(S0, K)), (mu, T, S0)
 
 
@@ -216,25 +261,11 @@ def test_cf_overflow_names_the_maturity():
             heston_cf(np.array([-2j]), np.array([1.0, 400.0]), mu, NU0, 1.0)
 
 
-def _direct_put(S0, K, T, mu, nu0):
-    """Lewis's put on _grid(4) with one exponential e^{-iu ln K} per strike
-    and node: the oracle of the panel-factorized strike kernel."""
-    mids, offsets, weights = closed_form._grid(4)
-    u = (mids[:, None] + offsets).ravel()
-    w = np.tile(weights, mids.size)
-    f = heston_cf(u - 0.5j, T, mu, nu0, S0) / (u * u + 0.25)
-    kernel = np.exp(-1j * np.multiply.outer(np.log(K), u))
-    integral = ((kernel * f).real * w).sum(axis=-1)
-    return np.exp(-mu.r * T) * (K - np.sqrt(K) / np.pi * integral)
-
-
-def _two_probability_put(S0, K, T, mu, nu0, mids, offsets, weights):
+def _two_probability_put(S0, K, T, mu, nu0, u, w):
     """The put from the two probabilities P_j = 1/2 + (1/pi) int_0^inf
     Re[e^{-iu ln K} f_j(u) / (iu)] du, f_2 = heston_cf(u) and f_1 =
     heston_cf(u - i) / (S0 e^{rT}), and put-call parity: an oracle of
     Lewis's formula independent of it."""
-    u = (mids[:, None] + offsets).ravel()
-    w = np.tile(weights, mids.size)
     f1 = heston_cf(u - 1j, T, mu, nu0, S0) / (S0 * np.exp(mu.r * T))
     f2 = heston_cf(u, T, mu, nu0, S0)
     kernel = np.exp(-1j * np.multiply.outer(np.log(K), u)) / (1j * u)
@@ -249,7 +280,7 @@ def test_single_integral_matches_two_probabilities():
     1e-10 max(S0, K) on the fixed-grid cases."""
     wide = _rule(1600.0, 32)
     for mu, nu0, T, S0, K in _fixed_grid_cases():
-        got = closed_form._put(S0, K, T, mu, nu0, *wide)
+        got = _direct_put(S0, K, T, mu, nu0, *wide)
         ref = _two_probability_put(S0, K, T, mu, nu0, *wide)
         assert np.all(np.abs(got - ref) <= 1e-10 * np.maximum(S0, K)), (mu, T, S0)
 
@@ -266,7 +297,7 @@ def test_factorized_kernel_matches_direct_exponentials():
         for T in [0.1, 1.0] + google_T:
             for S0, K in cases:
                 got = heston_put_cf(S0, K, T, mu, p.nu0)
-                ref = _direct_put(S0, K, T, mu, p.nu0)
+                ref = _direct_put(S0, K, T, mu, p.nu0, *closed_form._rule())
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (theta, T, S0)
 
 
@@ -361,9 +392,7 @@ def test_cache_holds_one_read_only_entry():
     info = closed_form._strike_side.cache_info()
     assert info.maxsize == 1 and info.currsize == 1
     # the key heston_put_cf forms: a hit on the entry it left
-    entry = closed_form._strike_side(
-        K[:5].tobytes(), T[:5].tobytes(), *(a.tobytes() for a in closed_form._grid(4))
-    )
+    entry = closed_form._strike_side(K[:5].tobytes(), T[:5].tobytes())
     assert closed_form._strike_side.cache_info().hits == info.hits + 1
     for a in entry:
         assert not a.flags.writeable
@@ -422,8 +451,7 @@ def test_clog1p_matches_mpmath_on_heston_cf_arguments(mp, monkeypatch):
     monkeypatch.setattr(closed_form, "_clog1p", lambda z: seen.append(z.ravel()) or clog1p(z))
     google_T = sorted({q.maturity for q in load_google_quotes().quotes})
     maturities = np.array([0.05, 0.1, 1.0 / 6.0, 0.5, 1.0, 2.0] + google_T)
-    mids, offsets, _ = closed_form._grid(4)
-    nodes = (mids[:, None] + offsets).ravel() - 0.5j
+    nodes = closed_form._rule()[0] - 0.5j
     box = DEFAULT_CALIB_BOX
     rng = np.random.default_rng(5)
     cases = [(CalibParams.from_array(t).to_model(0.05), CalibParams.from_array(t).nu0)

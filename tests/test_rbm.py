@@ -431,6 +431,19 @@ def test_refuses_container_whose_dual_basis_does_not_fit_its_mesh(tmp_path, toy_
         load_reduced_model(path)
 
 
+@pytest.mark.parametrize("basis", ["psi", "xi"])
+def test_refuses_american_container_without_a_basis(tmp_path, basis, toy_american):
+    """A version-2 American file without its primal or dual basis is refused,
+    naming the file and the basis, instead of failing in the projection."""
+    path = tmp_path / "no_basis.npz"
+    save_reduced_model(toy_american, path)
+    members = _container(path)
+    del members[basis]
+    _rewrite(path, members)
+    with pytest.raises(ValueError, match=f"no_basis.npz: the american container has no {basis} basis"):
+        load_reduced_model(path)
+
+
 #: Builds a two-point American basis on the 33 x 33 mesh with I = 125, where
 #: the snapshot correlation of pod1 is large enough for BLAS to thread, and
 #: saves it to the path given as the first argument.
