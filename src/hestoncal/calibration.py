@@ -184,29 +184,28 @@ def objective(theta, quote_set, backend):
     return J, residuals
 
 
-def _fd_steps(theta, box: ParamBox | None):
+def _fd_steps(theta, box: ParamBox):
     """Forward-difference steps, flipped one-sided at active upper bounds."""
     h = FD_SCALE * np.maximum(1.0, np.abs(theta))
-    if box is not None:
-        at_upper = theta + h > box.hi
-        h[at_upper] = -h[at_upper]
+    at_upper = theta + h > box.hi
+    h[at_upper] = -h[at_upper]
     return h
 
 
-def fd_jacobian(resid_fun, theta, r0, box: ParamBox | None = None, mask=None):
+def fd_jacobian(resid_fun, theta, r0, box: ParamBox, mask):
     """Forward-difference Jacobian of the residual vector at theta.
 
-    mask marks the coordinates actually varied (frozen coordinates get a zero
-    column, keeping indexing stable).  A probe that raises one of
-    TRIAL_ERRORS is retried once at a tenth of the step; both calls count in
-    the returned number of evaluations.
+    The steps flip at box's upper bounds; mask marks the coordinates varied
+    (frozen ones get a zero column, keeping indexing stable).  A probe that
+    raises one of TRIAL_ERRORS is retried once at a tenth of the step; both
+    calls count in the returned number of evaluations.
     """
     theta = np.asarray(theta, dtype=float)
     h = _fd_steps(theta, box)
     jac = np.zeros((r0.size, theta.size))
     n_evals = 0
     for i in range(theta.size):
-        if mask is not None and not mask[i]:
+        if not mask[i]:
             continue
         e = np.zeros_like(theta)
         e[i] = h[i]

@@ -238,9 +238,10 @@ def cmd_calibrate(args) -> int:
             raise ValueError("--refine-basis requires --backend ReducedAm")
         if args.basis is None:
             raise ValueError("--refine-basis requires a pilot --basis")
-        space, blocks = _fem(args)
+        # refine on the pilot's own node arrays and time grid, which may be graded
+        model = _load_basis(args)
         report, refined, pilot = cal.calibrate_reduced_refined(
-            pre, _load_basis(args), space, blocks, _grid(args),
+            pre, model, model.space, assemble_blocks(model.space), model.grid,
             box, DEFAULT_PARAM_BOX,
             greedy_config=GreedyConfig(n_max=args.n_max),
             x0=args.x0, options=options,

@@ -134,17 +134,20 @@ def _strike_side(K: bytes, T: bytes):
     return out
 
 
-def _put(S0, K, T, mu, nu0):
-    """European puts of the quotes (K, T) on _rule, by Lewis's formula
+def heston_put_cf(S0: float, K, T, mu: ModelParams, nu0: float) -> np.ndarray:
+    """European put prices of the quotes (K, T) on _rule, by Lewis's formula
 
         P = K e^{-rT} - (sqrt(K) e^{-rT} / pi)
             int_0^inf Re[e^{-iu ln K} heston_cf(u - i/2)] / (u^2 + 1/4) du.
 
     At u - i/2, d^2 - beta^2 = xi^2 (u^2 + 1/4) > 0, so beta + d never
-    vanishes, as it does at u = -i when kappa < rho xi.  K and T broadcast.
-    The strike kernel comes from _strike_side, built once per quote set;
-    an evaluation is one heston_cf call at every maturity and one real dot
-    product per quote, a row reduction that rounds alike in any batch.
+    vanishes, as it does at u = -i when kappa < rho xi.  K and T broadcast
+    as in solvers.price_at, and the result is an array of the broadcast
+    shape (0-d for a scalar K and T).  S0, K and T must be positive and
+    finite.  The strike kernel comes from _strike_side, built once per
+    quote set; an evaluation is one heston_cf call at every maturity and
+    one real dot product per quote, a row reduction that rounds alike in
+    any batch.
     """
     if not 0.0 < S0 < np.inf:
         raise ValueError("S0 must be positive and finite")
@@ -154,12 +157,3 @@ def _put(S0, K, T, mu, nu0):
     f = heston_cf(nodes, maturities, mu, nu0, S0)
     integral = np.einsum("ij,ij->i", kernel, f.view(np.float64)[group])
     return (np.exp(-mu.r * T) * (K - np.sqrt(K) / np.pi * integral)).reshape(shape)
-
-
-def heston_put_cf(S0: float, K, T, mu: ModelParams, nu0: float):
-    """European put prices of the quotes (K, T) from one heston_cf call.
-
-    K and T broadcast as in solvers.price_at; scalars give a float, else an
-    array of the broadcast shape.  S0, K and T must be positive and finite."""
-    put = _put(S0, K, T, mu, nu0)
-    return float(put) if put.ndim == 0 else put

@@ -74,7 +74,7 @@ def boundary_data(space: FemSpace, style: str, r: float) -> BoundaryData:
         shape[space.dirichlet_x_min] = 1.0
     elif style == "american":
         d = space.dirichlet
-        shape[d] = put_payoff_log(1.0, space.coords[d, 1])
+        shape[d] = put_payoff_log(space.coords[d, 1])
     else:
         raise ValueError(f"unknown style {style!r}")
     return BoundaryData(style=style, r=r, shape=shape)
@@ -115,7 +115,7 @@ def payoff_vector(space: FemSpace) -> np.ndarray:
     lies in the discrete space, so it coincides with its V-orthogonal
     projection.
     """
-    return put_payoff_log(1.0, space.coords[:, 1])[space.free]
+    return put_payoff_log(space.coords[:, 1])[space.free]
 
 
 def garding_shift_estimate(mu: ModelParams) -> float:

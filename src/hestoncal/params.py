@@ -18,9 +18,9 @@ def feller_margin(xi: float, gamma: float, kappa: float) -> float:
     return 2.0 * kappa * gamma - xi * xi
 
 
-def put_payoff_log(K: float, x) -> np.ndarray | float:
-    """Put payoff in log-moneyness coordinates, max(K - K*exp(x), 0)."""
-    return np.maximum(K - K * np.exp(x), 0.0)
+def put_payoff_log(x) -> np.ndarray:
+    """The unit-strike put payoff max(1 - exp(x), 0) at log-moneyness x."""
+    return np.maximum(1.0 - np.exp(x), 0.0)
 
 
 def _check_finite_positive(name: str, value: float) -> None:

@@ -51,9 +51,12 @@ class Quote:
         _check_finite_positive("maturity", self.maturity)
         _check_finite_positive("strike", self.strike)
         for name, value in (("bid", self.bid), ("ask", self.ask)):
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
+            # negated, so that NaN is refused too
+            if value is not None and not 0.0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and nonnegative, got {value}")
         # a NaN price is allowed: it marks a quote that is yet to be priced
+        if self.price is not None and math.isinf(self.price):
+            raise ValueError(f"price must be finite or NaN, got {self.price}")
         if self.style not in ("american", "european"):
             raise ValueError(f"unknown style {self.style!r}")
         if self.price is None and (self.bid is None or self.ask is None):
@@ -77,8 +80,9 @@ class QuoteSet:
     r: float
 
     def __post_init__(self):
-        if self.S0 <= 0:
-            raise ValueError("spot must be positive")
+        _check_finite_positive("spot", self.S0)
+        if not math.isfinite(self.r):
+            raise ValueError(f"r must be finite, got {self.r}")
         if not self.quotes:
             raise ValueError("quote set is empty")
 

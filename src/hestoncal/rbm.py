@@ -36,7 +36,7 @@ from .heston_operator import (
     lift_and_rhs,
     payoff_vector,
 )
-from .mesh import AssemblyBlocks, Domain2D, FemSpace, assemble_blocks, build_mesh, mesh_from_nodes
+from .mesh import AssemblyBlocks, FemSpace, assemble_blocks, mesh_from_nodes
 from .params import ModelParams
 from .solvers import LCPError, PriceSurface, TimeGrid, march, solve_american, solve_european
 
@@ -466,23 +466,22 @@ def save_reduced_model(model: ReducedModel, path) -> None:
 
 
 def load_reduced_model(path) -> ReducedModel:
-    """Load a container and project its mesh's affine blocks onto its bases.  A version-2 mesh is
-    its node arrays; a version-1 file gets the uniform mesh its meta names, and its stored
-    projections are ignored.  One with another theta, strike or free-node count, or without a basis
-    its style needs, is refused."""
+    """Load a container and project the affine blocks of the mesh its node arrays give onto its
+    bases.  A file of another version than FORMAT_VERSION, or with another theta, strike or
+    free-node count, or without a basis its style needs, is refused."""
     with np.load(path) as data:
         meta = json.loads(bytes(data["meta"]).decode())
-        if meta["format_version"] not in (1, FORMAT_VERSION):
-            raise ValueError(f"unsupported container version {meta['format_version']}")
+        if meta["format_version"] != FORMAT_VERSION:
+            raise ValueError(
+                f"{path} is a version-{meta['format_version']} container and only version "
+                f"{FORMAT_VERSION} loads; rebuild the basis with hestoncal build-basis"
+            )
         T, I, theta = meta["grid"]
         if theta != THETA or meta["K"] != 1.0:
             raise ValueError(
                 f"{path} was solved with theta {theta} and K {meta['K']}; only {THETA} and 1 load"
             )
-        if meta["format_version"] == 1:
-            space = build_mesh(Domain2D(*meta["domain"]), int(meta["n_nu"]), int(meta["n_x"]))
-        else:
-            space = mesh_from_nodes(data["nu"], data["x"])
+        space = mesh_from_nodes(data["nu"], data["x"])
         names = ("psi", "xi") if meta["style"] == "american" else ("psi",)
         missing = [name for name in names if name not in data.files]
         if missing:

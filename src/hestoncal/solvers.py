@@ -368,7 +368,7 @@ def interpolate_in_time(grid: TimeGrid, maturities):
 def price_at(surface: PriceSurface, S0: float, strikes, nu0: float, maturities):
     """Put prices of quotes (K_i, T_i) from one unit-strike surface.
 
-    strikes and maturities broadcast; scalars give a scalar.  Quote i is the
+    strikes and maturities broadcast; scalars give a 0-d array.  Quote i is the
     surface at the point (nu0, log(S0/K_i)) and maturity T_i, scaled by K_i.
     One pass serves every quote: evaluation_row locates all points, and
     evaluate_p1 interpolates the lift and, through space.free_index with a
@@ -395,4 +395,4 @@ def price_at(surface: PriceSurface, S0: float, strikes, nu0: float, maturities):
         return at_levels[quote, k] + lift * bnd.scale(k * grid.dt)
 
     k0, k1, w = interpolate_in_time(grid, maturities)
-    return (((1.0 - w) * at(k0) + w * at(k1)) * strikes).reshape(shape)[()]
+    return (((1.0 - w) * at(k0) + w * at(k1)) * strikes).reshape(shape)

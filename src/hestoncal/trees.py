@@ -53,9 +53,8 @@ class PseudoQuote:
 
 
 def _rows(*args):
-    """(is_scalar, equal-length float rows) of scalar or array arguments."""
-    scalar = all(np.ndim(a) == 0 for a in args)
-    return scalar, np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
+    """Equal-length float rows of scalar or array arguments."""
+    return np.broadcast_arrays(*(np.atleast_1d(np.asarray(a, dtype=float)) for a in args))
 
 
 def crr_price(
@@ -70,11 +69,11 @@ def crr_price(
     """CRR lattice put prices with u = exp(sigma sqrt(dt)), d = 1/u.
 
     K, T and sigma are scalars or equal-length arrays, one row per option,
-    and each row has its own dt, u, p and discount.  Returns a float when all
-    three are scalars, else an array.  American style applies the
-    intrinsic-value maximum at every node.
+    and each row has its own dt, u, p and discount.  Returns an array with
+    one price per row, a scalar argument counting as one row.  American
+    style applies the intrinsic-value maximum at every node.
     """
-    scalar, (K, T, sigma) = _rows(K, T, sigma)
+    K, T, sigma = _rows(K, T, sigma)
     if not (S0 > 0 and np.all(K > 0) and np.all(T > 0) and np.all(sigma > 0)):
         raise ValueError("S0, K, T and sigma must be positive")
     dt = (T / steps)[:, None]
@@ -104,7 +103,7 @@ def crr_price(
         if american:
             j = steps - n  # position of m = -n among all node prices
             np.maximum(values, by_parity[j % 2][:, j // 2 : j // 2 + n + 1], out=values)
-    return float(values[0, 0]) if scalar else values[:, 0].copy()
+    return values[:, 0].copy()
 
 
 def _bs_put_implied_volatility(price: float, S0: float, K: float, T: float, r: float):
@@ -163,12 +162,12 @@ def invert_volatility(
     whose two trials both miss its root is widened to lo or SIGMA_HI and
     re-priced there.
 
-    Returns (sigma_star, invertible), floats for scalar input.  Prices at or
-    below the intrinsic floor, above the strike, above the SIGMA_HI tree, or
-    still unmatched after _MAX_ITER steps are flagged non-invertible (the
+    Returns the arrays (sigma_star, invertible).  Prices at or below the
+    intrinsic floor, above the strike, above the SIGMA_HI tree, or still
+    unmatched after _MAX_ITER steps are flagged non-invertible (the
     deep-ITM zero-time-value case degenerates to the lower bracket edge).
     """
-    scalar, (obs, K, T) = _rows(observed_price, K, T)
+    obs, K, T = _rows(observed_price, K, T)
     sigma = np.full(obs.shape, np.nan)
     ok = np.zeros(obs.shape, dtype=bool)
     rows = np.flatnonzero((obs <= K) & (obs >= np.maximum(K - S0, 0.0)))
@@ -230,8 +229,6 @@ def invert_volatility(
         ok[rows[hit | narrow]] = True
         keep = ~(hit | narrow)
         rows, a, b, fa, fb, side = rows[keep], a[keep], b[keep], fa[keep], fb[keep], side[keep]
-    if scalar:
-        return float(sigma[0]), bool(ok[0])
     return sigma, ok
 
 

@@ -151,7 +151,7 @@ def test_criterion_4_deamericanization_fidelity():
         mu = p.to_model(RATE)
         am = solve_american(mu, space, blocks, grid)
         eu = solve_european(mu, space, blocks, grid)
-        quotes = [Quote(T, K, "american", price=price_at(am, 1.0, K, p.nu0, T))
+        quotes = [Quote(T, K, "american", price=float(price_at(am, 1.0, K, p.nu0, T)))
                   for T in DAS_MATURITIES for K in DAS_STRIKES]
         # non-invertible quotes are dropped; their gaps stay NaN
         pseudo = {(pq.maturity, pq.strike): pq.pseudo_price

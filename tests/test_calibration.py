@@ -72,12 +72,18 @@ def test_objective_is_mean_square_of_residuals():
     assert J == pytest.approx(float(r @ r) / r.size)
 
 
+#: A box whose upper bounds no probe of the fd_jacobian tests below reaches,
+#: and the mask that varies every coordinate: optimize passes both.
+_WIDE_BOX = ParamBox(lower=(-10.0,) * 5, upper=(10.0,) * 5)
+_ALL = np.ones(5, dtype=bool)
+
+
 def test_fd_jacobian_quadratic_oracle():
     A = np.diag([1.0, 2.0, 3.0, 4.0, 5.0])
     b = np.array([0.3, -0.2, 0.1, 0.0, -0.4])
     resid = lambda th: np.array([0.5 * th @ A @ th + b @ th])
     theta = np.array([0.4, -0.3, 0.25, 1.1, 0.2])
-    jac, _ = fd_jacobian(resid, theta, resid(theta))
+    jac, _ = fd_jacobian(resid, theta, resid(theta), _WIDE_BOX, _ALL)
     exact = A @ theta + b
     assert np.allclose(jac[0], exact, atol=1e-4)
 
@@ -91,7 +97,7 @@ def test_fd_jacobian_flips_at_upper_bound():
         return th**2
 
     theta = np.ones(5)  # every coordinate at the upper bound
-    jac, n = fd_jacobian(resid, theta, resid(theta), box)
+    jac, n = fd_jacobian(resid, theta, resid(theta), box, _ALL)
     assert n == 5
     assert all(np.all(th <= 1.0) for th in probes), "probe left the box"
     assert np.allclose(jac, np.diag(2.0 * theta), atol=1e-4)
@@ -103,7 +109,7 @@ def test_fd_jacobian_matches_central_difference():
 
     theta = np.array([0.5, -0.4, 0.3, 1.2, 0.25])
     r0 = resid(theta)
-    jac, _ = fd_jacobian(resid, theta, r0)
+    jac, _ = fd_jacobian(resid, theta, r0, _WIDE_BOX, _ALL)
     h = 1e-6
     central = np.empty_like(jac)
     for i in range(5):
@@ -117,7 +123,7 @@ def test_fd_jacobian_mask_zeroes_fixed_columns():
     resid = lambda th: th[:3] ** 2
     theta = np.array([0.5, 0.5, 0.5, 2.0, 0.3])
     mask = np.array([True, True, True, False, True])
-    jac, n = fd_jacobian(resid, theta, resid(theta), mask=mask)
+    jac, n = fd_jacobian(resid, theta, resid(theta), _WIDE_BOX, mask)
     assert np.all(jac[:, 3] == 0.0)
     assert n == 4  # one probe per free coordinate
 
@@ -251,7 +257,7 @@ def test_fd_jacobian_lets_programming_errors_through():
         return th
 
     with pytest.raises(TypeError):
-        fd_jacobian(resid, np.ones(5), np.ones(5))
+        fd_jacobian(resid, np.ones(5), np.ones(5), _WIDE_BOX, _ALL)
 
 
 def test_calibrate_report_fields_consistent():

@@ -9,7 +9,10 @@ import pytest
 
 from hestoncal.calibration import MAX_ITER
 from hestoncal.cli import build_parser, main
-from hestoncal.rbm import GreedyConfig, load_reduced_model
+from hestoncal.mesh import assemble_blocks, mesh_from_nodes
+from hestoncal.params import ModelParams
+from hestoncal.rbm import GreedyConfig, load_reduced_model, pod_greedy, save_reduced_model
+from hestoncal.solvers import TimeGrid
 from hestoncal.trees import TreeConfig
 
 THETA = "0.25,-0.5,0.10,0.4,0.10"
@@ -393,6 +396,28 @@ def test_refine_basis_reports_the_pilot_and_the_refined_basis(tmp_path, capsys):
     pilot = (tmp_path / "two_pilot_summary.txt").read_text()
     assert "backend: ReducedAm" in pilot and "iterations: 1" in pilot
     assert paths["refined_basis"] == str(tmp_path / "two_refined_basis.npz")
+
+
+def test_refine_basis_refines_on_a_graded_pilot_basis(tmp_path):
+    """--refine-basis builds its refinement bases on the pilot basis's own
+    node arrays and time grid, here graded in x (x = 0.1 sinh(z), z
+    uniform), not on the uniform mesh of --n-nu and --n-x."""
+    x = 0.1 * np.sinh(np.linspace(-np.arcsinh(50.0), np.arcsinh(50.0), 9))
+    x[[0, -1]] = -5.0, 5.0
+    space = mesh_from_nodes(np.linspace(1e-5, 3.0, 9), x)
+    grid = TimeGrid(2.0, 8)
+    train = [ModelParams(0.3, -0.5, 0.1, 1.0, 0.05), ModelParams(0.5, -0.2, 0.2, 2.0, 0.05)]
+    pilot = pod_greedy("american", train, space, assemble_blocks(space), grid, GreedyConfig(n_max=4))
+    save_reduced_model(pilot, tmp_path / "graded.npz")
+    common = ["--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", "2.0", "--out-dir", str(tmp_path)]
+    _run(["synth", "--backend", "DetailedAm", "--theta", THETA, "--output", "q.csv"] + common)
+    _run(["calibrate", "--backend", "ReducedAm", "--basis", str(tmp_path / "graded.npz"),
+          "--refine-basis", "--n-max", "4", "--quotes", str(tmp_path / "q.csv"), "--x0", THETA,
+          "--max-iter", "1", "--stem", "graded"] + common)
+    refined = load_reduced_model(tmp_path / "graded_refined_basis.npz")
+    assert refined.space.nu.tobytes() == space.nu.tobytes()
+    assert refined.space.x.tobytes() == x.tobytes()
+    assert refined.grid == grid
 
 
 def test_report_subcommand(tmp_path, capsys):

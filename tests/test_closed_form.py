@@ -210,6 +210,9 @@ def test_array_strikes_match_scalar_calls():
         one = np.array([heston_put_cf(100.0, k, T, MU, NU0) for k in ks])
         assert many.shape == ks.shape
         np.testing.assert_allclose(many, one, rtol=1e-14, atol=0.0)
+    # a scalar K and T give a 0-d array
+    single = heston_put_cf(100.0, 100.0, 1.0, MU, NU0)
+    assert isinstance(single, np.ndarray) and single.shape == ()
 
 
 def test_backend_prices_interleaved_maturities_in_quote_order():

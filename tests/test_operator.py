@@ -127,7 +127,7 @@ def test_boundary_lift_american_static(fem):
     bnd = boundary_data(space, "american", 0.05)
     assert bnd.scale(0.0) == bnd.scale(1.5) == 1.0
     x_wall = space.coords[space.dirichlet, 1]
-    assert np.allclose(bnd.shape[space.dirichlet], put_payoff_log(1.0, x_wall))
+    assert np.allclose(bnd.shape[space.dirichlet], put_payoff_log(x_wall))
 
 
 def test_obstacle_nonnegative_where_payoff_positive(fem):
@@ -138,7 +138,7 @@ def test_obstacle_nonnegative_where_payoff_positive(fem):
         assert np.all(boundary_data(space, style, 0.05).shape[space.free] == 0.0)
     g = payoff_vector(space)
     x_free = space.coords[space.free, 1]
-    np.testing.assert_allclose(g, put_payoff_log(1.0, x_free), atol=1e-14)
+    np.testing.assert_allclose(g, put_payoff_log(x_free), atol=1e-14)
     assert np.all(g >= 0.0)
 
 

@@ -52,9 +52,11 @@ def test_feller():
 
 
 def test_put_payoff_log():
-    assert put_payoff_log(2.0, 0.0) == 0.0
-    assert put_payoff_log(2.0, np.log(0.5)) == pytest.approx(1.0)
-    assert put_payoff_log(2.0, 1.0) == 0.0
+    # the unit-strike put: max(1 - e^x, 0)
+    assert put_payoff_log(0.0) == 0.0
+    assert put_payoff_log(np.log(0.5)) == pytest.approx(0.5)
+    assert put_payoff_log(1.0) == 0.0
+    np.testing.assert_allclose(put_payoff_log(np.log([0.25, 1.0, 4.0])), [0.75, 0.0, 0.0], atol=1e-15)
 
 
 def test_rho_bounds_shrunk():

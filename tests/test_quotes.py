@@ -37,6 +37,32 @@ def test_quote_validation():
         Quote(maturity=1.0, strike=100.0, style="american", bid=2.0, ask=1.0)
 
 
+@pytest.mark.parametrize("fields, named", [
+    (dict(price=np.inf), "price must be finite or NaN"),
+    (dict(price=-np.inf), "price must be finite or NaN"),
+    (dict(bid=-0.1, ask=1.0), "bid must be finite and nonnegative"),
+    (dict(bid=0.0, ask=-0.1), "ask must be finite and nonnegative"),
+], ids=["inf_price", "minus_inf_price", "negative_bid", "negative_ask"])
+def test_quote_refuses_an_infinite_price_or_a_negative_bid_or_ask(fields, named):
+    """An infinite price prices nothing, and a negative bid or ask would give
+    a negative mid; a NaN price (unpriced) and a zero bid still construct."""
+    with pytest.raises(ValueError, match=named):
+        Quote(maturity=1.0, strike=100.0, style="american", **fields)
+    assert np.isnan(Quote(maturity=1.0, strike=100.0, style="american", price=np.nan).price)
+    assert Quote(maturity=1.0, strike=100.0, style="american", bid=0.0, ask=0.2).mid == 0.1
+
+
+@pytest.mark.parametrize("S0, r, named", [
+    (np.nan, 0.02, "spot"), (np.inf, 0.02, "spot"),
+    (100.0, np.nan, "r"), (100.0, np.inf, "r"), (100.0, -np.inf, "r"),
+], ids=["nan_spot", "inf_spot", "nan_rate", "inf_rate", "minus_inf_rate"])
+def test_quote_set_refuses_a_non_finite_spot_or_rate(S0, r, named):
+    """--spot and --rate reach QuoteSet from the CLI unchecked."""
+    quote = Quote(maturity=1.0, strike=100.0, style="american", price=1.0)
+    with pytest.raises(ValueError, match=f"{named} must be finite"):
+        _qs([quote], S0=S0, r=r)
+
+
 def test_midpoint():
     q = Quote(maturity=1.0, strike=100.0, style="american", bid=2.0, ask=3.0)
     assert q.mid == pytest.approx(2.5)

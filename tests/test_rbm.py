@@ -12,7 +12,6 @@ import pytest
 import scipy.sparse as sp
 
 from hestoncal.calibration import PdeBackend, ReducedBackend
-from hestoncal.heston_operator import THETA
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, mesh_from_nodes
 from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, ParamBox
 from hestoncal.rbm import (
@@ -362,39 +361,22 @@ def test_refuses_container_whose_node_arrays_do_not_fit_its_bases(tmp_path, toy_
         load_reduced_model(path)
 
 
-def _save_version_1(path, m, **meta_changes):
-    """Write m in the key layout and member order of the version-1 files
-    written so far; meta_changes replace entries of its meta."""
-    d = m.space.domain
-    meta = {
-        "format_version": 1,
-        "style": m.style,
-        "domain": [d.nu_min, d.nu_max, d.x_min, d.x_max],
-        "n_nu": m.space.n_nu,
-        "n_x": m.space.n_x,
-        "grid": [m.grid.T, m.grid.I, THETA],
-        "K": 1.0,
-        "selected_mu": [list(p.as_array()) for p in m.selected_mu],
-        "errors": m.errors,
-        "stagnated": m.stagnated,
-        **meta_changes,
-    }
-    arrays = {
-        "psi": m.psi, "a_red": m.a_red, "m_red": m.m_red, "mlift_red": m.mlift_red,
-        "alift_red": m.alift_red, "u0_red": m.u0_red,
-        "meta": np.frombuffer(json.dumps(meta, sort_keys=True).encode(), dtype=np.uint8),
-    }
-    if m.style == "american":
-        arrays.update(xi=m.xi, b_red=m.b_red, g_red=m.g_red)
-    np.savez(path, **arrays)
-
-
 @pytest.mark.parametrize("style", ["american", "european"])
-def test_loads_container_in_version_1_key_layout(tmp_path, style, toy_american, toy_european):
+def test_refuses_container_in_version_1_key_layout(tmp_path, style, toy_american, toy_european):
+    """A version-1 file (its mesh named by a domain and interval counts in
+    its meta, no node arrays) is refused, naming the file, its version and
+    the command that rebuilds it."""
     m = toy_american if style == "american" else toy_european
     path = tmp_path / "v1.npz"
-    _save_version_1(path, m)
-    _assert_same_model(load_reduced_model(path), m)
+    save_reduced_model(m, path)
+    members = _container(path)
+    d = m.space.domain
+    members["meta"].update(format_version=1, domain=[d.nu_min, d.nu_max, d.x_min, d.x_max],
+                           n_nu=m.space.n_nu, n_x=m.space.n_x)
+    del members["nu"], members["x"]
+    _rewrite(path, members)
+    with pytest.raises(ValueError, match=r"v1\.npz is a version-1 container.*hestoncal build-basis"):
+        load_reduced_model(path)
 
 
 @pytest.mark.parametrize("changes, named", [
@@ -405,27 +387,36 @@ def test_refuses_container_solved_with_another_theta_or_strike(tmp_path, changes
     """Every solve is the Crank-Nicolson unit-strike put, so a file that
     records another theta weight or strike is refused, naming the value."""
     path = tmp_path / "other.npz"
-    _save_version_1(path, toy_american, **changes)
+    save_reduced_model(toy_american, path)
+    members = _container(path)
+    members["meta"].update(changes)
+    _rewrite(path, members)
     with pytest.raises(ValueError, match=named):
         load_reduced_model(path)
 
 
 @pytest.mark.parametrize("changes", [{"n_x": 17}, {"n_nu": 17}, {"n_nu": 20}], ids=["n_x", "n_nu", "n_nu_20"])
 def test_refuses_container_whose_bases_do_not_fit_its_mesh(tmp_path, changes, toy_american):
-    """A file whose recorded mesh has another number of free nodes than its
-    bases have rows is refused, naming both counts, instead of pricing on
-    the wrong nodes."""
+    """A file whose node arrays make a mesh with another number of free
+    nodes than its bases have rows is refused, naming both counts, instead
+    of pricing on the wrong nodes."""
     path = tmp_path / "other_mesh.npz"
-    _save_version_1(path, toy_american, **changes)
+    save_reduced_model(toy_american, path)
+    other = build_mesh(Domain2D(), changes.get("n_nu", 16), changes.get("n_x", 16))
+    members = _container(path)
+    members["nu"], members["x"] = other.nu, other.x
+    _rewrite(path, members)
     n_rows = toy_american.space.n_free
-    n_free = build_mesh(Domain2D(), changes.get("n_nu", 16), changes.get("n_x", 16)).n_free
-    with pytest.raises(ValueError, match=f"psi has {n_rows} rows.* {n_free} free nodes"):
+    with pytest.raises(ValueError, match=f"psi has {n_rows} rows.* {other.n_free} free nodes"):
         load_reduced_model(path)
 
 
 def test_refuses_container_whose_dual_basis_does_not_fit_its_mesh(tmp_path, toy_american):
     path = tmp_path / "short_xi.npz"
-    _save_version_1(path, replace(toy_american, xi=toy_american.xi[1:]))
+    save_reduced_model(toy_american, path)
+    members = _container(path)
+    members["xi"] = members["xi"][1:]
+    _rewrite(path, members)
     n_free = toy_american.space.n_free
     with pytest.raises(ValueError, match=f"xi has {n_free - 1} rows.* {n_free} free nodes"):
         load_reduced_model(path)

@@ -141,7 +141,9 @@ def test_price_at_vector_matches_scalar_calls_and_broadcasts(fem, grid):
         assert got.shape == (2, 3)
         for K, T, p in zip(strikes.ravel(), maturities.ravel(), got.ravel()):
             assert p == pytest.approx(price_at(surf, 1.0, K, 0.3, T), rel=1e-14)
-        assert np.ndim(price_at(surf, 1.0, 1.0, 0.3, 0.5)) == 0
+        # scalars give a 0-d array
+        one = price_at(surf, 1.0, 1.0, 0.3, 0.5)
+        assert isinstance(one, np.ndarray) and one.shape == ()
         at_one = price_at(surf, 1.0, strikes[0], 0.3, 1.0)
         assert np.array_equal(at_one, price_at(surf, 1.0, strikes[0], 0.3, np.ones(3)))
 

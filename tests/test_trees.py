@@ -214,7 +214,8 @@ def test_array_tree_matches_scalar_reference():
                 ref = [_crr_reference(100.0, k, t, r, v, steps, style)
                        for k, t, v in zip(K, T, sigma)]
                 np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0.0)
-    assert isinstance(crr_price(100.0, 90.0, 1.0, 0.05, 0.3, 50, "american"), float)
+    # a scalar argument counts as one row
+    assert crr_price(100.0, 90.0, 1.0, 0.05, 0.3, 50, "american").shape == (1,)
     assert crr_price(100.0, K[:3], 1.0, 0.05, 0.3, 50).shape == (3,)
 
 
@@ -223,7 +224,7 @@ def test_set_equals_quote_by_quote_bit_for_bit():
     # exactly what it gets alone, whatever it is batched with
     S0, r, cfg = 100.0, 0.0015, TreeConfig()
     lo = max(SIGMA_LO, 1.000001 * r * np.sqrt(1.0 / cfg.steps))
-    edge_price = crr_price(S0, 180.0, 1.0, r, lo, cfg.steps, "american")
+    [edge_price] = crr_price(S0, 180.0, 1.0, r, lo, cfg.steps, "american")
     quotes = [
         Quote(maturity=0.25, strike=95.0, price=2.31, style="american"),
         Quote(maturity=1.0, strike=180.0, price=edge_price, style="american"),
@@ -267,7 +268,7 @@ def test_iteration_cap_flags_non_invertible(monkeypatch, caplog):
     # the Black-Scholes start brackets this row so tightly that two Illinois
     # steps match it; one does not
     monkeypatch.setattr(trees, "_MAX_ITER", 1)
-    sigma, ok = invert_volatility(7.0, S0, 100.0, 0.5, r)
+    [sigma], [ok] = invert_volatility(7.0, S0, 100.0, 0.5, r)
     assert not ok and math.isnan(sigma)
     with caplog.at_level(logging.WARNING, logger="hestoncal.trees"):
         out = deamericanize_set(quotes, S0, r)
