@@ -3,7 +3,11 @@
 Each observed American put price is matched by a flat-volatility CRR tree;
 the calibrated tree then prices the pseudo-European put with the same
 strike and maturity.  A tree is array-valued: one backward induction prices
-every row (own strike, maturity and volatility) of a quote set.  The
+every row (own strike, maturity and volatility) of a quote set.  Its
+lattice is node-major, shape (node, row): each level is four whole-array
+operations, each one contiguous loop over the level's nodes and rows.  A
+row-major lattice runs each of them as one strided loop per row, and took
+2.5 to 3 times as long for 10 to 401 rows (one x86_64 core).  The
 volatility inversions of all rows advance in lockstep, one batched tree per
 step of a bracketed Illinois regula falsi (Dowell & Jarratt, BIT 1971).
 Each row's bracket starts near its root, from the Black-Scholes implied
@@ -18,6 +22,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +42,11 @@ class TreeConfig:
     steps: int = 500
 
     def __post_init__(self):
-        if self.steps < 1:
+        try:
+            steps = operator.index(self.steps)
+        except TypeError:
+            raise ValueError(f"tree steps must be an integer, got {self.steps!r}") from None
+        if steps < 1:
             raise ValueError("need at least one tree step")
 
 
@@ -71,13 +80,21 @@ def crr_price(
     K, T and sigma are scalars or equal-length arrays, one row per option,
     and each row has its own dt, u, p and discount.  Returns an array with
     one price per row, a scalar argument counting as one row.  American
-    style applies the intrinsic-value maximum at every node.
+    style applies the intrinsic-value maximum at every node; style is
+    "american" or "european".
+
+    The lattice is stored node-major, shape (node, row), so each level's
+    multiply, scale, add and maximum run over one contiguous leading slice
+    of the arrays, not over a strided segment per row, and the branch
+    weights are full (step, row) arrays so that no operand broadcasts.
     """
+    if style not in ("american", "european"):
+        raise ValueError(f"unknown style {style!r}")
     K, T, sigma = _rows(K, T, sigma)
     if not (S0 > 0 and np.all(K > 0) and np.all(T > 0) and np.all(sigma > 0)):
         raise ValueError("S0, K, T and sigma must be positive")
-    dt = (T / steps)[:, None]
-    u = np.exp(sigma[:, None] * np.sqrt(dt))
+    dt = T / steps
+    u = np.exp(sigma * np.sqrt(dt))
     d = 1.0 / u
     p = (np.exp(r * dt) - d) / (u - d)
     bad = ~((0.0 < p) & (p < 1.0))
@@ -87,23 +104,26 @@ def crr_price(
             "increase sigma or the number of steps"
         )
     disc = np.exp(-r * dt)
-    up, down = disc * p, disc * (1.0 - p)
+    up = np.tile(disc * p, (steps, 1))
+    down = np.tile(disc * (1.0 - p), (steps, 1))
     # exercise values at every node price S0 u^m, m = -steps..steps; level n
-    # holds m = -n, -n+2, ..., n, a contiguous run of one parity class of m
-    exercise = K[:, None] - S0 * u ** np.arange(-steps, steps + 1.0)
-    by_parity = (exercise[:, 0::2].copy(), exercise[:, 1::2].copy())
+    # holds m = -n, -n+2, ..., n, a contiguous run of one parity class of m.
+    # They are computed whole: powers taken per parity class round some u^m
+    # differently (seen at steps 1 and 2)
+    exercise = K - S0 * u ** np.arange(-steps, steps + 1.0)[:, None]
+    by_parity = (exercise[0::2].copy(), exercise[1::2].copy())
     values = np.maximum(by_parity[0], 0.0)
     scratch = np.empty_like(values)
     american = style == "american"
     for n in range(steps - 1, -1, -1):
-        np.multiply(values[:, 1 : n + 2], up, out=scratch[:, : n + 1])
-        values = values[:, : n + 1]
-        values *= down
-        values += scratch[:, : n + 1]
+        np.multiply(values[1 : n + 2], up[: n + 1], out=scratch[: n + 1])
+        values = values[: n + 1]
+        values *= down[: n + 1]
+        values += scratch[: n + 1]
         if american:
             j = steps - n  # position of m = -n among all node prices
-            np.maximum(values, by_parity[j % 2][:, j // 2 : j // 2 + n + 1], out=values)
-    return values[:, 0].copy()
+            np.maximum(values, by_parity[j % 2][j // 2 : j // 2 + n + 1], out=values)
+    return values[0].copy()
 
 
 def _bs_put_implied_volatility(price: float, S0: float, K: float, T: float, r: float):
@@ -237,9 +257,12 @@ def deamericanize_set(quotes, S0: float, r: float, config: TreeConfig = TreeConf
 
     All quotes are inverted together and the survivors priced by one
     European tree.  Non-invertible quotes are dropped with a log entry;
-    raises if nothing survives.  Output order follows the input order.
+    raises if the list is empty or nothing survives.  Output order follows
+    the input order.
     """
     quotes = list(quotes)
+    if not quotes:
+        raise ValueError("no quotes to de-Americanize")
     T, K, obs = np.array([(q.maturity, q.strike, q.mid) for q in quotes], dtype=float).T
     sigma, ok = invert_volatility(obs, S0, K, T, r, config)
     for q, good in zip(quotes, ok):

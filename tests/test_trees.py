@@ -36,6 +36,37 @@ def _crr_reference(S0, K, T, r, sigma, steps, style):
     return float(values[0])
 
 
+def _crr_row_major(S0, K, T, r, sigma, steps, style="european"):
+    """The row-major lattice, shape (row, node), that crr_price's node-major
+    one replaced: the same arithmetic per node in the same order."""
+    K, T, sigma = trees._rows(K, T, sigma)
+    if not (S0 > 0 and np.all(K > 0) and np.all(T > 0) and np.all(sigma > 0)):
+        raise ValueError("S0, K, T and sigma must be positive")
+    dt = (T / steps)[:, None]
+    u = np.exp(sigma[:, None] * np.sqrt(dt))
+    d = 1.0 / u
+    p = (np.exp(r * dt) - d) / (u - d)
+    bad = ~((0.0 < p) & (p < 1.0))
+    if bad.any():
+        raise ValueError(f"risk-neutral probability {p[bad][0]:.4g} outside (0,1)")
+    disc = np.exp(-r * dt)
+    up, down = disc * p, disc * (1.0 - p)
+    exercise = K[:, None] - S0 * u ** np.arange(-steps, steps + 1.0)
+    by_parity = (exercise[:, 0::2].copy(), exercise[:, 1::2].copy())
+    values = np.maximum(by_parity[0], 0.0)
+    scratch = np.empty_like(values)
+    american = style == "american"
+    for n in range(steps - 1, -1, -1):
+        np.multiply(values[:, 1 : n + 2], up, out=scratch[:, : n + 1])
+        values = values[:, : n + 1]
+        values *= down
+        values += scratch[:, : n + 1]
+        if american:
+            j = steps - n
+            np.maximum(values, by_parity[j % 2][:, j // 2 : j // 2 + n + 1], out=values)
+    return values[:, 0].copy()
+
+
 def _invert_bisection(observed_price, S0, K, T, r, config):
     """Per-quote bisection on the scalar reference tree: (sigma, invertible)."""
     price = lambda sigma: _crr_reference(S0, K, T, r, sigma, config.steps, "american")
@@ -136,6 +167,26 @@ def test_invalid_inputs_raise():
         crr_price(-1.0, 100.0, 1.0, 0.05, 0.2, steps=10)
     with pytest.raises(ValueError):
         TreeConfig(steps=0)
+    for steps in (2.5, 500.0, "500", None):
+        with pytest.raises(ValueError, match="tree steps must be an integer"):
+            TreeConfig(steps=steps)
+    # NumPy integers are integers
+    assert TreeConfig(steps=np.int64(7)).steps == 7
+    assert crr_price(100.0, 100.0, 1.0, 0.05, 0.2, TreeConfig(steps=np.int32(7)).steps).shape == (1,)
+
+
+def test_unknown_style_raises():
+    # any other style used to price European silently
+    for style in ("bermudan", "American", ""):
+        with pytest.raises(ValueError, match=f"unknown style {style!r}"):
+            crr_price(100.0, 100.0, 1.0, 0.05, 0.2, 10, style)
+
+
+def test_deamericanize_empty_quote_list_raises():
+    with pytest.raises(ValueError, match="no quotes to de-Americanize"):
+        deamericanize_set([], 100.0, 0.02)
+    with pytest.raises(ValueError, match="no quotes to de-Americanize"):
+        deamericanize_set(iter(()), 100.0, 0.02)
 
 
 def test_sigma_round_trip():
@@ -217,6 +268,38 @@ def test_array_tree_matches_scalar_reference():
     # a scalar argument counts as one row
     assert crr_price(100.0, 90.0, 1.0, 0.05, 0.3, 50, "american").shape == (1,)
     assert crr_price(100.0, K[:3], 1.0, 0.05, 0.3, 50).shape == (3,)
+
+
+@pytest.mark.parametrize("r", [0.0, 0.0015, 0.05, -0.005])
+def test_node_major_lattice_matches_row_major_bit_for_bit(r):
+    # the node-major lattice does each node's arithmetic in the row-major
+    # order, so every price is the same double, for any row count
+    pre = preprocess_quotes(load_google_quotes())
+    K = np.array([q.strike for q in pre])
+    T = np.array([q.maturity for q in pre])
+    assert K.size == 401
+    rng = np.random.default_rng(3)
+    sigma = rng.uniform(0.1, 1.5, K.size)
+    order = rng.permutation(K.size)  # mixed maturities in every prefix
+    for rows in (1, 2, 10, 401):
+        i = order[:rows]
+        for steps in (1, 2, 7, 500):
+            for style in ("american", "european"):
+                got = crr_price(pre.S0, K[i], T[i], r, sigma[i], steps, style)
+                ref = _crr_row_major(pre.S0, K[i], T[i], r, sigma[i], steps, style)
+                assert np.array_equal(got, ref), (rows, steps, style)
+
+
+@pytest.mark.parametrize("r", [0.0015, -0.005])
+def test_deamericanize_set_matches_row_major_lattice(monkeypatch, r):
+    # every sigma*, pseudo price and dropped quote of the 401 bundled quotes
+    # is the one the row-major lattice gives
+    pre = preprocess_quotes(load_google_quotes())
+    got = deamericanize_set(pre.quotes, pre.S0, r)
+    monkeypatch.setattr(trees, "crr_price", _crr_row_major)
+    ref = deamericanize_set(pre.quotes, pre.S0, r)
+    assert 300 < len(ref) < len(pre)
+    assert got == ref
 
 
 def test_set_equals_quote_by_quote_bit_for_bit():
