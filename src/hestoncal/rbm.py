@@ -332,11 +332,12 @@ def pod_greedy(
     build, which has no multipliers).  A cap n_max with no room for a pick
     beyond the initial basis is refused.
     """
+    if style not in ("american", "european"):
+        raise ValueError(f"unknown style {style!r}")
     if not train:
         raise ValueError("training set is empty")
     if len({m.as_array().tobytes() for m in train}) != len(train):
         raise ValueError("training points must be pairwise distinct")
-    style = style.lower()
     gram = blocks.v_gram_free
     w_diag = blocks.d_b_free
     w_gram = sp.diags(w_diag)
@@ -491,7 +492,7 @@ def load_reduced_model(path) -> ReducedModel:
         if len(basis) != space.n_free:
             raise ValueError(f"{path}: {name} has {len(basis)} rows for {space.n_free} free nodes")
     return _project_offline(
-        meta["style"], space, assemble_blocks(space), TimeGrid(T=T, I=int(I)), bases["psi"], bases.get("xi"),
+        meta["style"], space, assemble_blocks(space), TimeGrid(T=T, I=I), bases["psi"], bases.get("xi"),
         selected_mu=[ModelParams(*row) for row in meta["selected_mu"]],
         errors=list(meta["errors"]),
         stagnated=bool(meta["stagnated"]),

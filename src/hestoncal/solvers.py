@@ -39,6 +39,8 @@ adjacent levels (interpolate_in_time); they are never snapped to a level.
 
 from __future__ import annotations
 
+import math
+import operator
 import warnings
 from dataclasses import dataclass, field
 
@@ -77,8 +79,12 @@ class TimeGrid:
     I: int
 
     def __post_init__(self):
-        if self.T <= 0 or self.I < 1:
-            raise ValueError("require T > 0 and I >= 1")
+        try:
+            steps = operator.index(self.I)
+        except TypeError:
+            raise ValueError(f"time steps must be an integer, got {self.I!r}") from None
+        if not (math.isfinite(self.T) and self.T > 0) or steps < 1:
+            raise ValueError(f"require a finite T > 0 and I >= 1, got T={self.T!r}, I={steps}")
 
     @property
     def dt(self) -> float:

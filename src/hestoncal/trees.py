@@ -5,9 +5,7 @@ the calibrated tree then prices the pseudo-European put with the same
 strike and maturity.  A tree is array-valued: one backward induction prices
 every row (own strike, maturity and volatility) of a quote set.  Its
 lattice is node-major, shape (node, row): each level is four whole-array
-operations, each one contiguous loop over the level's nodes and rows.  A
-row-major lattice runs each of them as one strided loop per row, and took
-2.5 to 3 times as long for 10 to 401 rows (one x86_64 core).  The
+operations, each one contiguous loop over the level's nodes and rows.  The
 volatility inversions of all rows advance in lockstep, one batched tree per
 step of a bracketed Illinois regula falsi (Dowell & Jarratt, BIT 1971).
 Each row's bracket starts near its root, from the Black-Scholes implied

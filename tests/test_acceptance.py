@@ -11,6 +11,9 @@ than the unit suite.
 """
 
 import filecmp
+import importlib.resources
+import json
+import os
 import subprocess
 import sys
 import time
@@ -31,7 +34,7 @@ from hestoncal.cli import main as cli_main
 from hestoncal.closed_form import heston_put_cf
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, CalibParams
-from hestoncal.quotes import Quote, generate_synthetic
+from hestoncal.quotes import GOOGLE_DATASET, GOOGLE_S0, Quote, generate_synthetic
 from hestoncal.rbm import GreedyConfig, make_training_grid, pod_angle_greedy_american
 from hestoncal.solvers import TimeGrid, price_at, solve_american, solve_european
 from hestoncal.trees import TreeConfig, deamericanize_set
@@ -252,28 +255,116 @@ def test_criterion_7_property_suite():
     _verdict(7, "property suite", ok, f"{tail}; time={elapsed:.0f}s")
 
 
-def test_criterion_8_determinism(tmp_path):
+def _determinism_flows() -> list[list[str]]:
+    """The CLI runs whose outputs README promises bit for bit, in the order
+    one pass runs them; a row may read what an earlier row wrote.  Every
+    --out-dir and every file a row reads is relative to the pass's own
+    directory, so that the paths each runconfig records match too."""
+    google = str(importlib.resources.files("hestoncal.data") / GOOGLE_DATASET)
     theta = "0.25,-0.5,0.10,0.4,0.10"
-    small = ["--n-nu", "12", "--n-x", "12", "--steps", "24", "--horizon", "1.0"]
-    runs = []
-    for tag in ("a", "b"):
-        d = tmp_path / tag
+    small = ["--n-nu", "8", "--n-x", "8", "--steps", "24", "--horizon", "2.0"]
+    # the benchmark's pilot size (N = 20, N_W = 10, I = 48), where a reduced
+    # solve factorizes several active sets
+    pilot = ["--n-nu", "17", "--n-x", "17", "--steps", "48", "--horizon", "2.0"]
+    basis = ["--n-max", "8", "--train-counts", "2", "2", "1", "1"]
+    flows = [
+        ["synth", "--backend", "DasClosedForm", "--theta", theta, "--output", "ladder.csv",
+         "--out-dir", "c8"],
+        ["build-basis", "--style", "european", "--n-max", "4", "--train-counts", "2", "1", "1", "2",
+         "--n-nu", "12", "--n-x", "12", "--steps", "24", "--horizon", "1.0",
+         "--output", "basis.npz", "--out-dir", "c8"],
+        ["calibrate", "--backend", "DasClosedForm", "--quotes", "c8/ladder.csv", "--max-iter", "15",
+         "--stem", "calib", "--out-dir", "c8"],
+    ]
+    # the bundled Google quotes at their rate and at a negative one, where the
+    # inversion's lower volatility edge is lifted by |r|
+    for rate in ("0.0015", "-0.005"):
+        google_args = ["--quotes", google, "--spot", str(GOOGLE_S0), "--rate", rate]
+        flows += [
+            ["deamericanize", *google_args, "--out-dir", f"deam/{rate}"],
+            ["calibrate", "--backend", "DasClosedForm", *google_args, "--max-iter", "3",
+             "--stem", "das", "--out-dir", f"das/{rate}"],
+        ]
+    flows += [
+        ["build-basis", "--style", "american", "--n-nu", "8", "--n-x", "8", "--steps", "12",
+         "--horizon", "1.0", *basis, "--out-dir", "basis_am"],
+        # European: a ladder, a basis and a ReducedEu calibration of it
+        ["synth", "--backend", "DetailedEu", "--theta", theta, *small, "--output", "ladder.csv",
+         "--out-dir", "eu"],
+        ["build-basis", "--style", "european", *small, *basis, "--output", "basis.npz",
+         "--out-dir", "eu"],
+        ["calibrate", "--backend", "ReducedEu", *small, "--basis", "eu/basis.npz",
+         "--quotes", "eu/ladder.csv", "--max-iter", "3", "--stem", "reduced", "--out-dir", "eu"],
+        ["synth", "--backend", "DetailedAm", "--theta", "0.7,-0.8,0.3,1.4,0.3", *pilot,
+         "--output", "ladder.csv", "--out-dir", "am_pilot"],
+        ["build-basis", "--style", "american", *pilot, "--n-max", "20",
+         "--train-counts", "2", "2", "2", "2", "--output", "basis.npz", "--out-dir", "am_pilot"],
+        ["calibrate", "--backend", "ReducedAm", *pilot, "--basis", "am_pilot/basis.npz",
+         "--quotes", "am_pilot/ladder.csv", "--max-iter", "3", "--stem", "reduced",
+         "--out-dir", "am_pilot"],
+        # the default 33 x 33 mesh, where every solve factorizes its active
+        # sets in the mesh's band order (on 8 x 8 any order is trivial)
+        ["synth", "--backend", "DetailedAm", "--theta", theta, "--steps", "24",
+         "--output", "ladder.csv", "--out-dir", "am_default"],
+        # American: a ladder, both bases of its mesh and every calibration of
+        # it, the two-stage one (with its pilot report) and the two
+        # de-Americanized PDE ones included
+        ["synth", "--backend", "DetailedAm", "--theta", theta, *small, "--output", "ladder.csv",
+         "--out-dir", "am"],
+        ["build-basis", "--style", "american", *small, *basis, "--output", "basis.npz",
+         "--out-dir", "am"],
+        ["build-basis", "--style", "european", *small, *basis, "--output", "basis_eu.npz",
+         "--out-dir", "am"],
+    ]
+    am = [*small, "--quotes", "am/ladder.csv", "--max-iter", "3", "--out-dir", "am"]
+    flows += [
+        ["calibrate", "--backend", "DetailedAm", *am, "--stem", "detailed"],
+        ["calibrate", "--backend", "ReducedAm", *am, "--basis", "am/basis.npz", "--stem", "reduced"],
+        ["calibrate", "--backend", "ReducedAm", *am, "--basis", "am/basis.npz", "--refine-basis",
+         "--n-max", "8", "--stem", "refined"],
+        ["calibrate", "--backend", "DasPde", *am, "--stem", "daspde"],
+        ["calibrate", "--backend", "DasReduced", *am, "--basis", "am/basis_eu.npz",
+         "--stem", "dasreduced"],
+    ]
+    return flows
+
+
+#: One pass: every flow of the JSON list in argv[1], in order, in the working directory.
+_DETERMINISM_PASS = """
+import json, sys
+from hestoncal.cli import main
+for argv in json.loads(sys.argv[1]):
+    if main(argv) != 0:
+        sys.exit(f"nonzero exit status: {argv}")
+"""
+
+
+def test_criterion_8_determinism(tmp_path):
+    """Every flow runs once in each of two processes with different hash
+    seeds; each file both passes wrote, wall-clock timings aside, must match
+    byte for byte."""
+    flows = _determinism_flows()
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    t0 = time.perf_counter()
+    passes = []
+    for seed in ("1", "2"):
+        d = tmp_path / f"hashseed_{seed}"
         d.mkdir()
-        assert cli_main(["synth", "--backend", "DasClosedForm", "--theta", theta,
-                         "--output", "ladder.csv", "--out-dir", str(d)]) == 0
-        assert cli_main(["build-basis", "--style", "european", "--n-max", "4",
-                         "--train-counts", "2", "1", "1", "2",
-                         "--output", "basis.npz", "--out-dir", str(d),
-                         *small]) == 0
-        assert cli_main(["calibrate", "--backend", "DasClosedForm",
-                         "--quotes", str(d / "ladder.csv"), "--max-iter", "15",
-                         "--out-dir", str(d), "--stem", "calib"]) == 0
-        runs.append(d)
-    a, b = runs
-    files = ["ladder.csv", "basis.npz", "calib_summary.txt",
-             "calib_residuals.csv", "calib_error_surface.csv"]
-    mismatched = [f for f in files if not filecmp.cmp(a / f, b / f, shallow=False)]
-    ok = not mismatched
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _DETERMINISM_PASS, json.dumps(flows)],
+                              cwd=d, env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        passes.append(d)
+    elapsed = time.perf_counter() - t0
+    a, b = (sorted(p.relative_to(d) for p in d.rglob("*")
+                   if p.is_file() and not p.name.endswith("_timings.json")) for d in passes)
+    mismatched = [str(f) for f in a
+                  if f not in b or not filecmp.cmp(passes[0] / f, passes[1] / f, shallow=False)]
+    runconfigs = sum(f.name.endswith("_runconfig.json") for f in a)
+    # one runconfig per flow: no flow overwrote another's outputs
+    ok = a == b and runconfigs == len(flows) and not mismatched
     _verdict(8, "bit-identical determinism", ok,
-             f"compared {len(files)} artifacts"
-             + (f"; mismatch: {mismatched}" if mismatched else ""))
+             f"compared {len(a)} files, {runconfigs} runconfigs, from {len(flows)} flows "
+             f"in {elapsed:.0f}s" + (f"; mismatch: {mismatched}" if mismatched else "")
+             + ("" if a == b else "; the passes wrote different files"))

@@ -56,6 +56,14 @@ def test_price_detailed_american(capsys):
     assert 0.0 < price < 1.0
 
 
+@pytest.mark.parametrize("horizon", ["inf", "nan"])
+def test_price_refuses_a_non_finite_horizon(horizon):
+    argv = ["price", "--backend", "DetailedAm", "--theta", THETA, "--strike", "1",
+            "--maturity", "1", "--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", horizon]
+    with pytest.raises(ValueError, match=f"finite T > 0 and I >= 1, got T={horizon}"):
+        main(argv)
+
+
 def test_price_closed_form(capsys):
     _run(
         [

@@ -244,6 +244,17 @@ def test_greedy_solves_each_training_point_once(toy, toy_train, monkeypatch):
     assert solved == toy_train
 
 
+@pytest.mark.parametrize("style", ["bermudan", "American", ""])
+def test_greedy_refuses_an_unknown_style_before_any_solve(toy, toy_train, style, monkeypatch):
+    def solve(*args):
+        raise AssertionError("solved before refusing the style")
+
+    monkeypatch.setattr(rbm, "solve_american", solve)
+    monkeypatch.setattr(rbm, "solve_european", solve)
+    with pytest.raises(ValueError, match=f"unknown style {style!r}"):
+        pod_greedy(style, toy_train, *toy, GreedyConfig(n_max=8))
+
+
 @pytest.mark.parametrize("style, n_init", [("american", 2), ("european", 1)])
 def test_greedy_refuses_a_cap_without_room_for_a_pick(toy, style, n_init):
     space, blocks, grid = toy
@@ -392,6 +403,18 @@ def test_refuses_container_solved_with_another_theta_or_strike(tmp_path, changes
     members["meta"].update(changes)
     _rewrite(path, members)
     with pytest.raises(ValueError, match=named):
+        load_reduced_model(path)
+
+
+@pytest.mark.parametrize("steps", [20.0, 20.5])
+def test_refuses_container_whose_grid_has_a_non_integral_step_count(tmp_path, steps, toy_american):
+    """The step count is refused, not truncated to an integer."""
+    path = tmp_path / "float_steps.npz"
+    save_reduced_model(toy_american, path)
+    members = _container(path)
+    members["meta"]["grid"][1] = steps
+    _rewrite(path, members)
+    with pytest.raises(ValueError, match=f"time steps must be an integer, got {steps}"):
         load_reduced_model(path)
 
 

@@ -48,6 +48,15 @@ def test_time_grid():
     assert g.I * g.dt == 2.0
     with pytest.raises(ValueError):
         TimeGrid(T=0.0, I=8)
+    # an infinite horizon priced the at-the-money put at 0, a nan one died in splu
+    for horizon in (np.inf, -np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite T > 0"):
+            TimeGrid(T=horizon, I=8)
+    for steps in (2.5, 125.0, "125", None):
+        with pytest.raises(ValueError, match="time steps must be an integer"):
+            TimeGrid(T=2.0, I=steps)
+    # NumPy integers are integers
+    assert TimeGrid(T=2.0, I=np.int64(8)).dt == 0.25
 
 
 def test_interpolate_in_time_is_linear_between_levels():
