@@ -8,7 +8,8 @@ deamericanize_set call per scenario (batched CRR trees, lockstep volatility
 inversion started from each quote's Black-Scholes implied volatility and
 widened to the full bracket where that start misses the root), and
 reports the maximum absolute gap |pseudo-European - PDE-European| per
-scenario and per longest maturity.
+scenario and per longest maturity.  Acceptance criterion 4 runs main([])
+and judges the gap tables it returns.
 """
 import argparse
 import time
@@ -31,15 +32,16 @@ SCENARIOS = {
 STRIKES = np.array([0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10, 1.15, 1.20])
 MATURITIES = np.array([1, 2, 3, 4, 6, 9, 12, 24]) / 12.0
 LAYOUT = [Quote(T, K, "american", price=np.nan) for T in MATURITIES for K in STRIKES]
+S0, RATE = 1.0, 0.05
 
 
-def scenario_gaps(theta, american, european, S0, r, tree_config):
-    am = american.price_vector(theta, LAYOUT, S0, r)
-    eu = european.price_vector(theta, LAYOUT, S0, r).reshape(MATURITIES.size, STRIKES.size)
+def scenario_gaps(theta, american, european):
+    am = american.price_vector(theta, LAYOUT, S0, RATE)
+    eu = european.price_vector(theta, LAYOUT, S0, RATE).reshape(MATURITIES.size, STRIKES.size)
     grid_quotes = [Quote(q.maturity, q.strike, "american", price=p) for q, p in zip(LAYOUT, am)]
     # non-invertible quotes are dropped (and logged); their gaps stay NaN
     pseudo = {(pq.maturity, pq.strike): pq.pseudo_price
-              for pq in deamericanize_set(grid_quotes, S0, r, tree_config)}
+              for pq in deamericanize_set(grid_quotes, S0, RATE, TreeConfig())}
     gaps = np.full((MATURITIES.size, STRIKES.size), np.nan)
     for i, T in enumerate(MATURITIES):
         for j, K in enumerate(STRIKES):
@@ -48,28 +50,30 @@ def scenario_gaps(theta, american, european, S0, r, tree_config):
     return gaps
 
 
-def main() -> None:
+def main(argv=None) -> dict[str, np.ndarray]:
+    """Print one line per scenario and return {scenario: gaps}, gaps being
+    the (maturity, strike) table of absolute gaps, NaN where a quote was
+    dropped."""
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--n", type=int, default=97, help="mesh intervals per axis")
     ap.add_argument("--steps", type=int, default=120,
                     help="time steps (120 aligns all grid maturities)")
-    ap.add_argument("--tree-steps", type=int, default=500)
-    ap.add_argument("--rate", type=float, default=0.05)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     space = build_mesh(Domain2D(), args.n, args.n)
     fem = (space, assemble_blocks(space), TimeGrid(2.0, args.steps))
     american = make_backend("DetailedAm", fem=lambda: fem)
     european = make_backend("DetailedEu", fem=lambda: fem)
-    cfg = TreeConfig(steps=args.tree_steps)
+    tables = {}
     for name, theta in SCENARIOS.items():
         t0 = time.perf_counter()
-        gaps = scenario_gaps(theta, american, european, 1.0, args.rate, cfg)
+        gaps = tables[name] = scenario_gaps(theta, american, european)
         i, j = np.unravel_index(np.nanargmax(gaps), gaps.shape)
         print(f"{name}: max gap {np.nanmax(gaps):.3e} "
               f"(T={MATURITIES[i]:.3f}, K={STRIKES[j]:.2f}); "
               f"longest-maturity max {np.nanmax(gaps[-1]):.3e}; "
               f"{time.perf_counter() - t0:.0f}s")
+    return tables
 
 
 if __name__ == "__main__":

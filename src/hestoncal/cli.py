@@ -102,6 +102,8 @@ def _backend(args):
 # ---------------------------------------------------------------------------
 # report emission
 
+RESIDUAL_COLUMNS = ["maturity_years", "strike", "observed", "model", "abs_rel_err"]
+
 
 def emit_report(report: cal.CalibReport, out_dir: Path, stem: str = "calibration") -> dict:
     """Write summary text, residual CSV, plot-ready error-surface CSV and
@@ -119,7 +121,7 @@ def emit_report(report: cal.CalibReport, out_dir: Path, stem: str = "calibration
     }
     with open(paths["residuals"], "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
-        w.writerow(["maturity_years", "strike", "observed", "model", "abs_rel_err"])
+        w.writerow(RESIDUAL_COLUMNS)
         for T, K, po, pm, re in zip(
             report.maturities, report.strikes, report.observed, report.model_prices, report.rel_errors
         ):
@@ -148,8 +150,13 @@ def emit_report(report: cal.CalibReport, out_dir: Path, stem: str = "calibration
 
 
 def read_residuals_csv(path) -> list[dict]:
+    """The rows of a residual CSV; a file without every column of RESIDUAL_COLUMNS is refused."""
     with open(path, newline="", encoding="utf-8") as fh:
-        return list(csv.DictReader(fh))
+        reader = csv.DictReader(fh)
+        missing = [c for c in RESIDUAL_COLUMNS if c not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path}: a residual CSV needs the column(s) {', '.join(missing)}")
+        return list(reader)
 
 
 # ---------------------------------------------------------------------------

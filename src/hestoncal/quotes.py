@@ -174,22 +174,25 @@ def read_quotes_csv(path, S0: float, r: float) -> QuoteSet:
         reader = csv.reader(fh)
         header = next(reader)
         if [h.strip() for h in header] != CSV_HEADER:
-            raise ValueError(f"unexpected CSV header {header!r}; want {CSV_HEADER}")
+            raise ValueError(f"{path}: unexpected CSV header {header!r}; want {CSV_HEADER}")
         quotes = []
         for row in reader:
             if not row or not any(cell.strip() for cell in row):
                 continue
-            T, K, bid, ask, price, style = row
-            quotes.append(
-                Quote(
-                    maturity=float(T),
-                    strike=float(K),
-                    bid=_parse_optional(bid),
-                    ask=_parse_optional(ask),
-                    price=_parse_optional(price),
-                    style=style.strip().lower(),
+            try:
+                T, K, bid, ask, price, style = row
+                quotes.append(
+                    Quote(
+                        maturity=float(T),
+                        strike=float(K),
+                        bid=_parse_optional(bid),
+                        ask=_parse_optional(ask),
+                        price=_parse_optional(price),
+                        style=style.strip().lower(),
+                    )
                 )
-            )
+            except ValueError as exc:
+                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
     return QuoteSet(quotes=tuple(quotes), S0=S0, r=r)
 
 

@@ -468,10 +468,15 @@ def save_reduced_model(model: ReducedModel, path) -> None:
 
 def load_reduced_model(path) -> ReducedModel:
     """Load a container and project the affine blocks of the mesh its node arrays give onto its
-    bases.  A file of another version than FORMAT_VERSION, or with another theta, strike or
-    free-node count, or without a basis its style needs, is refused."""
+    bases.  A file without meta, a format_version or node arrays, of another version than
+    FORMAT_VERSION, with another theta, strike or free-node count, or without a basis its style
+    needs, is refused."""
     with np.load(path) as data:
+        if "meta" not in data.files:
+            raise ValueError(f"{path}: the container has no meta")
         meta = json.loads(bytes(data["meta"]).decode())
+        if "format_version" not in meta:
+            raise ValueError(f"{path}: the container's meta has no format_version")
         if meta["format_version"] != FORMAT_VERSION:
             raise ValueError(
                 f"{path} is a version-{meta['format_version']} container and only version "
@@ -482,6 +487,9 @@ def load_reduced_model(path) -> ReducedModel:
             raise ValueError(
                 f"{path} was solved with theta {theta} and K {meta['K']}; only {THETA} and 1 load"
             )
+        missing = [name for name in ("nu", "x") if name not in data.files]
+        if missing:
+            raise ValueError(f"{path}: the container has no {' or '.join(missing)} node array")
         space = mesh_from_nodes(data["nu"], data["x"])
         names = ("psi", "xi") if meta["style"] == "american" else ("psi",)
         missing = [name for name in names if name not in data.files]

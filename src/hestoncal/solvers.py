@@ -25,9 +25,9 @@ lam_A = (lhs u - rhs)_A / d_A read from the active rows' residuals.  One
 band order per mesh (mesh.band_order) serves all of a FEM solve's LUs: each
 is a NATURAL factorization of a block in that order, restricted to the
 block's nodes.  It beats a minimum-degree ordering up to about 48 intervals
-per side and loses above: on the 97 x 97 mesh of acceptance criterion 4 and
-of scripts/deamericanization_study.py's default, each LU takes about twice
-as long.
+per side and loses above: on the 97 x 97 mesh of the de-Americanization
+study (scripts/deamericanization_study.py, run by acceptance criterion 4),
+each LU takes about twice as long.
 
 Every solve returns the one surface type, PriceSurface: a coefficient
 trajectory U in a basis of the free DOFs (psi for a reduced solve, the
@@ -212,9 +212,9 @@ def fem_step(lhs, g, d, order):
     permc_spec="NATURAL" and no splu call orders columns.  Up to about 48
     intervals per side the band order factorizes faster than a
     minimum-degree one at about the same fill.  Above that minimum degree
-    is faster: on the 97 x 97 mesh that acceptance criterion 4 and
-    scripts/deamericanization_study.py's default use, each LU takes about
-    twice as long in the band order.
+    is faster: on the 97 x 97 mesh of the de-Americanization study, which
+    acceptance criterion 4 runs, each LU takes about twice as long in the
+    band order.
     A block is read from the symmetrically permuted lhs, held in CSC, by
     keeping the entries whose row and column are both inactive; it equals
     lhs[free][:, free] in canonical CSC entry for entry, free being the

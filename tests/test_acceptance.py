@@ -14,6 +14,7 @@ import filecmp
 import importlib.resources
 import json
 import os
+import runpy
 import subprocess
 import sys
 import time
@@ -34,25 +35,17 @@ from hestoncal.cli import main as cli_main
 from hestoncal.closed_form import heston_put_cf
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, CalibParams
-from hestoncal.quotes import GOOGLE_DATASET, GOOGLE_S0, Quote, generate_synthetic
+from hestoncal.quotes import GOOGLE_DATASET, GOOGLE_S0, generate_synthetic
 from hestoncal.rbm import GreedyConfig, make_training_grid, pod_angle_greedy_american
-from hestoncal.solvers import TimeGrid, price_at, solve_american, solve_european
-from hestoncal.trees import TreeConfig, deamericanize_set
+from hestoncal.solvers import TimeGrid, price_at, solve_european
+from hestoncal.trees import TreeConfig
 
 THETA_EX = np.array([0.7, -0.8, 0.3, 1.4, 0.3])
 X0 = np.array([0.601, -0.682, 0.487, 2.020, 0.496])
 RATE = 0.05
 
 P2 = np.array([0.25, -0.50, 0.10, 0.4, 0.10])
-DAS_SCENARIOS = {
-    "p1": np.array([0.10, -0.20, 0.07, 0.1, 0.07]),
-    "p2": P2,
-    "p3": np.array([0.40, -0.50, 0.15, 0.6, 0.15]),
-    "p4": np.array([0.55, -0.45, 0.20, 1.2, 0.20]),
-    "p5": THETA_EX,
-}
-DAS_STRIKES = np.array([0.80, 0.85, 0.90, 0.95, 1.00, 1.05, 1.10, 1.15, 1.20])
-DAS_MATURITIES = np.array([1, 2, 3, 4, 6, 9, 12, 24]) / 12.0
+REPO = Path(__file__).resolve().parent.parent
 
 
 def _verdict(num: int, title: str, ok: bool, detail: str) -> None:
@@ -143,29 +136,14 @@ def test_criterion_3_reduced_price_accuracy(reduced_result):
 
 @pytest.mark.slow
 def test_criterion_4_deamericanization_fidelity():
+    """Runs the de-Americanization study script at its default (97 x 97
+    mesh, I = 120) and judges the gap tables its main returns."""
+    study = runpy.run_path(str(REPO / "scripts" / "deamericanization_study.py"))
     t_start = time.perf_counter()
-    space = build_mesh(Domain2D(), 97, 97)
-    blocks = assemble_blocks(space)
-    grid = TimeGrid(2.0, 120)  # dt = 1/60 divides every grid maturity
-    cfg = TreeConfig()
-    per_max, per_t8 = {}, {}
-    for name, theta in DAS_SCENARIOS.items():
-        p = CalibParams.from_array(theta)
-        mu = p.to_model(RATE)
-        am = solve_american(mu, space, blocks, grid)
-        eu = solve_european(mu, space, blocks, grid)
-        quotes = [Quote(T, K, "american", price=float(price_at(am, 1.0, K, p.nu0, T)))
-                  for T in DAS_MATURITIES for K in DAS_STRIKES]
-        # non-invertible quotes are dropped; their gaps stay NaN
-        pseudo = {(pq.maturity, pq.strike): pq.pseudo_price
-                  for pq in deamericanize_set(quotes, 1.0, RATE, cfg)}
-        gaps = np.full((DAS_MATURITIES.size, DAS_STRIKES.size), np.nan)
-        for i, T in enumerate(DAS_MATURITIES):
-            for j, K in enumerate(DAS_STRIKES):
-                if (T, K) in pseudo:
-                    gaps[i, j] = abs(pseudo[T, K] - price_at(eu, 1.0, K, p.nu0, T))
-        per_max[name] = float(np.nanmax(gaps))
-        per_t8[name] = float(np.nanmax(gaps[-1]))
+    # [] and not None: argparse would otherwise read pytest's argv
+    tables = study["main"]([])
+    per_max = {name: float(np.nanmax(gaps)) for name, gaps in tables.items()}
+    per_t8 = {name: float(np.nanmax(gaps[-1])) for name, gaps in tables.items()}
     elapsed = time.perf_counter() - t_start
     overall = max(per_max.values())
     worst_scenario = max(per_max, key=per_max.get)
@@ -245,7 +223,7 @@ def test_criterion_7_property_suite():
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          *PROPERTY_TESTS],
-        cwd=Path(__file__).resolve().parent.parent,
+        cwd=REPO,
         capture_output=True,
         text=True,
     )
@@ -273,8 +251,8 @@ def _determinism_flows() -> list[list[str]]:
         ["build-basis", "--style", "european", "--n-max", "4", "--train-counts", "2", "1", "1", "2",
          "--n-nu", "12", "--n-x", "12", "--steps", "24", "--horizon", "1.0",
          "--output", "basis.npz", "--out-dir", "c8"],
-        ["calibrate", "--backend", "DasClosedForm", "--quotes", "c8/ladder.csv", "--max-iter", "15",
-         "--stem", "calib", "--out-dir", "c8"],
+        ["calibrate", "--backend", "DasClosedForm", "--quotes", "c8/ladder.csv",
+         "--x0", "0.3,-0.4,0.15,0.8,0.15", "--max-iter", "15", "--stem", "calib", "--out-dir", "c8"],
     ]
     # the bundled Google quotes at their rate and at a negative one, where the
     # inversion's lower volatility edge is lifted by |r|
@@ -344,7 +322,7 @@ def test_criterion_8_determinism(tmp_path):
     seeds; each file both passes wrote, wall-clock timings aside, must match
     byte for byte."""
     flows = _determinism_flows()
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(REPO / "src")
     t0 = time.perf_counter()
     passes = []
     for seed in ("1", "2"):

@@ -167,6 +167,20 @@ def test_csv_row_with_non_finite_value_is_refused(tmp_path, row, named):
     assert np.isnan(read_quotes_csv(path, S0=100.0, r=0.02).quotes[0].price)
 
 
+@pytest.mark.parametrize("row, message", [
+    ("1.0,100.0,,,1.0", "not enough values to unpack"),
+    ("1.0,abc,,,1.0,american", "could not convert string to float: 'abc'"),
+    ("1.0,100.0,,,1.0,bermudan", "unknown style 'bermudan'"),
+], ids=["five_fields", "strike_abc", "quote_refused"])
+def test_csv_row_error_names_file_and_line(tmp_path, row, message):
+    """A row that does not unpack, parse or make a Quote fails the read with
+    the file and the row's line in front of the message."""
+    path = tmp_path / "q.csv"
+    path.write_text(f"{','.join(CSV_HEADER)}\n1.0,100.0,,,1.0,american\n{row}\n")
+    with pytest.raises(ValueError, match=f"q.csv:3: {message}"):
+        read_quotes_csv(path, S0=100.0, r=0.02)
+
+
 def test_csv_header_enforced(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("T,K,bid,ask,price,style\n1.0,100.0,,,1.0,american\n")

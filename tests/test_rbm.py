@@ -324,9 +324,11 @@ def _container(path):
 
 
 def _rewrite(path, members):
-    """Write members (meta as a dict) as a container at path."""
-    meta = np.frombuffer(json.dumps(members["meta"], sort_keys=True).encode(), dtype=np.uint8)
-    np.savez(path, **{**members, "meta": meta})
+    """Write members (meta as a dict, if present) as a container at path."""
+    if "meta" in members:
+        members = {**members, "meta": np.frombuffer(
+            json.dumps(members["meta"], sort_keys=True).encode(), dtype=np.uint8)}
+    np.savez(path, **members)
 
 
 def test_container_meta_names_no_mesh(tmp_path, toy_american):
@@ -455,6 +457,24 @@ def test_refuses_american_container_without_a_basis(tmp_path, basis, toy_america
     del members[basis]
     _rewrite(path, members)
     with pytest.raises(ValueError, match=f"no_basis.npz: the american container has no {basis} basis"):
+        load_reduced_model(path)
+
+
+@pytest.mark.parametrize("drop, named", [
+    (lambda members: members.pop("meta"), "the container has no meta"),
+    (lambda members: members.pop("nu"), "the container has no nu node array"),
+    (lambda members: members["meta"].pop("format_version"),
+     "the container's meta has no format_version"),
+], ids=["meta", "nu", "format_version"])
+def test_refuses_container_without_a_member(tmp_path, drop, named, toy_american):
+    """A file without its meta, a node array or a format_version in its meta
+    is refused with a ValueError naming the file and the missing member."""
+    path = tmp_path / "broken.npz"
+    save_reduced_model(toy_american, path)
+    members = _container(path)
+    drop(members)
+    _rewrite(path, members)
+    with pytest.raises(ValueError, match=f"broken.npz: {named}"):
         load_reduced_model(path)
 
 
