@@ -150,13 +150,23 @@ def emit_report(report: cal.CalibReport, out_dir: Path, stem: str = "calibration
 
 
 def read_residuals_csv(path) -> list[dict]:
-    """The rows of a residual CSV; a file without every column of RESIDUAL_COLUMNS is refused."""
+    """The rows of a residual CSV; a file without every column of RESIDUAL_COLUMNS, or with a
+    row whose cell in one of them is missing or not a number, is refused."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.DictReader(fh)
         missing = [c for c in RESIDUAL_COLUMNS if c not in (reader.fieldnames or ())]
         if missing:
             raise ValueError(f"{path}: a residual CSV needs the column(s) {', '.join(missing)}")
-        return list(reader)
+        rows = []
+        for row in reader:
+            for c in RESIDUAL_COLUMNS:
+                try:
+                    float(row[c])
+                except (TypeError, ValueError):
+                    what = "is missing" if row[c] is None else f"{row[c]!r} is not a number"
+                    raise ValueError(f"{path}, line {reader.line_num}: {c} {what}") from None
+            rows.append(row)
+        return rows
 
 
 # ---------------------------------------------------------------------------

@@ -39,12 +39,17 @@ def affine_coefficients(mu: ModelParams) -> np.ndarray:
 
 
 def assemble_operator(mu: ModelParams, blocks: AssemblyBlocks) -> sp.csr_matrix:
-    """Full-node operator matrix a(phi_j, phi_i; mu) via the affine split."""
+    """Full-node operator matrix a(phi_j, phi_i; mu) via the affine split.
+
+    The sum theta_0 A_0 + theta_1 A_1 + ... is taken left to right on the
+    blocks' one pattern (blocks.a_values), and its exact zeros are left out:
+    the matrix SciPy's chain of sparse sums gives, bit for bit.
+    """
     theta = affine_coefficients(mu)
-    mat = theta[0] * blocks.a_blocks[0]
+    data = theta[0] * blocks.a_values[0]
     for q in range(1, N_AFFINE):
-        mat = mat + theta[q] * blocks.a_blocks[q]
-    return mat.tocsr()
+        data += theta[q] * blocks.a_values[q]
+    return blocks.pattern.matrix(data)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,14 @@
 
 The computational domain (nu_min, nu_max) x (x_min, x_max) is tiled by a
 structured triangulation of the tensor grid of one node array per axis.
-Assembly of all parameter-independent matrices is vectorized over
-triangles; the biorthogonal dual basis enters only through the diagonal
-pairing entries int(phi_p).  Point location and P1
-interpolation are vectorized over points: evaluation_row turns a batch of
-points into interpolation rows, the three nodes and barycentric weights of
-each point's triangle, which evaluate_p1 applies to nodal values by
-gathering.
+All parameter-independent matrices are assembled in one pass, vectorized
+over triangles, onto one CSR pattern per mesh (assemble_blocks), bit for
+bit the matrices of one COO assembly per integral; the biorthogonal dual
+basis enters only through the diagonal pairing entries int(phi_p).  Point
+location and P1 interpolation are vectorized over points: evaluation_row
+turns a batch of points into interpolation rows, the three nodes and
+barycentric weights of each point's triangle, which evaluate_p1 applies to
+nodal values by gathering.
 """
 
 from __future__ import annotations
@@ -175,44 +176,139 @@ def _triangle_geometry(space: FemSpace):
     return p, area, grads
 
 
-def assemble_matrix(space: FemSpace, weight: str, d_trial: str | None, d_test: str | None):
-    """Assemble int w * (D u) (D v) over the mesh as a CSR matrix.
+#: The element integrals int w (D phi_j)(D phi_i) that assemble_blocks
+#: assembles, as (weight, D on the trial function phi_j, D on the test
+#: function phi_i): weight "one" or "nu" (the variance coordinate), D None
+#: (identity), "nu" or "x".
+_INTEGRALS = (
+    ("one", None, None),  # mass
+    ("one", "nu", "nu"),  # V-Gram, with the next
+    ("one", "x", "x"),
+    ("nu", "nu", "nu"),  # the affine operator blocks, in the order of affine_coefficients
+    ("nu", "nu", "x"),  # the mixed block, a symmetrized pair with the next
+    ("nu", "x", "nu"),
+    ("nu", "x", "x"),
+    ("one", "nu", None),
+    ("nu", "nu", None),
+    ("one", "x", None),
+    ("nu", "x", None),
+)
 
-    weight: "one" or "nu" (the variance coordinate).
-    d_trial / d_test: None (identity), "nu" or "x", applied to the trial /
-    test basis function respectively.  Entry (i, j) tests with phi_i and
-    takes phi_j as trial function.
+
+def _element_values(space: FemSpace) -> np.ndarray:
+    """The element matrices of every integral of _INTEGRALS, in COO order.
+
+    Row b holds integral b's 9 J element entries: local pair (i, j) of
+    triangle t, tested with phi_i and taking phi_j as trial function, at
+    (3 i + j) J + t; its last entry is the -0.0 that _summation pads with.
+    The geometry and the quadrature factors are computed once; each pair's
+    values are 2 area einsum("q,jq->j", QW, w fi fj) on a fresh contiguous
+    product, which is how each entry has always been rounded (einsum may
+    round a strided operand differently).  With w = 1, w fi is fi and
+    fi fj is fj fi exactly, so a symmetric integral's pair (j, i) reuses
+    (i, j).
     """
     p, area, grads = _triangle_geometry(space)
     J = space.triangles.shape[0]
     nq = _QP.shape[0]
     lam = np.column_stack([1.0 - _QP[:, 0] - _QP[:, 1], _QP[:, 0], _QP[:, 1]])  # (nq, 3)
-    # quadrature point coordinates per triangle
-    qnu = np.einsum("qk,jk->jq", lam, p[:, :, 0])  # (J, nq)
-    w = qnu if weight == "nu" else np.ones_like(qnu)
+    qnu = np.einsum("qk,jk->jq", lam, p[:, :, 0])  # (J, nq) quadrature point nu
+    # (J, nq) values of the derivative/identity of basis k at quad points
+    factors = {(None, k): np.broadcast_to(lam[:, k], (J, nq)) for k in range(3)}
+    for col, d in enumerate(("nu", "x")):
+        for k in range(3):
+            factors[d, k] = np.repeat(grads[:, k, col][:, None], nq, axis=1)
+    two_area = 2.0 * area
+    out = np.empty((len(_INTEGRALS), 9 * J + 1))
+    out[:, -1] = -0.0
+    for b, (weight, d_trial, d_test) in enumerate(_INTEGRALS):
+        pair = out[b, :-1].reshape(3, 3, J)
+        for i in range(3):
+            wfi = factors[d_test, i] if weight == "one" else qnu * factors[d_test, i]
+            for j in range(3):
+                if weight == "one" and d_trial == d_test and j < i:
+                    pair[i, j] = pair[j, i]
+                else:
+                    np.multiply(two_area, np.einsum("q,jq->j", _QW, wfi * factors[d_trial, j]), out=pair[i, j])
+    return out
 
-    def factor(d, k):
-        # (J, nq) values of the derivative/identity of basis k at quad points
-        if d is None:
-            return np.broadcast_to(lam[:, k], (J, nq))
-        col = 0 if d == "nu" else 1
-        return np.repeat(grads[:, k, col][:, None], nq, axis=1)
 
-    rows, cols, vals = [], [], []
-    for i in range(3):
-        fi = factor(d_test, i)
-        for j in range(3):
-            fj = factor(d_trial, j)
-            contrib = 2.0 * area * np.einsum("q,jq->j", _QW, w * fi * fj)
-            rows.append(space.triangles[:, i])
-            cols.append(space.triangles[:, j])
-            vals.append(contrib)
+@dataclass(frozen=True)
+class CsrPattern:
+    """A canonical square CSR pattern (each row's column indices sorted and
+    unique) that several matrices share."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+
+    def __post_init__(self):
+        # shared by every matrix made on the pattern, so none may change them in place
+        self.indptr.flags.writeable = False
+        self.indices.flags.writeable = False
+
+    @property
+    def nnz(self) -> int:
+        return self.indices.size
+
+    def matrix(self, data: np.ndarray, drop_zeros: bool = True) -> sp.csr_matrix:
+        """The CSR matrix of the values data at the pattern's entries.
+
+        With drop_zeros the entries that are exactly zero are left out, as
+        SciPy's sparse sum leaves them out; without, and when there is
+        none, the matrix shares the pattern's arrays.
+        """
+        n = self.indptr.size - 1
+        if drop_zeros and not (keep := data != 0).all():
+            ends = np.concatenate(([0], np.cumsum(keep)))
+            return sp.csr_matrix((data[keep], self.indices[keep], ends[self.indptr]), shape=(n, n))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+
+    def values(self, mat: sp.csr_matrix) -> np.ndarray:
+        """The values of a canonical CSR matrix at the pattern's entries, zero
+        where it has none; an entry outside the pattern raises ValueError."""
+        if mat.nnz == self.nnz and np.may_share_memory(mat.indices, self.indices):
+            return mat.data  # made on the pattern with all of its entries
+        n = self.indptr.size - 1
+        keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
+        wanted = np.repeat(np.arange(n), np.diff(mat.indptr)) * n + mat.indices
+        at = np.minimum(np.searchsorted(keys, wanted), self.nnz - 1)
+        if mat.shape != (n, n) or not np.array_equal(keys[at], wanted):
+            raise ValueError("the matrix has an entry outside the pattern")
+        out = np.zeros(self.nnz)
+        out[at] = mat.data
+        return out
+
+
+def _summation(space: FemSpace) -> tuple[CsrPattern, np.ndarray]:
+    """The CSR pattern of every element matrix sum of the mesh and how
+    SciPy sums it.
+
+    COO to CSR conversion sorts the 9 J element entries by row, stably,
+    then sorts each row's column indices (an unstable sort) and sums each
+    run of duplicates left to right.  The order is read once, by sorting a
+    CSR whose data are the COO positions.  Returns the pattern and the
+    (terms, nnz) gather: row k holds the COO position of every entry's
+    k-th term, 9 J where an entry has fewer terms; a -0.0 goes there, which
+    adds exactly nothing.
+    """
+    t = space.triangles.T
+    rows = t[[0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
+    cols = t[[0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()
     n = space.n_nodes
-    mat = sp.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
-    )
-    return mat.tocsr()
+    order = np.argsort(rows, kind="stable")
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    unsorted = sp.csr_matrix((order.astype(float), cols[order], indptr), shape=(n, n))
+    unsorted.sort_indices()
+    position = unsorted.data.astype(np.int64)
+    key = rows[position] * n + unsorted.indices
+    first = np.concatenate(([True], key[1:] != key[:-1]))
+    start = np.flatnonzero(first)
+    run = np.cumsum(first) - 1
+    terms = np.full((np.diff(np.append(start, key.size)).max(), start.size), rows.size)
+    terms[np.arange(key.size) - start[run], run] = position
+    run_indptr = np.concatenate(([0], np.cumsum(np.bincount(rows[position[start]], minlength=n))))
+    indices = unsorted.indices[start]
+    return CsrPattern(run_indptr.astype(indices.dtype), indices), terms
 
 
 @dataclass
@@ -225,18 +321,35 @@ class AssemblyBlocks:
     heston_operator.affine_coefficients for the corresponding coefficients).
     d_b: diagonal of the biorthogonal pairing, (D_B)_pp = int phi_p.
     All matrices are on the full node set; use restrict() for the free-DOF
-    versions.
+    versions.  They share one CSR pattern, which each single integral fills
+    with its exact zeros; a sum of two (v_gram, the mixed a_blocks[1])
+    leaves its exact zeros out, as a SciPy sum does.  a_values holds the
+    a_blocks' values at all of pattern's entries, and free_entries the
+    positions of its entries in free rows and columns, in order, whose
+    free-DOF pattern is free_pattern.
     """
 
     space: FemSpace
-    mass: sp.csr_matrix
-    v_gram: sp.csr_matrix
-    a_blocks: list
-    d_b: np.ndarray
+    pattern: CsrPattern = field(repr=False)
+    mass: sp.csr_matrix = field(repr=False)
+    v_gram: sp.csr_matrix = field(repr=False)
+    a_blocks: list = field(repr=False)
+    a_values: list = field(repr=False)
+    d_b: np.ndarray = field(repr=False)
+    free_entries: np.ndarray = field(repr=False)
+    free_pattern: CsrPattern = field(repr=False)
+
+    def free_values(self, mat: sp.csr_matrix) -> np.ndarray:
+        """The values of a CSR matrix on pattern at free_pattern's entries, zero where it has none."""
+        return self.pattern.values(mat)[self.free_entries]
 
     def restrict(self, mat: sp.csr_matrix) -> sp.csr_matrix:
-        f = self.space.free
-        return mat[f][:, f].tocsr()
+        """SciPy's mat[free][:, free] of a CSR matrix on pattern, by the one gather.
+
+        A matrix with all of pattern's entries keeps its exact zeros; one
+        with fewer has left its exact zeros out, and so does its restriction.
+        """
+        return self.free_pattern.matrix(self.free_values(mat), drop_zeros=mat.nnz < self.pattern.nnz)
 
     @cached_property
     def mass_free(self) -> sp.csr_matrix:
@@ -252,28 +365,43 @@ class AssemblyBlocks:
 
 
 def assemble_blocks(space: FemSpace) -> AssemblyBlocks:
-    """Assemble mass, V-Gram, affine operator blocks and the dual pairing."""
-    mass = assemble_matrix(space, "one", None, None)
-    v_gram = (
-        assemble_matrix(space, "one", "nu", "nu")
-        + assemble_matrix(space, "one", "x", "x")
-    ).tocsr()
-    # the affine operator blocks, in the order of affine_coefficients
-    a_blocks = [
-        assemble_matrix(space, "nu", "nu", "nu"),  # xi^2/2
-        (
-            assemble_matrix(space, "nu", "nu", "x")
-            + assemble_matrix(space, "nu", "x", "nu")
-        ).tocsr(),  # rho*xi/2, the mixed block as a symmetrized pair
-        assemble_matrix(space, "nu", "x", "x"),  # 1/2
-        assemble_matrix(space, "one", "nu", None),  # -kappa*gamma + xi^2/2
-        assemble_matrix(space, "nu", "nu", None),  # kappa
-        assemble_matrix(space, "one", "x", None),  # -r + rho*xi/2
-        assemble_matrix(space, "nu", "x", None),  # 1/2
-        mass,  # r
-    ]
-    d_b = np.asarray(mass.sum(axis=1)).ravel()  # partition of unity
-    return AssemblyBlocks(space=space, mass=mass, v_gram=v_gram, a_blocks=a_blocks, d_b=d_b)
+    """Assemble mass, V-Gram, affine operator blocks and the dual pairing in one pass.
+
+    Every integral's element values (_element_values) are summed into CSR
+    data through the mesh's one summation gather (_summation): term by term,
+    left to right, the additions SciPy's COO to CSR conversion makes.  The
+    pairs summed into v_gram and the mixed block are then added entry by
+    entry, as SciPy adds two matrices on one pattern.  Every matrix equals
+    the one that separate COO assemblies and sparse sums give, bit for bit.
+    """
+    pattern, terms = _summation(space)
+    values = _element_values(space)
+    data = np.take(values, terms[0], axis=1)
+    for k in range(1, terms.shape[0]):
+        data += np.take(values, terms[k], axis=1)
+    del values, terms
+    # the a_blocks' values, each its own array, which its matrix then shares;
+    # a single integral keeps its exact zeros, the mixed pair's sum does not
+    a_values = [data[3].copy(), data[4] + data[5], *(d.copy() for d in data[6:]), data[0].copy()]
+    a_blocks = [pattern.matrix(v, drop_zeros=q == 1) for q, v in enumerate(a_values)]
+    mass = a_blocks[7]
+    # the entries in free rows and columns, renumbered to free DOFs, in SciPy's order of mat[free][:, free]
+    is_free = ~space.dirichlet
+    in_free = np.repeat(is_free, np.diff(pattern.indptr)) & is_free[pattern.indices]
+    ends = np.concatenate(([0], np.cumsum(in_free)))
+    free_indptr = np.append(ends[pattern.indptr[space.free]], ends[-1])
+    free_indices = space.free_index[pattern.indices[in_free]]
+    return AssemblyBlocks(
+        space=space,
+        pattern=pattern,
+        mass=mass,
+        v_gram=pattern.matrix(data[1] + data[2]),
+        a_blocks=a_blocks,
+        a_values=a_values,
+        d_b=np.asarray(mass.sum(axis=1)).ravel(),  # partition of unity
+        free_entries=np.flatnonzero(in_free),
+        free_pattern=CsrPattern(free_indptr.astype(pattern.indices.dtype), free_indices.astype(pattern.indices.dtype)),
+    )
 
 
 def evaluation_row(space: FemSpace, nu, x) -> tuple[np.ndarray, np.ndarray]:

@@ -466,11 +466,15 @@ def save_reduced_model(model: ReducedModel, path) -> None:
         np.savez(fh, **{name: a for name, a in arrays.items() if a is not None})
 
 
+#: The keys of a container's meta that load_reduced_model reads besides format_version.
+META_KEYS = ("grid", "K", "style", "selected_mu", "errors", "stagnated")
+
+
 def load_reduced_model(path) -> ReducedModel:
     """Load a container and project the affine blocks of the mesh its node arrays give onto its
-    bases.  A file without meta, a format_version or node arrays, of another version than
-    FORMAT_VERSION, with another theta, strike or free-node count, or without a basis its style
-    needs, is refused."""
+    bases.  A file without meta, a format_version, a key of META_KEYS or node arrays, of another
+    version than FORMAT_VERSION, with another theta, strike or free-node count, or without a basis
+    its style needs, is refused."""
     with np.load(path) as data:
         if "meta" not in data.files:
             raise ValueError(f"{path}: the container has no meta")
@@ -482,6 +486,9 @@ def load_reduced_model(path) -> ReducedModel:
                 f"{path} is a version-{meta['format_version']} container and only version "
                 f"{FORMAT_VERSION} loads; rebuild the basis with hestoncal build-basis"
             )
+        for key in META_KEYS:
+            if key not in meta:
+                raise ValueError(f"{path}: the container's meta has no {key}")
         T, I, theta = meta["grid"]
         if theta != THETA or meta["K"] != 1.0:
             raise ValueError(

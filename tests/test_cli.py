@@ -447,6 +447,19 @@ def test_report_refuses_a_residual_file_without_a_column_it_reads(tmp_path):
         _run(["report", "--residuals", str(res)])
 
 
+@pytest.mark.parametrize("row, named", [
+    ("0.5,1.0,0.1,0.101", "abs_rel_err is missing"),
+    ("0.5,1.0,0.1,,0.01", "model '' is not a number"),
+    ("0.5,1.0,0.1,n/a,0.01", "model 'n/a' is not a number"),
+], ids=["short_row", "empty_cell", "text_cell"])
+def test_report_refuses_a_residual_row_with_a_missing_or_non_numeric_cell(tmp_path, row, named):
+    """A row whose cell is missing or not a number is refused, naming the file and the line."""
+    res = tmp_path / "r.csv"
+    res.write_text(f"maturity_years,strike,observed,model,abs_rel_err\n1.0,0.9,0.05,0.049,0.02\n{row}\n")
+    with pytest.raises(ValueError, match=f"r.csv, line 3: {named}$"):
+        _run(["report", "--residuals", str(res)])
+
+
 @pytest.mark.parametrize(
     "argv",
     [

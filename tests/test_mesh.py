@@ -1,6 +1,9 @@
+import fem_oracle
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from fem_oracle import assemble_matrix, assert_same_csr
 
 from hestoncal.mesh import (
     _QP,
@@ -8,7 +11,6 @@ from hestoncal.mesh import (
     Domain2D,
     _triangle_geometry,
     assemble_blocks,
-    assemble_matrix,
     band_order,
     build_mesh,
     evaluate_p1,
@@ -212,8 +214,45 @@ def test_mesh_from_nodes_refuses_bad_node_arrays(nu, x, named):
         mesh_from_nodes(nu, x)
 
 
+def _graded(n_nu, n_x):
+    """A mesh graded on both axes: x = 0.1 sinh(z) with a node at x = 0, and nu = nu_min + c sinh(z)."""
+    d = Domain2D()
+    z = np.linspace(-np.arcsinh(5.0 / 0.1), np.arcsinh(5.0 / 0.1), n_x + 1)
+    z_nu = np.linspace(0.0, 2.0, n_nu + 1)
+    return mesh_from_nodes(d.nu_min + (d.nu_max - d.nu_min) * np.sinh(z_nu) / np.sinh(2.0), 0.1 * np.sinh(z))
+
+
+@pytest.mark.parametrize("n, graded", [(8, False), (17, False), (33, False), (16, True)],
+                         ids=["8x8", "17x17", "33x33", "graded_16x16"])
+def test_blocks_match_the_coo_assembly_bit_for_bit(n, graded):
+    """The one-pass assembly gives every block, its free-DOF restriction and
+    the pairing weights exactly as one COO assembly per integral and SciPy's
+    sparse sums and fancy indexing give them; the single blocks share one
+    read-only pattern."""
+    space = _graded(n, n) if graded else build_mesh(Domain2D(), n, n)
+    blocks = assemble_blocks(space)
+    want = fem_oracle.assemble_blocks(space)
+    for got, ref in [(blocks.mass, want["mass"]), (blocks.v_gram, want["v_gram"]), *zip(blocks.a_blocks, want["a_blocks"])]:
+        assert_same_csr(got, ref)
+        assert_same_csr(blocks.restrict(got), fem_oracle.restrict(space, ref))
+    assert_same_csr(blocks.mass_free, fem_oracle.restrict(space, want["mass"]))
+    assert_same_csr(blocks.v_gram_free, fem_oracle.restrict(space, want["v_gram"]))
+    assert blocks.d_b.tobytes() == want["d_b"].tobytes()
+    single = [blocks.mass, *(blocks.a_blocks[q] for q in (0, 2, 3, 4, 5, 6))]
+    assert all(np.shares_memory(m.indices, blocks.pattern.indices) for m in single)
+    assert not blocks.pattern.indices.flags.writeable
+    # the values on the pattern, where v_gram has left its exact zeros out, and on the free pattern
+    assert_same_csr(blocks.pattern.matrix(blocks.pattern.values(blocks.v_gram)), blocks.v_gram)
+    assert_same_csr(blocks.free_pattern.matrix(blocks.free_values(blocks.v_gram)), blocks.v_gram_free)
+    assert_same_csr(blocks.free_pattern.matrix(blocks.free_values(blocks.mass), drop_zeros=False), blocks.mass_free)
+    # a copy of a block takes the searching path, and a matrix off the pattern is refused
+    assert_same_csr(blocks.restrict(blocks.a_blocks[0].copy()), blocks.restrict(blocks.a_blocks[0]))
+    with pytest.raises(ValueError, match="outside the pattern"):
+        blocks.restrict(sp.csr_matrix(([1.0], ([0], [space.n_nodes - 1])), shape=(space.n_nodes, space.n_nodes)))
+
+
 def test_matrix_symmetry(small_space):
-    mass = assemble_matrix(small_space, "one", None, None)
+    mass = assemble_blocks(small_space).mass
     assert abs(mass - mass.T).max() < 1e-14
     knux = assemble_matrix(small_space, "nu", "nu", "x")
     kxnu = assemble_matrix(small_space, "nu", "x", "nu")

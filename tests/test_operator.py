@@ -1,6 +1,8 @@
+import fem_oracle
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from fem_oracle import THREE_MU, assert_same_csr
 
 from hestoncal.heston_operator import (
     N_AFFINE,
@@ -80,6 +82,17 @@ def test_affine_matches_direct_assembly(fem):
         a_direct = assemble_operator_direct(mu, space)
         scale = abs(a_direct).max()
         assert abs(a_affine - a_direct).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("n", [8, 33])
+def test_operator_matches_the_sparse_sum_chain_bit_for_bit(n):
+    """The operator is the matrix theta_0 A_0 + theta_1 A_1 + ... that
+    SciPy's chain of sparse sums gives on the COO-assembled blocks."""
+    space = build_mesh(Domain2D(), n, n)
+    blocks = assemble_blocks(space)
+    a_blocks = fem_oracle.assemble_blocks(space)["a_blocks"]
+    for mu in THREE_MU:
+        assert_same_csr(assemble_operator(mu, blocks), fem_oracle.assemble_operator(mu, a_blocks))
 
 
 def test_affine_coefficient_count(fem):

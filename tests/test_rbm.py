@@ -478,6 +478,19 @@ def test_refuses_container_without_a_member(tmp_path, drop, named, toy_american)
         load_reduced_model(path)
 
 
+@pytest.mark.parametrize("key", rbm.META_KEYS)
+def test_refuses_container_whose_meta_lacks_a_key(tmp_path, key, toy_american):
+    """A version-2 meta without a key that loading reads is refused with a
+    ValueError naming the file and the key, not a KeyError."""
+    path = tmp_path / "no_key.npz"
+    save_reduced_model(toy_american, path)
+    members = _container(path)
+    del members["meta"][key]
+    _rewrite(path, members)
+    with pytest.raises(ValueError, match=f"no_key.npz: the container's meta has no {key}$"):
+        load_reduced_model(path)
+
+
 #: Builds a two-point American basis on the 33 x 33 mesh with I = 125, where
 #: the snapshot correlation of pod1 is large enough for BLAS to thread, and
 #: saves it to the path given as the first argument.

@@ -1,10 +1,12 @@
 import weakref
 from dataclasses import replace
 
+import fem_oracle
 import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from fem_oracle import THREE_MU, assert_same_csr
 
 from hestoncal import rbm, solvers
 from hestoncal.heston_operator import THETA, assemble_operator, boundary_data, payoff_vector
@@ -23,6 +25,7 @@ from hestoncal.solvers import (
     solve_american,
     solve_complementarity,
     solve_european,
+    step_matrices,
 )
 
 MU = ModelParams(0.7, -0.8, 0.3, 1.4, 0.05)
@@ -258,6 +261,21 @@ def test_temporal_convergence():
     e1, e2 = abs(price(8) - ref), abs(price(16) - ref)
     rate = np.log2(e1 / e2)
     assert rate > 1.5, f"observed temporal rate {rate:.2f}"
+
+
+@pytest.mark.parametrize("n, steps", [(8, 10), (33, 125)])
+def test_step_matrices_match_the_sparse_sums_bit_for_bit(n, steps):
+    """lhs and rhs_op are the matrices SciPy's sums of the restricted mass
+    and operator give, M/dt included, at three operators."""
+    space = build_mesh(Domain2D(), n, n)
+    blocks = assemble_blocks(space)
+    dt = TimeGrid(2.0, steps).dt
+    mass_free = fem_oracle.restrict(space, fem_oracle.assemble_blocks(space)["mass"])
+    for mu in THREE_MU:
+        a_full = assemble_operator(mu, blocks)
+        want = fem_oracle.step_matrices(mass_free, fem_oracle.restrict(space, a_full), dt, THETA)
+        for got, ref in zip(step_matrices(blocks, a_full, dt), want):
+            assert_same_csr(got, ref)
 
 
 def _psor_cross_check_step():
