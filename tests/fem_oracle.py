@@ -8,10 +8,19 @@ the tests hold the two to the same matrices bit for bit (assert_same_csr).
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from hestoncal.heston_operator import N_AFFINE, affine_coefficients
-from hestoncal.mesh import _QP, _QW, _triangle_geometry
+from hestoncal.heston_operator import (
+    N_AFFINE,
+    THETA,
+    affine_coefficients,
+    boundary_data,
+    lift_and_rhs,
+    payoff_vector,
+)
+from hestoncal.mesh import _QP, _QW, Domain2D, _triangle_geometry, band_order, mesh_from_nodes
 from hestoncal.params import DEFAULT_CALIB_BOX, ModelParams
+from hestoncal.solvers import fem_step, march
 
 #: Three operators: the acceptance suite's, one with rho = 0 and r = 0 (two
 #: coefficients zero) and the lower corner of DEFAULT_CALIB_BOX.
@@ -20,6 +29,14 @@ THREE_MU = [
     ModelParams(0.5, 0.0, 0.2, 2.0, 0.0),
     ModelParams(*DEFAULT_CALIB_BOX.lo[:4], 0.05),
 ]
+
+
+def graded_mesh(n_nu, n_x):
+    """A mesh graded on both axes: x = 0.1 sinh(z) with a node at x = 0, and nu = nu_min + c sinh(z)."""
+    d = Domain2D()
+    z = np.linspace(-np.arcsinh(5.0 / 0.1), np.arcsinh(5.0 / 0.1), n_x + 1)
+    z_nu = np.linspace(0.0, 2.0, n_nu + 1)
+    return mesh_from_nodes(d.nu_min + (d.nu_max - d.nu_min) * np.sinh(z_nu) / np.sinh(2.0), 0.1 * np.sinh(z))
 
 
 def assert_same_csr(got, want):
@@ -106,3 +123,44 @@ def step_matrices(mass_free, a_free, dt: float, theta: float):
     lhs = (mass_free / dt + theta * a_free).tocsr()
     rhs_op = (mass_free / dt - (1.0 - theta) * a_free).tocsr()
     return lhs, rhs_op
+
+
+def solve(style, mu, space, blocks, grid):
+    """(U, lam) of the FEM solve of style, marched on the oracle's matrices.
+
+    blocks is assemble_blocks(space) here; the operator is its sparse sum
+    chain, the step matrices sums of the fancy-index restrictions, and the
+    lift loads products of the full-node matrices with the lift's shape.
+    """
+    a_full = assemble_operator(mu, blocks["a_blocks"])
+    free = space.free
+    bnd = boundary_data(space, style, mu.r)
+    load = lift_and_rhs((blocks["mass"] @ bnd.shape)[free], (a_full @ bnd.shape)[free], bnd, grid.dt)
+    lhs, rhs_op = step_matrices(restrict(space, blocks["mass"]), restrict(space, a_full), grid.dt, THETA)
+    payoff = payoff_vector(space)
+    if style == "european":
+        return march(payoff, rhs_op, load, grid.I, spla.splu(lhs.tocsc()).solve)
+    step = fem_step(lhs, payoff, blocks["d_b"][free], band_order(space))
+    return march(payoff, rhs_op, load, grid.I, step, payoff)
+
+
+def project(style, space, blocks, psi, xi) -> dict:
+    """The reduced blocks of a ReducedModel on the bases psi and xi, projected
+    from the oracle's matrices (blocks is assemble_blocks(space) here)."""
+    free = space.free
+    shape = boundary_data(space, style, 1.0).shape
+    payoff = payoff_vector(space)
+
+    def inner(X, Y):
+        return np.einsum("ki,kj->ij", X, Y)
+
+    out = {
+        "a_red": np.array([inner(psi, restrict(space, a) @ psi) for a in blocks["a_blocks"]]),
+        "alift_red": np.array([psi.T @ (a @ shape)[free] for a in blocks["a_blocks"]]),
+        "m_red": inner(psi, restrict(space, blocks["mass"]) @ psi),
+        "mlift_red": psi.T @ (blocks["mass"] @ shape)[free],
+        "u0_red": psi.T @ (restrict(space, blocks["v_gram"]) @ payoff),
+    }
+    if style == "american":
+        out["b_red"] = inner(xi * blocks["d_b"][free][:, None], psi)
+    return out

@@ -214,14 +214,6 @@ def test_mesh_from_nodes_refuses_bad_node_arrays(nu, x, named):
         mesh_from_nodes(nu, x)
 
 
-def _graded(n_nu, n_x):
-    """A mesh graded on both axes: x = 0.1 sinh(z) with a node at x = 0, and nu = nu_min + c sinh(z)."""
-    d = Domain2D()
-    z = np.linspace(-np.arcsinh(5.0 / 0.1), np.arcsinh(5.0 / 0.1), n_x + 1)
-    z_nu = np.linspace(0.0, 2.0, n_nu + 1)
-    return mesh_from_nodes(d.nu_min + (d.nu_max - d.nu_min) * np.sinh(z_nu) / np.sinh(2.0), 0.1 * np.sinh(z))
-
-
 @pytest.mark.parametrize("n, graded", [(8, False), (17, False), (33, False), (16, True)],
                          ids=["8x8", "17x17", "33x33", "graded_16x16"])
 def test_blocks_match_the_coo_assembly_bit_for_bit(n, graded):
@@ -229,7 +221,7 @@ def test_blocks_match_the_coo_assembly_bit_for_bit(n, graded):
     the pairing weights exactly as one COO assembly per integral and SciPy's
     sparse sums and fancy indexing give them; the single blocks share one
     read-only pattern."""
-    space = _graded(n, n) if graded else build_mesh(Domain2D(), n, n)
+    space = fem_oracle.graded_mesh(n, n) if graded else build_mesh(Domain2D(), n, n)
     blocks = assemble_blocks(space)
     want = fem_oracle.assemble_blocks(space)
     for got, ref in [(blocks.mass, want["mass"]), (blocks.v_gram, want["v_gram"]), *zip(blocks.a_blocks, want["a_blocks"])]:

@@ -278,6 +278,30 @@ def test_step_matrices_match_the_sparse_sums_bit_for_bit(n, steps):
             assert_same_csr(got, ref)
 
 
+@pytest.mark.parametrize("space", [build_mesh(Domain2D(), 17, 17), fem_oracle.graded_mesh(24, 24)],
+                         ids=["17x17", "graded_24x24"])
+def test_solves_and_projections_match_the_oracle_matrices_bit_for_bit(space):
+    """solve_american and solve_european give the trajectories and multipliers
+    that march, with fem_step or SuperLU, gives on the oracle's matrices, at
+    three operators; _project_offline's reduced blocks are the oracle's
+    matrices projected.  Every array is compared byte for byte."""
+    blocks = assemble_blocks(space)
+    want = fem_oracle.assemble_blocks(space)
+    grid = TimeGrid(2.0, 24)
+    for mu in THREE_MU:
+        for solve, style in ((solve_american, "american"), (solve_european, "european")):
+            surf = solve(mu, space, blocks, grid)
+            U, lam = fem_oracle.solve(style, mu, space, want, grid)
+            assert surf.U.tobytes() == U.tobytes()
+            assert surf.lam is lam is None or surf.lam.tobytes() == lam.tobytes()  # a European solve has none
+    rng = np.random.default_rng(5)
+    psi, xi = rng.standard_normal((space.n_free, 5)), rng.standard_normal((space.n_free, 3))
+    for style in ("american", "european"):
+        model = rbm._project_offline(style, space, blocks, grid, psi, xi)
+        for name, ref in fem_oracle.project(style, space, want, psi, xi).items():
+            assert getattr(model, name).tobytes() == ref.tobytes(), name
+
+
 def _psor_cross_check_step():
     """First step of a 10 x 10 American solve: (lhs, rhs, g, d, am)."""
     space = build_mesh(Domain2D(), 10, 10)
