@@ -106,17 +106,15 @@ RESIDUAL_COLUMNS = ["maturity_years", "strike", "observed", "model", "abs_rel_er
 
 
 def emit_report(report: cal.CalibReport, out_dir: Path, stem: str = "calibration") -> dict:
-    """Write summary text, residual CSV, plot-ready error-surface CSV and
-    the phase timings.
+    """Write summary text, residual CSV and the phase timings.
 
-    The timings go to their own JSON file so that the other three outputs
+    The timings go to their own JSON file so that the other two outputs
     are bit-identical for identical inputs.
     """
     out_dir.mkdir(parents=True, exist_ok=True)
     paths = {
         "summary": out_dir / f"{stem}_summary.txt",
         "residuals": out_dir / f"{stem}_residuals.csv",
-        "surface": out_dir / f"{stem}_error_surface.csv",
         "timings": out_dir / f"{stem}_timings.json",
     }
     with open(paths["residuals"], "w", newline="", encoding="utf-8") as fh:
@@ -126,11 +124,6 @@ def emit_report(report: cal.CalibReport, out_dir: Path, stem: str = "calibration
             report.maturities, report.strikes, report.observed, report.model_prices, report.rel_errors
         ):
             w.writerow([repr(float(T)), repr(float(K)), repr(float(po)), repr(float(pm)), repr(float(re))])
-    with open(paths["surface"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["maturity_years", "strike", "abs_rel_err"])
-        for T, K, re in zip(report.maturities, report.strikes, report.rel_errors):
-            w.writerow([repr(float(T)), repr(float(K)), repr(float(re))])
     lines = [
         f"backend: {report.variant}",
         f"status: {report.status}",

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .mesh import AssemblyBlocks, FemSpace
 from .params import ModelParams, put_payoff_log
@@ -38,18 +37,18 @@ def affine_coefficients(mu: ModelParams) -> np.ndarray:
     )
 
 
-def assemble_operator(mu: ModelParams, blocks: AssemblyBlocks) -> sp.csr_matrix:
-    """Full-node operator matrix a(phi_j, phi_i; mu) via the affine split.
+def assemble_operator(mu: ModelParams, blocks: AssemblyBlocks) -> np.ndarray:
+    """Values of the full-node operator a(phi_j, phi_i; mu) on blocks.pattern, via the affine split.
 
-    The sum theta_0 A_0 + theta_1 A_1 + ... is taken left to right on the
-    blocks' one pattern (blocks.a_values), and its exact zeros are left out:
-    the matrix SciPy's chain of sparse sums gives, bit for bit.
+    The sum theta_0 A_0 + theta_1 A_1 + ... is taken left to right, entry by
+    entry, on the blocks' values: blocks.pattern.matrix of it is the matrix
+    SciPy's chain of sparse sums gives, bit for bit.
     """
     theta = affine_coefficients(mu)
     data = theta[0] * blocks.a_values[0]
     for q in range(1, N_AFFINE):
         data += theta[q] * blocks.a_values[q]
-    return blocks.pattern.matrix(data)
+    return data
 
 
 @dataclass(frozen=True)

@@ -2,9 +2,9 @@
 
 The computational domain (nu_min, nu_max) x (x_min, x_max) is tiled by a
 structured triangulation of the tensor grid of one node array per axis.
-All parameter-independent matrices are assembled in one pass, vectorized
-over triangles, onto one CSR pattern per mesh (assemble_blocks), bit for
-bit the matrices of one COO assembly per integral; the biorthogonal dual
+All parameter-independent blocks are assembled in one pass, vectorized
+over triangles, as values on one CSR pattern per mesh (assemble_blocks),
+bit for bit the values of one COO assembly per integral; the biorthogonal dual
 basis enters only through the diagonal pairing entries int(phi_p).  Point
 location and P1 interpolation are vectorized over points: evaluation_row
 turns a batch of points into interpolation rows, the three nodes and
@@ -15,7 +15,6 @@ nodal values by gathering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -250,33 +249,18 @@ class CsrPattern:
     def nnz(self) -> int:
         return self.indices.size
 
-    def matrix(self, data: np.ndarray, drop_zeros: bool = True) -> sp.csr_matrix:
-        """The CSR matrix of the values data at the pattern's entries.
+    def matrix(self, data: np.ndarray) -> sp.csr_matrix:
+        """The CSR matrix of the values data at the pattern's entries, its
+        exact zeros left out; when there is none, it shares the pattern's arrays.
 
-        With drop_zeros the entries that are exactly zero are left out, as
-        SciPy's sparse sum leaves them out; without, and when there is
-        none, the matrix shares the pattern's arrays.
+        With finite operands no product changes by the zeros it leaves out
+        (a sparse product's sums start from +0.0), but SuperLU does not see them.
         """
         n = self.indptr.size - 1
-        if drop_zeros and not (keep := data != 0).all():
-            ends = np.concatenate(([0], np.cumsum(keep)))
-            return sp.csr_matrix((data[keep], self.indices[keep], ends[self.indptr]), shape=(n, n))
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
-
-    def values(self, mat: sp.csr_matrix) -> np.ndarray:
-        """The values of a canonical CSR matrix at the pattern's entries, zero
-        where it has none; an entry outside the pattern raises ValueError."""
-        if mat.nnz == self.nnz and np.may_share_memory(mat.indices, self.indices):
-            return mat.data  # made on the pattern with all of its entries
-        n = self.indptr.size - 1
-        keys = np.repeat(np.arange(n), np.diff(self.indptr)) * n + self.indices
-        wanted = np.repeat(np.arange(n), np.diff(mat.indptr)) * n + mat.indices
-        at = np.minimum(np.searchsorted(keys, wanted), self.nnz - 1)
-        if mat.shape != (n, n) or not np.array_equal(keys[at], wanted):
-            raise ValueError("the matrix has an entry outside the pattern")
-        out = np.zeros(self.nnz)
-        out[at] = mat.data
-        return out
+        if (keep := data != 0).all():
+            return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
+        ends = np.concatenate(([0], np.cumsum(keep)))
+        return sp.csr_matrix((data[keep], self.indices[keep], ends[self.indptr]), shape=(n, n))
 
 
 def _summation(space: FemSpace) -> tuple[CsrPattern, np.ndarray]:
@@ -313,51 +297,33 @@ def _summation(space: FemSpace) -> tuple[CsrPattern, np.ndarray]:
 
 @dataclass
 class AssemblyBlocks:
-    """Parameter-independent matrices of one FemSpace.
+    """Parameter-independent blocks of one FemSpace, as values on its one CSR pattern.
 
-    mass: int phi_j phi_i.
-    v_gram: H1 semi-norm Gram matrix int grad phi_j . grad phi_i.
-    a_blocks: the eight matrices of the affine operator split (see
-    heston_operator.affine_coefficients for the corresponding coefficients).
+    a_values: the eight blocks of the affine operator split (see
+    heston_operator.affine_coefficients for their coefficients), each its
+    values at all of pattern's entries, exact zeros and their signs
+    included; the last, int phi_j phi_i, is the mass.
+    free_entries: the positions of pattern's entries in free rows and
+    columns, in order, whose free-DOF pattern is free_pattern.
+    mass: the mass matrix on all nodes; mass_free and v_gram_free, the H1
+    semi-norm Gram matrix int grad phi_j . grad phi_i, on the free DOFs.
     d_b: diagonal of the biorthogonal pairing, (D_B)_pp = int phi_p.
-    All matrices are on the full node set; use restrict() for the free-DOF
-    versions.  They share one CSR pattern, which each single integral fills
-    with its exact zeros; a sum of two (v_gram, the mixed a_blocks[1])
-    leaves its exact zeros out, as a SciPy sum does.  a_values holds the
-    a_blocks' values at all of pattern's entries, and free_entries the
-    positions of its entries in free rows and columns, in order, whose
-    free-DOF pattern is free_pattern.
+    Every matrix made from values leaves their exact zeros out.
     """
 
     space: FemSpace
     pattern: CsrPattern = field(repr=False)
-    mass: sp.csr_matrix = field(repr=False)
-    v_gram: sp.csr_matrix = field(repr=False)
-    a_blocks: list = field(repr=False)
     a_values: list = field(repr=False)
-    d_b: np.ndarray = field(repr=False)
     free_entries: np.ndarray = field(repr=False)
     free_pattern: CsrPattern = field(repr=False)
+    mass: sp.csr_matrix = field(repr=False)
+    mass_free: sp.csr_matrix = field(repr=False)
+    v_gram_free: sp.csr_matrix = field(repr=False)
+    d_b: np.ndarray = field(repr=False)
 
-    def free_values(self, mat: sp.csr_matrix) -> np.ndarray:
-        """The values of a CSR matrix on pattern at free_pattern's entries, zero where it has none."""
-        return self.pattern.values(mat)[self.free_entries]
-
-    def restrict(self, mat: sp.csr_matrix) -> sp.csr_matrix:
-        """SciPy's mat[free][:, free] of a CSR matrix on pattern, by the one gather.
-
-        A matrix with all of pattern's entries keeps its exact zeros; one
-        with fewer has left its exact zeros out, and so does its restriction.
-        """
-        return self.free_pattern.matrix(self.free_values(mat), drop_zeros=mat.nnz < self.pattern.nnz)
-
-    @cached_property
-    def mass_free(self) -> sp.csr_matrix:
-        return self.restrict(self.mass)
-
-    @cached_property
-    def v_gram_free(self) -> sp.csr_matrix:
-        return self.restrict(self.v_gram)
+    def free_matrix(self, values: np.ndarray) -> sp.csr_matrix:
+        """SciPy's mat[free][:, free] of the matrix of values on pattern, by the one gather."""
+        return self.free_pattern.matrix(values[self.free_entries])
 
     @property
     def d_b_free(self) -> np.ndarray:
@@ -365,13 +331,13 @@ class AssemblyBlocks:
 
 
 def assemble_blocks(space: FemSpace) -> AssemblyBlocks:
-    """Assemble mass, V-Gram, affine operator blocks and the dual pairing in one pass.
+    """Assemble the affine operator blocks, V-Gram and the dual pairing in one pass.
 
     Every integral's element values (_element_values) are summed into CSR
     data through the mesh's one summation gather (_summation): term by term,
     left to right, the additions SciPy's COO to CSR conversion makes.  The
-    pairs summed into v_gram and the mixed block are then added entry by
-    entry, as SciPy adds two matrices on one pattern.  Every matrix equals
+    pairs summed into the V-Gram and the mixed block are then added entry by
+    entry, as SciPy adds two matrices on one pattern.  Every block equals
     the one that separate COO assemblies and sparse sums give, bit for bit.
     """
     pattern, terms = _summation(space)
@@ -380,27 +346,27 @@ def assemble_blocks(space: FemSpace) -> AssemblyBlocks:
     for k in range(1, terms.shape[0]):
         data += np.take(values, terms[k], axis=1)
     del values, terms
-    # the a_blocks' values, each its own array, which its matrix then shares;
-    # a single integral keeps its exact zeros, the mixed pair's sum does not
-    a_values = [data[3].copy(), data[4] + data[5], *(d.copy() for d in data[6:]), data[0].copy()]
-    a_blocks = [pattern.matrix(v, drop_zeros=q == 1) for q, v in enumerate(a_values)]
-    mass = a_blocks[7]
     # the entries in free rows and columns, renumbered to free DOFs, in SciPy's order of mat[free][:, free]
     is_free = ~space.dirichlet
     in_free = np.repeat(is_free, np.diff(pattern.indptr)) & is_free[pattern.indices]
     ends = np.concatenate(([0], np.cumsum(in_free)))
     free_indptr = np.append(ends[pattern.indptr[space.free]], ends[-1])
     free_indices = space.free_index[pattern.indices[in_free]]
+    free_pattern = CsrPattern(free_indptr.astype(pattern.indices.dtype), free_indices.astype(pattern.indices.dtype))
+    free_entries = np.flatnonzero(in_free)
+    # each its own array, which the matrices made from it may share
+    a_values = [data[3].copy(), data[4] + data[5], *(d.copy() for d in data[6:]), data[0].copy()]
+    mass = pattern.matrix(a_values[7])
     return AssemblyBlocks(
         space=space,
         pattern=pattern,
-        mass=mass,
-        v_gram=pattern.matrix(data[1] + data[2]),
-        a_blocks=a_blocks,
         a_values=a_values,
+        free_entries=free_entries,
+        free_pattern=free_pattern,
+        mass=mass,
+        mass_free=free_pattern.matrix(a_values[7][free_entries]),
+        v_gram_free=free_pattern.matrix((data[1] + data[2])[free_entries]),
         d_b=np.asarray(mass.sum(axis=1)).ravel(),  # partition of unity
-        free_entries=np.flatnonzero(in_free),
-        free_pattern=CsrPattern(free_indptr.astype(pattern.indices.dtype), free_indices.astype(pattern.indices.dtype)),
     )
 
 

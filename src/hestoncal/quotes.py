@@ -172,7 +172,9 @@ def _parse_optional(value: str) -> float | None:
 def read_quotes_csv(path, S0: float, r: float) -> QuoteSet:
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file; want the CSV header {CSV_HEADER}")
         if [h.strip() for h in header] != CSV_HEADER:
             raise ValueError(f"{path}: unexpected CSV header {header!r}; want {CSV_HEADER}")
         quotes = []
@@ -193,6 +195,8 @@ def read_quotes_csv(path, S0: float, r: float) -> QuoteSet:
                 )
             except ValueError as exc:
                 raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    if not quotes:
+        raise ValueError(f"{path}: no quote rows below the header")
     return QuoteSet(quotes=tuple(quotes), S0=S0, r=r)
 
 

@@ -209,10 +209,9 @@ def _project_offline(
     L0.flags.writeable = False
     a_red = np.empty((N_AFFINE, psi.shape[1], psi.shape[1]))
     alift = np.empty((N_AFFINE, psi.shape[1]))
-    for q in range(N_AFFINE):
-        Aq = blocks.a_blocks[q]
-        a_red[q] = _inner(psi, blocks.restrict(Aq) @ psi)
-        alift[q] = psi.T @ (Aq @ L0)[free]
+    for q, values in enumerate(blocks.a_values):
+        a_red[q] = _inner(psi, blocks.free_matrix(values) @ psi)
+        alift[q] = psi.T @ (blocks.pattern.matrix(values) @ L0)[free]
     m_red = _inner(psi, blocks.mass_free @ psi)
     mlift = psi.T @ (blocks.mass @ L0)[free]
     payoff = payoff_vector(space)

@@ -294,34 +294,32 @@ def march(u0, rhs_op, load, I: int, step, g=None):
     return U, lam
 
 
-def step_matrices(blocks: AssemblyBlocks, a_full: sp.csr_matrix, dt: float):
+def step_matrices(blocks: AssemblyBlocks, a_values: np.ndarray, dt: float):
     """The theta-step matrices lhs = M/dt + THETA A and rhs_op = M/dt - (1 - THETA) A
-    on the free DOFs, for the full-node operator A of assemble_operator.
+    on the free DOFs, for the operator values A of assemble_operator.
 
-    Both are entrywise sums on the blocks' free pattern (free_values), with
-    M/dt scaled as M * (1/dt) and exact zeros left out, as SciPy's sums of
-    the restricted sparse matrices give them, bit for bit.
+    Both are entrywise sums on the blocks' pattern, with M/dt scaled as
+    M * (1/dt), restricted by free_matrix: the matrices SciPy's sums of the
+    restricted sparse matrices give, bit for bit.
     """
-    a_free = blocks.free_values(a_full)
-    m_dt = blocks.free_values(blocks.mass) * (1.0 / dt)
-    pattern = blocks.free_pattern
-    return pattern.matrix(m_dt + THETA * a_free), pattern.matrix(m_dt - (1.0 - THETA) * a_free)
+    m_dt = blocks.a_values[7] * (1.0 / dt)  # the mass
+    return blocks.free_matrix(m_dt + THETA * a_values), blocks.free_matrix(m_dt - (1.0 - THETA) * a_values)
 
 
 def _solve_detailed(style, mu, space, blocks, grid):
     """The FEM solve of one style behind solve_european and solve_american."""
     _check_time_step(mu, grid)
     bnd = boundary_data(space, style, mu.r)
-    a_full = assemble_operator(mu, blocks)
+    a = assemble_operator(mu, blocks)
     free = space.free
     dt = grid.dt
-    load = lift_and_rhs((blocks.mass @ bnd.shape)[free], (a_full @ bnd.shape)[free], bnd, dt)
-    lhs, rhs_op = step_matrices(blocks, a_full, dt)
+    load = lift_and_rhs((blocks.mass @ bnd.shape)[free], (blocks.pattern.matrix(a) @ bnd.shape)[free], bnd, dt)
+    lhs, rhs_op = step_matrices(blocks, a, dt)
     # freed before the time loop: held across it, the heap tends to return
     # and re-fault the LU pages, 6-13k minor faults per three 33 x 33,
     # I = 125 solves after a warm-up one against 4-6k (ru_minflt,
     # PYTHONHASHSEED 0-3)
-    del a_full
+    del a
     payoff = payoff_vector(space)
     if style == "european":
         U, lam = march(payoff, rhs_op, load, grid.I, spla.splu(lhs.tocsc()).solve)

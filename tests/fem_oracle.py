@@ -2,8 +2,15 @@
 
 assemble_blocks, restrict, assemble_operator and step_matrices here are the
 element-by-element assembly, the fancy-index restriction and the chains of
-sparse sums that hestoncal's one-pass assembly and per-mesh gathers replace;
-the tests hold the two to the same matrices bit for bit (assert_same_csr).
+sparse sums that hestoncal's one-pass assembly of values on one pattern and
+its per-mesh gathers replace.  The tests hold the two to the same numbers bit
+for bit: a single integral's values to the COO assembly's data, exact zeros
+and their signs included (assert_same_values), and every matrix hestoncal
+makes from values, which leaves exact zeros out, to the matrix SciPy's sums
+give or, for a single integral, to the COO matrix without its exact zeros
+(dropped; assert_same_csr).  solve and project march and project on the
+oracle's matrices, for byte-for-byte checks of whole solves and of the
+reduced model's offline projection.
 """
 
 import numpy as np
@@ -45,6 +52,21 @@ def assert_same_csr(got, want):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert got.data.tobytes() == want.data.tobytes()
+
+
+def assert_same_values(pattern, values, want):
+    """values on pattern are the CSR matrix want, which has an entry at each
+    of pattern's, bit for bit: pattern, values and the signs of zeros."""
+    assert np.array_equal(pattern.indptr, want.indptr)
+    assert np.array_equal(pattern.indices, want.indices)
+    assert values.tobytes() == want.data.tobytes()
+
+
+def dropped(mat) -> sp.csr_matrix:
+    """A copy of the CSR matrix mat without its exact zeros."""
+    out = mat.copy()
+    out.eliminate_zeros()
+    return out
 
 
 def assemble_matrix(space, weight: str, d_trial: str | None, d_test: str | None) -> sp.csr_matrix:

@@ -335,7 +335,6 @@ def test_calibrate_records_exactly_its_options(tmp_path):
         "quotes": str(quotes),
         "summary": str(tmp_path / "cf_summary.txt"),
         "residuals": str(tmp_path / "cf_residuals.csv"),
-        "surface": str(tmp_path / "cf_error_surface.csv"),
         "timings": str(tmp_path / "cf_timings.json"),
     }
 
@@ -397,8 +396,7 @@ def test_refine_basis_reports_the_pilot_and_the_refined_basis(tmp_path, capsys):
     out = capsys.readouterr().out
     assert f"refined basis: dim=4 dual=2 -> {tmp_path / 'two_refined_basis.npz'}" in out
     paths = _record(tmp_path / "two_runconfig.json")["paths"]
-    for key, suffix in (("summary", "summary.txt"), ("residuals", "residuals.csv"),
-                        ("surface", "error_surface.csv"), ("timings", "timings.json")):
+    for key, suffix in (("summary", "summary.txt"), ("residuals", "residuals.csv"), ("timings", "timings.json")):
         assert paths[f"pilot_{key}"] == str(tmp_path / f"two_pilot_{suffix}")
         assert paths[key] == str(tmp_path / f"two_{suffix}")
     pilot = (tmp_path / "two_pilot_summary.txt").read_text()

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
-from fem_oracle import assemble_matrix, assert_same_csr
+from fem_oracle import assemble_matrix, assert_same_csr, assert_same_values
 
 from hestoncal.mesh import (
     _QP,
@@ -50,7 +50,7 @@ def test_band_order_bands_the_step_matrix(n_nu, n_x):
     blocks = assemble_blocks(space)
     order = band_order(space)
     assert np.array_equal(np.sort(order), np.arange(space.n_free))
-    pattern = abs(blocks.mass_free) + sum(abs(blocks.restrict(a)) for a in blocks.a_blocks)
+    pattern = abs(blocks.mass_free) + sum(abs(blocks.free_matrix(a)) for a in blocks.a_values)
     rows, cols = pattern.nonzero()
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
@@ -93,9 +93,14 @@ def test_mass_matrix_total_is_area(small_space):
 
 
 def test_stiffness_kernel_is_constants(small_space):
+    """Constants are in the kernel of every block that differentiates the
+    trial function: the seven operator blocks but the mass, and the V-Gram,
+    whose free-DOF restriction blocks.v_gram_free is the oracle's bit for bit."""
     blocks = assemble_blocks(small_space)
     ones = np.ones(small_space.n_nodes)
-    assert np.max(np.abs(blocks.v_gram @ ones)) < 1e-12
+    for values in blocks.a_values[:7]:
+        assert np.max(np.abs(blocks.pattern.matrix(values) @ ones)) < 1e-12
+    assert np.max(np.abs(fem_oracle.assemble_blocks(small_space)["v_gram"] @ ones)) < 1e-12
 
 
 def test_interpolation_exact_on_affine(small_space):
@@ -219,28 +224,27 @@ def test_mesh_from_nodes_refuses_bad_node_arrays(nu, x, named):
 def test_blocks_match_the_coo_assembly_bit_for_bit(n, graded):
     """The one-pass assembly gives every block, its free-DOF restriction and
     the pairing weights exactly as one COO assembly per integral and SciPy's
-    sparse sums and fancy indexing give them; the single blocks share one
-    read-only pattern."""
+    sparse sums and fancy indexing give them.  A single integral's values
+    are the COO assembly's data on the pattern and on the free pattern, zero
+    signs included; the sums, whose exact zeros SciPy leaves out, and every
+    matrix made from values, which leaves them out too, are its matrices."""
     space = fem_oracle.graded_mesh(n, n) if graded else build_mesh(Domain2D(), n, n)
     blocks = assemble_blocks(space)
     want = fem_oracle.assemble_blocks(space)
-    for got, ref in [(blocks.mass, want["mass"]), (blocks.v_gram, want["v_gram"]), *zip(blocks.a_blocks, want["a_blocks"])]:
-        assert_same_csr(got, ref)
-        assert_same_csr(blocks.restrict(got), fem_oracle.restrict(space, ref))
-    assert_same_csr(blocks.mass_free, fem_oracle.restrict(space, want["mass"]))
+    for q, (values, ref) in enumerate(zip(blocks.a_values, want["a_blocks"])):
+        ref_free = fem_oracle.restrict(space, ref)
+        if q != 1:  # the mixed block is a sum
+            assert_same_values(blocks.pattern, values, ref)
+            assert_same_values(blocks.free_pattern, values[blocks.free_entries], ref_free)
+        assert_same_csr(blocks.pattern.matrix(values), fem_oracle.dropped(ref))
+        assert_same_csr(blocks.free_matrix(values), fem_oracle.dropped(ref_free))
+    assert_same_csr(blocks.mass, fem_oracle.dropped(want["mass"]))
+    assert_same_csr(blocks.mass_free, fem_oracle.dropped(fem_oracle.restrict(space, want["mass"])))
     assert_same_csr(blocks.v_gram_free, fem_oracle.restrict(space, want["v_gram"]))
     assert blocks.d_b.tobytes() == want["d_b"].tobytes()
-    single = [blocks.mass, *(blocks.a_blocks[q] for q in (0, 2, 3, 4, 5, 6))]
-    assert all(np.shares_memory(m.indices, blocks.pattern.indices) for m in single)
+    # the matrices made from values share the pattern, which none may change
+    assert np.shares_memory(blocks.mass.indices, blocks.pattern.indices)
     assert not blocks.pattern.indices.flags.writeable
-    # the values on the pattern, where v_gram has left its exact zeros out, and on the free pattern
-    assert_same_csr(blocks.pattern.matrix(blocks.pattern.values(blocks.v_gram)), blocks.v_gram)
-    assert_same_csr(blocks.free_pattern.matrix(blocks.free_values(blocks.v_gram)), blocks.v_gram_free)
-    assert_same_csr(blocks.free_pattern.matrix(blocks.free_values(blocks.mass), drop_zeros=False), blocks.mass_free)
-    # a copy of a block takes the searching path, and a matrix off the pattern is refused
-    assert_same_csr(blocks.restrict(blocks.a_blocks[0].copy()), blocks.restrict(blocks.a_blocks[0]))
-    with pytest.raises(ValueError, match="outside the pattern"):
-        blocks.restrict(sp.csr_matrix(([1.0], ([0], [space.n_nodes - 1])), shape=(space.n_nodes, space.n_nodes)))
 
 
 def test_matrix_symmetry(small_space):

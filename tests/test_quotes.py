@@ -181,6 +181,22 @@ def test_csv_row_error_names_file_and_line(tmp_path, row, message):
         read_quotes_csv(path, S0=100.0, r=0.02)
 
 
+def test_empty_csv_is_refused_naming_the_file(tmp_path):
+    path = tmp_path / "empty.csv"
+    path.write_text("")
+    with pytest.raises(ValueError, match="empty.csv: empty file"):
+        read_quotes_csv(path, S0=100.0, r=0.02)
+
+
+def test_header_only_csv_is_refused_naming_the_file(tmp_path):
+    """A header and blank lines but no quote row: the file is named, not
+    only the empty quote set."""
+    path = tmp_path / "header.csv"
+    path.write_text(f"{','.join(CSV_HEADER)}\n\n")
+    with pytest.raises(ValueError, match="header.csv: no quote rows below the header"):
+        read_quotes_csv(path, S0=100.0, r=0.02)
+
+
 def test_csv_header_enforced(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("T,K,bid,ask,price,style\n1.0,100.0,,,1.0,american\n")

@@ -270,11 +270,12 @@ def test_step_matrices_match_the_sparse_sums_bit_for_bit(n, steps):
     space = build_mesh(Domain2D(), n, n)
     blocks = assemble_blocks(space)
     dt = TimeGrid(2.0, steps).dt
-    mass_free = fem_oracle.restrict(space, fem_oracle.assemble_blocks(space)["mass"])
+    oracle = fem_oracle.assemble_blocks(space)
+    mass_free = fem_oracle.restrict(space, oracle["mass"])
     for mu in THREE_MU:
-        a_full = assemble_operator(mu, blocks)
-        want = fem_oracle.step_matrices(mass_free, fem_oracle.restrict(space, a_full), dt, THETA)
-        for got, ref in zip(step_matrices(blocks, a_full, dt), want):
+        a_free = fem_oracle.restrict(space, fem_oracle.assemble_operator(mu, oracle["a_blocks"]))
+        want = fem_oracle.step_matrices(mass_free, a_free, dt, THETA)
+        for got, ref in zip(step_matrices(blocks, assemble_operator(mu, blocks), dt), want):
             assert_same_csr(got, ref)
 
 
@@ -308,8 +309,8 @@ def _psor_cross_check_step():
     blocks = assemble_blocks(space)
     grid = TimeGrid(T=0.5, I=5)
     bnd = boundary_data(space, "american", MU.r)
-    a_full = assemble_operator(MU, blocks)
-    a_free = blocks.restrict(a_full)
+    a = assemble_operator(MU, blocks)
+    a_full, a_free = blocks.pattern.matrix(a), blocks.free_matrix(a)
     lhs = (blocks.mass_free / grid.dt + THETA * a_free).tocsr()
     rhs_op = (blocks.mass_free / grid.dt - (1 - THETA) * a_free).tocsr()
     g = payoff_vector(space)
@@ -401,8 +402,8 @@ def _masked_step(lhs, rhs, g, d, order=None):
 def _american_system(space, blocks, grid, mu=MU):
     """(lhs, rhs_op, f, g, d) of solve_american's theta-steps."""
     bnd = boundary_data(space, "american", mu.r)
-    a_full = assemble_operator(mu, blocks)
-    a_free = blocks.restrict(a_full)
+    a = assemble_operator(mu, blocks)
+    a_full, a_free = blocks.pattern.matrix(a), blocks.free_matrix(a)
     lhs = (blocks.mass_free / grid.dt + THETA * a_free).tocsr()
     rhs_op = (blocks.mass_free / grid.dt - (1 - THETA) * a_free).tocsr()
     f = -(a_full @ bnd.shape)[space.free]  # the static American lift load
@@ -752,8 +753,8 @@ def test_european_load_matches_per_step_lift_and_rhs(fem, grid):
     space, blocks = fem
     eu = solve_european(MU, space, blocks, grid)
     bnd = boundary_data(space, "european", MU.r)
-    a_full = assemble_operator(MU, blocks)
-    a_free = blocks.restrict(a_full)
+    a = assemble_operator(MU, blocks)
+    a_full, a_free = blocks.pattern.matrix(a), blocks.free_matrix(a)
     dt, th = grid.dt, THETA
     lu = spla.splu((blocks.mass_free / dt + th * a_free).tocsc())
     rhs_op = (blocks.mass_free / dt - (1 - th) * a_free).tocsr()
