@@ -245,10 +245,6 @@ class CsrPattern:
         self.indptr.flags.writeable = False
         self.indices.flags.writeable = False
 
-    @property
-    def nnz(self) -> int:
-        return self.indices.size
-
     def matrix(self, data: np.ndarray) -> sp.csr_matrix:
         """The CSR matrix of the values data at the pattern's entries, its
         exact zeros left out; when there is none, it shares the pattern's arrays.
@@ -322,7 +318,8 @@ class AssemblyBlocks:
     d_b: np.ndarray = field(repr=False)
 
     def free_matrix(self, values: np.ndarray) -> sp.csr_matrix:
-        """SciPy's mat[free][:, free] of the matrix of values on pattern, by the one gather."""
+        """The matrix of values on pattern restricted to the free DOFs, by the one
+        gather: SciPy's mat[free][:, free] without its exact zeros."""
         return self.free_pattern.matrix(values[self.free_entries])
 
     @property

@@ -1,7 +1,6 @@
 import fem_oracle
 import numpy as np
 import pytest
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from fem_oracle import assemble_matrix, assert_same_csr, assert_same_values
 
