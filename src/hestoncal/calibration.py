@@ -51,8 +51,9 @@ TRIAL_ERRORS = (ArithmeticError, RuntimeError, np.linalg.LinAlgError)
 
 
 def _strikes_and_maturities(quotes) -> tuple[np.ndarray, np.ndarray]:
-    """The strike and maturity arrays of a quote list, in its order."""
-    return np.array([(q.strike, q.maturity) for q in quotes]).T
+    """The strike and maturity arrays of a quote list, in its order; empty
+    for an empty list."""
+    return np.array([(q.strike, q.maturity) for q in quotes]).reshape(-1, 2).T
 
 
 @dataclass

@@ -10,14 +10,21 @@ location and P1 interpolation are vectorized over points: evaluation_row
 turns a batch of points into interpolation rows, the three nodes and
 barycentric weights of each point's triangle, which evaluate_p1 applies to
 nodal values by gathering.
+
+scipy.sparse is imported by the functions that build sparse matrices, here
+and in solvers and rbm, so that importing any hestoncal module loads only
+NumPy: the closed-form and tree routes never load the sparse stack.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.sparse as sp
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 # 6-point Dunavant rule, exact for polynomials of degree 4 on the reference
 # triangle (more than the degree-3 integrands arising here require).
@@ -252,6 +259,8 @@ class CsrPattern:
         With finite operands no product changes by the zeros it leaves out
         (a sparse product's sums start from +0.0), but SuperLU does not see them.
         """
+        import scipy.sparse as sp
+
         n = self.indptr.size - 1
         if (keep := data != 0).all():
             return sp.csr_matrix((data, self.indices, self.indptr), shape=(n, n))
@@ -271,6 +280,8 @@ def _summation(space: FemSpace) -> tuple[CsrPattern, np.ndarray]:
     k-th term, 9 J where an entry has fewer terms; a -0.0 goes there, which
     adds exactly nothing.
     """
+    import scipy.sparse as sp
+
     t = space.triangles.T
     rows = t[[0, 0, 0, 1, 1, 1, 2, 2, 2]].ravel()
     cols = t[[0, 1, 2, 0, 1, 2, 0, 1, 2]].ravel()

@@ -24,8 +24,6 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .heston_operator import (
     N_AFFINE,
@@ -154,6 +152,8 @@ def supremizer(xi_vec: np.ndarray, blocks: AssemblyBlocks) -> np.ndarray:
     With the diagonal pairing, b(xi, v) = sum_p d_p xi_p v_p, so the right
     hand side is D_B xi.
     """
+    import scipy.sparse.linalg as spla
+
     rhs = blocks.d_b_free * xi_vec
     return spla.spsolve(blocks.v_gram_free.tocsc(), rhs)
 
@@ -331,6 +331,8 @@ def pod_greedy(
     build, which has no multipliers).  A cap n_max with no room for a pick
     beyond the initial basis is refused.
     """
+    import scipy.sparse as sp
+
     if style not in ("american", "european"):
         raise ValueError(f"unknown style {style!r}")
     if not train:

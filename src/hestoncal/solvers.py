@@ -45,8 +45,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .heston_operator import (
     THETA,
@@ -131,6 +129,11 @@ class LCPError(RuntimeError):
         self.n = n
         self.pivots = pivots
         self.residual = residual
+        self.reason = reason
+
+    def __reduce__(self):
+        # pickle and copy rebuild from the fields, not from the message alone
+        return type(self), (self.n, self.pivots, self.residual, self.reason)
 
 
 def solve_complementarity(solve, g, active):
@@ -221,6 +224,9 @@ def fem_step(lhs, g, d, order):
     inactive nodes in that order.  The all-active set gives a 0 x 0 block,
     which SuperLU factorizes like any other.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     n = g.size
     csc = lhs.tocsr()[order][:, order].tocsc()
     rows = csc.indices
@@ -308,6 +314,8 @@ def step_matrices(blocks: AssemblyBlocks, a_values: np.ndarray, dt: float):
 
 def _solve_detailed(style, mu, space, blocks, grid):
     """The FEM solve of one style behind solve_european and solve_american."""
+    import scipy.sparse.linalg as spla
+
     _check_time_step(mu, grid)
     bnd = boundary_data(space, style, mu.r)
     a = assemble_operator(mu, blocks)

@@ -530,3 +530,11 @@ def test_localized_box_stays_inside_the_calibration_box():
     assert box.hi[1] == DEFAULT_CALIB_BOX.hi[1]
     assert np.all(box.lo >= DEFAULT_CALIB_BOX.lo) and np.all(box.hi <= DEFAULT_CALIB_BOX.hi)
     assert box.contains(pilot)
+
+
+@pytest.mark.parametrize("variant", ["DasClosedForm", "DetailedAm", "ReducedAm"])
+def test_every_backend_prices_an_empty_quote_list_as_an_empty_vector(variant, registry_inputs):
+    fem, bases = registry_inputs
+    backend = make_backend(variant, fem=lambda: fem, model=bases[VARIANTS[variant].style])
+    prices = backend.price_vector(REGISTRY_THETA, [], 1.0, REGISTRY_R)
+    assert prices.shape == (0,)

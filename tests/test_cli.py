@@ -2,6 +2,9 @@
 checks their determinism)."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +14,7 @@ from hestoncal.calibration import MAX_ITER
 from hestoncal.cli import build_parser, main
 from hestoncal.mesh import assemble_blocks, mesh_from_nodes
 from hestoncal.params import ModelParams
+from hestoncal.quotes import GOOGLE_R, GOOGLE_S0, QuoteSet, load_google_quotes, write_quotes_csv
 from hestoncal.rbm import GreedyConfig, load_reduced_model, pod_greedy, save_reduced_model
 from hestoncal.solvers import TimeGrid
 from hestoncal.trees import TreeConfig
@@ -477,3 +481,42 @@ def test_parser_rejects_options_the_subcommand_does_not_read(argv):
 def test_unknown_backend_rejected():
     with pytest.raises(SystemExit):
         main(["calibrate", "--backend", "Nonsense", "--quotes", "x.csv"])
+
+
+#: Imports every module, then runs each JSON argv list of argv[1] through
+#: cli.main; prints, after the imports and after each run, whether
+#: scipy.sparse has been loaded.
+_SPARSE_PROBE = """
+import json, sys
+from hestoncal import calibration, cli, mesh, rbm, solvers
+loaded = ["scipy.sparse" in sys.modules]
+for argv in json.loads(sys.argv[1]):
+    if cli.main(argv) != 0:
+        sys.exit(f"nonzero exit status: {argv}")
+    loaded.append("scipy.sparse" in sys.modules)
+print(json.dumps(loaded))
+"""
+
+
+def test_closed_form_flows_never_load_the_sparse_stack(tmp_path):
+    """Importing hestoncal and running deamericanize, a DasClosedForm
+    calibration and report leave scipy.sparse unloaded; a DetailedAm price
+    loads it, so the probe sees an import when one happens."""
+    bundled = load_google_quotes()
+    two = sorted({q.maturity for q in bundled})[:2]
+    quotes = tuple(q for q in bundled if q.maturity in two)[::5]
+    write_quotes_csv(QuoteSet(quotes=quotes, S0=GOOGLE_S0, r=GOOGLE_R), tmp_path / "am.csv")
+    market = ["--quotes", "am.csv", "--spot", repr(GOOGLE_S0), "--rate", repr(GOOGLE_R), "--out-dir", "."]
+    flows = [
+        ["deamericanize", *market],
+        ["calibrate", "--backend", "DasClosedForm", *market, "--max-iter", "5", "--stem", "das"],
+        ["report", "--residuals", "das_residuals.csv"],
+        ["price", "--backend", "DetailedAm", "--theta", THETA, "--strike", "1.0", "--maturity", "0.5",
+         "--n-nu", "8", "--n-x", "8", "--steps", "8"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _SPARSE_PROBE, json.dumps(flows)],
+                          cwd=tmp_path, env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1]) == [False, False, False, False, True]

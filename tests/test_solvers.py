@@ -1,3 +1,5 @@
+import copy
+import pickle
 import weakref
 from dataclasses import replace
 
@@ -779,3 +781,10 @@ def test_march_names_the_first_non_finite_step():
     grow = np.array([[1e200]])  # U[1] = 1e200, U[2] overflows
     with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match="at step 2"):
         solvers.march(np.array([1.0]), grow, lambda k: np.zeros(1), 3, lambda rhs: rhs)
+
+
+def test_lcp_error_survives_pickle_and_deepcopy():
+    err = LCPError(10, 3, 1e-3, "pivot cap")
+    for clone in (pickle.loads(pickle.dumps(err)), copy.deepcopy(err)):
+        assert type(clone) is LCPError and str(clone) == str(err)
+        assert (clone.n, clone.pivots, clone.residual, clone.reason) == (10, 3, 1e-3, "pivot cap")
