@@ -385,9 +385,9 @@ def evaluation_row(space: FemSpace, nu, x) -> tuple[np.ndarray, np.ndarray]:
     point i's triangle and its barycentric weights there, so evaluate_p1
     interpolates full nodal values at every point by gathering.  nu and x
     broadcast; the rows follow their flattened order.  Each point's cell is
-    searched on the two axes' node arrays (the upper walls belong to the
-    last cell), and its local coordinates give the weights.  A point
-    outside the closed domain raises ValueError.
+    searched on the two axes' inner nodes, so that the search itself puts
+    the upper walls in the last cell, and its local coordinates give the
+    weights.  A point outside the closed domain raises ValueError.
     """
     nu, x = (c.ravel() for c in np.broadcast_arrays(nu, x))
     d = space.domain
@@ -397,8 +397,8 @@ def evaluation_row(space: FemSpace, nu, x) -> tuple[np.ndarray, np.ndarray]:
     if not inside.all():
         i = np.argmin(inside)
         raise ValueError(f"point ({nu[i]}, {x[i]}) lies outside the domain")
-    a = np.clip(np.searchsorted(space.nu, nu, side="right") - 1, 0, space.n_nu - 1)
-    b = np.clip(np.searchsorted(space.x, x, side="right") - 1, 0, space.n_x - 1)
+    a = np.searchsorted(space.nu[1:-1], nu, side="right")
+    b = np.searchsorted(space.x[1:-1], x, side="right")
     s = (nu - space.nu[a]) / (space.nu[a + 1] - space.nu[a])
     t = (x - space.x[b]) / (space.x[b + 1] - space.x[b])
     # lower triangle [n00, n10, n11] where s >= t, upper [n00, n11, n01]

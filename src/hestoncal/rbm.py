@@ -253,8 +253,9 @@ def solve_reduced(model: ReducedModel, mu: ModelParams) -> PriceSurface:
     dt = grid.dt
     theta_q = affine_coefficients(mu)
     A = np.tensordot(theta_q, model.a_red, axes=1)
-    S = model.m_red / dt + THETA * A
-    R = model.m_red / dt - (1.0 - THETA) * A
+    m_dt = model.m_red / dt
+    S = m_dt + THETA * A
+    R = m_dt - (1.0 - THETA) * A
     bnd = BoundaryData(style=model.style, r=mu.r, shape=model.lift_shape)
     load = lift_and_rhs(model.mlift_red, theta_q @ model.alift_red, bnd, dt)
     s_inv = np.linalg.inv(S)
@@ -276,26 +277,35 @@ def _schur_step(s_inv, B, g):
     K_A = (B S^-1 B^T)_AA^-1 (B S^-1)_A and k_A = (B S^-1 B^T)_AA^-1 g_A,
     and a = S^-1 (rhs + B_A^T beta_A).  The factorization inverts the Schur
     block once and folds all of it into one affine map y = M rhs + m of the
-    stacked (a, beta, B a), so each Newton iteration is one product.  It
-    keeps no state, like fem_step: march holds the one slot.  A singular
-    Schur block raises solvers.LCPError when the set is factorized.
+    stacked (a, beta, B a), so each Newton iteration is one product.  The
+    empty set's map is the beta = 0 one, M = free and m = 0, with no 0 x 0
+    inverse and no empty products: the general formula subtracts and adds
+    +0.0 there, which leaves M as it is, and m stays added so that a -0.0
+    of M rhs becomes +0.0 as it does on every other set.  It keeps no
+    state, like fem_step: march holds the one slot.  A singular Schur block
+    raises solvers.LCPError when the set is factorized.
     """
     n_w, n = B.shape
     bs = B @ s_inv  # (n_w, N)
     free = np.vstack((s_inv, np.zeros((n_w, n)), bs))  # the map with beta = 0
     lift = np.vstack((s_inv @ B.T, np.eye(n_w), bs @ B.T))  # d(a, beta, B a) / d beta
+    zero = np.zeros(n + 2 * n_w)
 
     def factor(active):
         idx = np.flatnonzero(active)
-        lift_a = lift[:, idx]
-        try:
-            inv = np.linalg.inv(lift_a[n + n_w + idx])  # the Schur block, 0 x 0 for no set
-        except np.linalg.LinAlgError:
-            raise LCPError(n_w, 0, np.nan, "singular Schur block") from None
-        M, m = free - lift_a @ (inv @ bs[idx]), lift_a @ (inv @ g[idx])
+        if idx.size == 0:
+            M, m = free, zero
+        else:
+            lift_a = lift[:, idx]
+            try:
+                inv = np.linalg.inv(lift_a[n + n_w + idx])  # the Schur block
+            except np.linalg.LinAlgError:
+                raise LCPError(n_w, 0, np.nan, "singular Schur block") from None
+            M, m = free - lift_a @ (inv @ bs[idx]), lift_a @ (inv @ g[idx])
 
         def solve(rhs):
-            y = M @ rhs + m
+            y = M @ rhs
+            y += m
             return y[:n], y[n : n + n_w], y[n + n_w :]
 
         return solve

@@ -15,12 +15,16 @@ with c = u here and c = B a in the reduced model.
 solve_complementarity solves it by a primal-dual active set iteration
 (semismooth Newton on the complementarity system, Hintermueller, Ito and
 Kunisch 2002), with least-index principal pivoting as its only fallback.
-It sees the problem only through a callback solve(active) -> (x, lam, c),
-which march builds once per solve from a pure per-set factorization
-factor(active) -> solve(rhs) (fem_step, rbm._schur_step) and the one slot
-that keeps the last set's factorization across Newton iterations and
-theta-steps.  A FEM set's LU is of the principal inactive block of the step
-matrix alone, lhs_II u_I = rhs_I - lhs_IA g_A, with the multipliers
+It sees the problem only through a callback solve(active, key) ->
+(x, lam, c), key being the set's tobytes(), which the kernel derives once
+per candidate set and hands over with it.  march builds the callback once
+per solve from a pure per-set factorization factor(active) -> solve(rhs)
+(fem_step, rbm._schur_step) and the one slot that keeps the last set's
+factorization across Newton iterations and theta-steps; the slot compares
+the handed key with the held set's.  march also computes |g|_inf, part of
+the kernel's KKT scale, once per solve.  A FEM set's LU is of the
+principal inactive block of the step matrix alone,
+lhs_II u_I = rhs_I - lhs_IA g_A, with the multipliers
 lam_A = (lhs u - rhs)_A / d_A read from the active rows' residuals.  One
 band order per mesh (mesh.band_order) serves all of a FEM solve's LUs: each
 is a NATURAL factorization of a block in that order, restricted to the
@@ -136,28 +140,33 @@ class LCPError(RuntimeError):
         return type(self), (self.n, self.pivots, self.residual, self.reason)
 
 
-def solve_complementarity(solve, g, active):
+def solve_complementarity(solve, g, active, g_max):
     """Primal-dual active set solve of c >= g, lam >= 0, lam . (c - g) = 0.
 
-    solve(active) returns (x, lam, c): the primal solution x of the system
-    with c = g on the active rows, the multiplier lam (zero off them) and the
-    constrained quantity c.  Each Newton step moves to the set
-    {lam + g - c > 0}.  An iterate within KKT_TOL is accepted even while its
-    set still flickers on round-off ties.  Sets are compared by their
-    tobytes() keys, one per set visited.  The first repeated set, or
-    MAX_ITER iterations, hands the current set to principal_pivoting.
-    Returns (x, lam, active).
+    solve(active, key) returns (x, lam, c): the primal solution x of the
+    system with c = g on the active rows, the multiplier lam (zero off them)
+    and the constrained quantity c; key is active.tobytes(), derived here
+    once per candidate set so that the callback need not derive it again.
+    g_max is |g|_inf, which the caller computes once per solve.  Each Newton
+    step moves to the set {lam > c - g}, and the KKT test reads the same
+    slack c - g.  This is the set {lam + (g - c) > 0}: g - c rounds to
+    -(c - g) exactly, and a rounded sum is positive exactly when the exact
+    one is.  An iterate within KKT_TOL is accepted even while its set still
+    flickers on round-off ties.  Sets are compared by their keys.  The first
+    repeated set, or MAX_ITER iterations, hands the current set to
+    principal_pivoting.  Returns (x, lam, active).
     """
     key = active.tobytes()
     seen: set[bytes] = set()
     for _ in range(MAX_ITER):
-        x, lam, c = solve(active)
-        new_active = (lam + (g - c)) > 0
+        x, lam, c = solve(active, key)
+        slack = c - g
+        new_active = lam > slack
         new_key = new_active.tobytes()
         if new_key == key:
             return x, lam, active
-        scale = max(1.0, np.abs(c).max(), np.abs(g).max())
-        if (g - c).max() <= KKT_TOL * scale and lam.min() >= -KKT_TOL * scale:
+        tol = KKT_TOL * max(1.0, np.abs(c).max(), g_max)
+        if slack.min() >= -tol and lam.min() >= -tol:
             return x, np.maximum(lam, 0.0), active
         if new_key in seen:
             break
@@ -169,17 +178,18 @@ def solve_complementarity(solve, g, active):
 def principal_pivoting(solve, g, active):
     """Murty's least-index principal pivoting through the same callback.
 
-    The basic variable of row i is lam_i on the active set and the slack
-    c_i - g_i off it; each pivot flips the least index whose basic variable
-    is negative.  From any start this ends at the unique solution when the
-    problem's matrix is a P-matrix (Murty 1974), which holds for the
+    The callback gets each set with its tobytes() key, as from the Newton
+    iteration.  The basic variable of row i is lam_i on the active set and
+    the slack c_i - g_i off it; each pivot flips the least index whose basic
+    variable is negative.  From any start this ends at the unique solution
+    when the problem's matrix is a P-matrix (Murty 1974), which holds for the
     theta-step FEM matrix and for the reduced Schur complement whenever
     their symmetric parts are positive definite.  The final iterate is
     accepted by its KKT residual |min(lam, c - g)|_inf; a residual above
     KKT_TOL or MAX_ITER pivots raise LCPError.  Returns (x, lam, active).
     """
     for pivots in range(MAX_ITER):
-        x, lam, c = solve(active)
+        x, lam, c = solve(active, active.tobytes())
         slack = c - g
         tol = KKT_TOL * max(1.0, np.abs(c).max(), np.abs(g).max())
         residual = float(np.abs(np.minimum(lam, slack)).max())
@@ -264,10 +274,12 @@ def march(u0, rhs_op, load, I: int, step, g=None):
     an obstacle g, step(rhs) returns U[k+1].  With one, step(active)
     factorizes an active set's step matrix and returns its solve(rhs) ->
     (x, lam, c), and each step is solve_complementarity started from the
-    previous step's set.  The kernel's callback is built once per solve and
-    reads the current step's right-hand side.  It holds the one slot, keyed
-    by the set's tobytes(), which keeps the last factorization across Newton
-    iterations and steps; the held one is dropped before the next is built.
+    previous step's set, with |g|_inf computed once here.  The kernel's
+    callback is built once per solve and reads the current step's
+    right-hand side.  It holds the one slot, which keeps the last
+    factorization across Newton iterations and steps: the kernel hands each
+    set with its tobytes() key, and the slot compares that key with the held
+    set's.  The held factorization is dropped before the next is built.
     Returns (U, lam), lam None without an obstacle and lam[0] = 0 with one.
     The trajectory is checked once after the loop: a non-finite U raises
     FloatingPointError naming its first step.
@@ -281,11 +293,11 @@ def march(u0, rhs_op, load, I: int, step, g=None):
     else:
         lam = np.zeros((I + 1, g.size))
         active = np.zeros(g.size, dtype=bool)
+        g_max = np.abs(g).max(initial=0.0)  # 0.0 for an empty obstacle
         key, factorization, rhs = None, None, None
 
-        def solve(active):
+        def solve(active, set_key):
             nonlocal key, factorization
-            set_key = active.tobytes()
             if set_key != key:
                 factorization = None  # first: two factorizations alive at once raise peak memory
                 key, factorization = set_key, step(active)
@@ -293,7 +305,7 @@ def march(u0, rhs_op, load, I: int, step, g=None):
 
         for k in range(I):
             rhs = rhs_op @ U[k] + load(k)
-            U[k + 1], lam[k + 1], active = solve_complementarity(solve, g, active)
+            U[k + 1], lam[k + 1], active = solve_complementarity(solve, g, active, g_max)
     if not np.isfinite(U).all():
         k = int(np.argmin(np.isfinite(U).all(axis=1)))
         raise FloatingPointError(f"non-finite solution at step {k}")

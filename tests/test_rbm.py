@@ -554,12 +554,12 @@ def test_reduced_price_off_grid_matches_detailed(toy):
 
 
 def _lcp(M, q):
-    """Kernel callback of the LCP 0 <= beta  perp  M beta + q >= 0.
+    """Kernel callback solve(active, key) of the LCP 0 <= beta  perp  M beta + q >= 0.
 
     With c = M beta and g = -q the slack c - g is M beta + q.
     """
 
-    def solve(active):
+    def solve(active, key):
         idx = np.flatnonzero(active)
         beta = np.zeros(q.size)
         beta[idx] = np.linalg.solve(M[np.ix_(idx, idx)], -q[idx])
@@ -627,7 +627,7 @@ def test_kernel_p_matrix_from_every_warm_start(case, start, monkeypatch):
 
     monkeypatch.setattr(solvers, "principal_pivoting", counted)
     active0 = np.array([(start >> i) & 1 for i in range(3)], dtype=bool)
-    _, beta, _ = solve_complementarity(*_lcp(M, q), active0)
+    _, beta, _ = solve_complementarity(*_lcp(M, q), active0, np.abs(q).max())
     _assert_lcp_solution(M, q, beta)
     assert beta == pytest.approx(solution, rel=1e-14, abs=0.0)
     assert bool(pivoted) == (start in cycling)
@@ -680,3 +680,28 @@ def test_schur_step_matches_the_bordered_saddle_point_solve(subset):
     for got, want in ((a, a_ref), (beta, beta_ref), (c, B @ a_ref)):
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
     assert (beta[~active] == 0.0).all()
+
+
+def test_schur_step_empty_set_map_is_the_general_formula_bit_for_bit():
+    """The empty set's map, built without the 0 x 0 inverse and the empty
+    products, solves to the general formula's bytes.  Bytes compare the sign
+    of every zero: the beta rows are zero, and rhs and S^-1 hold -0.0."""
+    rng = np.random.default_rng(23)
+    n, n_w = 6, 4
+    s_inv = np.linalg.inv(4.0 * np.eye(n) + rng.normal(scale=0.5, size=(n, n)))
+    s_inv[0, :3] = -0.0
+    B = rng.normal(size=(n_w, n))
+    g = rng.normal(size=n_w)
+    bs = B @ s_inv
+    free = np.vstack((s_inv, np.zeros((n_w, n)), bs))
+    lift = np.vstack((s_inv @ B.T, np.eye(n_w), bs @ B.T))
+    idx = np.flatnonzero(np.zeros(n_w, dtype=bool))
+    lift_a = lift[:, idx]
+    inv = np.linalg.inv(lift_a[n + n_w + idx])
+    M, m = free - lift_a @ (inv @ bs[idx]), lift_a @ (inv @ g[idx])
+    solve = _schur_step(s_inv, B, g)(np.zeros(n_w, dtype=bool))
+    for rhs in (rng.normal(size=n), np.full(n, -0.0), -np.abs(rng.normal(size=n))):
+        want = M @ rhs + m
+        got = solve(rhs)
+        assert np.concatenate(got).tobytes() == want.tobytes()
+        assert not np.signbit(got[1]).any()

@@ -1,6 +1,7 @@
 import copy
 import pickle
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import fem_oracle
@@ -11,10 +12,18 @@ import scipy.sparse.linalg as spla
 from fem_oracle import THREE_MU, assert_same_csr
 
 from hestoncal import rbm, solvers
+from hestoncal.calibration import CalibParams, ReducedBackend, localized_box
 from hestoncal.heston_operator import THETA, assemble_operator, boundary_data, payoff_vector
 from hestoncal.mesh import Domain2D, assemble_blocks, band_order, build_mesh, evaluate_p1, evaluation_row
-from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams
-from hestoncal.rbm import GreedyConfig, pod_greedy, solve_reduced
+from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, ModelParams
+from hestoncal.quotes import synthetic_layout
+from hestoncal.rbm import (
+    GreedyConfig,
+    make_training_grid,
+    pod_angle_greedy_american,
+    pod_greedy,
+    solve_reduced,
+)
 from hestoncal.solvers import (
     KKT_TOL,
     LCPError,
@@ -334,7 +343,7 @@ def test_fem_pivoting_from_empty_set_matches_psor():
     """The kernel's fallback alone, started from no active node."""
     lhs, rhs, g, d, am = _psor_cross_check_step()
     factor = fem_step(lhs, g, d, band_order(am.space))
-    u, lam, active = principal_pivoting(lambda a: factor(a)(rhs), g, np.zeros(g.size, dtype=bool))
+    u, lam, active = principal_pivoting(lambda a, key: factor(a)(rhs), g, np.zeros(g.size, dtype=bool))
     u_psor = psor_step(lhs, rhs, g, tol=1e-12)
     assert active.any()
     assert np.max(np.abs(u - u_psor)) < 1e-7
@@ -354,14 +363,15 @@ def test_european_boundary_consistency(fem, grid):
 
 
 def _fresh_step(lhs, rhs, g, d, order):
-    """Reference FEM step callback: builds the inactive principal block
-    lhs[free][:, free].tocsc() from new sparse objects, free being the
-    inactive nodes in the given order, and factorizes it with
-    permc_spec="NATURAL" on every call, as fem_step does.  u is g on the
-    active set and solves lhs_II u_I = rhs_I - lhs_IA g_A off it."""
+    """Reference FEM kernel callback solve(active, key), the key unused:
+    builds the inactive principal block lhs[free][:, free].tocsc() from new
+    sparse objects, free being the inactive nodes in the given order, and
+    factorizes it with permc_spec="NATURAL" on every call, as fem_step does.
+    u is g on the active set and solves lhs_II u_I = rhs_I - lhs_IA g_A off
+    it."""
     n = rhs.size
 
-    def solve(active):
+    def solve(active, key):
         free = order[~active[order]]
         g_active = np.where(active, g, 0.0)
         u = g_active.copy()
@@ -376,16 +386,16 @@ def _fresh_step(lhs, rhs, g, d, order):
 
 
 def _masked_step(lhs, rhs, g, d, order=None):
-    """Reference FEM step callback on the whole step matrix: builds
-    (diag(~A) lhs + diag(A)).tocsc(), whose active rows are the identity
-    equations u_p = g_p, from new sparse objects and factorizes it on every
-    call.  With an order, the matrix is permuted symmetrically by it and
-    factorized with permc_spec="NATURAL"; without one, SuperLU orders the
-    columns of each matrix itself (COLAMD), the reference that the one band
-    order per mesh is held to."""
+    """Reference FEM kernel callback solve(active, key), the key unused, on
+    the whole step matrix: builds (diag(~A) lhs + diag(A)).tocsc(), whose
+    active rows are the identity equations u_p = g_p, from new sparse
+    objects and factorizes it on every call.  With an order, the matrix is
+    permuted symmetrically by it and factorized with permc_spec="NATURAL";
+    without one, SuperLU orders the columns of each matrix itself (COLAMD),
+    the reference that the one band order per mesh is held to."""
     n = rhs.size
 
-    def solve(active):
+    def solve(active, key):
         mod = (sp.diags((~active).astype(float)) @ lhs + sp.diags(active.astype(float))).tocsc()
         b = np.where(active, g, rhs)
         if order is None:
@@ -441,14 +451,14 @@ def test_fem_step_masked_matrix_and_solution_are_exact(fem, grid, monkeypatch):
     for active in sets:
         n_before = len(factored)
         u, lam, c = factor(active)(rhs)
-        u_ref, lam_ref, _ = _fresh_step(lhs, rhs, g, d, order)(active)
+        u_ref, lam_ref, _ = _fresh_step(lhs, rhs, g, d, order)(active, active.tobytes())
         assert np.array_equal(u, u_ref) and np.array_equal(lam, lam_ref)
         assert c is u
         (mine, mine_spec), (ref, ref_spec) = factored[n_before], factored[-1]
         assert mine_spec == ref_spec == "NATURAL"
         for attr in ("indptr", "indices", "data"):
             assert np.array_equal(getattr(mine, attr), getattr(ref, attr))
-        u_full, lam_full, _ = _masked_step(lhs, rhs, g, d, order)(active)
+        u_full, lam_full, _ = _masked_step(lhs, rhs, g, d, order)(active, active.tobytes())
         assert np.abs(u - u_full).max() <= 1e-10 * np.abs(u_full).max()
         assert np.abs(lam - lam_full).max() <= 1e-10 * np.abs(lam_full).max()
     # one LU per set for the step and one for each reference
@@ -505,6 +515,19 @@ def test_march_factorizes_each_consecutive_set_once_and_drops_the_evicted_one():
     assert alive_at_build == [0] * len(factored)
 
 
+def test_march_with_an_empty_obstacle_factorizes_once():
+    """An obstacle without rows, as a reduced model without a dual basis has:
+    every step keeps the empty set, whose one factorization serves them all."""
+    factored = []
+
+    def factor(active):
+        factored.append(active.size)
+        return lambda rhs: (rhs, np.zeros(0), np.zeros(0))
+
+    U, lam = solvers.march(np.ones(2), np.eye(2), lambda k: np.ones(2), 3, factor, np.zeros(0))
+    assert U[-1].tolist() == [4.0, 4.0] and lam.shape == (4, 0) and factored == [0]
+
+
 def _reference_kernel(solve, g, active):
     """solve_complementarity with its Newton test comparing sets elementwise."""
     seen = set()
@@ -521,12 +544,13 @@ def _reference_kernel(solve, g, active):
             break
         seen.add(key)
         active = new_active
-    return principal_pivoting(solve, g, active)
+    return principal_pivoting(lambda a, key: solve(a), g, active)
 
 
-def _reference_march(u0, rhs_op, load, I, step, g):
+def _reference_march(u0, rhs_op, load, I, step, g, kernel=_reference_kernel):
     """march's loop with an obstacle, building a new kernel callback per step
-    and keying the slot by each call's own tobytes()."""
+    and keying the slot by each call's own tobytes().  The kernel gets the
+    one-argument callback solve(active)."""
     U = np.empty((I + 1, u0.size))
     U[0] = u0
     lam = np.zeros((I + 1, g.size))
@@ -542,7 +566,7 @@ def _reference_march(u0, rhs_op, load, I, step, g):
 
     for k in range(I):
         rhs = rhs_op @ U[k] + load(k)
-        U[k + 1], lam[k + 1], active = _reference_kernel(lambda a: slot(a)(rhs), g, active)
+        U[k + 1], lam[k + 1], active = kernel(lambda a: slot(a)(rhs), g, active)
     return U, lam
 
 
@@ -567,6 +591,109 @@ def test_time_loop_equals_the_reference_loop_bit_for_bit(toy_american, monkeypat
         assert got.U.tobytes() == want.U.tobytes() and got.lam.tobytes() == want.lam.tobytes()
 
 
+#: The pilot shape of the ladder-reduced benchmark: 17 x 17 mesh, I = 48
+#: steps over T = 2, rate 0.05, and the first-round local box of its sweep
+#: around the ladders' reference vector.
+PILOT_RATE = 0.05
+PILOT_CENTER = np.array([0.7, -0.8, 0.3, 1.4, 0.3])
+PILOT_HALF_WIDTHS = (0.25, 0.15, 0.10, 1.0)
+
+
+@pytest.fixture(scope="module")
+def pilot():
+    """The pilot basis: 2 x 2 x 2 x 2 grid over DEFAULT_PARAM_BOX, n_max = 20."""
+    space = build_mesh(Domain2D(), 17, 17)
+    train = make_training_grid(DEFAULT_PARAM_BOX, (2, 2, 2, 2, 1), PILOT_RATE)
+    return pod_angle_greedy_american(
+        train, space, assemble_blocks(space), TimeGrid(T=2.0, I=48), GreedyConfig(n_max=20)
+    )
+
+
+def _pilot_thetas():
+    """Six seeded calibration vectors of the pilot's local box and one corner
+    of DEFAULT_PARAM_BOX (largest xi, rho and nu0, smallest gamma and kappa)."""
+    box = localized_box(PILOT_CENTER, PILOT_HALF_WIDTHS, DEFAULT_PARAM_BOX, DEFAULT_CALIB_BOX)
+    local = box.lo + np.random.default_rng(17).uniform(size=(6, 5)) * (box.hi - box.lo)
+    lo, hi = DEFAULT_PARAM_BOX.lo, DEFAULT_PARAM_BOX.hi
+    return [*local, np.array([*hi[:2], *lo[2:4], hi[4]])]
+
+
+def _counting_schur_step(counts):
+    """rbm._schur_step that appends one Counter per solve to counts: its
+    factorizations (step calls) and Newton iterations (calls of their solves)."""
+    schur_step = rbm._schur_step
+
+    def counted(s_inv, B, g):
+        factor, solve_counts = schur_step(s_inv, B, g), Counter()
+        counts.append(solve_counts)
+
+        def counted_factor(active):
+            solve_counts["factorizations"] += 1
+            solve = factor(active)
+
+            def counted_solve(rhs):
+                solve_counts["newton"] += 1
+                return solve(rhs)
+
+            return counted_solve
+
+        return counted_factor
+
+    return counted
+
+
+def _pilot_runs(pilot, monkeypatch, **patches):
+    """(U, lam, ReducedAm prices, work counts) at each of _pilot_thetas, with
+    the names of solvers and rbm in patches replaced."""
+    quotes = synthetic_layout("american")
+    backend = ReducedBackend("ReducedAm", pilot)
+    runs = []
+    for theta in _pilot_thetas():
+        counts = []
+        with monkeypatch.context() as m:
+            m.setattr(rbm, "_schur_step", _counting_schur_step(counts))
+            for name, value in patches.items():
+                for module in (solvers, rbm):
+                    if hasattr(module, name):
+                        m.setattr(module, name, value)
+            surf = solve_reduced(pilot, CalibParams.from_array(theta).to_model(PILOT_RATE))
+            prices = backend.price_vector(theta, quotes, 1.0, PILOT_RATE)
+        runs.append((surf.U.tobytes(), surf.lam.tobytes(), prices.tobytes(), counts))
+    return runs
+
+
+def test_reduced_solves_at_the_pilot_shape_equal_the_reference_loop_bit_for_bit(pilot, monkeypatch):
+    """At the benchmark's pilot shape, solve_reduced's U and lam and the
+    ReducedAm prices equal the reference loop's byte for byte, at six
+    local-box vectors and a corner of DEFAULT_PARAM_BOX, and each solve does
+    the same work: as many factorizations and Newton iterations."""
+    assert (pilot.dim, pilot.n_dual) == (20, 10)
+    got = _pilot_runs(pilot, monkeypatch)
+    want = _pilot_runs(pilot, monkeypatch, march=_reference_march)
+    for (*mine, mine_counts), (*ref, ref_counts) in zip(got, want):
+        assert mine == ref
+        assert len(mine_counts) == 2 and mine_counts == ref_counts
+        assert all(c["newton"] >= pilot.grid.I and c["factorizations"] >= 2 for c in mine_counts)
+
+
+def test_pivoting_hand_off_under_the_key_protocol_equals_the_reference_loop(pilot, monkeypatch):
+    """Every step of the pilot's solves forced into principal_pivoting: the
+    slot, fed the keys pivoting derives, gives the bytes of the reference
+    loop, whose slot derives its own keys from the one-argument callback."""
+
+    def pivoting(solve, g, active, g_max):
+        return principal_pivoting(solve, g, active)
+
+    def reference_pivoting(solve, g, active):
+        return principal_pivoting(lambda a, key: solve(a), g, active)
+
+    got = _pilot_runs(pilot, monkeypatch, solve_complementarity=pivoting)
+    want = _pilot_runs(
+        pilot, monkeypatch, march=lambda *args: _reference_march(*args, kernel=reference_pivoting)
+    )
+    assert got == want
+
+
 def test_solve_american_matches_fresh_factorization(ladder_fem):
     """The whole solve equals a loop that builds every inactive block fresh,
     bit for bit, and a loop on the whole masked step matrix in the same
@@ -575,16 +702,19 @@ def test_solve_american_matches_fresh_factorization(ladder_fem):
     space, blocks = ladder_fem
     am = solve_american(MU, space, blocks, LADDER_GRID)
     lhs, rhs_op, f, g, d = _american_system(space, blocks, LADDER_GRID)
+    g_max = np.abs(g).max()
     order = band_order(space)
     u, u_full = am.U[0], am.U[0]
     active = active_full = np.zeros(g.size, dtype=bool)
     U_full, lam_full = np.zeros_like(am.U), np.zeros_like(am.lam)
     slack, multiplier = [], []
     for k in range(LADDER_GRID.I):
-        u, lam, active = solve_complementarity(_fresh_step(lhs, rhs_op @ u + f, g, d, order), g, active)
+        u, lam, active = solve_complementarity(
+            _fresh_step(lhs, rhs_op @ u + f, g, d, order), g, active, g_max
+        )
         assert np.array_equal(u, am.U[k + 1]) and np.array_equal(lam, am.lam[k + 1])
         u_full, lam_full[k + 1], active_full = solve_complementarity(
-            _masked_step(lhs, rhs_op @ u_full + f, g, d, order), g, active_full
+            _masked_step(lhs, rhs_op @ u_full + f, g, d, order), g, active_full, g_max
         )
         U_full[k + 1] = u_full
         tie = active != active_full
@@ -681,7 +811,9 @@ def test_principal_pivoting_finishes_every_fem_step_from_its_warm_start(toy, mon
     space, blocks, grid = toy
     mu = ModelParams(0.2, -0.7, 0.25, 2.0, 0.03)
     want = solve_american(mu, space, blocks, grid)
-    monkeypatch.setattr(solvers, "solve_complementarity", principal_pivoting)
+    monkeypatch.setattr(
+        solvers, "solve_complementarity", lambda solve, g, active, g_max: principal_pivoting(solve, g, active)
+    )
     got = solve_american(mu, space, blocks, grid)
     assert np.allclose(got.U, want.U, rtol=0.0, atol=1e-10)
 
@@ -723,6 +855,7 @@ def test_solve_american_matches_solver_with_default_ordering(n, I, mu, monkeypat
 
     lhs, rhs_op, f, g, d = _american_system(space, blocks, grid, mu)
     factor = fem_step(lhs, g, d, band_order(space))
+    g_max = np.abs(g).max()
     u, u_ref = am.U[0], am.U[0]
     active = active_ref = np.zeros(g.size, dtype=bool)
     U_ref, lam_ref = np.zeros_like(am.U), np.zeros_like(am.lam)
@@ -730,10 +863,10 @@ def test_solve_american_matches_solver_with_default_ordering(n, I, mu, monkeypat
     slack, multiplier = [], []
     for k in range(I):
         rhs = rhs_op @ u + f
-        u, lam, active = solve_complementarity(lambda a: factor(a)(rhs), g, active)
+        u, lam, active = solve_complementarity(lambda a, key: factor(a)(rhs), g, active, g_max)
         assert np.array_equal(u, am.U[k + 1]) and np.array_equal(lam, am.lam[k + 1])
         u_ref, lam_ref[k + 1], active_ref = solve_complementarity(
-            _masked_step(lhs, rhs_op @ u_ref + f, g, d), g, active_ref
+            _masked_step(lhs, rhs_op @ u_ref + f, g, d), g, active_ref, g_max
         )
         U_ref[k + 1] = u_ref
         tie = active != active_ref
