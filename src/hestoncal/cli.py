@@ -10,7 +10,6 @@ parameter boxes are program constants, not options, and are not recorded.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
@@ -71,13 +70,17 @@ def _add_options(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument(name, **_OPTIONS[name])
 
 
+def _write_json(path: Path, record: dict) -> None:
+    """Write record to path as indented JSON with sorted keys, a Path as its str."""
+    path.write_text(json.dumps(record, indent=2, sort_keys=True, default=str) + "\n", encoding="utf-8")
+
+
 def _write_runconfig(args, stem: str, **paths) -> None:
     """Write the parsed options of this run and the files it read or wrote
     (paths, None entries dropped) to <out-dir>/<stem>_runconfig.json."""
     record = {k: v for k, v in vars(args).items() if k != "func"}
     record["paths"] = {k: v for k, v in paths.items() if v is not None}
-    text = json.dumps(record, indent=2, sort_keys=True, default=str)
-    (args.out_dir / f"{stem}_runconfig.json").write_text(text + "\n", encoding="utf-8")
+    _write_json(args.out_dir / f"{stem}_runconfig.json", record)
 
 
 def _load_basis(args):
@@ -94,7 +97,10 @@ def _load_basis(args):
 
 def _backend(args):
     """The --backend variant's pricer; the mesh of args is built only if the
-    variant prices with it."""
+    variant prices with it.  A --basis for a variant that prices without one
+    is refused before it loads."""
+    if args.basis is not None and cal.VARIANTS[args.backend].backend is not cal.ReducedBackend:
+        raise ValueError(f"backend {args.backend} prices without a reduced basis; drop --basis")
     model = None if args.basis is None else _load_basis(args)
     return cal.make_backend(args.backend, fem=lambda: (*_fem(args), _grid(args)), model=model)
 
@@ -103,6 +109,7 @@ def _backend(args):
 # report emission
 
 RESIDUAL_COLUMNS = ["maturity_years", "strike", "observed", "model", "abs_rel_err"]
+PSEUDO_COLUMNS = ["maturity_years", "strike", "observed_price", "sigma_star", "pseudo_price"]
 
 
 def emit_report(report: cal.CalibReport, out_dir: Path, stem: str = "calibration") -> dict:
@@ -117,13 +124,8 @@ def emit_report(report: cal.CalibReport, out_dir: Path, stem: str = "calibration
         "residuals": out_dir / f"{stem}_residuals.csv",
         "timings": out_dir / f"{stem}_timings.json",
     }
-    with open(paths["residuals"], "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(RESIDUAL_COLUMNS)
-        for T, K, po, pm, re in zip(
-            report.maturities, report.strikes, report.observed, report.model_prices, report.rel_errors
-        ):
-            w.writerow([repr(float(T)), repr(float(K)), repr(float(po)), repr(float(pm)), repr(float(re))])
+    qio.write_table(paths["residuals"], RESIDUAL_COLUMNS, zip(
+        report.maturities, report.strikes, report.observed, report.model_prices, report.rel_errors))
     lines = [
         f"backend: {report.variant}",
         f"status: {report.status}",
@@ -137,29 +139,21 @@ def emit_report(report: cal.CalibReport, out_dir: Path, stem: str = "calibration
         f"x0: {np.array2string(report.x0, precision=6)}",
     ]
     paths["summary"].write_text("\n".join(lines) + "\n", encoding="utf-8")
-    timings = {"preprocess_s": report.time_preprocess, "calibrate_s": report.time_calibrate}
-    paths["timings"].write_text(json.dumps(timings, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(paths["timings"], {"preprocess_s": report.time_preprocess,
+                                   "calibrate_s": report.time_calibrate})
     return paths
 
 
-def read_residuals_csv(path) -> list[dict]:
-    """The rows of a residual CSV; a file without every column of RESIDUAL_COLUMNS, or with a
-    row whose cell in one of them is missing or not a number, is refused."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in RESIDUAL_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ValueError(f"{path}: a residual CSV needs the column(s) {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            for c in RESIDUAL_COLUMNS:
-                try:
-                    float(row[c])
-                except (TypeError, ValueError):
-                    what = "is missing" if row[c] is None else f"{row[c]!r} is not a number"
-                    raise ValueError(f"{path}, line {reader.line_num}: {c} {what}") from None
-            rows.append(row)
-        return rows
+def _parse_residual(row: list[str]) -> dict:
+    """A residual row by column; a cell that is missing or not a number is refused."""
+    record = dict(zip(RESIDUAL_COLUMNS, row))
+    for c in RESIDUAL_COLUMNS:
+        try:
+            float(record.get(c))
+        except (TypeError, ValueError):
+            what = "is missing" if c not in record else f"{record[c]!r} is not a number"
+            raise ValueError(f"{c} {what}") from None
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +204,8 @@ def cmd_deamericanize(args) -> int:
     pseudo = deamericanize_set(pre.quotes, args.spot, args.rate, TreeConfig(steps=args.tree_steps))
     args.out_dir.mkdir(parents=True, exist_ok=True)
     out = args.out_dir / args.output
-    with open(out, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["maturity_years", "strike", "observed_price", "sigma_star", "pseudo_price"])
-        for p in pseudo:
-            w.writerow([repr(float(p.maturity)), repr(float(p.strike)),
-                        repr(float(p.observed_price)), repr(float(p.sigma_star)),
-                        repr(float(p.pseudo_price))])
+    qio.write_table(out, PSEUDO_COLUMNS, ((p.maturity, p.strike, p.observed_price, p.sigma_star,
+                                           p.pseudo_price) for p in pseudo))
     _write_runconfig(args, out.stem, quotes=args.quotes, output=out)
     print(f"wrote {len(pseudo)} pseudo-European quotes -> {out}")
     return 0
@@ -235,6 +224,15 @@ def cmd_synth(args) -> int:
 
 
 def cmd_calibrate(args) -> int:
+    # the options are checked, and the pricer or the pilot basis loaded, before the quotes
+    if args.refine_basis:
+        if args.backend != "ReducedAm":
+            raise ValueError("--refine-basis requires --backend ReducedAm")
+        if args.basis is None:
+            raise ValueError("--refine-basis requires a pilot --basis")
+        model = _load_basis(args)
+    else:
+        backend = _backend(args)
     pre = qio.preprocess_quotes(qio.read_quotes_csv(args.quotes, S0=args.spot, r=args.rate))
     t0 = time.perf_counter()
     pre = cal.route_quotes(args.backend, pre, TreeConfig(steps=args.tree_steps))
@@ -244,12 +242,7 @@ def cmd_calibrate(args) -> int:
                                    fix_kappa=args.fix_kappa)
     refined_path, pilot_paths = None, {}
     if args.refine_basis:
-        if args.backend != "ReducedAm":
-            raise ValueError("--refine-basis requires --backend ReducedAm")
-        if args.basis is None:
-            raise ValueError("--refine-basis requires a pilot --basis")
         # refine on the pilot's own node arrays and time grid, which may be graded
-        model = _load_basis(args)
         report, refined, pilot = cal.calibrate_reduced_refined(
             pre, model, model.space, assemble_blocks(model.space), model.grid,
             box, DEFAULT_PARAM_BOX,
@@ -262,7 +255,7 @@ def cmd_calibrate(args) -> int:
         save_reduced_model(refined, refined_path)
         print(f"refined basis: dim={refined.dim} dual={refined.n_dual} -> {refined_path}")
     else:
-        report = cal.calibrate(pre, _backend(args), box, x0=args.x0, options=options,
+        report = cal.calibrate(pre, backend, box, x0=args.x0, options=options,
                                time_preprocess=t_pre)
     paths = emit_report(report, args.out_dir, stem=args.stem)
     _write_runconfig(args, args.stem, quotes=args.quotes, basis=args.basis,
@@ -274,7 +267,7 @@ def cmd_calibrate(args) -> int:
 
 
 def cmd_report(args) -> int:
-    rows = read_residuals_csv(args.residuals)
+    rows = qio.read_table(args.residuals, RESIDUAL_COLUMNS, _parse_residual)
     if not rows:
         print("empty residual file", file=sys.stderr)
         return 1

@@ -164,61 +164,58 @@ def generate_synthetic(theta_ex, r: float, style: str, pricer) -> QuoteSet:
 # CSV input/output
 
 
+def write_table(path, header, rows) -> None:
+    """Write header and rows to the CSV file path.  A cell None is written
+    empty, a str as it is, and anything else as repr(float(x)), which reads
+    back bit for bit."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(["" if x is None else x if isinstance(x, str) else repr(float(x)) for x in row]
+                         for row in rows)
+
+
+def read_table(path, header, parse) -> list:
+    """parse(cells) of every row below the header of the CSV file path,
+    blank rows skipped.  A file without the exact header is refused, and a
+    ValueError of parse is raised again as path:line: message."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file; want the CSV header {header}")
+        if [h.strip() for h in first] != header:
+            raise ValueError(f"{path}: unexpected CSV header {first!r}; want {header}")
+        rows = []
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                try:
+                    rows.append(parse(row))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    return rows
+
+
 def _parse_optional(value: str) -> float | None:
     value = value.strip()
     return float(value) if value else None
 
 
+def _parse_quote(row: list[str]) -> Quote:
+    T, K, bid, ask, price, style = row
+    return Quote(maturity=float(T), strike=float(K), bid=_parse_optional(bid), ask=_parse_optional(ask),
+                 price=_parse_optional(price), style=style.strip().lower())
+
+
 def read_quotes_csv(path, S0: float, r: float) -> QuoteSet:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file; want the CSV header {CSV_HEADER}")
-        if [h.strip() for h in header] != CSV_HEADER:
-            raise ValueError(f"{path}: unexpected CSV header {header!r}; want {CSV_HEADER}")
-        quotes = []
-        for row in reader:
-            if not row or not any(cell.strip() for cell in row):
-                continue
-            try:
-                T, K, bid, ask, price, style = row
-                quotes.append(
-                    Quote(
-                        maturity=float(T),
-                        strike=float(K),
-                        bid=_parse_optional(bid),
-                        ask=_parse_optional(ask),
-                        price=_parse_optional(price),
-                        style=style.strip().lower(),
-                    )
-                )
-            except ValueError as exc:
-                raise ValueError(f"{path}:{reader.line_num}: {exc}") from exc
+    quotes = read_table(path, CSV_HEADER, _parse_quote)
     if not quotes:
         raise ValueError(f"{path}: no quote rows below the header")
     return QuoteSet(quotes=tuple(quotes), S0=S0, r=r)
 
 
-def _format_optional(value: float | None) -> str:
-    return "" if value is None else repr(float(value))
-
-
 def write_quotes_csv(quotes: QuoteSet, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CSV_HEADER)
-        for q in quotes:
-            writer.writerow(
-                [
-                    repr(float(q.maturity)),
-                    repr(float(q.strike)),
-                    _format_optional(q.bid),
-                    _format_optional(q.ask),
-                    _format_optional(q.price),
-                    q.style,
-                ]
-            )
+    write_table(path, CSV_HEADER, ((q.maturity, q.strike, q.bid, q.ask, q.price, q.style) for q in quotes))
 
 
 def load_google_quotes() -> QuoteSet:

@@ -84,15 +84,12 @@ def _inner(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def pod1(trajectory: np.ndarray, gram) -> np.ndarray:
     """First dominant POD mode of snapshot columns in the gram inner product.
 
-    Method of snapshots: eigendecompose the small correlation matrix
-    C = S^T G S; the mode is S q1 / sqrt(lambda1), unit gram-norm.  The sign
-    is fixed by making the largest-magnitude component positive.
+    Method of snapshots, for S of either shape: eigendecompose the small
+    correlation matrix C = S^T G S; the mode is S q1 / sqrt(lambda1), unit
+    gram-norm, its largest-magnitude component positive.  All-zero and
+    numerically singular snapshots are refused.
     """
-    S = np.atleast_2d(np.asarray(trajectory, dtype=float))
-    if S.ndim != 2:
-        raise ValueError("trajectory must be a 2-d array of snapshot columns")
-    if S.shape[0] < S.shape[1]:
-        raise ValueError("snapshots must be columns")
+    S = np.asarray(trajectory, dtype=float)
     C = _inner(S, gram @ S)
     if not np.any(np.abs(C) > 0.0):
         raise ValueError("all-zero snapshot trajectory")
@@ -333,6 +330,12 @@ def pod_greedy(
 ) -> ReducedModel:
     """POD-Greedy (European) / POD-Angle-Greedy (American) basis construction.
 
+    The initial basis is the first training point's final level and, for an
+    American build, the supremizer of its final multiplier.  Each pick adds
+    the first POD mode of its trajectory's projection residual, for any
+    number of time levels against free nodes, and in an American build the
+    multiplier snapshot at the widest angle to span(xi) with its supremizer.
+    One step, add_dual, takes every multiplier, the initial one included.
     The error measure is the true V-norm error between the detailed and the
     reduced solution at final time.  Every detailed training solve runs once
     up front and its whole surface is kept: the picks read their trajectories
@@ -360,20 +363,25 @@ def pod_greedy(
         surfs.append(solve(mu, space, blocks, grid))
         log.info("detailed training solve %d/%d", i + 1, len(train))
 
-    # initialization: first training point, k' = final step
-    surf0 = surfs[0]
-    init_vectors = [surf0.U[-1]]
-    xi = None
+    xi = None  # columns: the W-normalized multiplier snapshots
     xi_ortho = []  # W-orthonormal basis of span(xi), extended with xi
-    if style == "american":
-        lam0 = surf0.lam[-1]
-        norm0 = np.sqrt(lam0 @ (w_diag * lam0))
-        if norm0 == 0.0:
+
+    def add_dual(lam):
+        """Add lam, W-normalized, to xi and xi_ortho and return its supremizer.
+        Picks pass snapshots at a positive angle to span(xi): only the first can vanish."""
+        nonlocal xi
+        norm = np.sqrt(lam @ (w_diag * lam))
+        if norm == 0.0:
             raise ValueError("initial multiplier snapshot vanishes")
-        xi0 = lam0 / norm0
-        xi = xi0[:, None]
-        xi_ortho = gram_orthonormalize([xi0], w_gram)
-        init_vectors.append(supremizer(xi0, blocks))
+        xi_new = lam / norm
+        xi = xi_new[:, None] if xi is None else np.column_stack([xi, xi_new])
+        xi_ortho.extend(gram_orthonormalize([xi_new], w_gram, basis=xi_ortho))
+        return supremizer(xi_new, blocks)
+
+    # initialization: first training point, k' = final step
+    init_vectors = [surfs[0].U[-1]]
+    if style == "american":
+        init_vectors.append(add_dual(surfs[0].lam[-1]))
     psi = np.column_stack(gram_orthonormalize(init_vectors, gram))
     if psi.shape[1] >= config.n_max:
         raise ValueError(
@@ -412,7 +420,13 @@ def pod_greedy(
         surf = surfs[i_worst]
         log.info("greedy pick %s err %.3e dim %d", mu_n, eps_train, psi.shape[1])
 
+        # the POD mode of the projection residual, then the widest dual direction
         new_primal = []
+        snaps = surf.U.T  # columns
+        try:
+            new_primal.append(pod1(snaps - psi @ _inner(psi, gram @ snaps), gram))
+        except ValueError:
+            log.info("projection residual vanished for %s", mu_n)
         if style == "american":
             lams = surf.lam[1:]
             angles = [angle_to_space(l, xi_ortho, w_diag) if np.any(l) else 0.0 for l in lams]
@@ -420,20 +434,7 @@ def pod_greedy(
             if angles[k_best] < 1e-10:
                 log.info("duplicate dual direction at %s; skipping dual enrichment", mu_n)
             else:
-                lam_new = lams[k_best]
-                xi_new = lam_new / np.sqrt(lam_new @ (w_diag * lam_new))
-                xi = np.column_stack([xi, xi_new])
-                xi_ortho += gram_orthonormalize([xi_new], w_gram, basis=xi_ortho)
-                new_primal.append(supremizer(xi_new, blocks))
-
-        snaps = surf.U.T  # columns
-        proj = psi @ _inner(psi, gram @ snaps)
-        resid = snaps - proj
-        try:
-            psi_new = pod1(resid, gram)
-            new_primal.insert(0, psi_new)
-        except ValueError:
-            log.info("projection residual vanished for %s", mu_n)
+                new_primal.append(add_dual(lams[k_best]))
         added = gram_orthonormalize(new_primal, gram, basis=psi.T)
         if not added:
             log.warning("no primal enrichment possible; stopping greedy loop")

@@ -11,10 +11,19 @@ import numpy as np
 import pytest
 
 from hestoncal.calibration import MAX_ITER
-from hestoncal.cli import build_parser, main
+from hestoncal.cli import PSEUDO_COLUMNS, RESIDUAL_COLUMNS, build_parser, main
 from hestoncal.mesh import assemble_blocks, mesh_from_nodes
 from hestoncal.params import ModelParams
-from hestoncal.quotes import GOOGLE_R, GOOGLE_S0, QuoteSet, load_google_quotes, write_quotes_csv
+from hestoncal.quotes import (
+    CSV_HEADER,
+    GOOGLE_R,
+    GOOGLE_S0,
+    QuoteSet,
+    load_google_quotes,
+    read_table,
+    write_quotes_csv,
+    write_table,
+)
 from hestoncal.rbm import GreedyConfig, load_reduced_model, pod_greedy, save_reduced_model
 from hestoncal.solvers import TimeGrid
 from hestoncal.trees import TreeConfig
@@ -192,6 +201,44 @@ def test_deamericanize_subcommand(tmp_path):
     for line in pseudo[1:]:
         row = line.split(",")
         assert float(row[4]) <= float(row[2]) + 1e-12  # pseudo <= observed
+
+
+def _cells(row):
+    """The values write_table was given for a row of cells it wrote."""
+    return [None if c == "" else c if c in ("american", "european") else float(c) for c in row]
+
+
+def test_every_table_the_cli_writes_reads_back_under_its_own_header(tmp_path):
+    """The quotes of synth, the pseudo quotes of deamericanize and the
+    residuals of calibrate read back through read_table under their own
+    header, and written again they are the same bytes."""
+    ladder = _make_ladder(tmp_path)
+    american = tmp_path / "american.csv"
+    write_table(american, CSV_HEADER, (row[:-1] + ["american"]
+                                       for row in read_table(ladder, CSV_HEADER, _cells)))
+    _run(["deamericanize", "--quotes", str(american), "--tree-steps", "100", "--output", "pseudo.csv",
+          "--out-dir", str(tmp_path)])
+    _run(["calibrate", "--backend", "DasClosedForm", "--quotes", str(ladder), "--max-iter", "2",
+          "--stem", "cf", "--out-dir", str(tmp_path)])
+    for name, header, n_rows in (("ladder_european.csv", CSV_HEADER, 65), ("pseudo.csv", PSEUDO_COLUMNS, None),
+                                 ("cf_residuals.csv", RESIDUAL_COLUMNS, 65)):
+        rows = read_table(tmp_path / name, header, _cells)
+        assert len(rows) == n_rows or (n_rows is None and 1 < len(rows) <= 65)
+        write_table(tmp_path / "again.csv", header, rows)
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / name).read_bytes()
+
+
+@pytest.mark.parametrize("backend", ["DetailedAm", "DetailedEu", "DasPde", "DasClosedForm"])
+def test_basis_is_refused_for_a_route_that_prices_without_one(tmp_path, backend):
+    """price, synth and calibrate refuse --basis for a route that would
+    ignore it, before the container (here no file at all) or the quotes load."""
+    basis = ["--backend", backend, "--basis", str(tmp_path / "missing.npz")]
+    for argv in (["price", "--theta", THETA, "--strike", "1.0", "--maturity", "0.5"],
+                 ["synth", "--theta", THETA, "--out-dir", str(tmp_path)],
+                 ["calibrate", "--quotes", str(tmp_path / "missing.csv"), "--out-dir", str(tmp_path)]):
+        with pytest.raises(ValueError, match=f"^backend {backend} prices without a reduced basis; drop --basis$"):
+            main(argv + basis)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_build_basis_and_reduced_price(tmp_path, capsys):
@@ -445,7 +492,7 @@ def test_report_subcommand(tmp_path, capsys):
 def test_report_refuses_a_residual_file_without_a_column_it_reads(tmp_path):
     res = tmp_path / "r.csv"
     res.write_text("maturity_years,strike,observed,model\n0.5,1.0,0.1,0.101\n")
-    with pytest.raises(ValueError, match="r.csv: a residual CSV needs the column.s. abs_rel_err"):
+    with pytest.raises(ValueError, match=r"r.csv: unexpected CSV header .*; want \[.*'abs_rel_err'\]$"):
         _run(["report", "--residuals", str(res)])
 
 
@@ -458,7 +505,7 @@ def test_report_refuses_a_residual_row_with_a_missing_or_non_numeric_cell(tmp_pa
     """A row whose cell is missing or not a number is refused, naming the file and the line."""
     res = tmp_path / "r.csv"
     res.write_text(f"maturity_years,strike,observed,model,abs_rel_err\n1.0,0.9,0.05,0.049,0.02\n{row}\n")
-    with pytest.raises(ValueError, match=f"r.csv, line 3: {named}$"):
+    with pytest.raises(ValueError, match=f"r.csv:3: {named}$"):
         _run(["report", "--residuals", str(res)])
 
 

@@ -15,8 +15,10 @@ from hestoncal.quotes import (
     load_google_quotes,
     preprocess_quotes,
     read_quotes_csv,
+    read_table,
     synthetic_layout,
     write_quotes_csv,
+    write_table,
 )
 
 
@@ -179,6 +181,32 @@ def test_csv_row_error_names_file_and_line(tmp_path, row, message):
     path.write_text(f"{','.join(CSV_HEADER)}\n1.0,100.0,,,1.0,american\n{row}\n")
     with pytest.raises(ValueError, match=f"q.csv:3: {message}"):
         read_quotes_csv(path, S0=100.0, r=0.02)
+
+
+def test_write_table_cell_rule(tmp_path):
+    """None is an empty cell, a str is written as it is, and anything else
+    as repr(float(x)), NaN included; read_table reads every cell back."""
+    path = tmp_path / "t.csv"
+    rows = [[None, "american", 0.1, np.float64(1.0 / 3.0), float("nan"), 2],
+            [1e-300, "a,b", -0.0, np.inf, None, True]]
+    write_table(path, ["a", "b", "c", "d", "e", "f"], rows)
+    assert path.read_bytes() == (b"a,b,c,d,e,f\r\n"
+                                 b",american,0.1,0.3333333333333333,nan,2.0\r\n"
+                                 b'1e-300,"a,b",-0.0,inf,,1.0\r\n')
+    back = read_table(path, ["a", "b", "c", "d", "e", "f"], list)
+    assert back == [["", "american", "0.1", "0.3333333333333333", "nan", "2.0"],
+                    ["1e-300", "a,b", "-0.0", "inf", "", "1.0"]]
+
+
+def test_read_table_checks_the_header_skips_blank_rows_and_names_the_line(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_text("a,b\n1,2\n\n , \n3,x\n")
+    with pytest.raises(ValueError, match=r"t.csv: unexpected CSV header \['a', 'b'\]; want \['a', 'c'\]$"):
+        read_table(path, ["a", "c"], list)
+    with pytest.raises(ValueError, match="t.csv:5: could not convert string to float: 'x'$"):
+        read_table(path, ["a", "b"], lambda row: [float(c) for c in row])
+    path.write_text(" a , b \n1,2\n\n3,4\n")
+    assert read_table(path, ["a", "b"], lambda row: [float(c) for c in row]) == [[1.0, 2.0], [3.0, 4.0]]
 
 
 def test_empty_csv_is_refused_naming_the_file(tmp_path):

@@ -69,19 +69,22 @@ def test_training_grid_keeps_first_occurrence_order_of_5d_grid(counts):
 
 
 def test_pod1_matches_dense_oracle(toy):
+    """Tall and wide snapshot matrices alike: a greedy on a coarse mesh has
+    more time levels than free nodes."""
     space, blocks, _ = toy
     rng = np.random.default_rng(3)
-    snaps = rng.normal(size=(space.n_free, 12))
     G = blocks.v_gram_free.toarray()
-    mode = pod1(snaps, blocks.v_gram_free)
     # dense oracle: SVD of L^T S with G = L L^T
     L = np.linalg.cholesky(G)
-    U, s, _ = np.linalg.svd(L.T @ snaps, full_matrices=False)
-    ref = np.linalg.solve(L.T, U[:, 0])
-    if ref[np.argmax(np.abs(ref))] < 0:
-        ref = -ref
-    assert np.linalg.norm(mode - ref) <= 1e-8
-    assert mode @ (G @ mode) == pytest.approx(1.0, abs=1e-12)
+    for n_snaps in (12, space.n_free + 40):
+        snaps = rng.normal(size=(space.n_free, n_snaps))
+        mode = pod1(snaps, blocks.v_gram_free)
+        U, s, _ = np.linalg.svd(L.T @ snaps, full_matrices=False)
+        ref = np.linalg.solve(L.T, U[:, 0])
+        if ref[np.argmax(np.abs(ref))] < 0:
+            ref = -ref
+        assert np.linalg.norm(mode - ref) <= 1e-8
+        assert mode @ (G @ mode) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_pod1_rejects_degenerate_input(toy):
@@ -218,6 +221,24 @@ def test_reduced_feasibility(toy, toy_american):
         slack = m.b_red @ traj.U[k] - m.g_red
         assert slack.min() >= -1e-8
         assert traj.lam[k].min() >= -1e-12
+
+
+def test_greedy_adds_a_pod_mode_at_every_pick_with_more_time_levels_than_free_nodes(caplog):
+    """On 8 x 8 with I = 120 each trajectory has 121 levels for 63 free
+    nodes.  Every pick still adds its projection residual's POD mode next
+    to its supremizer, so the basis is twice the dual space, and the
+    training error falls."""
+    space = build_mesh(Domain2D(), 8, 8)
+    assert space.n_free == 63
+    train = make_training_grid(DEFAULT_PARAM_BOX, (2, 2, 1, 1), 0.05)
+    with caplog.at_level("INFO", logger="hestoncal.rbm"):
+        model = pod_greedy("american", train, space, assemble_blocks(space), TimeGrid(2.0, 120),
+                           GreedyConfig(n_max=10))
+    assert "projection residual vanished" not in caplog.text
+    assert (model.dim, model.n_dual) == (10, 5)
+    errs = np.asarray(model.errors)
+    assert np.all(np.diff(errs) < 0)
+    assert errs[-1] < 0.4
 
 
 def test_european_greedy_reproduces_single_trajectory(toy):
