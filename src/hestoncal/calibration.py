@@ -22,7 +22,7 @@ import numpy as np
 
 from .closed_form import heston_put_cf
 from .mesh import AssemblyBlocks, FemSpace
-from .params import FELLER_EPS, CalibParams, ParamBox, clamp_to_box, feller_margin
+from .params import FELLER_EPS, ModelParams, ParamBox, _check_finite_positive, clamp_to_box, feller_margin
 from .quotes import Quote, QuoteSet
 from .rbm import ReducedModel, solve_reduced
 from .solvers import TimeGrid, price_at, solve_american, solve_european
@@ -56,6 +56,16 @@ def _strikes_and_maturities(quotes) -> tuple[np.ndarray, np.ndarray]:
     return np.array([(q.strike, q.maturity) for q in quotes]).reshape(-1, 2).T
 
 
+def _evaluation_inputs(theta, quotes, r):
+    """What every backend prices theta = (xi, rho, gamma, kappa, nu0) and a
+    quote list from: (mu, nu0, strikes, maturities), mu being the PDE
+    parameters with the rate r.  A nu0 that is not finite and positive is
+    refused."""
+    xi, rho, gamma, kappa, nu0 = (float(v) for v in theta)
+    _check_finite_positive("nu0", nu0)
+    return ModelParams(xi, rho, gamma, kappa, r), nu0, *_strikes_and_maturities(quotes)
+
+
 @dataclass
 class PdeBackend:
     """Detailed finite-element pricer; one unit-strike solve per evaluation."""
@@ -66,12 +76,9 @@ class PdeBackend:
     grid: TimeGrid
 
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
-        p = CalibParams.from_array(theta)
-        mu = p.to_model(r)
+        mu, nu0, strikes, maturities = _evaluation_inputs(theta, quotes, r)
         solver = solve_american if VARIANTS[self.variant].style == "american" else solve_european
-        surf = solver(mu, self.space, self.blocks, self.grid)
-        strikes, maturities = _strikes_and_maturities(quotes)
-        return price_at(surf, S0, strikes, p.nu0, maturities)
+        return price_at(solver(mu, self.space, self.blocks, self.grid), S0, strikes, nu0, maturities)
 
 
 @dataclass
@@ -89,10 +96,8 @@ class ReducedBackend:
             )
 
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
-        p = CalibParams.from_array(theta)
-        mu = p.to_model(r)
-        strikes, maturities = _strikes_and_maturities(quotes)
-        return price_at(solve_reduced(self.model, mu), S0, strikes, p.nu0, maturities)
+        mu, nu0, strikes, maturities = _evaluation_inputs(theta, quotes, r)
+        return price_at(solve_reduced(self.model, mu), S0, strikes, nu0, maturities)
 
 
 class ClosedFormBackend:
@@ -102,9 +107,8 @@ class ClosedFormBackend:
     variant = "DasClosedForm"
 
     def price_vector(self, theta, quotes, S0, r) -> np.ndarray:
-        p = CalibParams.from_array(theta)
-        strikes, maturities = _strikes_and_maturities(quotes)
-        return heston_put_cf(S0, strikes, maturities, p.to_model(r), p.nu0)
+        mu, nu0, strikes, maturities = _evaluation_inputs(theta, quotes, r)
+        return heston_put_cf(S0, strikes, maturities, mu, nu0)
 
 
 @dataclass(frozen=True)
@@ -400,7 +404,7 @@ def calibrate_reduced_refined(
 
     space and grid must be the mesh and time grid pilot_model was built on,
     so that every refinement basis discretizes the pilot's problem; other
-    node arrays or another grid raise ValueError.
+    node arrays or another grid raise ValueError (ReducedModel.check_discretization).
 
     Returns (report, refined_model, pilot_report) for the last round;
     report.time_preprocess accumulates the offline basis-construction time
@@ -411,12 +415,7 @@ def calibrate_reduced_refined(
 
     if n_refine < 1:
         raise ValueError("n_refine must be at least 1")
-    pilot = pilot_model.space
-    if not (np.array_equal(space.nu, pilot.nu) and np.array_equal(space.x, pilot.x)):
-        raise ValueError(f"refinement mesh {space.n_nu, space.n_x} has other nodes than the pilot "
-                         f"basis's {pilot.n_nu, pilot.n_x}")
-    if grid != pilot_model.grid:
-        raise ValueError(f"refinement time grid {grid} is not the pilot basis's {pilot_model.grid}")
+    pilot_model.check_discretization(space, grid, "the pilot basis")
     pilot_backend = make_backend("ReducedAm", model=pilot_model)
     # The pilot only needs to locate the valley to within the localization
     # half-widths, so stop it early instead of polishing a biased optimum.
@@ -472,6 +471,7 @@ def calibrate(quote_set, backend, box: ParamBox, x0=None, options=None, time_pre
     t_calib = time.perf_counter() - t0
 
     J_star, residuals = objective(theta, quote_set, backend)
+    strikes, maturities = _strikes_and_maturities(quote_set)
     observed = quote_set.prices()
     model = observed - residuals
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -488,8 +488,8 @@ def calibrate(quote_set, backend, box: ParamBox, x0=None, options=None, time_pre
         rel_errors=rel,
         observed=observed,
         model_prices=model,
-        maturities=np.array([q.maturity for q in quote_set]),
-        strikes=np.array([q.strike for q in quote_set]),
+        maturities=maturities,
+        strikes=strikes,
         time_preprocess=time_preprocess,
         time_calibrate=t_calib,
         feller_active=opt.feller,

@@ -33,8 +33,13 @@ def _grid(args) -> TimeGrid:
     return TimeGrid(T=args.horizon, I=args.steps)
 
 
+def _space(args):
+    """The mesh of the run: --n-nu x --n-x uniform cells of the domain."""
+    return build_mesh(Domain2D(), args.n_nu, args.n_x)
+
+
 def _fem(args):
-    space = build_mesh(Domain2D(), args.n_nu, args.n_x)
+    space = _space(args)
     return space, assemble_blocks(space)
 
 
@@ -84,14 +89,10 @@ def _write_runconfig(args, stem: str, **paths) -> None:
 
 
 def _load_basis(args):
-    """The --basis model; refused unless it was built on the mesh and time
-    grid of args, which its reduced solves and refinements use."""
+    """The --basis model; refused unless it was built on the node arrays and
+    time grid of args, which its reduced solves and refinements use."""
     model = load_reduced_model(args.basis)
-    mesh = {"--n-nu": (model.space.n_nu, args.n_nu), "--n-x": (model.space.n_x, args.n_x),
-            "--steps": (model.grid.I, args.steps), "--horizon": (model.grid.T, args.horizon)}
-    for option, (built, parsed) in mesh.items():
-        if built != parsed:
-            raise ValueError(f"{args.basis} was built with {option} {built}; this run has {option} {parsed}")
+    model.check_discretization(_space(args), _grid(args), args.basis)
     return model
 
 
@@ -161,7 +162,7 @@ def _parse_residual(row: list[str]) -> dict:
 
 
 def cmd_mesh_info(args) -> int:
-    space = build_mesh(Domain2D(), args.n_nu, args.n_x)
+    space = _space(args)
     print(f"domain: variance [{space.domain.nu_min}, {space.domain.nu_max}]"
           f" x log-moneyness [{space.domain.x_min}, {space.domain.x_max}]")
     print(f"intervals: {space.n_nu} x {space.n_x}")
@@ -242,7 +243,7 @@ def cmd_calibrate(args) -> int:
                                    fix_kappa=args.fix_kappa)
     refined_path, pilot_paths = None, {}
     if args.refine_basis:
-        # refine on the pilot's own node arrays and time grid, which may be graded
+        # refine on the pilot's node arrays and time grid, which _load_basis found are the run's
         report, refined, pilot = cal.calibrate_reduced_refined(
             pre, model, model.space, assemble_blocks(model.space), model.grid,
             box, DEFAULT_PARAM_BOX,

@@ -302,6 +302,11 @@ def _summation(space: FemSpace) -> tuple[CsrPattern, np.ndarray]:
     return CsrPattern(run_indptr.astype(indices.dtype), indices), terms
 
 
+#: The index of the mass int phi_j phi_i among the blocks of the affine
+#: operator split (AssemblyBlocks.a_values, ReducedModel.a_red and alift_red).
+MASS = 7
+
+
 @dataclass
 class AssemblyBlocks:
     """Parameter-independent blocks of one FemSpace, as values on its one CSR pattern.
@@ -309,11 +314,11 @@ class AssemblyBlocks:
     a_values: the eight blocks of the affine operator split (see
     heston_operator.affine_coefficients for their coefficients), each its
     values at all of pattern's entries, exact zeros and their signs
-    included; the last, int phi_j phi_i, is the mass.
+    included; a_values[MASS] is the mass, which is kept nowhere else.
     free_entries: the positions of pattern's entries in free rows and
     columns, in order, whose free-DOF pattern is free_pattern.
-    mass: the mass matrix on all nodes; mass_free and v_gram_free, the H1
-    semi-norm Gram matrix int grad phi_j . grad phi_i, on the free DOFs.
+    v_gram_free: the H1 semi-norm Gram matrix int grad phi_j . grad phi_i
+    on the free DOFs.
     d_b: diagonal of the biorthogonal pairing, (D_B)_pp = int phi_p.
     Every matrix made from values leaves their exact zeros out.
     """
@@ -323,8 +328,6 @@ class AssemblyBlocks:
     a_values: list = field(repr=False)
     free_entries: np.ndarray = field(repr=False)
     free_pattern: CsrPattern = field(repr=False)
-    mass: sp.csr_matrix = field(repr=False)
-    mass_free: sp.csr_matrix = field(repr=False)
     v_gram_free: sp.csr_matrix = field(repr=False)
     d_b: np.ndarray = field(repr=False)
 
@@ -364,17 +367,14 @@ def assemble_blocks(space: FemSpace) -> AssemblyBlocks:
     free_entries = np.flatnonzero(in_free)
     # each its own array, which the matrices made from it may share
     a_values = [data[3].copy(), data[4] + data[5], *(d.copy() for d in data[6:]), data[0].copy()]
-    mass = pattern.matrix(a_values[7])
     return AssemblyBlocks(
         space=space,
         pattern=pattern,
         a_values=a_values,
         free_entries=free_entries,
         free_pattern=free_pattern,
-        mass=mass,
-        mass_free=free_pattern.matrix(a_values[7][free_entries]),
         v_gram_free=free_pattern.matrix((data[1] + data[2])[free_entries]),
-        d_b=np.asarray(mass.sum(axis=1)).ravel(),  # partition of unity
+        d_b=np.asarray(pattern.matrix(a_values[MASS]).sum(axis=1)).ravel(),  # partition of unity
     )
 
 

@@ -60,29 +60,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class CalibParams:
-    """Calibration vector Theta = (xi, rho, gamma, kappa, nu0)."""
-
-    xi: float
-    rho: float
-    gamma: float
-    kappa: float
-    nu0: float
-
-    def __post_init__(self):
-        _check_finite_positive("nu0", self.nu0)
-
-    def to_model(self, r: float) -> ModelParams:
-        """Drop nu0 and attach the (externally fixed) interest rate."""
-        return ModelParams(self.xi, self.rho, self.gamma, self.kappa, r)
-
-    @staticmethod
-    def from_array(theta) -> "CalibParams":
-        xi, rho, gamma, kappa, nu0 = (float(v) for v in theta)
-        return CalibParams(xi, rho, gamma, kappa, nu0)
-
-
-@dataclass(frozen=True)
 class ParamBox:
     """Componentwise box for a 5-dimensional parameter vector.
 

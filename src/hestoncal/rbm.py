@@ -34,7 +34,7 @@ from .heston_operator import (
     lift_and_rhs,
     payoff_vector,
 )
-from .mesh import AssemblyBlocks, FemSpace, assemble_blocks, mesh_from_nodes
+from .mesh import MASS, AssemblyBlocks, FemSpace, assemble_blocks, mesh_from_nodes
 from .params import ModelParams
 from .solvers import LCPError, PriceSurface, TimeGrid, march, solve_american, solve_european
 
@@ -161,16 +161,15 @@ def supremizer(xi_vec: np.ndarray, blocks: AssemblyBlocks) -> np.ndarray:
 
 @dataclass
 class ReducedModel:
-    """Offline output of _project_offline: mesh, time grid, bases, projected blocks, greedy history."""
+    """Offline output of _project_offline: mesh, time grid, bases, projected blocks, greedy history.
+    The projected mass is the affine block mesh.MASS, a_red[MASS] and alift_red[MASS]."""
 
     style: str
     space: FemSpace = field(repr=False)
     grid: TimeGrid
     psi: np.ndarray = field(repr=False)  # (n_free, N)
     a_red: np.ndarray = field(repr=False)  # (Q_a, N, N)
-    m_red: np.ndarray = field(repr=False)  # (N, N)
-    mlift_red: np.ndarray = field(repr=False)  # (N,)  psi^T (M L0)|free
-    alift_red: np.ndarray = field(repr=False)  # (Q_a, N)
+    alift_red: np.ndarray = field(repr=False)  # (Q_a, N)  psi^T (A_q L0)|free
     u0_red: np.ndarray = field(repr=False)  # (N,)
     # the Dirichlet lift's shape, which does not depend on the rate
     lift_shape: np.ndarray = field(repr=False, compare=False)
@@ -188,6 +187,20 @@ class ReducedModel:
     @property
     def n_dual(self) -> int:
         return 0 if self.xi is None else self.xi.shape[1]
+
+    def check_discretization(self, space: FemSpace, grid: TimeGrid, name) -> None:
+        """Refuse a run on other node arrays (not only other cell counts) or another time
+        grid than this model was built on: ValueError names the basis, name, and what differs."""
+        built = self.space
+        if (built.n_nu, built.n_x) != (space.n_nu, space.n_x):
+            raise ValueError(f"{name} was built on mesh (n_nu, n_x) = {built.n_nu, built.n_x}; "
+                             f"this run has {space.n_nu, space.n_x}")
+        for axis, ours, theirs in (("variance", built.nu, space.nu), ("log-moneyness", built.x, space.x)):
+            if not np.array_equal(ours, theirs):
+                raise ValueError(f"{name} was built on other {axis} nodes than this run's, "
+                                 f"up to {np.abs(ours - theirs).max():.3g} apart")
+        if self.grid != grid:
+            raise ValueError(f"{name} was built on {self.grid}; this run has {grid}")
 
 
 def _project_offline(
@@ -209,8 +222,6 @@ def _project_offline(
     for q, values in enumerate(blocks.a_values):
         a_red[q] = _inner(psi, blocks.free_matrix(values) @ psi)
         alift[q] = psi.T @ (blocks.pattern.matrix(values) @ L0)[free]
-    m_red = _inner(psi, blocks.mass_free @ psi)
-    mlift = psi.T @ (blocks.mass @ L0)[free]
     payoff = payoff_vector(space)
     u0_red = psi.T @ (blocks.v_gram_free @ payoff)
     b_red = g_red = None
@@ -224,8 +235,6 @@ def _project_offline(
         grid=grid,
         psi=psi,
         a_red=a_red,
-        m_red=m_red,
-        mlift_red=mlift,
         alift_red=alift,
         u0_red=u0_red,
         lift_shape=L0,
@@ -250,11 +259,11 @@ def solve_reduced(model: ReducedModel, mu: ModelParams) -> PriceSurface:
     dt = grid.dt
     theta_q = affine_coefficients(mu)
     A = np.tensordot(theta_q, model.a_red, axes=1)
-    m_dt = model.m_red / dt
+    m_dt = model.a_red[MASS] / dt
     S = m_dt + THETA * A
     R = m_dt - (1.0 - THETA) * A
     bnd = BoundaryData(style=model.style, r=mu.r, shape=model.lift_shape)
-    load = lift_and_rhs(model.mlift_red, theta_q @ model.alift_red, bnd, dt)
+    load = lift_and_rhs(model.alift_red[MASS], theta_q @ model.alift_red, bnd, dt)
     s_inv = np.linalg.inv(S)
     if model.style == "european":
         U, lam = march(model.u0_red, R, load, grid.I, lambda rhs: s_inv @ rhs)

@@ -59,7 +59,7 @@ from .heston_operator import (
     lift_and_rhs,
     payoff_vector,
 )
-from .mesh import AssemblyBlocks, FemSpace, band_order, evaluate_p1, evaluation_row
+from .mesh import MASS, AssemblyBlocks, FemSpace, band_order, evaluate_p1, evaluation_row
 from .params import ModelParams
 
 #: Cap on the Newton iterations, and separately on the pivots, of one
@@ -320,7 +320,7 @@ def step_matrices(blocks: AssemblyBlocks, a_values: np.ndarray, dt: float):
     M * (1/dt), restricted by free_matrix: the matrices SciPy's sums of the
     restricted sparse matrices give, bit for bit.
     """
-    m_dt = blocks.a_values[7] * (1.0 / dt)  # the mass
+    m_dt = blocks.a_values[MASS] * (1.0 / dt)
     return blocks.free_matrix(m_dt + THETA * a_values), blocks.free_matrix(m_dt - (1.0 - THETA) * a_values)
 
 
@@ -333,7 +333,8 @@ def _solve_detailed(style, mu, space, blocks, grid):
     a = assemble_operator(mu, blocks)
     free = space.free
     dt = grid.dt
-    load = lift_and_rhs((blocks.mass @ bnd.shape)[free], (blocks.pattern.matrix(a) @ bnd.shape)[free], bnd, dt)
+    mlift, alift = ((blocks.pattern.matrix(v) @ bnd.shape)[free] for v in (blocks.a_values[MASS], a))
+    load = lift_and_rhs(mlift, alift, bnd, dt)
     lhs, rhs_op = step_matrices(blocks, a, dt)
     # freed before the time loop: held across it, the heap tends to return
     # and re-fault the LU pages, 6-13k minor faults per three 33 x 33,

@@ -34,7 +34,7 @@ from hestoncal.calibration import (
 from hestoncal.cli import main as cli_main
 from hestoncal.closed_form import heston_put_cf
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
-from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, CalibParams
+from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, ModelParams
 from hestoncal.quotes import GOOGLE_DATASET, GOOGLE_S0, generate_synthetic
 from hestoncal.rbm import GreedyConfig, make_training_grid, pod_angle_greedy_american
 from hestoncal.solvers import TimeGrid, price_at, solve_european
@@ -177,8 +177,7 @@ def test_criterion_5_das_bias_direction(quotes65, reduced_result):
 
 
 def test_criterion_6_cross_backend_consistency():
-    p = CalibParams.from_array(P2)
-    mu = p.to_model(RATE)
+    mu, nu0 = ModelParams(*P2[:4], RATE), P2[4]
     probes = [(K, T) for K in (0.8, 0.9, 1.0, 1.1, 1.2) for T in (0.5, 1.0, 2.0)]
 
     def fem_gap(n: int, steps: int) -> float:
@@ -188,8 +187,8 @@ def test_criterion_6_cross_backend_consistency():
         surf = solve_european(mu, space, blocks, grid)
         worst = 0.0
         for K, T in probes:
-            fem = price_at(surf, 1.0, K, p.nu0, T)
-            cf = heston_put_cf(1.0, K, T, mu, p.nu0)
+            fem = price_at(surf, 1.0, K, nu0, T)
+            cf = heston_put_cf(1.0, K, T, mu, nu0)
             worst = max(worst, abs(fem - cf))
         return worst
 

@@ -9,6 +9,7 @@ from hestoncal.calibration import (
     OptimizerOptions,
     PdeBackend,
     ReducedBackend,
+    _evaluation_inputs,
     calibrate,
     calibrate_reduced_refined,
     fd_jacobian,
@@ -19,9 +20,9 @@ from hestoncal.calibration import (
     route_quotes,
 )
 from hestoncal.closed_form import heston_put_cf
-from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
-from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, CalibParams, ModelParams, ParamBox, feller_margin
-from hestoncal.quotes import Quote, QuoteSet
+from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh, mesh_from_nodes
+from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, ModelParams, ParamBox, feller_margin
+from hestoncal.quotes import Quote, QuoteSet, generate_synthetic
 from hestoncal.rbm import GreedyConfig, pod_greedy, solve_reduced
 from hestoncal.solvers import TimeGrid, solve_american, solve_european
 from hestoncal.trees import TreeConfig, deamericanize_set
@@ -387,8 +388,7 @@ def test_every_variant_prices_through_make_backend(variant, registry_inputs):
     backend = make_backend(variant, fem=lambda: fem, model=bases[spec.style])
     assert type(backend) is spec.backend and backend.variant == variant
 
-    p = CalibParams.from_array(REGISTRY_THETA)
-    mu = p.to_model(REGISTRY_R)
+    mu, nu0 = ModelParams(*REGISTRY_THETA[:4], REGISTRY_R), REGISTRY_THETA[4]
     if spec.backend is PdeBackend:
         solver = solve_american if spec.style == "american" else solve_european
         surf, oracle = solver(mu, *fem), _fem_quote_price
@@ -403,7 +403,7 @@ def test_every_variant_prices_through_make_backend(variant, registry_inputs):
         surf = None
     for S0, quotes in ((1.0, REGISTRY_QUOTES), (GOOGLE_S0, GOOGLE_QUOTES)):
         prices = backend.price_vector(REGISTRY_THETA, quotes, S0, REGISTRY_R)
-        want = np.array([oracle(surf, S0, q.strike, p.nu0, q.maturity) for q in quotes])
+        want = np.array([oracle(surf, S0, q.strike, nu0, q.maturity) for q in quotes])
         assert prices.shape == want.shape
         assert np.all(np.abs(prices - want) <= 1e-14 * np.abs(want)), (S0, prices - want)
 
@@ -538,3 +538,53 @@ def test_every_backend_prices_an_empty_quote_list_as_an_empty_vector(variant, re
     backend = make_backend(variant, fem=lambda: fem, model=bases[VARIANTS[variant].style])
     prices = backend.price_vector(REGISTRY_THETA, [], 1.0, REGISTRY_R)
     assert prices.shape == (0,)
+
+
+def test_evaluation_inputs_round_trip_and_refuse_a_nu0_that_is_not_finite_and_positive():
+    """theta and a quote list become (mu, nu0, strikes, maturities), in the
+    quotes' order; a nu0 that is not finite and positive is refused."""
+    quotes = [Quote(maturity=2.0, strike=1.1, style="american", price=0.2),
+              Quote(maturity=0.5, strike=0.9, style="american", price=0.1)]
+    mu, nu0, strikes, maturities = _evaluation_inputs([0.7, -0.8, 0.3, 1.4, 0.3], quotes, 0.05)
+    assert mu == ModelParams(0.7, -0.8, 0.3, 1.4, 0.05) and nu0 == 0.3
+    assert strikes.tolist() == [1.1, 0.9] and maturities.tolist() == [2.0, 0.5]
+    for bad in (np.nan, np.inf, -np.inf, 0.0, -0.1):
+        with pytest.raises(ValueError, match="nu0 must be finite and positive"):
+            _evaluation_inputs([0.5, 0.0, 0.2, 1.0, bad], quotes, 0.05)
+
+
+@pytest.mark.parametrize("variant", ["DasClosedForm", "DetailedAm", "ReducedAm"])
+def test_every_backend_refuses_a_nu0_that_is_not_finite_and_positive_before_it_prices(
+    variant, registry_inputs, monkeypatch
+):
+    from hestoncal import calibration
+
+    def never(*args, **kwargs):
+        raise AssertionError("priced before nu0 was checked")
+
+    for name in ("heston_put_cf", "solve_american", "solve_reduced"):
+        monkeypatch.setattr(calibration, name, never)
+    fem, bases = registry_inputs
+    backend = make_backend(variant, fem=lambda: fem, model=bases[VARIANTS[variant].style])
+    with pytest.raises(ValueError, match="nu0 must be finite and positive, got 0.0"):
+        backend.price_vector([0.3, -0.5, 0.1, 1.0, 0.0], REGISTRY_QUOTES, 1.0, REGISTRY_R)
+
+
+def test_calibrate_reduced_refined_refines_on_a_graded_pilot_basis():
+    """Every refinement basis is built on the pilot basis's own node arrays
+    and time grid, here graded in x (x = 0.1 sinh(z), z uniform)."""
+    x = 0.1 * np.sinh(np.linspace(-np.arcsinh(50.0), np.arcsinh(50.0), 9))
+    x[[0, -1]] = -5.0, 5.0
+    space = mesh_from_nodes(np.linspace(1e-5, 3.0, 9), x)
+    blocks, grid = assemble_blocks(space), TimeGrid(2.0, 8)
+    theta = np.array([0.25, -0.5, 0.10, 0.4, 0.10])
+    quotes = generate_synthetic(theta, 0.05, "american", PdeBackend("DetailedAm", space, blocks, grid).price_vector)
+    train = [ModelParams(0.3, -0.5, 0.1, 1.0, 0.05), ModelParams(0.5, -0.2, 0.2, 2.0, 0.05)]
+    pilot = pod_greedy("american", train, space, blocks, grid, GreedyConfig(n_max=4))
+    _, refined, _ = calibrate_reduced_refined(
+        quotes, pilot, space, blocks, grid, DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX,
+        greedy_config=GreedyConfig(n_max=4), x0=theta, options=OptimizerOptions(max_iter=1),
+    )
+    assert refined.space.nu.tobytes() == space.nu.tobytes()
+    assert refined.space.x.tobytes() == x.tobytes()
+    assert refined.grid == grid

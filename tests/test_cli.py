@@ -3,6 +3,7 @@ checks their determinism)."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -420,17 +421,19 @@ def test_basis_refuses_a_mesh_or_time_grid_it_was_not_built_on(tmp_path):
              "--strike", "1.0", "--maturity", "0.5"]
     _run(price + common)
     # the default mesh and time grid are not the basis's
-    with pytest.raises(ValueError, match="built with --n-nu 8; this run has --n-nu 33"):
+    with pytest.raises(ValueError, match=r"m.npz was built on mesh \(n_nu, n_x\) = \(8, 8\); this run has \(33, 33\)$"):
         main(price)
     # a repeated option takes its last value
-    for option, value in (("--n-x", "7"), ("--steps", "9"), ("--horizon", "1.0")):
-        with pytest.raises(ValueError, match=f"built with {option} .*; this run has {option} {value}"):
+    for option, value, named in (("--n-x", "7", r"\(8, 8\); this run has \(8, 7\)"),
+                                 ("--steps", "9", r"T=2.0, I=8\); this run has TimeGrid\(T=2.0, I=9\)"),
+                                 ("--horizon", "1.0", r"T=2.0, I=8\); this run has TimeGrid\(T=1.0, I=8\)")):
+        with pytest.raises(ValueError, match=f"m.npz was built on .*{named}$"):
             main(price + common + [option, value])
     _run(["synth", "--backend", "DetailedAm", "--theta", THETA, "--output", "q.csv",
           "--out-dir", str(tmp_path)] + common)
     calibrate = ["calibrate", "--backend", "ReducedAm", "--basis", basis, "--refine-basis",
                  "--quotes", str(tmp_path / "q.csv"), "--out-dir", str(tmp_path)]
-    with pytest.raises(ValueError, match="this run has --steps 120"):
+    with pytest.raises(ValueError, match=r"this run has TimeGrid\(T=2.0, I=120\)$"):
         main(calibrate + common[:4])
     assert not (tmp_path / "calibration_summary.txt").exists()
 
@@ -455,26 +458,28 @@ def test_refine_basis_reports_the_pilot_and_the_refined_basis(tmp_path, capsys):
     assert paths["refined_basis"] == str(tmp_path / "two_refined_basis.npz")
 
 
-def test_refine_basis_refines_on_a_graded_pilot_basis(tmp_path):
-    """--refine-basis builds its refinement bases on the pilot basis's own
-    node arrays and time grid, here graded in x (x = 0.1 sinh(z), z
-    uniform), not on the uniform mesh of --n-nu and --n-x."""
+def test_basis_refuses_a_graded_mesh_the_run_does_not_name(tmp_path):
+    """A basis built on a graded mesh (x = 0.1 sinh(z), z uniform) of the
+    run's cell counts is refused: the options name a uniform mesh, and the
+    refusal names the file and the axis whose nodes differ."""
     x = 0.1 * np.sinh(np.linspace(-np.arcsinh(50.0), np.arcsinh(50.0), 9))
     x[[0, -1]] = -5.0, 5.0
     space = mesh_from_nodes(np.linspace(1e-5, 3.0, 9), x)
-    grid = TimeGrid(2.0, 8)
     train = [ModelParams(0.3, -0.5, 0.1, 1.0, 0.05), ModelParams(0.5, -0.2, 0.2, 2.0, 0.05)]
-    pilot = pod_greedy("american", train, space, assemble_blocks(space), grid, GreedyConfig(n_max=4))
-    save_reduced_model(pilot, tmp_path / "graded.npz")
-    common = ["--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", "2.0", "--out-dir", str(tmp_path)]
-    _run(["synth", "--backend", "DetailedAm", "--theta", THETA, "--output", "q.csv"] + common)
-    _run(["calibrate", "--backend", "ReducedAm", "--basis", str(tmp_path / "graded.npz"),
-          "--refine-basis", "--n-max", "4", "--quotes", str(tmp_path / "q.csv"), "--x0", THETA,
-          "--max-iter", "1", "--stem", "graded"] + common)
-    refined = load_reduced_model(tmp_path / "graded_refined_basis.npz")
-    assert refined.space.nu.tobytes() == space.nu.tobytes()
-    assert refined.space.x.tobytes() == x.tobytes()
-    assert refined.grid == grid
+    basis = tmp_path / "graded.npz"
+    save_reduced_model(pod_greedy("american", train, space, assemble_blocks(space), TimeGrid(2.0, 24),
+                                  GreedyConfig(n_max=4)), basis)
+    common = ["--backend", "ReducedAm", "--basis", str(basis), "--n-nu", "8", "--n-x", "8",
+              "--steps", "24", "--horizon", "2.0"]
+    out = ["--out-dir", str(tmp_path)]
+    refusal = f"^{re.escape(str(basis))} was built on other log-moneyness nodes than this run's"
+    for argv in (["price", "--theta", THETA, "--strike", "1.0", "--maturity", "0.5"],
+                 ["synth", "--theta", THETA] + out,
+                 ["calibrate", "--quotes", str(tmp_path / "q.csv")] + out,
+                 ["calibrate", "--quotes", str(tmp_path / "q.csv"), "--refine-basis"] + out):
+        with pytest.raises(ValueError, match=refusal):
+            main(argv + common)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["graded.npz"]
 
 
 def test_report_subcommand(tmp_path, capsys):

@@ -9,7 +9,7 @@ from hestoncal import closed_form
 from hestoncal.calibration import ClosedFormBackend, PdeBackend
 from hestoncal.closed_form import heston_cf, heston_put_cf
 from hestoncal.mesh import Domain2D, assemble_blocks, build_mesh
-from hestoncal.params import DEFAULT_CALIB_BOX, CalibParams, ModelParams
+from hestoncal.params import DEFAULT_CALIB_BOX, ModelParams
 from hestoncal.quotes import GOOGLE_S0, Quote, load_google_quotes
 from hestoncal.solvers import TimeGrid
 
@@ -108,10 +108,10 @@ def test_put_bounds_over_whole_calib_box():
     rng = np.random.default_rng(1)
     excess = []
     for _ in range(400):
-        p = CalibParams.from_array(box.lo + rng.random(5) * (box.hi - box.lo))
-        mu = p.to_model(r)
+        theta = box.lo + rng.random(5) * (box.hi - box.lo)
+        mu, nu0 = ModelParams(*theta[:4], r), theta[4]
         for T in (0.05, 0.1, 1.0 / 6.0):
-            put = heston_put_cf(1.0, strikes, T, mu, p.nu0)
+            put = heston_put_cf(1.0, strikes, T, mu, nu0)
             disc = strikes * math.exp(-r * T)
             excess.append(np.maximum(np.maximum(disc - 1.0, 0.0) - put, put - disc))
     excess = np.concatenate(excess)
@@ -146,10 +146,9 @@ def _fixed_grid_cases():
     box = DEFAULT_CALIB_BOX
     rng = np.random.default_rng(20150202)
     for theta in box.lo + rng.random((40, 5)) * (box.hi - box.lo):
-        p = CalibParams.from_array(theta)
         for T in maturities:
             for S0, K in cases:
-                yield p.to_model(0.05), p.nu0, T, S0, K
+                yield ModelParams(*theta[:4], 0.05), theta[4], T, S0, K
 
 
 def test_fixed_grid_converges():
@@ -173,13 +172,12 @@ def test_rule_matches_uniform_oracle_across_moneyness():
     box = DEFAULT_CALIB_BOX
     rng = np.random.default_rng(31)
     for theta in box.lo + rng.random((60, 5)) * (box.hi - box.lo):
-        p = CalibParams.from_array(theta)
-        mu = p.to_model(0.05)
+        mu, nu0 = ModelParams(*theta[:4], 0.05), theta[4]
         for T in (0.02, 0.05, 0.1, 0.25, 0.5, 1.0, 2.0, 3.0):
             for S0 in (1.0, GOOGLE_S0):
                 K = S0 * moneyness
-                got = heston_put_cf(S0, K, T, mu, p.nu0)
-                ref = _direct_put(S0, K, T, mu, p.nu0, *oracle)
+                got = heston_put_cf(S0, K, T, mu, nu0)
+                ref = _direct_put(S0, K, T, mu, nu0, *oracle)
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (theta, T, S0)
 
 
@@ -220,9 +218,8 @@ def test_backend_prices_interleaved_maturities_in_quote_order():
     layout = [(1.0, 90.0), (0.25, 100.0), (2.0, 80.0), (0.25, 120.0), (1.0, 110.0), (2.0, 100.0)]
     quotes = [Quote(maturity=T, strike=K, style="european", price=np.nan) for T, K in layout]
     got = ClosedFormBackend().price_vector(theta, quotes, 100.0, 0.05)
-    p = CalibParams.from_array(theta)
-    mu = p.to_model(0.05)
-    want = [heston_put_cf(100.0, K, T, mu, p.nu0) for T, K in layout]
+    mu = ModelParams(*theta[:4], 0.05)
+    want = [heston_put_cf(100.0, K, T, mu, theta[4]) for T, K in layout]
     np.testing.assert_array_equal(got, want)
 
 
@@ -295,12 +292,11 @@ def test_factorized_kernel_matches_direct_exponentials():
     box = DEFAULT_CALIB_BOX
     rng = np.random.default_rng(7)
     for theta in box.lo + rng.random((20, 5)) * (box.hi - box.lo):
-        p = CalibParams.from_array(theta)
-        mu = p.to_model(0.0015)
+        mu, nu0 = ModelParams(*theta[:4], 0.0015), theta[4]
         for T in [0.1, 1.0] + google_T:
             for S0, K in cases:
-                got = heston_put_cf(S0, K, T, mu, p.nu0)
-                ref = _direct_put(S0, K, T, mu, p.nu0, *closed_form._rule())
+                got = heston_put_cf(S0, K, T, mu, nu0)
+                ref = _direct_put(S0, K, T, mu, nu0, *closed_form._rule())
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.maximum(S0, K)), (theta, T, S0)
 
 
@@ -457,8 +453,7 @@ def test_clog1p_matches_mpmath_on_heston_cf_arguments(mp, monkeypatch):
     nodes = closed_form._rule()[0] - 0.5j
     box = DEFAULT_CALIB_BOX
     rng = np.random.default_rng(5)
-    cases = [(CalibParams.from_array(t).to_model(0.05), CalibParams.from_array(t).nu0)
-             for t in box.lo + rng.random((20, 5)) * (box.hi - box.lo)]
+    cases = [(ModelParams(*t[:4], 0.05), t[4]) for t in box.lo + rng.random((20, 5)) * (box.hi - box.lo)]
     cases += [(ModelParams(xi=0.9, rho=0.3, gamma=gamma, kappa=0.1, r=0.05), box.lo[4])
               for gamma in (box.lo[2], box.hi[2])]
     for mu, nu0 in cases:

@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 from fem_oracle import assemble_matrix, assert_same_csr, assert_same_values
 
 from hestoncal.mesh import (
+    MASS,
     _QP,
     _QW,
     Domain2D,
@@ -49,7 +50,7 @@ def test_band_order_bands_the_step_matrix(n_nu, n_x):
     blocks = assemble_blocks(space)
     order = band_order(space)
     assert np.array_equal(np.sort(order), np.arange(space.n_free))
-    pattern = abs(blocks.mass_free) + sum(abs(blocks.free_matrix(a)) for a in blocks.a_values)
+    pattern = abs(blocks.free_matrix(blocks.a_values[MASS])) + sum(abs(blocks.free_matrix(a)) for a in blocks.a_values)
     rows, cols = pattern.nonzero()
     position = np.empty_like(order)
     position[order] = np.arange(order.size)
@@ -85,7 +86,7 @@ def test_triangles_tile_domain(small_space):
 
 def test_mass_matrix_total_is_area(small_space):
     blocks = assemble_blocks(small_space)
-    assert np.isclose(blocks.mass.sum(), _area(small_space.domain), rtol=1e-12)
+    assert np.isclose(blocks.pattern.matrix(blocks.a_values[MASS]).sum(), _area(small_space.domain), rtol=1e-12)
     # partition of unity: pairing weights sum to the area and are positive
     assert np.isclose(blocks.d_b.sum(), _area(small_space.domain), rtol=1e-12)
     assert np.all(blocks.d_b > 0)
@@ -237,17 +238,20 @@ def test_blocks_match_the_coo_assembly_bit_for_bit(n, graded):
             assert_same_values(blocks.free_pattern, values[blocks.free_entries], ref_free)
         assert_same_csr(blocks.pattern.matrix(values), fem_oracle.dropped(ref))
         assert_same_csr(blocks.free_matrix(values), fem_oracle.dropped(ref_free))
-    assert_same_csr(blocks.mass, fem_oracle.dropped(want["mass"]))
-    assert_same_csr(blocks.mass_free, fem_oracle.dropped(fem_oracle.restrict(space, want["mass"])))
+    mass = blocks.pattern.matrix(blocks.a_values[MASS])
+    assert_same_csr(mass, fem_oracle.dropped(want["mass"]))
+    mass_free = blocks.free_matrix(blocks.a_values[MASS])
+    assert_same_csr(mass_free, fem_oracle.dropped(fem_oracle.restrict(space, want["mass"])))
     assert_same_csr(blocks.v_gram_free, fem_oracle.restrict(space, want["v_gram"]))
     assert blocks.d_b.tobytes() == want["d_b"].tobytes()
     # the matrices made from values share the pattern, which none may change
-    assert np.shares_memory(blocks.mass.indices, blocks.pattern.indices)
+    assert np.shares_memory(mass.indices, blocks.pattern.indices)
     assert not blocks.pattern.indices.flags.writeable
 
 
 def test_matrix_symmetry(small_space):
-    mass = assemble_blocks(small_space).mass
+    blocks = assemble_blocks(small_space)
+    mass = blocks.pattern.matrix(blocks.a_values[MASS])
     assert abs(mass - mass.T).max() < 1e-14
     knux = assemble_matrix(small_space, "nu", "nu", "x")
     kxnu = assemble_matrix(small_space, "nu", "x", "nu")

@@ -13,7 +13,7 @@ from hestoncal.heston_operator import (
     lift_and_rhs,
     payoff_vector,
 )
-from hestoncal.mesh import _QP, _QW, Domain2D, _triangle_geometry, assemble_blocks, build_mesh
+from hestoncal.mesh import _QP, _QW, MASS, Domain2D, _triangle_geometry, assemble_blocks, build_mesh
 from hestoncal.params import DEFAULT_PARAM_BOX, ModelParams, put_payoff_log
 
 
@@ -162,7 +162,8 @@ def test_lift_rhs_zero_for_zero_lift(fem):
     bnd = boundary_data(space, "european", 0.0)
     # r=0 European lift is static; rhs reduces to -A L0 restricted
     a = blocks.pattern.matrix(assemble_operator(mu, blocks))
-    mlift, alift = (blocks.mass @ bnd.shape)[space.free], (a @ bnd.shape)[space.free]
+    mass = blocks.pattern.matrix(blocks.a_values[MASS])
+    mlift, alift = (mass @ bnd.shape)[space.free], (a @ bnd.shape)[space.free]
     load = lift_and_rhs(mlift, alift, bnd, 0.1)
     want = -(a @ bnd.shape)[space.free]
     for k in (0, 7):

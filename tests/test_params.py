@@ -8,7 +8,6 @@ from hestoncal.params import (
     DEFAULT_PARAM_BOX,
     FELLER_EPS,
     RHO_CAP,
-    CalibParams,
     ModelParams,
     ParamBox,
     clamp_to_box,
@@ -33,15 +32,6 @@ def test_model_params_validation():
             theta[i] = bad
             with pytest.raises(ValueError, match="finite and positive"):
                 ModelParams(*theta)
-        with pytest.raises(ValueError, match="finite and positive"):
-            CalibParams(0.5, 0.0, 0.2, 1.0, bad)
-
-
-def test_calib_roundtrip():
-    p = CalibParams.from_array([0.7, -0.8, 0.3, 1.4, 0.3])
-    assert p == CalibParams(0.7, -0.8, 0.3, 1.4, 0.3)
-    mu = p.to_model(0.05)
-    assert mu.r == 0.05 and mu.xi == 0.7
 
 
 def test_feller():

@@ -300,7 +300,7 @@ def test_backend_agreement_european(toy):
     assert np.allclose(det, red, atol=1e-6)
 
 
-ARRAY_FIELDS = ("psi", "a_red", "m_red", "mlift_red", "alift_red", "u0_red", "xi", "b_red", "g_red")
+ARRAY_FIELDS = ("psi", "a_red", "alift_red", "u0_red", "xi", "b_red", "g_red")
 
 
 def _assert_same_model(back, m):

@@ -12,9 +12,9 @@ import scipy.sparse.linalg as spla
 from fem_oracle import THREE_MU, assert_same_csr
 
 from hestoncal import rbm, solvers
-from hestoncal.calibration import CalibParams, ReducedBackend, localized_box
+from hestoncal.calibration import ReducedBackend, localized_box
 from hestoncal.heston_operator import THETA, assemble_operator, boundary_data, payoff_vector
-from hestoncal.mesh import Domain2D, assemble_blocks, band_order, build_mesh, evaluate_p1, evaluation_row
+from hestoncal.mesh import MASS, Domain2D, assemble_blocks, band_order, build_mesh, evaluate_p1, evaluation_row
 from hestoncal.params import DEFAULT_CALIB_BOX, DEFAULT_PARAM_BOX, ModelParams
 from hestoncal.quotes import synthetic_layout
 from hestoncal.rbm import (
@@ -310,8 +310,11 @@ def test_solves_and_projections_match_the_oracle_matrices_bit_for_bit(space):
     psi, xi = rng.standard_normal((space.n_free, 5)), rng.standard_normal((space.n_free, 3))
     for style in ("american", "european"):
         model = rbm._project_offline(style, space, blocks, grid, psi, xi)
-        for name, ref in fem_oracle.project(style, space, want, psi, xi).items():
-            assert getattr(model, name).tobytes() == ref.tobytes(), name
+        ref = fem_oracle.project(style, space, want, psi, xi)
+        # the mass is kept once, as the projected affine block MASS
+        got = dict(vars(model), m_red=model.a_red[MASS], mlift_red=model.alift_red[MASS])
+        for name in ref:
+            assert got[name].tobytes() == ref[name].tobytes(), name
 
 
 def _psor_cross_check_step():
@@ -322,8 +325,9 @@ def _psor_cross_check_step():
     bnd = boundary_data(space, "american", MU.r)
     a = assemble_operator(MU, blocks)
     a_full, a_free = blocks.pattern.matrix(a), blocks.free_matrix(a)
-    lhs = (blocks.mass_free / grid.dt + THETA * a_free).tocsr()
-    rhs_op = (blocks.mass_free / grid.dt - (1 - THETA) * a_free).tocsr()
+    mass_free = blocks.free_matrix(blocks.a_values[MASS])
+    lhs = (mass_free / grid.dt + THETA * a_free).tocsr()
+    rhs_op = (mass_free / grid.dt - (1 - THETA) * a_free).tocsr()
     g = payoff_vector(space)
     f = -(a_full @ bnd.shape)[space.free]  # the static American lift load
 
@@ -416,8 +420,9 @@ def _american_system(space, blocks, grid, mu=MU):
     bnd = boundary_data(space, "american", mu.r)
     a = assemble_operator(mu, blocks)
     a_full, a_free = blocks.pattern.matrix(a), blocks.free_matrix(a)
-    lhs = (blocks.mass_free / grid.dt + THETA * a_free).tocsr()
-    rhs_op = (blocks.mass_free / grid.dt - (1 - THETA) * a_free).tocsr()
+    mass_free = blocks.free_matrix(blocks.a_values[MASS])
+    lhs = (mass_free / grid.dt + THETA * a_free).tocsr()
+    rhs_op = (mass_free / grid.dt - (1 - THETA) * a_free).tocsr()
     f = -(a_full @ bnd.shape)[space.free]  # the static American lift load
     return lhs, rhs_op, f, payoff_vector(space), blocks.d_b_free
 
@@ -656,7 +661,7 @@ def _pilot_runs(pilot, monkeypatch, **patches):
                 for module in (solvers, rbm):
                     if hasattr(module, name):
                         m.setattr(module, name, value)
-            surf = solve_reduced(pilot, CalibParams.from_array(theta).to_model(PILOT_RATE))
+            surf = solve_reduced(pilot, ModelParams(*theta[:4], PILOT_RATE))
             prices = backend.price_vector(theta, quotes, 1.0, PILOT_RATE)
         runs.append((surf.U.tobytes(), surf.lam.tobytes(), prices.tobytes(), counts))
     return runs
@@ -891,14 +896,15 @@ def test_european_load_matches_per_step_lift_and_rhs(fem, grid):
     a = assemble_operator(MU, blocks)
     a_full, a_free = blocks.pattern.matrix(a), blocks.free_matrix(a)
     dt, th = grid.dt, THETA
-    lu = spla.splu((blocks.mass_free / dt + th * a_free).tocsc())
-    rhs_op = (blocks.mass_free / dt - (1 - th) * a_free).tocsr()
+    mass, mass_free = blocks.pattern.matrix(blocks.a_values[MASS]), blocks.free_matrix(blocks.a_values[MASS])
+    lu = spla.splu((mass_free / dt + th * a_free).tocsc())
+    rhs_op = (mass_free / dt - (1 - th) * a_free).tocsr()
     U = np.empty_like(eu.U)
     U[0] = eu.U[0]
     for k in range(grid.I):
         # f^{k+theta} = -(1/dt) M (L^{k+1} - L^k) - A (theta L^{k+1} + (1-theta) L^k)
         lk, lk1 = bnd.scale(k * dt) * bnd.shape, bnd.scale(k * dt + dt) * bnd.shape
-        f_full = -(blocks.mass @ (lk1 - lk)) / dt - a_full @ (th * lk1 + (1.0 - th) * lk)
+        f_full = -(mass @ (lk1 - lk)) / dt - a_full @ (th * lk1 + (1.0 - th) * lk)
         f = f_full[space.free]
         U[k + 1] = lu.solve(rhs_op @ U[k] + f)
     ref = replace(eu, U=U)
