@@ -245,7 +245,7 @@ def cmd_calibrate(args) -> int:
     if args.refine_basis:
         # refine on the pilot's node arrays and time grid, which _load_basis found are the run's
         report, refined, pilot = cal.calibrate_reduced_refined(
-            pre, model, model.space, assemble_blocks(model.space), model.grid,
+            pre, model, model.space, model.blocks, model.grid,
             box, DEFAULT_PARAM_BOX,
             greedy_config=GreedyConfig(n_max=args.n_max),
             x0=args.x0, options=options,

@@ -161,11 +161,12 @@ def supremizer(xi_vec: np.ndarray, blocks: AssemblyBlocks) -> np.ndarray:
 
 @dataclass
 class ReducedModel:
-    """Offline output of _project_offline: mesh, time grid, bases, projected blocks, greedy history.
-    The projected mass is the affine block mesh.MASS, a_red[MASS] and alift_red[MASS]."""
+    """Offline output of _project_offline: the FEM blocks it projected, time grid, bases,
+    projected blocks, greedy history.  The mesh is blocks.space.  The projected mass is the
+    affine block mesh.MASS, a_red[MASS] and alift_red[MASS]."""
 
     style: str
-    space: FemSpace = field(repr=False)
+    blocks: AssemblyBlocks = field(repr=False, compare=False)
     grid: TimeGrid
     psi: np.ndarray = field(repr=False)  # (n_free, N)
     a_red: np.ndarray = field(repr=False)  # (Q_a, N, N)
@@ -179,6 +180,10 @@ class ReducedModel:
     selected_mu: list = field(default_factory=list)
     errors: list = field(default_factory=list)
     stagnated: bool = False
+
+    @property
+    def space(self) -> FemSpace:
+        return self.blocks.space
 
     @property
     def dim(self) -> int:
@@ -205,7 +210,6 @@ class ReducedModel:
 
 def _project_offline(
     style: str,
-    space: FemSpace,
     blocks: AssemblyBlocks,
     grid: TimeGrid,
     psi: np.ndarray,
@@ -214,6 +218,7 @@ def _project_offline(
 ) -> ReducedModel:
     """Project the affine blocks onto psi (and xi); history holds the greedy
     record (selected_mu, errors, stagnated) of a finished build."""
+    space = blocks.space
     free = space.free
     L0 = boundary_data(space, style, r=1.0).shape  # the shape is r independent
     L0.flags.writeable = False
@@ -231,7 +236,7 @@ def _project_offline(
         g_red = (xi * d[:, None]).T @ payoff
     return ReducedModel(
         style=style,
-        space=space,
+        blocks=blocks,
         grid=grid,
         psi=psi,
         a_red=a_red,
@@ -283,7 +288,7 @@ def _schur_step(s_inv, B, g):
     K_A = (B S^-1 B^T)_AA^-1 (B S^-1)_A and k_A = (B S^-1 B^T)_AA^-1 g_A,
     and a = S^-1 (rhs + B_A^T beta_A).  The factorization inverts the Schur
     block once and folds all of it into one affine map y = M rhs + m of the
-    stacked (a, beta, B a), so each Newton iteration is one product.  The
+    stacked (a, beta, B a), so each iteration of the kernel is one product.  The
     empty set's map is the beta = 0 one, M = free and m = 0, with no 0 x 0
     inverse and no empty products: the general formula subtracts and adds
     +0.0 there, which leaves M as it is, and m stays added so that a -0.0
@@ -405,7 +410,7 @@ def pod_greedy(
     prev_err = np.inf
     stall = 0
     while psi.shape[1] < config.n_max:
-        model = _project_offline(style, space, blocks, grid, psi, xi)
+        model = _project_offline(style, blocks, grid, psi, xi)
         errs = np.array([_final_error(model, mu, surf.U[-1], gram) for mu, surf in zip(train, surfs)])
         i_worst = int(np.argmax(errs))
         eps_train = float(errs[i_worst])
@@ -452,7 +457,7 @@ def pod_greedy(
         psi = np.column_stack([psi] + added)
 
     return _project_offline(
-        style, space, blocks, grid, psi, xi,
+        style, blocks, grid, psi, xi,
         selected_mu=selected, errors=errors, stagnated=stagnated,
     )
 
@@ -491,11 +496,23 @@ def save_reduced_model(model: ReducedModel, path) -> None:
 META_KEYS = ("grid", "K", "style", "selected_mu", "errors", "stagnated")
 
 
+def _from_meta(path, key, make, value):
+    """make(*value) for a list value of a container's meta key; any other value, or one that
+    make refuses, raises ValueError naming the file and the key."""
+    try:
+        if not isinstance(value, list):
+            raise TypeError(f"a {type(value).__name__}, not a list")
+        return make(*value)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: the container's meta {key} holds {value!r}, which is malformed ({exc})") from None
+
+
 def load_reduced_model(path) -> ReducedModel:
     """Load a container and project the affine blocks of the mesh its node arrays give onto its
     bases.  A file without meta, a format_version, a key of META_KEYS or node arrays, of another
     version than FORMAT_VERSION, with another theta, strike or free-node count, or without a basis
-    its style needs, is refused."""
+    its style needs, is refused; so is a grid other than [T, I, theta] or a selected_mu row other
+    than five parameters."""
     with np.load(path) as data:
         if "meta" not in data.files:
             raise ValueError(f"{path}: the container has no meta")
@@ -510,7 +527,9 @@ def load_reduced_model(path) -> ReducedModel:
         for key in META_KEYS:
             if key not in meta:
                 raise ValueError(f"{path}: the container's meta has no {key}")
-        T, I, theta = meta["grid"]
+        grid, theta = _from_meta(path, "grid", lambda T, I, theta: (TimeGrid(T=T, I=I), theta), meta["grid"])
+        rows = _from_meta(path, "selected_mu", lambda *rows: rows, meta["selected_mu"])
+        selected_mu = [_from_meta(path, "selected_mu", ModelParams, row) for row in rows]
         if theta != THETA or meta["K"] != 1.0:
             raise ValueError(
                 f"{path} was solved with theta {theta} and K {meta['K']}; only {THETA} and 1 load"
@@ -528,8 +547,8 @@ def load_reduced_model(path) -> ReducedModel:
         if len(basis) != space.n_free:
             raise ValueError(f"{path}: {name} has {len(basis)} rows for {space.n_free} free nodes")
     return _project_offline(
-        meta["style"], space, assemble_blocks(space), TimeGrid(T=T, I=I), bases["psi"], bases.get("xi"),
-        selected_mu=[ModelParams(*row) for row in meta["selected_mu"]],
+        meta["style"], assemble_blocks(space), grid, bases["psi"], bases.get("xi"),
+        selected_mu=selected_mu,
         errors=list(meta["errors"]),
         stagnated=bool(meta["stagnated"]),
     )

@@ -458,6 +458,30 @@ def test_refine_basis_reports_the_pilot_and_the_refined_basis(tmp_path, capsys):
     assert paths["refined_basis"] == str(tmp_path / "two_refined_basis.npz")
 
 
+def test_refine_basis_assembles_the_pilot_mesh_once(tmp_path, monkeypatch):
+    """calibrate --refine-basis refines with the blocks the pilot basis was
+    projected from: loading the basis assembles the mesh's blocks, and
+    nothing assembles them again."""
+    from hestoncal import cli, mesh, rbm
+
+    common = ["--n-nu", "8", "--n-x", "8", "--steps", "8", "--horizon", "2.0", "--out-dir", str(tmp_path)]
+    _run(["build-basis", "--n-max", "4", "--train-counts", "2", "1", "1", "1",
+          "--output", "m.npz"] + common)
+    _run(["synth", "--backend", "DetailedAm", "--theta", THETA, "--output", "q.csv"] + common)
+    spaces = []
+
+    def counted(space):
+        spaces.append(space)
+        return assemble_blocks(space)
+
+    for module in (mesh, rbm, cli):
+        monkeypatch.setattr(module, "assemble_blocks", counted)
+    _run(["calibrate", "--backend", "ReducedAm", "--basis", str(tmp_path / "m.npz"),
+          "--refine-basis", "--n-max", "4", "--quotes", str(tmp_path / "q.csv"), "--x0", THETA,
+          "--max-iter", "1"] + common)
+    assert len(spaces) == 1 and (spaces[0].n_nu, spaces[0].n_x) == (8, 8)
+
+
 def test_basis_refuses_a_graded_mesh_the_run_does_not_name(tmp_path):
     """A basis built on a graded mesh (x = 0.1 sinh(z), z uniform) of the
     run's cell counts is refused: the options name a uniform mesh, and the

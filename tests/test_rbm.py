@@ -34,7 +34,6 @@ from hestoncal.solvers import (
     LCPError,
     TimeGrid,
     price_at,
-    principal_pivoting,
     solve_american,
     solve_complementarity,
     solve_european,
@@ -194,7 +193,7 @@ def test_full_basis_reduced_solve_is_the_detailed_solve(style):
     psi = np.linalg.inv(np.linalg.cholesky(blocks.v_gram_free.toarray())).T
     sqrt_d = np.sqrt(blocks.d_b_free)
     xi = np.diag(1.0 / sqrt_d) if style == "american" else None
-    traj = solve_reduced(_project_offline(style, space, blocks, grid, psi, xi), mu)
+    traj = solve_reduced(_project_offline(style, blocks, grid, psi, xi), mu)
     solver = solve_american if style == "american" else solve_european
     surf = solver(mu, space, blocks, grid)
     U = traj.U @ psi.T
@@ -441,6 +440,27 @@ def test_refuses_container_whose_grid_has_a_non_integral_step_count(tmp_path, st
         load_reduced_model(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("grid", [1.0, 20]),
+    ("grid", [1.0, 20, 0.5, 1.0]),
+    ("grid", 1.0),
+    ("selected_mu", [[0.3, -0.5, 0.1, 1.0]]),
+    ("selected_mu", [[0.3, -0.5, 0.1, 1.0, 0.03, 0.2]]),
+    ("selected_mu", [0.3, -0.5, 0.1, 1.0, 0.03]),
+], ids=["grid_2", "grid_4", "grid_scalar", "mu_4", "mu_6", "mu_flat"])
+def test_refuses_container_with_a_malformed_grid_or_selected_mu(tmp_path, key, value, toy_american):
+    """A grid other than [T, I, theta] or a selected_mu row other than five
+    parameters is refused with a ValueError naming the file and the key, not
+    an unpacking ValueError or a TypeError from ModelParams."""
+    path = tmp_path / "malformed.npz"
+    save_reduced_model(toy_american, path)
+    members = _container(path)
+    members["meta"][key] = value
+    _rewrite(path, members)
+    with pytest.raises(ValueError, match=f"malformed.npz: the container's meta {key} holds"):
+        load_reduced_model(path)
+
+
 @pytest.mark.parametrize("changes", [{"n_x": 17}, {"n_nu": 17}, {"n_nu": 20}], ids=["n_x", "n_nu", "n_nu_20"])
 def test_refuses_container_whose_bases_do_not_fit_its_mesh(tmp_path, changes, toy_american):
     """A file whose node arrays make a mesh with another number of free
@@ -598,12 +618,12 @@ def _assert_lcp_solution(M, q, beta):
 
 
 def test_pivot_lcp_ill_conditioned_spd():
-    """cond(M) = 1e6: projected Gauss-Seidel stalls here, pivoting is exact."""
+    """cond(M) = 1e6: projected Gauss-Seidel stalls here, the kernel is exact."""
     rng = np.random.default_rng(0)
     Q, _ = np.linalg.qr(rng.normal(size=(6, 6)))
     M = Q @ np.diag(np.logspace(0, -6, 6)) @ Q.T
     q = rng.normal(size=6)
-    _, beta, active = principal_pivoting(*_lcp(M, q), np.zeros(6, dtype=bool))
+    _, beta, active = solve_complementarity(*_lcp(M, q), np.zeros(6, dtype=bool), np.abs(q).max())
     _assert_lcp_solution(M, q, beta)
     assert np.all(beta[~active] == 0.0)
 
@@ -616,14 +636,14 @@ def test_pivot_lcp_p_matrix_from_every_warm_start(start):
     """A non-symmetric P-matrix on which flip-all Newton cycles from 6 of 8 starts."""
     q = -np.ones(3)
     active0 = np.array([(start >> i) & 1 for i in range(3)], dtype=bool)
-    _, beta, _ = principal_pivoting(*_lcp(P_MATRIX, q), active0)
+    _, beta, _ = solve_complementarity(*_lcp(P_MATRIX, q), active0, np.abs(q).max())
     _assert_lcp_solution(P_MATRIX, q, beta)
     assert beta == pytest.approx(np.full(3, 1.0 / 3.0), rel=1e-14)
 
 
-#: (M, q, solution, starts from which Newton revisits a set and pivots).  The
-#: "merge" key names a rule the kernel no longer has; it stays so that the
-#: case's test IDs stay stable.
+#: (M, q, solution, starts from which block steps alone revisit a set).  The
+#: "merge" and "pivot" keys name rules the kernel no longer has; they stay so
+#: that the cases' test IDs stay stable.
 KERNEL_CASES = {
     "merge": (P_MATRIX, -np.ones(3), np.full(3, 1.0 / 3.0), (1, 2, 3, 4, 5, 6)),
     "pivot": (
@@ -638,25 +658,29 @@ KERNEL_CASES = {
 @pytest.mark.parametrize("start", range(8))
 @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
 def test_kernel_p_matrix_from_every_warm_start(case, start, monkeypatch):
-    """The whole kernel: Newton, then pivoting where it cycles."""
+    """The whole kernel ends at the solution with Murty's rule from the first
+    step that does not improve (budget 0) and at the default budget.  Block
+    steps alone, whose budget is never used up, cycle from the starts in the
+    case's list and finish from the others."""
     M, q, solution, cycling = KERNEL_CASES[case]
-    pivoted = []
-
-    def counted(*args):
-        pivoted.append(start)
-        return principal_pivoting(*args)
-
-    monkeypatch.setattr(solvers, "principal_pivoting", counted)
     active0 = np.array([(start >> i) & 1 for i in range(3)], dtype=bool)
-    _, beta, _ = solve_complementarity(*_lcp(M, q), active0, np.abs(q).max())
-    _assert_lcp_solution(M, q, beta)
-    assert beta == pytest.approx(solution, rel=1e-14, abs=0.0)
-    assert bool(pivoted) == (start in cycling)
+    for budget in (0, solvers.BLOCK_BUDGET):
+        monkeypatch.setattr(solvers, "BLOCK_BUDGET", budget)
+        _, beta, _ = solve_complementarity(*_lcp(M, q), active0, np.abs(q).max())
+        _assert_lcp_solution(M, q, beta)
+        assert beta == pytest.approx(solution, rel=1e-14, abs=0.0)
+    monkeypatch.setattr(solvers, "BLOCK_BUDGET", solvers.MAX_ITER)
+    if start in cycling:
+        with pytest.raises(LCPError, match="iteration cap"):
+            solve_complementarity(*_lcp(M, q), active0, np.abs(q).max())
+    else:
+        _, beta, _ = solve_complementarity(*_lcp(M, q), active0, np.abs(q).max())
+        assert beta == pytest.approx(solution, rel=1e-14, abs=0.0)
 
 
 def test_pivot_lcp_without_solution_raises_typed_error():
     with pytest.raises(LCPError) as info:
-        principal_pivoting(*_lcp(np.array([[-1.0]]), np.array([-1.0])), np.zeros(1, dtype=bool))
+        solve_complementarity(*_lcp(np.array([[-1.0]]), np.array([-1.0])), np.zeros(1, dtype=bool), 1.0)
     err = info.value
     assert isinstance(err, RuntimeError)
     assert err.n == 1 and err.pivots >= 1 and err.residual > 0.0

@@ -31,7 +31,6 @@ from hestoncal.solvers import (
     fem_step,
     interpolate_in_time,
     price_at,
-    principal_pivoting,
     psor_step,
     solve_american,
     solve_complementarity,
@@ -309,7 +308,7 @@ def test_solves_and_projections_match_the_oracle_matrices_bit_for_bit(space):
     rng = np.random.default_rng(5)
     psi, xi = rng.standard_normal((space.n_free, 5)), rng.standard_normal((space.n_free, 3))
     for style in ("american", "european"):
-        model = rbm._project_offline(style, space, blocks, grid, psi, xi)
+        model = rbm._project_offline(style, blocks, grid, psi, xi)
         ref = fem_oracle.project(style, space, want, psi, xi)
         # the mass is kept once, as the projected affine block MASS
         got = dict(vars(model), m_red=model.a_red[MASS], mlift_red=model.alift_red[MASS])
@@ -344,10 +343,12 @@ def test_psor_cross_check():
 
 
 def test_fem_pivoting_from_empty_set_matches_psor():
-    """The kernel's fallback alone, started from no active node."""
+    """The kernel started from no active node."""
     lhs, rhs, g, d, am = _psor_cross_check_step()
     factor = fem_step(lhs, g, d, band_order(am.space))
-    u, lam, active = principal_pivoting(lambda a, key: factor(a)(rhs), g, np.zeros(g.size, dtype=bool))
+    u, lam, active = solve_complementarity(
+        lambda a, key: factor(a)(rhs), g, np.zeros(g.size, dtype=bool), np.abs(g).max()
+    )
     u_psor = psor_step(lhs, rhs, g, tol=1e-12)
     assert active.any()
     assert np.max(np.abs(u - u_psor)) < 1e-7
@@ -534,7 +535,11 @@ def test_march_with_an_empty_obstacle_factorizes_once():
 
 
 def _reference_kernel(solve, g, active):
-    """solve_complementarity with its Newton test comparing sets elementwise."""
+    """The two-loop kernel the one loop replaced, kept as its oracle: Newton
+    steps comparing sets elementwise until a set repeats, then Murty's
+    least-index principal pivoting from the current set, each pivot flipping
+    the least index whose basic variable (lam on the active set, the slack
+    c - g off it) is negative."""
     seen = set()
     for _ in range(solvers.MAX_ITER):
         x, lam, c = solve(active)
@@ -549,7 +554,19 @@ def _reference_kernel(solve, g, active):
             break
         seen.add(key)
         active = new_active
-    return principal_pivoting(lambda a, key: solve(a), g, active)
+    for pivots in range(solvers.MAX_ITER):
+        x, lam, c = solve(active)
+        slack = c - g
+        tol = KKT_TOL * max(1.0, np.abs(c).max(), np.abs(g).max())
+        residual = float(np.abs(np.minimum(lam, slack)).max())
+        negative = np.flatnonzero(np.where(active, lam, slack) < -tol)
+        if negative.size == 0:
+            if residual <= tol:
+                return x, np.maximum(lam, 0.0), active
+            raise LCPError(g.size, pivots, residual, "KKT residual above tolerance")
+        active = active.copy()
+        active[negative[0]] = not active[negative[0]]
+    raise LCPError(g.size, solvers.MAX_ITER, residual, "pivot cap")
 
 
 def _reference_march(u0, rhs_op, load, I, step, g, kernel=_reference_kernel):
@@ -681,22 +698,52 @@ def test_reduced_solves_at_the_pilot_shape_equal_the_reference_loop_bit_for_bit(
         assert all(c["newton"] >= pilot.grid.I and c["factorizations"] >= 2 for c in mine_counts)
 
 
+def _murty_counting_kernel(murty):
+    """solve_complementarity that appends one count per solve to murty: its
+    Murty steps, the moves to a set other than the block step {lam > c - g}
+    of the iterate before."""
+    kernel = solvers.solve_complementarity
+
+    def counted(solve, g, active, g_max):
+        murty.append(0)
+        block_step = None
+
+        def watched(active, key):
+            nonlocal block_step
+            if block_step is not None and not np.array_equal(active, block_step):
+                murty[-1] += 1
+            x, lam, c = solve(active, key)
+            block_step = lam > c - g
+            return x, lam, c
+
+        return kernel(watched, g, active, g_max)
+
+    return counted
+
+
 def test_pivoting_hand_off_under_the_key_protocol_equals_the_reference_loop(pilot, monkeypatch):
-    """Every step of the pilot's solves forced into principal_pivoting: the
-    slot, fed the keys pivoting derives, gives the bytes of the reference
-    loop, whose slot derives its own keys from the one-argument callback."""
+    """With a budget of 0 the FEM solves on the pilot's mesh hand over to
+    Murty's rule at the first block step that does not improve, at each of
+    _pilot_thetas: the slot, fed the keys the kernel derives for its flipped
+    sets, gives the bytes of the reference loop, whose slot derives its own
+    keys from the one-argument callback."""
+    space, blocks = pilot.space, assemble_blocks(pilot.space)
+    monkeypatch.setattr(solvers, "BLOCK_BUDGET", 0)
 
-    def pivoting(solve, g, active, g_max):
-        return principal_pivoting(solve, g, active)
+    def reference_kernel(solve, g, active):
+        return solve_complementarity(lambda a, key: solve(a), g, active, np.abs(g).max())
 
-    def reference_pivoting(solve, g, active):
-        return principal_pivoting(lambda a, key: solve(a), g, active)
-
-    got = _pilot_runs(pilot, monkeypatch, solve_complementarity=pivoting)
-    want = _pilot_runs(
-        pilot, monkeypatch, march=lambda *args: _reference_march(*args, kernel=reference_pivoting)
-    )
-    assert got == want
+    for theta in _pilot_thetas():
+        mu = ModelParams(*theta[:4], PILOT_RATE)
+        murty = []
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "solve_complementarity", _murty_counting_kernel(murty))
+            got = solve_american(mu, space, blocks, pilot.grid)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "march", lambda *args: _reference_march(*args, kernel=reference_kernel))
+            want = solve_american(mu, space, blocks, pilot.grid)
+        assert got.U.tobytes() == want.U.tobytes() and got.lam.tobytes() == want.lam.tobytes()
+        assert sum(murty) > 0
 
 
 def test_solve_american_matches_fresh_factorization(ladder_fem):
@@ -779,48 +826,54 @@ def test_solve_american_factorizes_at_most_1_2_lus_per_step(ladder_fem, monkeypa
 
 
 def test_ordinary_american_solves_never_pivot(ladder_fem, toy_american, monkeypatch):
-    """Newton alone finishes every step of the ladder's FEM solve at theta_ex
-    and of a reduced solve on the toy basis: pivoting is only the fallback
-    for steps that revisit an active set."""
-    steps, pivots = [], []
-    kernel, pivoting = solvers.solve_complementarity, solvers.principal_pivoting
-
-    def counted_kernel(*args):
-        steps.append(None)
-        return kernel(*args)
-
-    def counted_pivoting(*args):
-        pivots.append(None)
-        return pivoting(*args)
-
-    monkeypatch.setattr(solvers, "solve_complementarity", counted_kernel)
-    monkeypatch.setattr(solvers, "principal_pivoting", counted_pivoting)
+    """Block steps alone finish every step of the ladder's FEM solve at
+    theta_ex and of a reduced solve on the toy basis: Murty's rule is only
+    the safeguard for steps whose block steps stop improving."""
+    murty = []
+    monkeypatch.setattr(solvers, "solve_complementarity", _murty_counting_kernel(murty))
     space, blocks = ladder_fem
     solve_american(MU, space, blocks, LADDER_GRID)
-    assert (len(steps), len(pivots)) == (LADDER_GRID.I, 0)
-    steps.clear()
+    assert (len(murty), sum(murty)) == (LADDER_GRID.I, 0)
+    murty.clear()
     solve_reduced(toy_american, ModelParams(0.35, -0.45, 0.15, 1.25, 0.2))
-    assert (len(steps), len(pivots)) == (toy_american.grid.I, 0)
+    assert (len(murty), sum(murty)) == (toy_american.grid.I, 0)
+
+
+def _toy_solves_at_budget(toy, toy_train, monkeypatch, budget):
+    """Murty steps of the toy FEM solves at a point beside the toy training
+    set and at its 16 points, with BLOCK_BUDGET = budget, each solve's U
+    checked against the default budget's within 1e-10."""
+    space, blocks, grid = toy
+    murty = []
+    for mu in [ModelParams(0.2, -0.7, 0.25, 2.0, 0.03), *toy_train]:
+        want = solve_american(mu, space, blocks, grid)
+        with monkeypatch.context() as m:
+            m.setattr(solvers, "BLOCK_BUDGET", budget)
+            m.setattr(solvers, "solve_complementarity", _murty_counting_kernel(murty))
+            got = solve_american(mu, space, blocks, grid)
+        assert np.allclose(got.U, want.U, rtol=0.0, atol=1e-10)
+    return sum(murty)
+
+
+def test_block_budget_of_one_finishes_every_fem_step_from_its_warm_start(toy, toy_train, monkeypatch):
+    """One block step that does not improve, then Murty's rule: every step of
+    the 17 toy FEM solves ends at the default budget's solution, and the
+    safeguard does run."""
+    assert _toy_solves_at_budget(toy, toy_train, monkeypatch, 1) > 0
 
 
 @pytest.mark.xfail(
     strict=True,
     raises=LCPError,
-    reason="least-index pivoting flips one row per pivot: from the previous step's "
-    "set it hits the 500-pivot cap here (KKT residual 4.7e-2), and at 10 of the 16 "
-    "toy training points",
+    reason="Murty's rule flips one row per iteration: with a budget of 0 a step hits the "
+    "500-iteration cap in 5 of the 17 toy FEM solves, the first at "
+    "mu = (0.2, -0.7, 0.25, 2.0, 0.03) (KKT residual 3.8e-2)",
 )
-def test_principal_pivoting_finishes_every_fem_step_from_its_warm_start(toy, monkeypatch):
-    """The kernel's fallback, handed every step of a toy FEM solve from the
-    step's warm start, ends at the solution Newton finds."""
-    space, blocks, grid = toy
-    mu = ModelParams(0.2, -0.7, 0.25, 2.0, 0.03)
-    want = solve_american(mu, space, blocks, grid)
-    monkeypatch.setattr(
-        solvers, "solve_complementarity", lambda solve, g, active, g_max: principal_pivoting(solve, g, active)
-    )
-    got = solve_american(mu, space, blocks, grid)
-    assert np.allclose(got.U, want.U, rtol=0.0, atol=1e-10)
+def test_murty_steps_finish_every_fem_step_from_its_warm_start(toy, toy_train, monkeypatch):
+    """With a budget of 0, Murty's rule from the first block step that does
+    not improve: every step of the 17 toy FEM solves ends at the default
+    budget's solution."""
+    _toy_solves_at_budget(toy, toy_train, monkeypatch, 0)
 
 
 #: One corner of DEFAULT_CALIB_BOX: largest xi, most negative rho, smallest
